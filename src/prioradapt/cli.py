@@ -7,9 +7,7 @@ into a comparison table.
 
 Exit codes: 0 success, 2 parse or validation failure, 3 solver failure,
 4 I/O failure.  All outputs are UTF-8 with LF line endings and are
-byte-stable for fixed seeds and inputs.  The ``PRIOR_ADAPT_THREADS``
-environment variable caps how many scenarios ``evaluate`` runs in
-parallel (default 1).
+byte-stable for fixed seeds and inputs.
 """
 
 from __future__ import annotations
@@ -23,6 +21,7 @@ from typing import Optional
 
 from . import fileio
 from .core import (
+    METHODS,
     AdaptedPolicy,
     PriorEstimate,
     decide_adapted,
@@ -49,7 +48,6 @@ from .estimators import (
 )
 from .harness import (
     EvaluationRow,
-    METHOD_ORDER,
     cross_validate,
     default_suite,
     evaluate_suite,
@@ -66,25 +64,7 @@ EXIT_IO = 4
 
 _SOLVER_ERRORS = (ConvergenceError, IllConditionedError, SingularMatrixError)
 
-METHOD_FLAGS = {
-    "naive": "naive",
-    "pr": "precision_recall",
-    "inverse": "matrix_inverse",
-    "qp": "quadratic_program",
-}
-
-DISPLAY_NAMES = {
-    "baseline": "Baseline",
-    "naive": "Naive",
-    "precision_recall": "Precision-recall",
-    "matrix_inverse": "Matrix inverse",
-    "quadratic_program": "Quadratic programming",
-    "ground_truth": "Ground truth",
-}
-
-#: Rows eligible for the per-column best marker: the estimation methods,
-#: excluding the baseline and the ground-truth oracle.
-BOLDABLE = ("naive", "precision_recall", "matrix_inverse", "quadratic_program")
+_METHOD_BY_FLAG = {m.flag: m.name for m in METHODS if m.flag is not None}
 
 DEFAULT_SUITE_SEED = 20240
 
@@ -134,7 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("stream", help="decision indices (one per line) or scores CSV")
     p.add_argument(
         "--method",
-        choices=tuple(METHOD_FLAGS) + ("all",),
+        choices=(*_METHOD_BY_FLAG, "all"),
         default="all",
         help="estimator to run (default: all)",
     )
@@ -149,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--method",
-        choices=tuple(METHOD_FLAGS),
+        choices=tuple(_METHOD_BY_FLAG),
         default=None,
         help="method to pick from the priors JSON, or the live estimator",
     )
@@ -199,6 +179,25 @@ def _solver_options(args) -> SolverOptions:
     return SolverOptions(seed=args.seed if args.seed is not None else 0)
 
 
+def _estimator(conf, opts: SolverOptions):
+    """Return ``estimate(method, hist) -> PriorEstimate`` for the flagged methods.
+
+    The precision/recall table is read off ``conf`` once, not per estimate.
+    """
+    table = precision_recall(conf)
+
+    def estimate(method: str, hist) -> PriorEstimate:
+        if method == "naive":
+            return estimate_naive(hist)
+        if method == "precision_recall":
+            return estimate_precision_recall(hist, table)
+        if method == "matrix_inverse":
+            return estimate_matrix_inverse(conf, hist)
+        return estimate_qp(conf, hist, opts)
+
+    return estimate
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -231,20 +230,12 @@ def cmd_estimate(args) -> int:
     monitor = _ingest_stream(args, conf)
     hist = monitor.snapshot()
 
-    wanted = list(METHOD_FLAGS.values()) if args.method == "all" else [METHOD_FLAGS[args.method]]
-    opts = _solver_options(args)
+    wanted = list(_METHOD_BY_FLAG.values()) if args.method == "all" else [_METHOD_BY_FLAG[args.method]]
+    estimate = _estimator(conf, _solver_options(args))
     estimates, failures, failure_excs = {}, {}, {}
-
-    table = precision_recall(conf)
-    producers = {
-        "naive": lambda: estimate_naive(hist),
-        "precision_recall": lambda: estimate_precision_recall(hist, table),
-        "matrix_inverse": lambda: estimate_matrix_inverse(conf, hist),
-        "quadratic_program": lambda: estimate_qp(conf, hist, opts),
-    }
     for method in wanted:
         try:
-            estimates[method] = producers[method]()
+            estimates[method] = estimate(method, hist)
         except ConvergenceError as exc:
             message = f"{type(exc).__name__}: {exc}"
             if exc.best_iterate is not None:
@@ -299,7 +290,7 @@ def cmd_reweight(args) -> int:
     catalog, records = fileio.read_score_records(args.scores, args.lenient, warn)
 
     if args.priors is not None:
-        method = METHOD_FLAGS.get(args.method) if args.method else None
+        method = _METHOD_BY_FLAG[args.method] if args.method else None
         values, tag = fileio.read_priors_json(args.priors, catalog, method)
         total = values.sum()
         if not total > 0.0:
@@ -318,19 +309,8 @@ def cmd_reweight(args) -> int:
     conf = fileio.read_confusion_csv(args.confusion)
     if conf.catalog != catalog:
         raise ValidationError("scores CSV classes do not match the confusion matrix classes")
-    method = METHOD_FLAGS.get(args.method or "qp", "quadratic_program")
-    opts = _solver_options(args)
-    table = precision_recall(conf)
-
-    def reestimate(hist):
-        if method == "naive":
-            return estimate_naive(hist)
-        if method == "precision_recall":
-            return estimate_precision_recall(hist, table)
-        if method == "matrix_inverse":
-            return estimate_matrix_inverse(conf, hist)
-        return estimate_qp(conf, hist, opts)
-
+    method = _METHOD_BY_FLAG[args.method or "qp"]
+    estimate = _estimator(conf, _solver_options(args))
     monitor = StreamMonitor(catalog, window=args.window)
     policy = AdaptedPolicy.from_priors(uniform_estimate(catalog.k))
     with _open_output(args.output) as fp:
@@ -340,7 +320,7 @@ def cmd_reweight(args) -> int:
             monitor.ingest_scored(record)
             if monitor.decisions_seen % args.reestimate_every == 0:
                 try:
-                    policy = AdaptedPolicy.from_priors(reestimate(monitor.snapshot()))
+                    policy = AdaptedPolicy.from_priors(estimate(method, monitor.snapshot()))
                 except PriorAdaptError as exc:
                     _note(args, f"warning: keeping previous priors: {exc}")
     return EXIT_OK
@@ -380,13 +360,14 @@ def _best_by_scenario(rows: list[EvaluationRow]) -> dict[str, Optional[str]]:
         candidates = {
             r.method: r.accuracy
             for r in rows
-            if r.scenario == scenario and r.method in BOLDABLE and r.accuracy is not None
+            if r.scenario == scenario and r.method in _METHOD_BY_FLAG.values()
+            and r.accuracy is not None
         }
         if not candidates:
             best[scenario] = None
             continue
         top = max(candidates.values())
-        best[scenario] = next(m for m in METHOD_ORDER if candidates.get(m) == top)
+        best[scenario] = next(m.name for m in METHODS if candidates.get(m.name) == top)
     return best
 
 
@@ -410,21 +391,21 @@ def render_markdown(rows: list[EvaluationRow]) -> str:
     scenarios = _scenario_order(rows)
     best = _best_by_scenario(rows)
     by = {(r.scenario, r.method): r for r in rows}
-    methods = [m for m in METHOD_ORDER if any((s, m) in by for s in scenarios)]
+    methods = [m for m in METHODS if any((s, m.name) in by for s in scenarios)]
     lines = ["| Method | " + " | ".join(scenarios) + " |"]
     lines.append("| --- |" + " --- |" * len(scenarios))
     for method in methods:
         cells = []
         for scenario in scenarios:
-            row = by.get((scenario, method))
+            row = by.get((scenario, method.name))
             if row is None:
                 cells.append("N/A")
                 continue
             text = _cell(row)
-            if best.get(scenario) == method and row.accuracy is not None:
+            if best.get(scenario) == method.name and row.accuracy is not None:
                 text = f"**{text}**"
             cells.append(text)
-        lines.append(f"| {DISPLAY_NAMES[method]} | " + " | ".join(cells) + " |")
+        lines.append(f"| {method.display} | " + " | ".join(cells) + " |")
     if any("/segment-" in s for s in scenarios):
         lines.append("")
         lines.append(
@@ -473,16 +454,6 @@ def render_json(rows: list[EvaluationRow]) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def _threads() -> int:
-    raw = os.environ.get("PRIOR_ADAPT_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def cmd_evaluate(args) -> int:
     if args.folds < 2:
         raise ValidationError(f"--folds must be >= 2, got {args.folds}")
@@ -505,13 +476,7 @@ def cmd_evaluate(args) -> int:
         suite = default_suite(
             seed=args.seed if args.seed is not None else DEFAULT_SUITE_SEED
         )
-        rows = evaluate_suite(
-            suite,
-            folds=args.folds,
-            solver_opts=_solver_options(args),
-            threads=_threads(),
-            isolate_failures=True,
-        )
+        rows = evaluate_suite(suite, folds=args.folds, solver_opts=_solver_options(args))
     renderer = {"markdown": render_markdown, "csv": render_csv, "json": render_json}
     with _open_output(args.output) as fp:
         fp.write(renderer[args.format](rows))

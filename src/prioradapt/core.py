@@ -15,7 +15,7 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -25,14 +25,29 @@ SCORE_SUM_TOL = 1e-6
 PRIOR_SUM_TOL = 1e-9
 ROW_SUM_TOL = 1e-9
 
-ESTIMATOR_METHODS = (
-    "naive",
-    "precision_recall",
-    "matrix_inverse",
-    "quadratic_program",
-    "ground_truth",
-    "uniform",
+
+class Method(NamedTuple):
+    """One row of the comparison tables."""
+
+    name: str
+    flag: Optional[str]  # the CLI ``--method`` value; None if the row is no estimator
+    display: str
+
+
+#: Every method in table row order.  The flagged rows estimate priors from
+#: data: they are the CLI's ``--method`` choices and the rows eligible for
+#: the best marker.
+METHODS = (
+    Method("baseline", None, "Baseline"),
+    Method("naive", "naive", "Naive"),
+    Method("precision_recall", "pr", "Precision-recall"),
+    Method("matrix_inverse", "inverse", "Matrix inverse"),
+    Method("quadratic_program", "qp", "Quadratic programming"),
+    Method("ground_truth", None, "Ground truth"),
 )
+
+#: Valid ``PriorEstimate`` tags: the method names plus ``uniform_estimate``'s.
+_PRIOR_TAGS = frozenset(m.name for m in METHODS) | {"uniform"}
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -226,7 +241,7 @@ class PriorEstimate:
         total = float(values.sum())
         if abs(total - 1.0) > PRIOR_SUM_TOL:
             raise ValidationError(f"priors sum to {total!r}, expected 1 within {PRIOR_SUM_TOL}")
-        if self.method not in ESTIMATOR_METHODS:
+        if self.method not in _PRIOR_TAGS:
             raise ValidationError(f"unknown estimation method {self.method!r}")
         object.__setattr__(self, "values", _readonly(values))
 

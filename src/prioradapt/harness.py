@@ -17,13 +17,13 @@ a faithful small-scale reproduction.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from .core import (
+    METHODS,
     AdaptedPolicy,
     ClassCatalog,
     ConfusionMatrix,
@@ -47,16 +47,6 @@ from .solver import SolverOptions
 
 DEFAULT_SHARPNESS = 25.0
 DEFAULT_H_SAMPLES_PER_CLASS = 50
-
-#: Row order of the comparison tables.
-METHOD_ORDER = (
-    "baseline",
-    "naive",
-    "precision_recall",
-    "matrix_inverse",
-    "quadratic_program",
-    "ground_truth",
-)
 
 
 @dataclass(frozen=True)
@@ -269,22 +259,18 @@ def _evaluate_split(
     for record in transfer:
         monitor.ingest_scored(record)
     hist = monitor.snapshot()
-
-    estimates: dict[str, PriorEstimate] = {}
-    failures: dict[str, str] = {}
-
-    def attempt(method, producer):
-        try:
-            estimates[method] = producer()
-        except PriorAdaptError as exc:
-            failures[method] = f"{type(exc).__name__}: {exc}"
-
     table = precision_recall(conf)
-    attempt("naive", lambda: estimate_naive(hist))
-    attempt("precision_recall", lambda: estimate_precision_recall(hist, table))
-    attempt("matrix_inverse", lambda: estimate_matrix_inverse(conf, hist))
-    attempt("quadratic_program", lambda: estimate_qp(conf, hist, solver_opts))
-    attempt("ground_truth", lambda: estimate_ground_truth(spec.true_priors))
+
+    def estimate(method: str) -> PriorEstimate:
+        if method == "naive":
+            return estimate_naive(hist)
+        if method == "precision_recall":
+            return estimate_precision_recall(hist, table)
+        if method == "matrix_inverse":
+            return estimate_matrix_inverse(conf, hist)
+        if method == "quadratic_program":
+            return estimate_qp(conf, hist, solver_opts)
+        return estimate_ground_truth(spec.true_priors)
 
     truth = np.array([r.true_label for r in test])
     baseline_decisions = np.array([decide_baseline(r) for r in test])
@@ -297,33 +283,32 @@ def _evaluate_split(
             np.abs(uniform_estimate(catalog.k).values - spec.true_priors).sum()
         ),
     }
-    for method in METHOD_ORDER[1:]:
-        if method in failures:
-            results[method] = {"error": failures[method]}
+    for method in METHODS:
+        if method.name == "baseline":
             continue
-        estimate = estimates[method]
-        policy = AdaptedPolicy.from_priors(estimate)
+        try:
+            priors = estimate(method.name)
+        except PriorAdaptError as exc:
+            results[method.name] = {"error": f"{type(exc).__name__}: {exc}"}
+            continue
+        policy = AdaptedPolicy.from_priors(priors)
         decisions = np.array([decide_adapted(r, policy) for r in test])
-        results[method] = {
+        results[method.name] = {
             "accuracy": _accuracy(decisions, truth),
-            "priors": estimate.values,
-            "prior_l1_error": float(np.abs(estimate.values - spec.true_priors).sum()),
+            "priors": priors.values,
+            "prior_l1_error": float(np.abs(priors.values - spec.true_priors).sum()),
         }
     return results
 
 
 def _resolve_confusion(
-    spec: ScenarioSpec,
     clf: SyntheticClassifier,
     confusion: Optional[ConfusionMatrix],
-    use_true_confusion: bool,
     h_samples_per_class: int,
     rng: np.random.Generator,
 ) -> ConfusionMatrix:
     if confusion is not None:
         return confusion
-    if use_true_confusion:
-        return clf.confusion
     return estimate_confusion(clf, h_samples_per_class, rng)
 
 
@@ -331,7 +316,7 @@ def _collect_rows(spec_name: str, fold_results: list[dict[str, dict]]) -> list[E
     """Aggregate per-fold results into one row per method."""
     rows = []
     folds = len(fold_results)
-    for method in METHOD_ORDER:
+    for method in (m.name for m in METHODS):
         accuracies = [f[method]["accuracy"] for f in fold_results if "error" not in f[method]]
         errors = [f[method]["error"] for f in fold_results if "error" in f[method]]
         if not accuracies:
@@ -370,7 +355,6 @@ def run_scenario(
     spec: ScenarioSpec,
     clf: SyntheticClassifier,
     confusion: Optional[ConfusionMatrix] = None,
-    use_true_confusion: bool = False,
     h_samples_per_class: int = DEFAULT_H_SAMPLES_PER_CLASS,
     solver_opts: Optional[SolverOptions] = None,
 ) -> list[EvaluationRow]:
@@ -378,9 +362,9 @@ def run_scenario(
 
     The transfer stream only ever feeds the decision histogram; the test
     stream only ever scores decisions.  The two are drawn from separate
-    RNG substreams, so no sample is shared.  By default the estimators see
-    an empirically measured confusion matrix (its own substream); pass
-    ``use_true_confusion=True`` to ablate with the generator's exact rows.
+    RNG substreams, so no sample is shared.  Unless ``confusion`` is given,
+    the estimators see an empirically measured confusion matrix (its own
+    substream).
     """
     if spec.catalog is not clf.catalog and spec.catalog != clf.catalog:
         raise ValidationError("scenario and classifier use different catalogs")
@@ -388,8 +372,7 @@ def run_scenario(
     transfer_rng = np.random.default_rng(transfer_ss)
     test_rng = np.random.default_rng(test_ss)
     conf = _resolve_confusion(
-        spec, clf, confusion, use_true_confusion, h_samples_per_class,
-        np.random.default_rng(h_ss),
+        clf, confusion, h_samples_per_class, np.random.default_rng(h_ss)
     )
     transfer = _draw_records(clf, _draw_labels(spec.true_priors, spec.transfer_size, transfer_rng), transfer_rng)
     test = _draw_records(clf, _draw_labels(spec.true_priors, spec.test_size, test_rng), test_rng)
@@ -416,7 +399,6 @@ def cross_validate(
     clf: SyntheticClassifier,
     folds: int = 10,
     confusion: Optional[ConfusionMatrix] = None,
-    use_true_confusion: bool = False,
     h_samples_per_class: int = DEFAULT_H_SAMPLES_PER_CLASS,
     solver_opts: Optional[SolverOptions] = None,
 ) -> list[EvaluationRow]:
@@ -438,8 +420,7 @@ def cross_validate(
     pool_rng = np.random.default_rng(pool_ss)
     fold_rng = np.random.default_rng(fold_ss)
     conf = _resolve_confusion(
-        spec, clf, confusion, use_true_confusion, h_samples_per_class,
-        np.random.default_rng(h_ss),
+        clf, confusion, h_samples_per_class, np.random.default_rng(h_ss)
     )
     pool = _draw_records(clf, _draw_labels(spec.true_priors, pool_size, pool_rng), pool_rng)
     fold_results = []
@@ -504,50 +485,32 @@ def evaluate_suite(
     suite: Suite,
     folds: int = 10,
     h_samples_per_class: int = DEFAULT_H_SAMPLES_PER_CLASS,
-    use_true_confusion: bool = False,
     solver_opts: Optional[SolverOptions] = None,
-    threads: int = 1,
-    isolate_failures: bool = False,
 ) -> list[EvaluationRow]:
     """Cross-validate every scenario of a suite against its shared classifier.
 
     The confusion matrix is measured once and shared, mirroring a single
-    offline evaluation serving many deployments.  Scenarios may be
-    evaluated in parallel threads; results are merged in scenario order
-    regardless.  With ``isolate_failures`` a scenario that fails outright
-    contributes error rows instead of raising.
+    offline evaluation serving many deployments.  A scenario that fails
+    outright contributes error rows instead of raising.
     """
     clf = suite.classifier
-    if use_true_confusion:
-        conf = clf.confusion
-    else:
-        conf = estimate_confusion(
-            clf, h_samples_per_class, np.random.default_rng(suite.h_seed)
-        )
-
-    def one(spec: ScenarioSpec) -> list[EvaluationRow]:
+    conf = estimate_confusion(clf, h_samples_per_class, np.random.default_rng(suite.h_seed))
+    rows = []
+    for spec in suite.scenarios:
         try:
-            return cross_validate(
+            rows += cross_validate(
                 spec, clf, folds=folds, confusion=conf, solver_opts=solver_opts
             )
         except PriorAdaptError as exc:
-            if not isolate_failures:
-                raise
             message = f"{type(exc).__name__}: {exc}"
-            return [
+            rows += [
                 EvaluationRow(
-                    scenario=spec.name, method=method, accuracy=None,
+                    scenario=spec.name, method=method.name, accuracy=None,
                     accuracy_std=None, folds=folds, error=message,
                 )
-                for method in METHOD_ORDER
+                for method in METHODS
             ]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            per_scenario = list(pool.map(one, suite.scenarios))
-    else:
-        per_scenario = [one(spec) for spec in suite.scenarios]
-    return [row for rows in per_scenario for row in rows]
+    return rows
 
 
 def simulate_stream(
@@ -581,7 +544,6 @@ def run_drift_scenario(
     window: Optional[int],
     reestimate_every: int,
     confusion: Optional[ConfusionMatrix] = None,
-    use_true_confusion: bool = False,
     h_samples_per_class: int = DEFAULT_H_SAMPLES_PER_CLASS,
     solver_opts: Optional[SolverOptions] = None,
 ) -> list[EvaluationRow]:
@@ -598,8 +560,7 @@ def run_drift_scenario(
         raise ValidationError("reestimate_every must be >= 1")
     stream_ss, h_ss = np.random.SeedSequence(spec.seed).spawn(2)
     conf = _resolve_confusion(
-        spec, clf, confusion, use_true_confusion, h_samples_per_class,
-        np.random.default_rng(h_ss),
+        clf, confusion, h_samples_per_class, np.random.default_rng(h_ss)
     )
     monitor = StreamMonitor(spec.catalog, window=window)
     policy: Optional[AdaptedPolicy] = None

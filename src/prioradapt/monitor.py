@@ -14,14 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (
-    AdaptedPolicy,
-    ClassCatalog,
-    DecisionHistogram,
-    ScoreRecord,
-    decide_adapted,
-    decide_baseline,
-)
+from .core import ClassCatalog, DecisionHistogram, ScoreRecord, decide_baseline
 from .errors import DimensionError, InsufficientDataError, ValidationError
 
 
@@ -32,24 +25,18 @@ class StreamMonitor:
     ones are evicted as new ones arrive.  Without a window all decisions
     accumulate.
 
-    By default the histogram counts baseline (unweighted) decisions even
-    when a re-weighting policy is in play: the estimation model relates
-    priors to the classifier's raw decision frequencies, and feeding the
-    adapted decisions back in creates a feedback loop with no supporting
-    analysis.  Opt into that loop explicitly with ``closed_loop=True``.
+    The histogram counts baseline (unweighted) decisions even when a
+    re-weighting policy is in play: the estimation model relates priors to
+    the classifier's raw decision frequencies, and feeding the adapted
+    decisions back in would create a feedback loop with no supporting
+    analysis.
     """
 
-    def __init__(
-        self,
-        catalog: ClassCatalog,
-        window: Optional[int] = None,
-        closed_loop: bool = False,
-    ):
+    def __init__(self, catalog: ClassCatalog, window: Optional[int] = None):
         if window is not None and window < 1:
             raise ValidationError("window length must be >= 1")
         self.catalog = catalog
         self.window = window
-        self.closed_loop = closed_loop
         self._counts = np.zeros(catalog.k, dtype=np.int64)
         self._ring: Optional[deque[int]] = deque() if window is not None else None
         self._seen = 0
@@ -74,24 +61,13 @@ class StreamMonitor:
         self._counts[decision] += 1
         self._seen += 1
 
-    def ingest_scored(
-        self,
-        record: ScoreRecord,
-        policy: Optional[AdaptedPolicy] = None,
-    ) -> int:
-        """Decide a score record, count the decision, and return it.
-
-        The counted decision is the baseline one unless this monitor was
-        built with ``closed_loop=True`` and a policy is supplied.
-        """
+    def ingest_scored(self, record: ScoreRecord) -> int:
+        """Count a score record's baseline decision and return it."""
         if record.k != self.catalog.k:
             raise DimensionError(
                 f"record has {record.k} scores, expected {self.catalog.k}"
             )
-        if self.closed_loop and policy is not None:
-            decision = decide_adapted(record, policy)
-        else:
-            decision = decide_baseline(record)
+        decision = decide_baseline(record)
         self.ingest(decision)
         return decision
 

@@ -36,16 +36,13 @@ class SolverOptions:
 
     ``gradient_tolerance`` is applied to the per-iteration decrease of the
     squared residual; once an iteration improves by less than this the
-    solve is considered converged.  ``step_rule`` is either ``"fixed"``
-    (step 1/L from a power-iteration bound on the largest squared singular
-    value of H) or ``"backtracking"`` (Armijo halving from the same start).
-    ``seed`` fixes the power-iteration start vector so identical inputs
-    produce bitwise-identical iterates.
+    solve is considered converged.  ``seed`` fixes the start vector of the
+    power iteration that bounds the step, so identical inputs produce
+    bitwise-identical iterates.
     """
 
     max_iterations: int = 10_000
     gradient_tolerance: float = 1e-10
-    step_rule: str = "fixed"
     seed: int = 0
 
     def __post_init__(self):
@@ -53,8 +50,6 @@ class SolverOptions:
             raise ValidationError("max_iterations must be >= 1")
         if not self.gradient_tolerance > 0.0:
             raise ValidationError("gradient_tolerance must be > 0")
-        if self.step_rule not in ("fixed", "backtracking"):
-            raise ValidationError(f"unknown step_rule {self.step_rule!r}")
 
 
 @dataclass(frozen=True)
@@ -63,10 +58,6 @@ class SolveReport:
     residual: float  # final squared residual ||Hv - c||^2
     converged: bool
     kkt_violation: float
-    # Both convergence measures are recorded even though only the decrease
-    # drives the stopping rule.
-    last_decrease: float = 0.0
-    last_move: float = 0.0
 
 
 def _as_square_matrix(h) -> np.ndarray:
@@ -248,20 +239,12 @@ def solve_simplex_lsq(
 
     converged = False
     iterations = 0
-    decrease = 0.0
-    move = 0.0
     for iterations in range(1, opts.max_iterations + 1):
         gradient = 2.0 * (h.T @ residual)
-        if opts.step_rule == "fixed":
-            candidate = project_simplex(v - step * gradient)
-            cand_residual = h @ candidate - c
-            cand_sq = float(cand_residual @ cand_residual)
-        else:
-            candidate, cand_residual, cand_sq = _backtrack(
-                h, c, v, gradient, sq_residual, step
-            )
+        candidate = project_simplex(v - step * gradient)
+        cand_residual = h @ candidate - c
+        cand_sq = float(cand_residual @ cand_residual)
         decrease = sq_residual - cand_sq
-        move = float(np.linalg.norm(candidate - v))
         # Accept only non-worsening steps so the residual trace is monotone
         # even at float stagnation.
         if cand_sq <= sq_residual:
@@ -275,8 +258,6 @@ def solve_simplex_lsq(
         residual=sq_residual,
         converged=converged,
         kkt_violation=kkt_violation(h, c, v),
-        last_decrease=decrease,
-        last_move=move,
     )
     if not converged:
         raise ConvergenceError(
@@ -287,16 +268,3 @@ def solve_simplex_lsq(
         )
     return v, report
 
-
-def _backtrack(h, c, v, gradient, sq_residual, step):
-    """Armijo halving line search along the projected-gradient arc."""
-    s = step
-    for _ in range(60):
-        candidate = project_simplex(v - s * gradient)
-        delta = candidate - v
-        cand_residual = h @ candidate - c
-        cand_sq = float(cand_residual @ cand_residual)
-        if cand_sq <= sq_residual + gradient @ delta + (0.5 / s) * float(delta @ delta):
-            return candidate, cand_residual, cand_sq
-        s *= 0.5
-    return candidate, cand_residual, cand_sq

@@ -317,15 +317,6 @@ class TestEvaluate:
         assert "demo-drift/segment-1" in out
         assert "extension" in out
 
-    def test_thread_fanout_matches_sequential(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("PRIOR_ADAPT_THREADS", "4")
-        code, threaded = run(["evaluate", "--folds", "2"], tmp_path, "threaded")
-        assert code == 0
-        monkeypatch.delenv("PRIOR_ADAPT_THREADS")
-        code, sequential = run(["evaluate", "--folds", "2"], tmp_path, "sequential")
-        assert code == 0
-        assert read_bytes(threaded) == read_bytes(sequential)
-
 
 class TestGlobalFlagPlacement:
     def test_flags_accepted_before_or_after_subcommand(self, tmp_path):

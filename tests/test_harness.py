@@ -20,7 +20,8 @@ from prioradapt import (
     run_scenario,
     simulate_stream,
 )
-from prioradapt.harness import METHOD_ORDER, _fold_partitions, _mixture_counts
+from prioradapt.core import METHODS
+from prioradapt.harness import _fold_partitions, _mixture_counts
 
 from conftest import make_catalog, random_confusion_rows
 
@@ -154,7 +155,7 @@ class TestRunScenario:
         clf = make_classifier(np.eye(4))
         spec = uniform_scenario(clf.catalog, active=(0,), transfer_size=30, test_size=30)
         rows = run_scenario(spec, clf)
-        assert [r.method for r in rows] == list(METHOD_ORDER)
+        assert [r.method for r in rows] == [m.name for m in METHODS]
         for row in rows:
             assert row.accuracy == 1.0, row
 
@@ -301,7 +302,7 @@ class TestDefaultSuite:
         object.__setattr__(broken[0], "transfer_size", 1)
         object.__setattr__(broken[0], "test_size", 1)
         suite = type(suite)(suite.classifier, tuple(broken), suite.h_seed)
-        rows = evaluate_suite(suite, folds=10, isolate_failures=True)
+        rows = evaluate_suite(suite, folds=10)
         first = [r for r in rows if r.scenario == broken[0].name]
         second = [r for r in rows if r.scenario == broken[1].name]
         assert all(r.accuracy is None and r.error for r in first)

@@ -13,6 +13,7 @@ from prioradapt import (
     ScoreRecord,
     StreamMonitor,
     ValidationError,
+    decide_adapted,
 )
 
 from conftest import make_catalog
@@ -101,18 +102,13 @@ class TestIngestScored:
         policy = AdaptedPolicy.from_priors(
             PriorEstimate(np.array([0.0, 1.0]), method="ground_truth")
         )
-        decision = monitor.ingest_scored(ScoreRecord((0.9, 0.1)), policy)
+        record = ScoreRecord((0.9, 0.1))
+        assert decide_adapted(record, policy) == 1
+        decision = monitor.ingest_scored(record)
         assert decision == 0  # baseline, not adapted
         assert np.array_equal(monitor.snapshot().counts, [1, 0])
-
-    def test_closed_loop_counts_adapted(self):
-        monitor = StreamMonitor(make_catalog(2), closed_loop=True)
-        policy = AdaptedPolicy.from_priors(
-            PriorEstimate(np.array([0.0, 1.0]), method="ground_truth")
-        )
-        decision = monitor.ingest_scored(ScoreRecord((0.9, 0.1)), policy)
-        assert decision == 1
-        assert np.array_equal(monitor.snapshot().counts, [0, 1])
+        with pytest.raises(TypeError):
+            monitor.ingest_scored(record, policy)  # no closed-loop mode
 
 
 class TestStreamProperties:

@@ -245,17 +245,6 @@ class TestSolveSimplexLsq:
         assert err.report.iterations == 2
         assert not err.report.converged
 
-    def test_backtracking_agrees_with_fixed(self):
-        rng = np.random.default_rng(8)
-        h = random_confusion_rows(4, rng).T
-        c = random_simplex(4, rng, alpha=0.3)
-        fixed, _ = solve_simplex_lsq(h, c, TIGHT)
-        bt_opts = SolverOptions(
-            max_iterations=200_000, gradient_tolerance=1e-30, step_rule="backtracking"
-        )
-        backtracked, _ = solve_simplex_lsq(h, c, bt_opts)
-        assert np.allclose(fixed, backtracked, atol=1e-7)
-
     def test_singular_matrix_is_fine(self):
         h = np.array([[0.5, 0.5], [0.5, 0.5]])
         v, report = solve_simplex_lsq(h, np.array([0.6, 0.4]), TIGHT)
@@ -283,5 +272,3 @@ class TestSolverOptions:
             SolverOptions(max_iterations=0)
         with pytest.raises(ValidationError):
             SolverOptions(gradient_tolerance=0.0)
-        with pytest.raises(ValidationError):
-            SolverOptions(step_rule="newton")
