@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import csv
+import io
 import json
 import os
 import sys
@@ -278,13 +280,13 @@ def _reweight_row(record, policy) -> str:
 
 
 def cmd_reweight(args) -> int:
+    if (args.priors is None) == (args.confusion is None):
+        raise ValidationError("reweight needs exactly one of --priors or --confusion")
     if os.path.getsize(args.scores) == 0:
         # An empty stream re-weights to an empty stream.
         with _open_output(args.output) as fp:
             pass
         return EXIT_OK
-    if (args.priors is None) == (args.confusion is None):
-        raise ValidationError("reweight needs exactly one of --priors or --confusion")
 
     warn = (lambda msg: _note(args, f"warning: {msg}")) if args.lenient else None
     catalog, records = fileio.read_score_records(args.scores, args.lenient, warn)
@@ -355,8 +357,7 @@ def cmd_simulate(args) -> int:
 
 def _best_by_scenario(rows: list[EvaluationRow]) -> dict[str, Optional[str]]:
     best: dict[str, Optional[str]] = {}
-    scenarios = {r.scenario for r in rows}
-    for scenario in scenarios:
+    for scenario in _scenario_order(rows):
         candidates = {
             r.method: r.accuracy
             for r in rows
@@ -417,9 +418,11 @@ def render_markdown(rows: list[EvaluationRow]) -> str:
 
 def render_csv(rows: list[EvaluationRow]) -> str:
     best = _best_by_scenario(rows)
-    lines = ["scenario,method,accuracy_mean,accuracy_std,folds,prior_l1_error,best,error"]
+    out = io.StringIO()
+    out.write("scenario,method,accuracy_mean,accuracy_std,folds,prior_l1_error,best,error\n")
+    writer = csv.writer(out, lineterminator="\n")
     for r in rows:
-        cells = [
+        writer.writerow([
             r.scenario,
             r.method,
             fileio.format_float(r.accuracy) if r.accuracy is not None else "",
@@ -427,10 +430,9 @@ def render_csv(rows: list[EvaluationRow]) -> str:
             str(r.folds),
             fileio.format_float(r.prior_l1_error) if r.prior_l1_error is not None else "",
             "1" if best.get(r.scenario) == r.method else "0",
-            (r.error or "").replace(",", ";"),
-        ]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+            r.error or "",
+        ])
+    return out.getvalue()
 
 
 def render_json(rows: list[EvaluationRow]) -> str:

@@ -17,10 +17,12 @@ JSON relies on Python's shortest-round-trip float repr.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
 import os
+import sys
 from typing import IO, Iterator, Optional
 
 import numpy as np
@@ -45,6 +47,45 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+@contextlib.contextmanager
+def _text_errors(path: str, reader=None):
+    """Re-raise undecodable bytes, or a CSV ``reader``'s error, as a ParseError."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        raise ParseError("not valid UTF-8", path=path, line=_first_non_utf8_line(path)) from None
+    except csv.Error as exc:
+        raise ParseError(str(exc), path=path, line=reader.line_num) from None
+
+
+def _first_non_utf8_line(path: str) -> Optional[int]:
+    # A line break is one byte that never occurs inside a multi-byte UTF-8
+    # sequence, so each line decodes on its own.
+    with open(path, "rb") as fp:
+        for line_no, raw in enumerate(fp, start=1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return line_no
+    return None
+
+
+def _is_number(value) -> bool:
+    """Whether a parsed JSON value is a number that fits a float (bools are not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    return isinstance(value, float) or abs(value) <= sys.float_info.max
+
+
+def _load_json(path: str):
+    with open(path, "r", encoding="utf-8") as fp, _text_errors(path):
+        text = fp.read()
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}", path=path) from None
+
+
 # ---------------------------------------------------------------------------
 # confusion CSV
 # ---------------------------------------------------------------------------
@@ -53,24 +94,24 @@ def read_confusion_csv(path: str) -> ConfusionMatrix:
     """Read a confusion CSV and return the row-normalized matrix."""
     with open(path, "r", encoding="utf-8", newline="") as fp:
         reader = csv.reader(fp)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError("empty confusion file", path=path) from None
-        labels = [h.strip() for h in header]
-        rows = []
-        for line_no, row in enumerate(reader, start=2):
-            if not row or (len(row) == 1 and not row[0].strip()):
-                continue
-            if len(row) != len(labels):
-                raise ParseError(
-                    f"expected {len(labels)} columns, got {len(row)}",
-                    path=path, line=line_no,
-                )
-            try:
-                rows.append([float(x) for x in row])
-            except ValueError as exc:
-                raise ParseError(str(exc), path=path, line=line_no) from None
+        with _text_errors(path, reader):
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("empty confusion file", path=path)
+            labels = [h.strip() for h in header]
+            rows = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(labels):
+                    raise ParseError(
+                        f"expected {len(labels)} columns, got {len(row)}",
+                        path=path, line=line_no,
+                    )
+                try:
+                    rows.append([float(x) for x in row])
+                except ValueError as exc:
+                    raise ParseError(str(exc), path=path, line=line_no) from None
     if len(rows) != len(labels):
         raise ParseError(
             f"confusion matrix must be square: {len(labels)} labels but {len(rows)} rows",
@@ -123,18 +164,17 @@ def read_score_records(
     fp = open(path, "r", encoding="utf-8", newline="")
     reader = csv.reader(fp)
     try:
-        header = next(reader)
-    except StopIteration:
-        fp.close()
-        raise ParseError("empty scores file", path=path) from None
-    try:
+        with _text_errors(path, reader):
+            header = next(reader, None)
+        if header is None:
+            raise ParseError("empty scores file", path=path)
         catalog, has_label = parse_scores_header(header, path)
     except ParseError:
         fp.close()
         raise
 
     def records() -> Iterator[tuple[int, ScoreRecord]]:
-        with fp:
+        with fp, _text_errors(path, reader):
             for line_no, row in enumerate(reader, start=2):
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
@@ -163,24 +203,21 @@ def _parse_score_row(
         )
     true_label: Optional[int] = None
     values = row
-    if has_label:
-        raw = row[0].strip()
-        values = row[1:]
-        if raw:
-            true_label = catalog.index_of(raw) if not raw.lstrip("-").isdigit() else int(raw)
     try:
+        if has_label:
+            raw = row[0].strip()
+            values = row[1:]
+            if raw:
+                true_label = catalog.index_of(raw) if not raw.lstrip("-").isdigit() else int(raw)
         scores = [float(x) for x in values]
-    except ValueError as exc:
-        raise ParseError(str(exc), path=path, line=line_no) from None
-    try:
         return ScoreRecord(scores, true_label=true_label)
-    except PriorAdaptError as exc:
-        raise ParseError(str(exc), path=path, line=line_no) from exc
+    except (ValueError, PriorAdaptError) as exc:
+        raise ParseError(str(exc), path=path, line=line_no) from None
 
 
 def stream_kind(path: str) -> str:
     """Classify an input file as 'decisions' (index per line) or 'scores' CSV."""
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "r", encoding="utf-8") as fp, _text_errors(path):
         for line in fp:
             stripped = line.strip()
             if not stripped:
@@ -191,7 +228,7 @@ def stream_kind(path: str) -> str:
 
 
 def read_decision_stream(path: str, k: int) -> Iterator[int]:
-    with open(path, "r", encoding="utf-8") as fp:
+    with open(path, "r", encoding="utf-8") as fp, _text_errors(path):
         for line_no, line in enumerate(fp, start=1):
             stripped = line.strip()
             if not stripped:
@@ -259,16 +296,14 @@ def read_priors_json(
     vector and the method tag; a bare mapping is tagged ``ground_truth``
     since it represents externally known priors.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            doc = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", path=path) from None
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError("priors JSON must be an object", path=path)
 
     tag = "ground_truth"
     if "methods" in doc:
+        if not isinstance(doc["methods"], dict):
+            raise ParseError("priors JSON methods must be an object", path=path)
         methods = {
             name: entry["priors"]
             for name, entry in doc["methods"].items()
@@ -289,6 +324,8 @@ def read_priors_json(
             raise ParseError(f"method {method!r} not present in priors JSON", path=path)
         mapping = methods[method]
         tag = method
+        if not isinstance(mapping, dict):
+            raise ParseError(f"priors of method {method!r} must be an object", path=path)
     else:
         mapping = doc
 
@@ -296,7 +333,7 @@ def read_priors_json(
     for label, value in mapping.items():
         if label not in catalog.labels:
             raise ParseError(f"priors JSON names unknown class {label!r}", path=path)
-        if not isinstance(value, (int, float)) or not math.isfinite(value):
+        if not _is_number(value) or not math.isfinite(value):
             raise ParseError(f"prior for {label!r} is not a finite number", path=path)
         values[catalog.index_of(label)] = float(value)
     missing = set(catalog.labels) - set(mapping)
@@ -331,7 +368,7 @@ def _priors_from_mapping(
     for label, value in mapping.items():
         if label not in catalog.labels:
             raise ParseError(f"{where}: unknown class {label!r}", path=path)
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_number(value):
             raise ParseError(f"{where}.{label} must be a number", path=path)
         priors[catalog.index_of(label)] = float(value)
     return priors
@@ -342,11 +379,7 @@ def read_scenario_json(
     seed_override: Optional[int] = None,
 ) -> tuple[ScenarioSpec, Optional[SyntheticClassifier]]:
     """Parse a scenario file; validation failures name the offending field."""
-    try:
-        with open(path, "r", encoding="utf-8") as fp:
-            doc = json.load(fp)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}", path=path) from None
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise ParseError("scenario JSON must be an object", path=path)
 
@@ -396,7 +429,7 @@ def read_scenario_json(
     if seed_override is not None:
         seed = seed_override
     sharpness = doc.get("sharpness", DEFAULT_SHARPNESS)
-    if not isinstance(sharpness, (int, float)) or isinstance(sharpness, bool):
+    if not _is_number(sharpness):
         raise ParseError("scenario.sharpness must be a number", path=path)
     try:
         spec = ScenarioSpec(
@@ -426,7 +459,7 @@ def _build_classifier(
     if not isinstance(section, dict):
         raise ParseError(f"{where} must be an object", path=path)
     sharpness = section.get("sharpness", DEFAULT_SHARPNESS)
-    if not isinstance(sharpness, (int, float)) or isinstance(sharpness, bool):
+    if not _is_number(sharpness):
         raise ParseError(f"{where}.sharpness must be a number", path=path)
     sharpness = float(sharpness)
     if "confusion_csv" in section:
@@ -447,9 +480,12 @@ def _build_classifier(
         if not isinstance(conf_seed, int) or isinstance(conf_seed, bool):
             raise ParseError(f"{where}.confusion_seed must be an integer", path=path)
         rng = np.random.default_rng(conf_seed)
-        if isinstance(diagonal, (int, float)) and not isinstance(diagonal, bool):
+        if _is_number(diagonal):
             diag = np.full(catalog.k, float(diagonal))
-        elif isinstance(diagonal, list) and len(diagonal) == catalog.k:
+        elif (
+            isinstance(diagonal, list) and len(diagonal) == catalog.k
+            and all(_is_number(d) for d in diagonal)
+        ):
             diag = np.array([float(d) for d in diagonal])
         else:
             raise ParseError(

@@ -1,14 +1,20 @@
 """Command-line behavior: commands, exit codes, and byte-stable outputs."""
 
+import csv
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prioradapt.cli import main
+from prioradapt.cli import main, render_csv
+from prioradapt.harness import EvaluationRow
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -99,6 +105,13 @@ class TestEstimate:
         assert code == 2
         assert ":2:" in capsys.readouterr().err  # line number named
 
+    def test_non_utf8_stream_exit_2(self, tmp_path, capsys):
+        stream = tmp_path / "d.txt"
+        stream.write_bytes(b"\xff\xfe0\n1\n")
+        code = main(["estimate", data("fixture_confusion3.csv"), str(stream)])
+        assert code == 2
+        assert "d.txt:1:" in capsys.readouterr().err
+
     def test_dimension_mismatch_exit_2(self, tmp_path):
         conf = tmp_path / "id.csv"
         conf.write_text("a,b\n1,0\n0,1\n", encoding="utf-8")
@@ -183,11 +196,33 @@ class TestReweight:
 
     def test_needs_exactly_one_source(self, tmp_path):
         assert main(["reweight", data("fixture_scores.csv")]) == 2
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        assert main(["reweight", str(empty)]) == 2
         assert main([
             "reweight", data("fixture_scores.csv"),
             "--priors", data("fixture_priors.json"),
             "--confusion", data("fixture_confusion3.csv"),
         ]) == 2
+
+    def test_unknown_truth_label_names_line(self, tmp_path, capsys):
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s_a,s_b,s_c\nzzz,0.6,0.3,0.1\n", encoding="utf-8")
+        code = main(["reweight", str(scores), "--priors", data("fixture_priors.json")])
+        assert code == 2
+        assert "s.csv:2: unknown class label 'zzz'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("doc", [
+        {"methods": [{"priors": {"a": 0.2, "b": 0.3, "c": 0.5}}]},
+        {"methods": {"naive": {"priors": [0.2, 0.3, 0.5]}}},
+        {"a": True, "b": False, "c": 0},
+    ])
+    def test_malformed_priors_json_exit_2(self, tmp_path, capsys, doc):
+        priors = tmp_path / "p.json"
+        priors.write_text(json.dumps(doc), encoding="utf-8")
+        code = main(["reweight", data("fixture_scores.csv"), "--priors", str(priors)])
+        assert code == 2
+        assert "p.json: " in capsys.readouterr().err
 
     def test_live_reestimation(self, tmp_path, capsys):
         # Identity confusion, stream dominated by class b: once priors are
@@ -309,6 +344,25 @@ class TestEvaluate:
         assert len(lines) == 7  # header + six methods
         assert sum(line.split(",")[6] == "1" for line in lines[1:]) == 1
 
+    def test_csv_error_column_round_trips(self):
+        error = 'ParseError: bad "value",\nsecond line'
+        rows = [EvaluationRow("s", "naive", None, None, 2, error=error)]
+        header, row = csv.reader(io.StringIO(render_csv(rows), newline=""))
+        assert header[-1] == "error"
+        assert row[0] == "s" and row[-1] == error
+
+    def test_json_independent_of_hash_seed(self):
+        outputs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            proc = subprocess.run(
+                [sys.executable, "-m", "prioradapt", "--format", "json", "evaluate", "--folds", "2"],
+                capture_output=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
     def test_drift_scenario_reports_segments(self, tmp_path, capsys):
         code = main(["evaluate", data("fixture_scenario.json"), "--window", "8"])
         assert code == 0
@@ -361,3 +415,56 @@ class TestEntryPoint:
             text=True,
         )
         assert proc.returncode == 2
+
+
+_LABELS = ("a", "b", "c")
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.sampled_from(_LABELS),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(
+        st.sampled_from(
+            _LABELS + ("methods", "priors", "naive", "labels", "active_classes",
+                       "true_priors", "transfer_size", "test_size", "classifier", "diagonal")
+        ),
+        inner, max_size=4,
+    ),
+    max_leaves=12,
+)
+
+_csv_cells = st.sampled_from(
+    ("", "0", "1", "2", "0.5", "0.25", "-1", "nan", "1e999", "a", "b", "c", "s_a", "s_b",
+     "s_c", "label", '"', "\r")
+)
+
+_file_contents = st.one_of(
+    st.binary(max_size=200),
+    _json_values.map(lambda v: json.dumps(v).encode("utf-8")),
+    st.lists(st.lists(_csv_cells, max_size=5).map(",".join), max_size=6).map(
+        lambda lines: "\n".join(lines).encode("utf-8")
+    ),
+)
+
+
+class TestArbitraryInput:
+    """Whatever a file holds, the CLI ends in a documented exit code."""
+
+    @given(content=_file_contents)
+    @settings(max_examples=60, deadline=None)
+    def test_every_reader(self, content):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "input")
+            with open(path, "wb") as fp:
+                fp.write(content)
+            out = os.path.join(tmp, "out")
+            conf, scores = data("fixture_confusion3.csv"), data("fixture_scores.csv")
+            commands = [
+                ["normalize", path],
+                ["estimate", conf, path],
+                ["estimate", path, data("fixture_decisions.txt")],
+                ["reweight", path, "--priors", data("fixture_priors.json")],
+                ["reweight", scores, "--priors", path],
+                ["reweight", scores, "--confusion", path, "--reestimate-every", "1"],
+                ["evaluate", path, "--folds", "2"],
+            ]
+            for argv in commands:
+                assert main(["--quiet", "--output", out, *argv]) in (0, 2, 3, 4), argv

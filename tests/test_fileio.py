@@ -298,3 +298,18 @@ class TestScenarioJson:
         path = write(tmp_path, "scen.json", json.dumps(doc))
         spec, clf = read_scenario_json(path)
         assert clf is None
+
+
+@pytest.mark.parametrize("read, content", [
+    (read_confusion_csv, b"a,b\n1,0\n\xff,1\n"),
+    (lambda p: list(read_score_records(p)[1]), b"s_a,s_b\n0.5,0.5\n\xff,0.5\n"),
+    (lambda p: list(read_decision_stream(p, 2)), b"0\n1\n\xff\n"),
+    (stream_kind, b"\n\n\xff\xfe0\n"),
+    (lambda p: read_priors_json(p, make_catalog(2)), b'{"x00": 0.5,\n"x01": 0.5,\n"\xff": 0}'),
+    (read_scenario_json, b'{"labels": ["a", "b"],\n"name": 1,\n"\xff": 0}'),
+])
+def test_non_utf8_input_names_line(tmp_path, read, content):
+    path = tmp_path / "in"
+    path.write_bytes(content)
+    with pytest.raises(ParseError, match="in:3: not valid UTF-8"):
+        read(str(path))
