@@ -30,7 +30,7 @@ class Method(NamedTuple):
     """One row of the comparison tables."""
 
     name: str
-    flag: Optional[str]  # the CLI ``--method`` value; None if the row is no estimator
+    flag: Optional[str]  # the CLI ``--method`` value; None unless estimated from data
     display: str
 
 
