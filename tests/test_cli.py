@@ -363,6 +363,12 @@ class TestEvaluate:
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
 
+    def test_json_full_precision_golden(self, tmp_path):
+        # golden_evaluate.md rounds to 3 decimals; this pins every digit.
+        code, out = run(["--format", "json", "--seed", "7", "evaluate", "--folds", "20"], tmp_path)
+        assert code == 0
+        assert read_bytes(out) == read_bytes(data("golden_evaluate_seed7.json"))
+
     def test_drift_scenario_reports_segments(self, tmp_path, capsys):
         code = main(["evaluate", data("fixture_scenario.json"), "--window", "8"])
         assert code == 0
