@@ -5,7 +5,9 @@ equally likely.  When the deployment environment favors a subset of
 classes, multiplying each confidence score by an estimated class prior
 and taking the argmax recovers the Bayes-optimal decision under the new
 priors, without retraining.  This module holds the immutable value types
-the rest of the package is built on, plus the two decision rules.
+the rest of the package is built on, plus the two decision rules.  The
+adapted rule also has a batch form, :func:`decide_adapted_batch`, which
+decides every row of an (N, K) score array in one array operation.
 
 All types are frozen dataclasses wrapping read-only numpy arrays; every
 operation is a pure function, so everything here is safe to share across
@@ -348,3 +350,20 @@ def decide_adapted(
     if return_fallback:
         return decision, fell_back
     return decision
+
+
+def decide_adapted_batch(scores: np.ndarray, policy: AdaptedPolicy) -> np.ndarray:
+    """:func:`decide_adapted` applied to each row of an (N, K) score array.
+
+    The rule is the same row by row: argmax of prior times score, ties to
+    the lowest class index, and the row's baseline argmax where every
+    product is zero.  Rows are not validated; pass scores that
+    :class:`ScoreRecord` accepted.
+    """
+    if scores.ndim != 2 or scores.shape[1] != policy.k:
+        raise DimensionError(f"scores have shape {scores.shape}, expected (N, {policy.k})")
+    products = scores * policy.priors.values
+    decisions = products.argmax(axis=1)
+    fell_back = ~np.any(products > 0.0, axis=1)
+    decisions[fell_back] = scores[fell_back].argmax(axis=1)
+    return decisions

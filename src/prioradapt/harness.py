@@ -27,9 +27,11 @@ from .core import (
     AdaptedPolicy,
     ClassCatalog,
     ConfusionMatrix,
+    DecisionHistogram,
     PriorEstimate,
     ScoreRecord,
     decide_adapted,
+    decide_adapted_batch,
     decide_baseline,
     uniform_estimate,
 )
@@ -242,6 +244,17 @@ def _draw_records(
     return [generate_record(clf, int(lbl), rng) for lbl in labels]
 
 
+def _stack(records: Sequence[ScoreRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The (N, K) scores, true labels and baseline decisions of labelled records."""
+    scores = np.stack([r.scores for r in records])
+    labels = np.array([r.true_label for r in records])
+    return scores, labels, scores.argmax(axis=1)
+
+
+def _histogram(decisions: np.ndarray, k: int) -> DecisionHistogram:
+    return DecisionHistogram(np.bincount(decisions, minlength=k))
+
+
 def _accuracy(decisions: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(decisions == truth))
 
@@ -249,16 +262,18 @@ def _accuracy(decisions: np.ndarray, truth: np.ndarray) -> float:
 def _evaluate_split(
     spec: ScenarioSpec,
     conf: ConfusionMatrix,
-    transfer: Sequence[ScoreRecord],
-    test: Sequence[ScoreRecord],
+    hist: DecisionHistogram,
+    scores: np.ndarray,
+    truth: np.ndarray,
+    baseline_decisions: np.ndarray,
     solver_opts: Optional[SolverOptions],
 ) -> dict[str, dict]:
-    """Estimate priors on the transfer stream, score decisions on the test stream."""
+    """Estimate priors from the transfer histogram, score decisions on the test rows.
+
+    ``scores``, ``truth`` and ``baseline_decisions`` are the test stream's
+    (N, K) scores, true labels and baseline argmax decisions.
+    """
     catalog = spec.catalog
-    monitor = StreamMonitor(catalog)
-    for record in transfer:
-        monitor.ingest_scored(record)
-    hist = monitor.snapshot()
     table = precision_recall(conf)
 
     def estimate(method: str) -> PriorEstimate:
@@ -271,9 +286,6 @@ def _evaluate_split(
         if method == "quadratic_program":
             return estimate_qp(conf, hist, solver_opts)
         return estimate_ground_truth(spec.true_priors)
-
-    truth = np.array([r.true_label for r in test])
-    baseline_decisions = np.array([decide_baseline(r) for r in test])
 
     results: dict[str, dict] = {}
     results["baseline"] = {
@@ -292,7 +304,7 @@ def _evaluate_split(
             results[method.name] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
         policy = AdaptedPolicy.from_priors(priors)
-        decisions = np.array([decide_adapted(r, policy) for r in test])
+        decisions = decide_adapted_batch(scores, policy)
         results[method.name] = {
             "accuracy": _accuracy(decisions, truth),
             "priors": priors.values,
@@ -376,7 +388,8 @@ def run_scenario(
     )
     transfer = _draw_records(clf, _draw_labels(spec.true_priors, spec.transfer_size, transfer_rng), transfer_rng)
     test = _draw_records(clf, _draw_labels(spec.true_priors, spec.test_size, test_rng), test_rng)
-    results = _evaluate_split(spec, conf, transfer, test, solver_opts)
+    hist = _histogram(_stack(transfer)[2], spec.catalog.k)
+    results = _evaluate_split(spec, conf, hist, *_stack(test), solver_opts)
     return _collect_rows(spec.name, [results])
 
 
@@ -423,11 +436,14 @@ def cross_validate(
         clf, confusion, h_samples_per_class, np.random.default_rng(h_ss)
     )
     pool = _draw_records(clf, _draw_labels(spec.true_priors, pool_size, pool_rng), pool_rng)
+    scores, labels, baseline = _stack(pool)
     fold_results = []
     for transfer_idx, test_idx in _fold_partitions(pool_size, spec.transfer_size, folds, fold_rng):
-        transfer = [pool[i] for i in transfer_idx]
-        test = [pool[i] for i in test_idx]
-        fold_results.append(_evaluate_split(spec, conf, transfer, test, solver_opts))
+        hist = _histogram(baseline[transfer_idx], spec.catalog.k)
+        fold_results.append(_evaluate_split(
+            spec, conf, hist, scores[test_idx], labels[test_idx], baseline[test_idx],
+            solver_opts,
+        ))
     return _collect_rows(spec.name, fold_results)
 
 

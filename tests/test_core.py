@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from prioradapt import (
     AdaptedPolicy,
@@ -19,6 +21,7 @@ from prioradapt import (
     reweight_normalized,
     uniform_estimate,
 )
+from prioradapt.core import decide_adapted_batch
 
 from conftest import make_catalog
 
@@ -269,6 +272,32 @@ class TestDecideAdapted:
             decision, fell_back = decide_adapted(record, policy, return_fallback=True)
             if not fell_back:
                 assert priors[decision] > 0.0
+
+
+@st.composite
+def _grid_batch(draw):
+    """Scores and priors on a coarse grid, so ties and zero products are common."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 12))
+    row = st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any)
+    counts = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.float64)
+    weights = np.array(draw(row), dtype=np.float64)
+    return counts / counts.sum(axis=1, keepdims=True), weights / weights.sum()
+
+
+class TestDecideAdaptedBatch:
+    @given(batch=_grid_batch())
+    @example(batch=(np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]), np.array([0.0, 0.5, 0.5])))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_rule_row_by_row(self, batch):
+        scores, priors = batch
+        policy = _policy(priors)
+        expected = [decide_adapted(ScoreRecord(row), policy) for row in scores]
+        assert decide_adapted_batch(scores, policy).tolist() == expected
+
+    def test_rejects_wrong_width(self):
+        with pytest.raises(DimensionError):
+            decide_adapted_batch(np.full((2, 2), 0.5), _policy((0.2, 0.3, 0.5)))
 
 
 class TestAdaptedPolicy:
