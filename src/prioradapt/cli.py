@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
-import io
 import json
 import os
 import sys
@@ -416,13 +414,18 @@ def render_markdown(rows: list[EvaluationRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _csv_cell(text: str) -> str:
+    """Quote a cell holding a comma, a quote or a line break, bare ``\\r`` included."""
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def render_csv(rows: list[EvaluationRow]) -> str:
     best = _best_by_scenario(rows)
-    out = io.StringIO()
-    out.write("scenario,method,accuracy_mean,accuracy_std,folds,prior_l1_error,best,error\n")
-    writer = csv.writer(out, lineterminator="\n")
+    lines = ["scenario,method,accuracy_mean,accuracy_std,folds,prior_l1_error,best,error\n"]
     for r in rows:
-        writer.writerow([
+        cells = [
             r.scenario,
             r.method,
             fileio.format_float(r.accuracy) if r.accuracy is not None else "",
@@ -431,8 +434,9 @@ def render_csv(rows: list[EvaluationRow]) -> str:
             fileio.format_float(r.prior_l1_error) if r.prior_l1_error is not None else "",
             "1" if best.get(r.scenario) == r.method else "0",
             r.error or "",
-        ])
-    return out.getvalue()
+        ]
+        lines.append(",".join(_csv_cell(c) for c in cells) + "\n")
+    return "".join(lines)
 
 
 def render_json(rows: list[EvaluationRow]) -> str:
@@ -503,6 +507,8 @@ _COMMANDS = {
 def main(argv: Optional[list[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.seed is not None and args.seed < 0:
+            raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
         return _COMMANDS[args.command](args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

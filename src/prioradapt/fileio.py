@@ -77,6 +77,11 @@ def _is_number(value) -> bool:
     return isinstance(value, float) or abs(value) <= sys.float_info.max
 
 
+def _is_seed(value) -> bool:
+    """A JSON integer that ``np.random.default_rng`` accepts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
 def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fp, _text_errors(path):
         text = fp.read()
@@ -424,8 +429,8 @@ def read_scenario_json(
         drift = tuple(segments)
 
     seed = doc.get("seed", 0)
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ParseError("scenario.seed must be an integer", path=path)
+    if not _is_seed(seed):
+        raise ParseError("scenario.seed must be a non-negative integer", path=path)
     if seed_override is not None:
         seed = seed_override
     sharpness = doc.get("sharpness", DEFAULT_SHARPNESS)
@@ -477,8 +482,8 @@ def _build_classifier(
     if "diagonal" in section:
         diagonal = section["diagonal"]
         conf_seed = section.get("confusion_seed", 0)
-        if not isinstance(conf_seed, int) or isinstance(conf_seed, bool):
-            raise ParseError(f"{where}.confusion_seed must be an integer", path=path)
+        if not _is_seed(conf_seed):
+            raise ParseError(f"{where}.confusion_seed must be a non-negative integer", path=path)
         rng = np.random.default_rng(conf_seed)
         if _is_number(diagonal):
             diag = np.full(catalog.k, float(diagonal))

@@ -313,6 +313,11 @@ def _evaluate_split(
     return results
 
 
+def _check_catalogs(spec: ScenarioSpec, clf: SyntheticClassifier) -> None:
+    if spec.catalog != clf.catalog:
+        raise ValidationError("scenario and classifier use different catalogs")
+
+
 def _resolve_confusion(
     clf: SyntheticClassifier,
     confusion: Optional[ConfusionMatrix],
@@ -378,8 +383,7 @@ def run_scenario(
     the estimators see an empirically measured confusion matrix (its own
     substream).
     """
-    if spec.catalog is not clf.catalog and spec.catalog != clf.catalog:
-        raise ValidationError("scenario and classifier use different catalogs")
+    _check_catalogs(spec, clf)
     transfer_ss, test_ss, h_ss = np.random.SeedSequence(spec.seed).spawn(3)
     transfer_rng = np.random.default_rng(transfer_ss)
     test_rng = np.random.default_rng(test_ss)
@@ -422,6 +426,7 @@ def cross_validate(
     histogram only) and a test part (accuracy only), disjoint within the
     fold.  Rows carry mean and standard deviation across folds.
     """
+    _check_catalogs(spec, clf)
     if folds < 2:
         raise ValidationError(f"folds must be >= 2, got {folds}")
     pool_size = spec.transfer_size + spec.test_size
@@ -572,6 +577,7 @@ def run_drift_scenario(
     This goes beyond the batch protocol the estimators were validated
     under, so treat the rows as an extension rather than a reproduction.
     """
+    _check_catalogs(spec, clf)
     if reestimate_every < 1:
         raise ValidationError("reestimate_every must be >= 1")
     stream_ss, h_ss = np.random.SeedSequence(spec.seed).spawn(2)

@@ -345,11 +345,14 @@ class TestEvaluate:
         assert sum(line.split(",")[6] == "1" for line in lines[1:]) == 1
 
     def test_csv_error_column_round_trips(self):
-        error = 'ParseError: bad "value",\nsecond line'
-        rows = [EvaluationRow("s", "naive", None, None, 2, error=error)]
-        header, row = csv.reader(io.StringIO(render_csv(rows), newline=""))
-        assert header[-1] == "error"
-        assert row[0] == "s" and row[-1] == error
+        for scenario, error in (
+            ("s", 'ParseError: bad "value",\nsecond line'),
+            ("s\rt", "ParseError: bare\rreturn"),
+        ):
+            rows = [EvaluationRow(scenario, "naive", None, None, 2, error=error)]
+            header, row = csv.reader(io.StringIO(render_csv(rows), newline=""))
+            assert header[-1] == "error"
+            assert row[0] == scenario and row[-1] == error
 
     def test_json_independent_of_hash_seed(self):
         outputs = []
@@ -376,6 +379,44 @@ class TestEvaluate:
         assert "demo-drift/segment-0" in out
         assert "demo-drift/segment-1" in out
         assert "extension" in out
+
+
+_SCENARIO = {
+    "labels": ["a", "b", "c"],
+    "active_classes": ["a", "b"],
+    "true_priors": {"a": 0.5, "b": 0.5},
+    "transfer_size": 30,
+    "test_size": 30,
+    "seed": 5,
+    "classifier": {"diagonal": 0.7, "confusion_seed": 2},
+}
+
+
+class TestNegativeSeed:
+    """A negative seed is refused with exit 2 and the field's name, not a traceback."""
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--folds", "2"],
+        ["estimate", data("fixture_confusion3.csv"), data("fixture_decisions.txt")],
+        ["simulate", data("fixture_scenario.json")],
+    ])
+    def test_seed_option(self, tmp_path, capsys, command):
+        code = main(["--output", str(tmp_path / "out"), "--seed", "-1", *command])
+        assert code == 2
+        assert "--seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, where", [
+        ({"seed": -3}, "scenario.seed"),
+        ({"classifier": {"diagonal": 0.7, "confusion_seed": -1}},
+         "scenario.classifier.confusion_seed"),
+    ])
+    def test_scenario_seeds(self, tmp_path, capsys, field, where):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps({**_SCENARIO, **field}), encoding="utf-8")
+        for command in (["evaluate", str(scen), "--folds", "2"],
+                        ["--output", str(tmp_path / "sim"), "simulate", str(scen)]):
+            assert main(command) == 2
+            assert where in capsys.readouterr().err
 
 
 class TestGlobalFlagPlacement:
@@ -413,6 +454,28 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "a,b"
+
+    def test_bench_tracer_runs_unchanged(self, tmp_path):
+        # bench/traced.py wraps names bound in the package modules; a
+        # refactor that unbinds one breaks the traced benchmark run.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        argv = ["--format", "json", "--seed", "3", "evaluate", "--folds", "2"]
+        trace = str(tmp_path / "trace.json")
+        traced = subprocess.run(
+            [sys.executable, os.path.join(root, "bench", "traced.py"), trace, "--", *argv],
+            capture_output=True, env=env, cwd=root,
+        )
+        plain = subprocess.run(
+            [sys.executable, "-m", "prioradapt", *argv], capture_output=True, env=env, cwd=root,
+        )
+        assert traced.returncode == 0, traced.stderr
+        assert plain.returncode == 0, plain.stderr
+        assert traced.stdout == plain.stdout
+        with open(trace, encoding="utf-8") as fp:
+            spans = json.load(fp)["spans"]
+        assert spans["harness.cv"]["calls"] > 0
+        assert spans["estimators.qp"]["calls"] > 0
 
     def test_unknown_command_usage_error(self):
         proc = subprocess.run(

@@ -231,6 +231,12 @@ class TestCrossValidate:
         with pytest.raises(ValidationError):
             cross_validate(spec, clf, folds=10)
 
+    def test_rejects_other_catalog(self):
+        clf = make_classifier(np.eye(3))
+        spec = uniform_scenario(make_catalog(4), active=(0, 1))
+        with pytest.raises(ValidationError, match="different catalogs"):
+            cross_validate(spec, clf, folds=2)
+
     def test_ground_truth_variance_is_resampling_only(self):
         # The oracle row has no estimation noise, so its fold-to-fold std
         # must be within the binomial resampling scale of the test split.
@@ -376,6 +382,19 @@ class TestRunDriftScenario:
             # The window flushes the stale mixture, so even the segment
             # straddling the switch must not lose to the baseline.
             assert by[(scenario, "quadratic_program")] >= by[(scenario, "baseline")] - 0.01
+
+    def test_rejects_other_catalog(self):
+        # Before the check, every QP re-estimate raised DimensionError, the
+        # policy stayed unset and the adapted row repeated the baseline.
+        clf = make_classifier(random_confusion_rows(3, np.random.default_rng(17), 0.7, 0.8))
+        catalog = make_catalog(4)
+        spec = ScenarioSpec(
+            catalog=catalog, active_classes=(0, 1, 2), true_priors=[0.5, 0.3, 0.2, 0.0],
+            transfer_size=40, test_size=40, seed=4,
+            drift=(DriftSegment(start=40, priors=[0.2, 0.3, 0.5, 0.0]),),
+        )
+        with pytest.raises(ValidationError, match="different catalogs"):
+            run_drift_scenario(spec, clf, window=20, reestimate_every=10)
 
     def test_window_beats_cumulative_after_drift(self):
         rng = np.random.default_rng(16)
