@@ -61,6 +61,7 @@ from .harness import (
 )
 from .monitor import StreamMonitor
 from .solver import (
+    Gram,
     SolveReport,
     SolverOptions,
     condition_estimate,
@@ -83,6 +84,7 @@ __all__ = [
     "DriftSegment",
     "EstimatorDiagnostics",
     "EvaluationRow",
+    "Gram",
     "IllConditionedError",
     "IllConditionedWarning",
     "InsufficientDataError",

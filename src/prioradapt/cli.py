@@ -55,7 +55,6 @@ from .harness import (
     simulate_stream,
 )
 from .monitor import StreamMonitor
-from .solver import SolverOptions
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -73,7 +72,10 @@ def _add_global_options(parser: argparse.ArgumentParser, for_subcommand: bool) -
     # Sub-parsers share the namespace with the main parser and would clobber
     # already-parsed values with their defaults, so they suppress instead.
     default = argparse.SUPPRESS if for_subcommand else None
-    parser.add_argument("--seed", type=int, default=default, help="override random seeds")
+    parser.add_argument(
+        "--seed", type=int, default=default,
+        help="override the scenario seeds of simulate and evaluate",
+    )
     parser.add_argument(
         "--output",
         default=default,
@@ -175,11 +177,7 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _solver_options(args) -> SolverOptions:
-    return SolverOptions(seed=args.seed if args.seed is not None else 0)
-
-
-def _estimator(conf, opts: SolverOptions):
+def _estimator(conf):
     """Return ``estimate(method, hist) -> PriorEstimate`` for the flagged methods.
 
     The precision/recall table is read off ``conf`` once, not per estimate.
@@ -193,7 +191,7 @@ def _estimator(conf, opts: SolverOptions):
             return estimate_precision_recall(hist, table)
         if method == "matrix_inverse":
             return estimate_matrix_inverse(conf, hist)
-        return estimate_qp(conf, hist, opts)
+        return estimate_qp(conf, hist)
 
     return estimate
 
@@ -231,7 +229,7 @@ def cmd_estimate(args) -> int:
     hist = monitor.snapshot()
 
     wanted = list(_METHOD_BY_FLAG.values()) if args.method == "all" else [_METHOD_BY_FLAG[args.method]]
-    estimate = _estimator(conf, _solver_options(args))
+    estimate = _estimator(conf)
     estimates, failures, failure_excs = {}, {}, {}
     for method in wanted:
         try:
@@ -310,7 +308,7 @@ def cmd_reweight(args) -> int:
     if conf.catalog != catalog:
         raise ValidationError("scores CSV classes do not match the confusion matrix classes")
     method = _METHOD_BY_FLAG[args.method or "qp"]
-    estimate = _estimator(conf, _solver_options(args))
+    estimate = _estimator(conf)
     monitor = StreamMonitor(catalog, window=args.window)
     policy = AdaptedPolicy.from_priors(uniform_estimate(catalog.k))
     with _open_output(args.output) as fp:
@@ -472,17 +470,14 @@ def cmd_evaluate(args) -> int:
                 spec, clf,
                 window=args.window if args.window is not None else spec.transfer_size,
                 reestimate_every=args.reestimate_every,
-                solver_opts=_solver_options(args),
             )
         else:
-            rows = cross_validate(
-                spec, clf, folds=args.folds, solver_opts=_solver_options(args)
-            )
+            rows = cross_validate(spec, clf, folds=args.folds)
     else:
         suite = default_suite(
             seed=args.seed if args.seed is not None else DEFAULT_SUITE_SEED
         )
-        rows = evaluate_suite(suite, folds=args.folds, solver_opts=_solver_options(args))
+        rows = evaluate_suite(suite, folds=args.folds)
     renderer = {"markdown": render_markdown, "csv": render_csv, "json": render_json}
     with _open_output(args.output) as fp:
         fp.write(renderer[args.format](rows))

@@ -17,11 +17,13 @@ threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import DimensionError, InsufficientDataError, ValidationError
+from .solver import Gram
 
 SCORE_SUM_TOL = 1e-6
 PRIOR_SUM_TOL = 1e-9
@@ -177,6 +179,15 @@ class ConfusionMatrix:
         """
         return self.rows.T.copy()
 
+    @cached_property
+    def gram(self) -> Gram:
+        """The mixing matrix H (a read-only view of the rows), ``H^T H`` and its step bound.
+
+        Built on first use and kept: every least-squares re-estimate
+        against this matrix reuses it.
+        """
+        return Gram.of(self.rows.T)
+
 
 @dataclass(frozen=True)
 class DecisionHistogram:
@@ -222,6 +233,8 @@ class EstimatorDiagnostics:
     residual: Optional[float] = None  # ||Hv - c||_2 of the returned vector
     iterations: Optional[int] = None
     clipped_mass: Optional[float] = None  # negative mass removed before renormalizing
+    kkt_violation: Optional[float] = None  # stationarity defect of a least-squares solve
+    converged: Optional[bool] = None
 
 
 @dataclass(frozen=True)

@@ -235,20 +235,25 @@ def estimate_qp(
 ) -> PriorEstimate:
     """Least-squares fit of the decision-mixing model over the simplex.
 
-    Minimizes ``||H v - c||^2`` subject to v being a probability vector.
-    Unlike the direct solve this is well-posed even for singular H, and it
-    never needs clipping.  Diagnostics carry the final residual and the
-    iteration count.
+    Minimizes ``||H v - c||^2`` subject to v being a probability vector,
+    exactly (see :func:`~prioradapt.solver.solve_simplex_lsq`).  Unlike the
+    direct solve this is well-posed even for singular H, and it never needs
+    clipping.  The Gram matrix of H is built on the first call and cached
+    on ``conf``, so re-estimates against the same matrix cost O(K^2) plus
+    solves the size of the support.  Diagnostics carry the final residual,
+    the iteration count, the KKT defect and whether the solve converged.
     """
     c = _observation_vector(hist, conf.k)
-    h = conf.mixing_matrix()
-    values, report = solve_simplex_lsq(h, c, opts)
+    gram = conf.gram
+    values, report = solve_simplex_lsq(gram.h, c, opts, gram=gram)
     return PriorEstimate(
         values,
         method="quadratic_program",
         diagnostics=EstimatorDiagnostics(
             residual=float(np.sqrt(report.residual)),
             iterations=report.iterations,
+            kkt_violation=report.kkt_violation,
+            converged=report.converged,
         ),
     )
 

@@ -45,7 +45,6 @@ from .estimators import (
     precision_recall,
 )
 from .monitor import StreamMonitor
-from .solver import SolverOptions
 
 DEFAULT_SHARPNESS = 25.0
 DEFAULT_H_SAMPLES_PER_CLASS = 50
@@ -266,7 +265,6 @@ def _evaluate_split(
     scores: np.ndarray,
     truth: np.ndarray,
     baseline_decisions: np.ndarray,
-    solver_opts: Optional[SolverOptions],
 ) -> dict[str, dict]:
     """Estimate priors from the transfer histogram, score decisions on the test rows.
 
@@ -284,7 +282,7 @@ def _evaluate_split(
         if method == "matrix_inverse":
             return estimate_matrix_inverse(conf, hist)
         if method == "quadratic_program":
-            return estimate_qp(conf, hist, solver_opts)
+            return estimate_qp(conf, hist)
         return estimate_ground_truth(spec.true_priors)
 
     results: dict[str, dict] = {}
@@ -373,7 +371,6 @@ def run_scenario(
     clf: SyntheticClassifier,
     confusion: Optional[ConfusionMatrix] = None,
     h_samples_per_class: int = DEFAULT_H_SAMPLES_PER_CLASS,
-    solver_opts: Optional[SolverOptions] = None,
 ) -> list[EvaluationRow]:
     """Single-pass evaluation: fresh transfer and test streams, one row per method.
 
@@ -393,7 +390,7 @@ def run_scenario(
     transfer = _draw_records(clf, _draw_labels(spec.true_priors, spec.transfer_size, transfer_rng), transfer_rng)
     test = _draw_records(clf, _draw_labels(spec.true_priors, spec.test_size, test_rng), test_rng)
     hist = _histogram(_stack(transfer)[2], spec.catalog.k)
-    results = _evaluate_split(spec, conf, hist, *_stack(test), solver_opts)
+    results = _evaluate_split(spec, conf, hist, *_stack(test))
     return _collect_rows(spec.name, [results])
 
 
@@ -417,7 +414,6 @@ def cross_validate(
     folds: int = 10,
     confusion: Optional[ConfusionMatrix] = None,
     h_samples_per_class: int = DEFAULT_H_SAMPLES_PER_CLASS,
-    solver_opts: Optional[SolverOptions] = None,
 ) -> list[EvaluationRow]:
     """K-fold evaluation over a fixed sample pool.
 
@@ -447,7 +443,6 @@ def cross_validate(
         hist = _histogram(baseline[transfer_idx], spec.catalog.k)
         fold_results.append(_evaluate_split(
             spec, conf, hist, scores[test_idx], labels[test_idx], baseline[test_idx],
-            solver_opts,
         ))
     return _collect_rows(spec.name, fold_results)
 
@@ -506,7 +501,6 @@ def evaluate_suite(
     suite: Suite,
     folds: int = 10,
     h_samples_per_class: int = DEFAULT_H_SAMPLES_PER_CLASS,
-    solver_opts: Optional[SolverOptions] = None,
 ) -> list[EvaluationRow]:
     """Cross-validate every scenario of a suite against its shared classifier.
 
@@ -519,9 +513,7 @@ def evaluate_suite(
     rows = []
     for spec in suite.scenarios:
         try:
-            rows += cross_validate(
-                spec, clf, folds=folds, confusion=conf, solver_opts=solver_opts
-            )
+            rows += cross_validate(spec, clf, folds=folds, confusion=conf)
         except PriorAdaptError as exc:
             message = f"{type(exc).__name__}: {exc}"
             rows += [
@@ -566,7 +558,6 @@ def run_drift_scenario(
     reestimate_every: int,
     confusion: Optional[ConfusionMatrix] = None,
     h_samples_per_class: int = DEFAULT_H_SAMPLES_PER_CLASS,
-    solver_opts: Optional[SolverOptions] = None,
 ) -> list[EvaluationRow]:
     """Prequential evaluation of a windowed monitor over a drifting stream.
 
@@ -597,7 +588,7 @@ def run_drift_scenario(
         monitor.ingest(baseline)
         if (index + 1) % reestimate_every == 0:
             try:
-                estimate = estimate_qp(conf, monitor.snapshot(), solver_opts)
+                estimate = estimate_qp(conf, monitor.snapshot())
                 policy = AdaptedPolicy.from_priors(estimate)
             except PriorAdaptError:
                 pass  # keep the previous policy

@@ -1,11 +1,12 @@
 """Numerical machinery for the prior-estimation problem.
 
 Three pieces: a dense linear solve (LU with partial pivoting, via LAPACK),
-Euclidean projection onto the probability simplex, and a projected-gradient
-minimizer of ``||H v - c||^2`` over the simplex.  The projected-gradient
-solver replaces a generic convex-programming dependency: each iteration is
-one O(K^2) matrix-vector pass plus an O(K log K) projection, and the only
-K x K storage is the matrix itself.
+Euclidean projection onto the probability simplex, and an exact minimizer
+of ``||H v - c||^2`` over the simplex.  The simplex solve needs H only
+through the Gram matrix ``G = H^T H`` (a :class:`Gram`) and the vector
+``b = H^T c``, so a caller that solves many times against one H builds the
+Gram matrix once and each further solve costs O(K^2) plus a few linear
+solves of the size of the optimum's support.
 """
 
 from __future__ import annotations
@@ -26,30 +27,29 @@ from .errors import (
 
 CONDITION_LIMIT = 1e12
 
-_LIPSCHITZ_POWER_STEPS = 50
-_LIPSCHITZ_SAFETY = 1.1
+#: Projected-gradient steps spent finding the optimum's support before the
+#: active-set method takes over; the search also stops once the support
+#: has stayed the same for two steps (with every class observed, the first
+#: step often removes none).
+_SUPPORT_STEPS = 20
+#: A class joins the support only if its multiplier is below minus this
+#: many ulps of the gradient scale; smaller ones are rounding noise.
+_MULTIPLIER_ULPS = 16
 
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """Knobs for the projected-gradient solver.
+    """Knobs for the simplex least-squares solver.
 
-    ``gradient_tolerance`` is applied to the per-iteration decrease of the
-    squared residual; once an iteration improves by less than this the
-    solve is considered converged.  ``seed`` fixes the start vector of the
-    power iteration that bounds the step, so identical inputs produce
-    bitwise-identical iterates.
+    ``max_iterations`` caps the projected-gradient steps and the support
+    solves of the active-set method together.
     """
 
     max_iterations: int = 10_000
-    gradient_tolerance: float = 1e-10
-    seed: int = 0
 
     def __post_init__(self):
         if self.max_iterations < 1:
             raise ValidationError("max_iterations must be >= 1")
-        if not self.gradient_tolerance > 0.0:
-            raise ValidationError("gradient_tolerance must be > 0")
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,29 @@ class SolveReport:
     residual: float  # final squared residual ||Hv - c||^2
     converged: bool
     kkt_violation: float
+
+
+@dataclass(frozen=True, eq=False)
+class Gram:
+    """A square H, its Gram matrix ``G = H^T H`` and the step bound ``||G||_inf``.
+
+    Build one with :meth:`of`, which validates H once; ``h`` is a read-only
+    view of it.  ``||G||_inf`` bounds the largest eigenvalue of the
+    symmetric G, so ``1 / bound`` is a safe projected-gradient step without
+    any random start vector.
+    """
+
+    h: np.ndarray
+    matrix: np.ndarray
+    bound: float
+
+    @classmethod
+    def of(cls, h) -> "Gram":
+        h = _as_square_matrix(h).view()
+        h.setflags(write=False)
+        g = h.T @ h
+        g.setflags(write=False)
+        return cls(h=h, matrix=g, bound=float(np.abs(g).sum(axis=1).max()))
 
 
 def _as_square_matrix(h) -> np.ndarray:
@@ -164,26 +187,6 @@ def project_simplex(y) -> np.ndarray:
     return x
 
 
-def _lipschitz_bound(h: np.ndarray, seed: int) -> float:
-    """Power-iteration upper bound on ||H||_2^2 with a safety factor."""
-    rng = np.random.default_rng(seed)
-    w = rng.standard_normal(h.shape[0])
-    norm = np.linalg.norm(w)
-    if norm == 0.0:
-        w = np.ones(h.shape[0])
-        norm = np.linalg.norm(w)
-    w /= norm
-    estimate = 0.0
-    for _ in range(_LIPSCHITZ_POWER_STEPS):
-        w = h.T @ (h @ w)
-        norm = np.linalg.norm(w)
-        if norm == 0.0:  # H is the zero matrix
-            return _LIPSCHITZ_SAFETY
-        estimate = norm
-        w /= norm
-    return _LIPSCHITZ_SAFETY * max(estimate, np.finfo(np.float64).tiny)
-
-
 def kkt_violation(h, c, v) -> float:
     """Stationarity defect of ``v`` for min ||Hv - c||^2 over the simplex.
 
@@ -194,7 +197,10 @@ def kkt_violation(h, c, v) -> float:
     h = _as_square_matrix(h)
     c = _as_vector(c, h.shape[0])
     v = _as_vector(v, h.shape[0])
-    grad = 2.0 * (h.T @ (h @ v - c))
+    return _kkt_defect(2.0 * (h.T @ (h @ v - c)), v)
+
+
+def _kkt_defect(grad: np.ndarray, v: np.ndarray) -> float:
     support = v > 0.0
     if not np.any(support):
         return float("inf")
@@ -206,58 +212,119 @@ def kkt_violation(h, c, v) -> float:
     return max(on_support, off_support)
 
 
+def _half_gradient(g: np.ndarray, b: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``G v - b``, reading only the rows of the symmetric G where v is nonzero."""
+    support = np.flatnonzero(v)
+    if 2 * support.size > v.size:
+        return g @ v - b
+    return v[support] @ g[support] - b
+
+
+def _support_solve(
+    h: np.ndarray,
+    c: np.ndarray,
+    g: np.ndarray,
+    b: np.ndarray,
+    support: np.ndarray,
+) -> np.ndarray:
+    """Minimize ``||H x - c||^2`` over ``{x : 1^T x = 1}`` on the coordinates in ``support``.
+
+    Solves the KKT system ``[G_SS 1; 1^T 0] [x; mu] = [b_S; 1]`` by LU and
+    corrects the result once with the residual ``H_S x - c`` computed
+    through H (Bjorck's corrected seminormal equations): G alone holds
+    only half the digits of H's smallest singular values.  When the KKT
+    system's condition estimate exceeds ``CONDITION_LIMIT`` (columns of H
+    that nearly coincide, or affinely dependent ones) it solves the same
+    problem through H by SVD least squares instead, with the constraint
+    eliminated.
+    """
+    n = support.size
+    kkt = np.ones((n + 1, n + 1), order="F")
+    kkt[:n, :n] = g[np.ix_(support, support)]
+    kkt[n, n] = 0.0
+    anorm = np.linalg.norm(kkt, 1)
+    cols = h[:, support]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
+        lu, piv = scipy.linalg.lu_factor(kkt, overwrite_a=True, check_finite=False)
+    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
+    rcond, _ = gecon(lu, anorm)
+    if rcond * CONDITION_LIMIT > 1.0:
+        sol = scipy.linalg.lu_solve((lu, piv), np.append(b[support], 1.0), check_finite=False)
+        x = sol[:n]
+        grad = cols.T @ (cols @ x - c)
+        correction = np.append(-grad - sol[n], 1.0 - x.sum())
+        return x + scipy.linalg.lu_solve((lu, piv), correction, check_finite=False)[:n]
+    last = cols[:, -1]
+    y = np.linalg.lstsq(cols[:, :-1] - last[:, None], c - last, rcond=None)[0]
+    return np.append(y, 1.0 - y.sum())
+
+
 def solve_simplex_lsq(
     h,
     c,
     opts: Optional[SolverOptions] = None,
+    gram: Optional[Gram] = None,
 ) -> tuple[np.ndarray, SolveReport]:
-    """Minimize ``||H v - c||^2`` over the probability simplex.
+    """Minimize ``||H v - c||^2`` over the probability simplex, exactly.
 
-    Projected gradient from the uniform vector with a fixed step 1/L,
-    where L is a safety-margined power-iteration bound on ``||H||_2^2``.
-    That step keeps the squared residual non-increasing, and since the
-    objective is convex any fixed point of the projected step is a global
-    minimizer.  Stops when one iteration decreases the squared residual
-    by less than ``opts.gradient_tolerance``.
+    Works on ``G = H^T H`` and ``b = H^T c``; pass ``gram`` (``Gram.of(h)``)
+    to reuse G across solves with the same H, and ``gram.h`` as ``h`` to
+    skip validating H again.  Projected-gradient steps from the projection
+    of c, with the fixed step ``1 / ||G||_inf``, guess the support of the
+    optimum: at most 20, fewer once two steps in a row leave the support
+    unchanged.  An active-set method then finishes.  It solves the KKT
+    system on the guessed support and drops every nonpositive entry until
+    the solution is positive (Heinz & Chang's fully constrained least
+    squares).  From there it follows Lawson & Hanson: add the class with
+    the most negative multiplier, re-solve, and step back to the feasible
+    segment when an entry turns nonpositive, dropping it; it stops when no
+    multiplier is negative beyond rounding.  The result is the optimum to
+    rounding error, also for singular H.
 
-    Returns the feasible iterate and a :class:`SolveReport`.  Raises
-    :class:`ConvergenceError` (carrying the best iterate and its report)
-    if the iteration cap is reached first.
+    Returns the feasible minimizer and a :class:`SolveReport` whose
+    ``iterations`` counts gradient steps plus support solves.  Raises
+    :class:`ConvergenceError` (carrying the current feasible iterate and
+    its report) if ``opts.max_iterations`` of them do not reach the
+    optimum.
     """
     if opts is None:
         opts = SolverOptions()
-    h = _as_square_matrix(h)
+    if gram is None:
+        gram = Gram.of(h)
+        h = gram.h
+    elif h is not gram.h:  # gram.h was validated when the Gram was built
+        h = _as_square_matrix(h)
+        if gram.matrix.shape != h.shape:
+            raise ValidationError(f"Gram matrix has shape {gram.matrix.shape}, expected {h.shape}")
     c = _as_vector(c, h.shape[0])
-    k = h.shape[0]
+    g = gram.matrix
+    b = h.T @ c
+    budget = opts.max_iterations
 
-    lip = _lipschitz_bound(h, opts.seed)
-    step = 1.0 / lip
-
-    v = np.full(k, 1.0 / k)
-    residual = h @ v - c
-    sq_residual = float(residual @ residual)
-
-    converged = False
+    v = project_simplex(c)
     iterations = 0
-    for iterations in range(1, opts.max_iterations + 1):
-        gradient = 2.0 * (h.T @ residual)
-        candidate = project_simplex(v - step * gradient)
-        cand_residual = h @ candidate - c
-        cand_sq = float(cand_residual @ cand_residual)
-        decrease = sq_residual - cand_sq
-        # Accept only non-worsening steps so the residual trace is monotone
-        # even at float stagnation.
-        if cand_sq <= sq_residual:
-            v, residual, sq_residual = candidate, cand_residual, cand_sq
-        if decrease < opts.gradient_tolerance:
-            converged = True
-            break
+    if gram.bound > 0.0:
+        step = 1.0 / gram.bound
+        support = v > 0.0
+        unchanged = 0
+        while iterations < min(_SUPPORT_STEPS, budget) and unchanged < 2:
+            iterations += 1
+            v = project_simplex(v - step * _half_gradient(g, b, v))
+            previous, support = support, v > 0.0
+            unchanged = unchanged + 1 if np.array_equal(previous, support) else 0
+    tol = _MULTIPLIER_ULPS * np.finfo(np.float64).eps * (np.diag(g).max() + np.abs(b).max())
+    v, solves, converged = _active_set(h, c, g, b, v, tol, budget - iterations)
+    iterations += solves
 
+    support = np.flatnonzero(v)
+    residual = h[:, support] @ v[support] - c
+    sq_residual = float(residual @ residual)
     report = SolveReport(
         iterations=iterations,
         residual=sq_residual,
         converged=converged,
-        kkt_violation=kkt_violation(h, c, v),
+        kkt_violation=_kkt_defect(2.0 * _half_gradient(g, b, v), v),
     )
     if not converged:
         raise ConvergenceError(
@@ -268,3 +335,75 @@ def solve_simplex_lsq(
         )
     return v, report
 
+
+def _multipliers(g: np.ndarray, b: np.ndarray, v: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """Half-gradient minus its mean on the support; +inf on the support itself."""
+    grad = _half_gradient(g, b, v)
+    multipliers = grad - grad[support].mean()
+    multipliers[support] = np.inf
+    return multipliers
+
+
+def _active_set(
+    h: np.ndarray,
+    c: np.ndarray,
+    g: np.ndarray,
+    b: np.ndarray,
+    v: np.ndarray,
+    tol: float,
+    budget: int,
+) -> tuple[np.ndarray, int, bool]:
+    """Lawson-Hanson active-set method on the simplex, from the support of ``v``.
+
+    Returns the final feasible iterate (``v`` itself if the budget runs
+    out before the first one), the number of support solves, and whether
+    it is optimal: every multiplier off the support is at least ``-tol``.
+    """
+    k = v.size
+    support = np.flatnonzero(v > 0.0)
+    solves = 0
+    # Shrink the guessed support, dropping every nonpositive entry at once
+    # (Heinz & Chang), until the support solve is strictly positive.
+    while True:
+        if solves == budget:
+            return v, solves, False
+        solves += 1
+        x = _support_solve(h, c, g, b, support)
+        if np.all(x > 0.0):
+            break
+        support = support[x > 0.0]
+    v = np.zeros(k)
+    v[support] = x
+    multipliers = _multipliers(g, b, v, support)
+    while True:
+        added = int(np.argmin(multipliers))
+        if not multipliers[added] < -tol:
+            return v, solves, True
+        support = np.sort(np.append(support, added))
+        while True:
+            if solves == budget:
+                return v, solves, False
+            solves += 1
+            x = _support_solve(h, c, g, b, support)
+            out = x <= 0.0
+            if added >= 0 and out[np.searchsorted(support, added)]:
+                # Rounding made a multiplier look improving: the class
+                # cannot enter.  Keep v and try the next class.
+                support = support[support != added]
+                multipliers[added] = np.inf
+                break
+            if not np.any(out):
+                v = np.zeros(k)
+                v[support] = x
+                multipliers = _multipliers(g, b, v, support)
+                break
+            # Step from v toward x until the first entry reaches zero; drop it.
+            current = v[support]
+            ratios = current[out] / (current[out] - x[out])
+            alpha = ratios.min()
+            current += alpha * (x - current)
+            current[np.flatnonzero(out)[ratios == alpha]] = 0.0
+            v = np.zeros(k)
+            v[support] = np.maximum(current, 0.0)
+            support = np.flatnonzero(v)
+            added = -1

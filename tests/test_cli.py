@@ -82,9 +82,9 @@ class TestEstimate:
         doc = json.loads(capsys.readouterr().out)
         priors = doc["methods"]["quadratic_program"]["priors"]
         # The decision histogram is exactly the forward image of (0.7, 0.2, 0.1).
-        assert abs(priors["a"] - 0.7) <= 1e-6
-        assert abs(priors["b"] - 0.2) <= 1e-6
-        assert abs(priors["c"] - 0.1) <= 1e-6
+        assert abs(priors["a"] - 0.7) <= 1e-12
+        assert abs(priors["b"] - 0.2) <= 1e-12
+        assert abs(priors["c"] - 0.1) <= 1e-12
 
     def test_scores_stream(self, tmp_path, capsys):
         conf = tmp_path / "id.csv"
@@ -473,9 +473,13 @@ class TestEntryPoint:
         assert plain.returncode == 0, plain.stderr
         assert traced.stdout == plain.stdout
         with open(trace, encoding="utf-8") as fp:
-            spans = json.load(fp)["spans"]
+            doc = json.load(fp)
+        spans = doc["spans"]
         assert spans["harness.cv"]["calls"] > 0
         assert spans["estimators.qp"]["calls"] > 0
+        assert len(doc["solves"]) == spans["estimators.qp"]["calls"]
+        assert all(s["converged"] for s in doc["solves"])
+        assert max(s["kkt"] for s in doc["solves"]) <= 1e-12
 
     def test_unknown_command_usage_error(self):
         proc = subprocess.run(

@@ -6,11 +6,11 @@ import pytest
 from prioradapt import (
     ConfusionMatrix,
     DecisionHistogram,
+    Gram,
     DegenerateRecallError,
     IllConditionedError,
     InsufficientDataError,
     PriorEstimate,
-    SolverOptions,
     ValidationError,
     estimate_ground_truth,
     estimate_matrix_inverse,
@@ -21,9 +21,6 @@ from prioradapt import (
 )
 
 from conftest import make_catalog, random_confusion, random_simplex
-
-TIGHT = SolverOptions(max_iterations=200_000, gradient_tolerance=1e-30)
-
 
 def conf_from(rows) -> ConfusionMatrix:
     rows = np.asarray(rows, dtype=float)
@@ -160,7 +157,7 @@ class TestEstimateMatrixInverse:
 
 class TestEstimateQp:
     def test_identity_projection(self):
-        est = estimate_qp(conf_from(np.eye(3)), np.array([0.2, 0.3, 0.5]), TIGHT)
+        est = estimate_qp(conf_from(np.eye(3)), np.array([0.2, 0.3, 0.5]))
         assert np.allclose(est.values, [0.2, 0.3, 0.5], atol=1e-12)
         assert est.method == "quadratic_program"
         assert est.diagnostics.iterations is not None
@@ -172,17 +169,36 @@ class TestEstimateQp:
             conf = random_confusion(k, rng)
             v_true = random_simplex(k, rng)
             c = conf.mixing_matrix() @ v_true
-            est = estimate_qp(conf, c, TIGHT)
-            assert np.max(np.abs(est.values - v_true)) <= 1e-6
+            est = estimate_qp(conf, c)
+            assert np.max(np.abs(est.values - v_true)) <= 1e-12
+            assert est.diagnostics.converged
+            assert est.diagnostics.kkt_violation <= 1e-12
 
     def test_infeasible_case_matches_line_search(self):
         conf = conf_from([[0.9, 0.1], [0.4, 0.6]])
-        est = estimate_qp(conf, np.array([0.95, 0.05]), TIGHT)
+        est = estimate_qp(conf, np.array([0.95, 0.05]))
         assert np.allclose(est.values, [1.0, 0.0], atol=1e-9)
+
+    def test_second_estimate_reuses_cached_gram(self, monkeypatch):
+        built = []
+        build = Gram.of
+
+        def counting(h):
+            built.append(h)
+            return build(h)
+
+        monkeypatch.setattr(Gram, "of", counting)
+        rng = np.random.default_rng(32)
+        conf = random_confusion(6, rng)
+        first = estimate_qp(conf, random_simplex(6, rng))
+        second = estimate_qp(conf, random_simplex(6, rng))
+        assert len(built) == 1
+        assert np.shares_memory(built[0], conf.rows)  # H is a view, not a copy
+        assert first.diagnostics.converged and second.diagnostics.converged
 
     def test_singular_confusion_still_solves(self):
         conf = conf_from([[0.5, 0.5], [0.5, 0.5]])
-        est = estimate_qp(conf, np.array([0.6, 0.4]), TIGHT)
+        est = estimate_qp(conf, np.array([0.6, 0.4]))
         assert abs(est.values.sum() - 1.0) <= 1e-9
 
 
@@ -214,7 +230,7 @@ class TestCrossCuttingProperties:
                 estimate_naive(hist),
                 estimate_precision_recall(hist, table),
                 estimate_matrix_inverse(conf, hist),
-                estimate_qp(conf, hist, TIGHT),
+                estimate_qp(conf, hist),
             ):
                 assert np.all(est.values >= 0.0)
                 assert np.all(est.values <= 1.0)
@@ -234,7 +250,7 @@ class TestCrossCuttingProperties:
         c = conf.mixing_matrix() @ v_true
         assert np.max(np.abs(estimate_naive(c).values - v_true)) > 1e-3
         assert np.allclose(estimate_matrix_inverse(conf, c).values, v_true, atol=1e-6)
-        assert np.allclose(estimate_qp(conf, c, TIGHT).values, v_true, atol=1e-6)
+        assert np.allclose(estimate_qp(conf, c).values, v_true, atol=1e-12)
 
     def test_qp_residual_never_worse_than_clipped_inverse(self):
         rng = np.random.default_rng(79)
@@ -251,7 +267,7 @@ class TestCrossCuttingProperties:
                 inverse = estimate_matrix_inverse(conf, hist)
             except IllConditionedError:
                 continue
-            qp = estimate_qp(conf, hist, TIGHT)
+            qp = estimate_qp(conf, hist)
             assert qp.diagnostics.residual <= inverse.diagnostics.residual + 1e-10
             checked += 1
         assert checked > 80
@@ -299,8 +315,8 @@ class TestCrossCuttingProperties:
                     estimate_matrix_inverse(perm_conf, perm_hist),
                 ),
                 (
-                    estimate_qp(conf, hist, TIGHT),
-                    estimate_qp(perm_conf, perm_hist, TIGHT),
+                    estimate_qp(conf, hist),
+                    estimate_qp(perm_conf, perm_hist),
                 ),
             ]
             for original, permuted in pairs:
