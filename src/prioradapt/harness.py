@@ -37,6 +37,7 @@ from .core import (
 )
 from .errors import PriorAdaptError, ValidationError
 from .estimators import (
+    PrecisionRecallTable,
     estimate_ground_truth,
     estimate_matrix_inverse,
     estimate_naive,
@@ -265,14 +266,15 @@ def _evaluate_split(
     scores: np.ndarray,
     truth: np.ndarray,
     baseline_decisions: np.ndarray,
+    table: PrecisionRecallTable,
 ) -> dict[str, dict]:
     """Estimate priors from the transfer histogram, score decisions on the test rows.
 
     ``scores``, ``truth`` and ``baseline_decisions`` are the test stream's
-    (N, K) scores, true labels and baseline argmax decisions.
+    (N, K) scores, true labels and baseline argmax decisions; ``table`` is
+    ``precision_recall(conf)``, read once per scenario by the caller.
     """
     catalog = spec.catalog
-    table = precision_recall(conf)
 
     def estimate(method: str) -> PriorEstimate:
         if method == "naive":
@@ -390,7 +392,7 @@ def run_scenario(
     transfer = _draw_records(clf, _draw_labels(spec.true_priors, spec.transfer_size, transfer_rng), transfer_rng)
     test = _draw_records(clf, _draw_labels(spec.true_priors, spec.test_size, test_rng), test_rng)
     hist = _histogram(_stack(transfer)[2], spec.catalog.k)
-    results = _evaluate_split(spec, conf, hist, *_stack(test))
+    results = _evaluate_split(spec, conf, hist, *_stack(test), precision_recall(conf))
     return _collect_rows(spec.name, [results])
 
 
@@ -438,11 +440,12 @@ def cross_validate(
     )
     pool = _draw_records(clf, _draw_labels(spec.true_priors, pool_size, pool_rng), pool_rng)
     scores, labels, baseline = _stack(pool)
+    table = precision_recall(conf)
     fold_results = []
     for transfer_idx, test_idx in _fold_partitions(pool_size, spec.transfer_size, folds, fold_rng):
         hist = _histogram(baseline[transfer_idx], spec.catalog.k)
         fold_results.append(_evaluate_split(
-            spec, conf, hist, scores[test_idx], labels[test_idx], baseline[test_idx],
+            spec, conf, hist, scores[test_idx], labels[test_idx], baseline[test_idx], table,
         ))
     return _collect_rows(spec.name, fold_results)
 
