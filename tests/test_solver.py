@@ -304,6 +304,41 @@ class TestSimplexLsqProperties:
         assert report.kkt_violation <= 1e-12
         assert _objective(h, c, v) <= _objective(h, c, nnls_reference(h, c)) + 1e-9
 
+    @pytest.mark.parametrize("case", ["near_duplicate", "collinear", "duplicate_and_near"])
+    def test_nearly_coincident_columns(self, case):
+        # Columns of H a hair apart hold too few digits in G = H^T H for the
+        # KKT solve alone; cases found by the hypothesis test above.
+        if case == "near_duplicate":
+            d = 2.5540186007244566e-09
+            h = np.array([[2.220446049250313e-16, d], [1.0 - 2.220446049250313e-16, 1.0 - d]])
+            c = np.array([1.0, 0.0])
+        elif case == "collinear":
+            # Columns 0 and 1 and c lie on the segment from e_0 to the
+            # uniform columns, c between the two: the optimum mixes them.
+            k = 14
+
+            def on_segment(a):
+                col = np.full(k, a)
+                col[0] = 1.0 - (k - 1) * a
+                return col
+
+            h = np.full((k, k), 1.0 / k)
+            h[:, 0] = on_segment(1.3333102226228071e-06)
+            h[:, 1] = on_segment(3.9997920108154427e-06)
+            c = on_segment(1.9999480013519634e-06)
+        else:
+            h = np.array([
+                [0.4, 0.4, 0.39999997615814215, 0.2],
+                [0.2, 0.2, 0.20000002384185794, 0.2],
+                [0.2, 0.2, 0.2, 0.2],
+                [0.2, 0.2, 0.2, 0.4],
+            ])
+            c = np.full(4, 0.25)
+        v, report = solve_simplex_lsq(h, c)
+        assert report.converged
+        assert kkt_violation(h, c, v) <= 1e-12
+        assert _objective(h, c, v) <= _objective(h, c, nnls_reference(h, c)) + 1e-9
+
     def test_agrees_with_slsqp(self):
         rng = np.random.default_rng(41)
         for _ in range(40):
