@@ -56,14 +56,12 @@ from .harness import (
     evaluate_suite,
     generate_record,
     run_drift_scenario,
-    run_scenario,
     simulate_stream,
 )
 from .monitor import StreamMonitor
 from .solver import (
     Gram,
     SolveReport,
-    SolverOptions,
     condition_estimate,
     kkt_violation,
     project_simplex,
@@ -96,7 +94,6 @@ __all__ = [
     "ScoreRecord",
     "SingularMatrixError",
     "SolveReport",
-    "SolverOptions",
     "StreamMonitor",
     "Suite",
     "SyntheticClassifier",
@@ -120,7 +117,6 @@ __all__ = [
     "reweight",
     "reweight_normalized",
     "run_drift_scenario",
-    "run_scenario",
     "simulate_stream",
     "solve_linear",
     "solve_simplex_lsq",

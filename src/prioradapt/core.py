@@ -27,7 +27,6 @@ from .solver import Gram
 
 SCORE_SUM_TOL = 1e-6
 PRIOR_SUM_TOL = 1e-9
-ROW_SUM_TOL = 1e-9
 
 
 class Method(NamedTuple):
@@ -80,10 +79,6 @@ class ClassCatalog:
     def k(self) -> int:
         return len(self.labels)
 
-    def uniform_prior(self) -> float:
-        """The balanced-training prior, 1/K."""
-        return 1.0 / self.k
-
     def index_of(self, label: str) -> int:
         try:
             return self.labels.index(label)
@@ -133,13 +128,11 @@ class ConfusionMatrix:
     Entry ``rows[j, i]`` estimates the probability of deciding class ``i``
     when the true class is ``j``.  Construction accepts raw nonnegative
     counts or already-normalized rows; rows are normalized to sum to 1
-    either way.  ``sample_counts`` optionally records how many evaluation
-    samples produced each row.
+    either way.
     """
 
     catalog: ClassCatalog
     rows: np.ndarray
-    sample_counts: Optional[np.ndarray] = None
 
     def __post_init__(self):
         rows = np.asarray(self.rows, dtype=np.float64)
@@ -157,14 +150,6 @@ class ConfusionMatrix:
                 f"confusion row {self.catalog.labels[zero[0]]!r} is all zeros and cannot be normalized"
             )
         object.__setattr__(self, "rows", _readonly(rows / sums[:, None]))
-        if self.sample_counts is not None:
-            counts = np.asarray(self.sample_counts, dtype=np.int64)
-            if counts.shape != (k,):
-                raise DimensionError(f"sample_counts must have length {k}")
-            if np.any(counts < 0):
-                raise ValidationError("sample_counts must be nonnegative")
-            counts.setflags(write=False)
-            object.__setattr__(self, "sample_counts", counts)
 
     @property
     def k(self) -> int:
@@ -302,18 +287,11 @@ def uniform_estimate(k: int) -> PriorEstimate:
     return PriorEstimate(np.full(k, 1.0 / k), method="uniform")
 
 
-def _check_dims(record: ScoreRecord, k: int) -> None:
-    if record.k != k:
-        raise DimensionError(f"record has {record.k} scores, expected {k}")
-
-
-def decide_baseline(record: ScoreRecord, catalog: Optional[ClassCatalog] = None) -> int:
+def decide_baseline(record: ScoreRecord) -> int:
     """Default decision rule: index of the maximum score.
 
     Ties break toward the lowest class index, so the rule is deterministic.
     """
-    if catalog is not None:
-        _check_dims(record, catalog.k)
     return int(np.argmax(record.scores))
 
 
@@ -325,7 +303,8 @@ def reweight(record: ScoreRecord, policy: AdaptedPolicy) -> np.ndarray:
     the positive-scaling invariance explicit.  Use
     :func:`reweight_normalized` for display.
     """
-    _check_dims(record, policy.k)
+    if record.k != policy.k:
+        raise DimensionError(f"record has {record.k} scores, expected {policy.k}")
     return policy.priors.values * record.scores
 
 

@@ -25,7 +25,7 @@ least-squares routes model the full error structure instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .errors import (
 )
 from .solver import (
     CONDITION_LIMIT,
-    SolverOptions,
     condition_estimate,
     solve_linear,
     solve_simplex_lsq,
@@ -81,34 +80,21 @@ class PrecisionRecallTable:
         object.__setattr__(self, "undefined", undefined)
 
 
-def precision_recall(
-    conf: ConfusionMatrix,
-    assumed_priors: Optional[PriorEstimate] = None,
-) -> PrecisionRecallTable:
+def precision_recall(conf: ConfusionMatrix) -> PrecisionRecallTable:
     """Read per-class precision and recall off a confusion matrix.
 
     Recall is the diagonal of the row-normalized matrix.  Precision is the
     diagonal over the column sum, i.e. it assumes the balanced test
-    conditions the matrix was measured under; pass ``assumed_priors`` to
-    weight the columns by a different class distribution instead.
+    conditions the matrix was measured under.
 
-    Classes whose (weighted) column sums to zero get precision 0 with the
+    Classes whose column sums to zero get precision 0 with the
     ``undefined`` flag set.
     """
-    rows = conf.rows
-    recall = np.diag(rows).copy()
-    if assumed_priors is None:
-        weighted = rows
-        diag = recall
-    else:
-        if assumed_priors.k != conf.k:
-            raise DimensionError("assumed_priors dimension does not match the confusion matrix")
-        weighted = rows * assumed_priors.values[:, None]
-        diag = np.diag(weighted)
-    column_mass = weighted.sum(axis=0)
+    recall = np.diag(conf.rows).copy()
+    column_mass = conf.rows.sum(axis=0)
     undefined = column_mass == 0.0
     precision = np.zeros(conf.k)
-    np.divide(diag, column_mass, out=precision, where=~undefined)
+    np.divide(recall, column_mass, out=precision, where=~undefined)
     return PrecisionRecallTable(precision=precision, recall=recall, undefined=undefined)
 
 
@@ -131,7 +117,7 @@ def _observation_vector(hist: Observations, k: int) -> np.ndarray:
     return c
 
 
-def estimate_naive(hist: Observations, k: Optional[int] = None) -> PriorEstimate:
+def estimate_naive(hist: Observations) -> PriorEstimate:
     """Decision frequencies as priors: count_i / total.
 
     Exact when per-class precision equals recall; otherwise a biased but
@@ -142,9 +128,7 @@ def estimate_naive(hist: Observations, k: Optional[int] = None) -> PriorEstimate
             raise InsufficientDataError("naive estimate needs at least one decision")
         values = hist.normalized()
     else:
-        if k is None:
-            k = np.asarray(hist).shape[0]
-        values = _observation_vector(hist, k)
+        values = _observation_vector(hist, np.size(hist))
         values = values / values.sum()
     return PriorEstimate(values, method="naive")
 
@@ -231,7 +215,6 @@ def estimate_matrix_inverse(
 def estimate_qp(
     conf: ConfusionMatrix,
     hist: Observations,
-    opts: Optional[SolverOptions] = None,
 ) -> PriorEstimate:
     """Least-squares fit of the decision-mixing model over the simplex.
 
@@ -245,7 +228,7 @@ def estimate_qp(
     """
     c = _observation_vector(hist, conf.k)
     gram = conf.gram
-    values, report = solve_simplex_lsq(gram.h, c, opts, gram=gram)
+    values, report = solve_simplex_lsq(gram.h, c, gram=gram)
     return PriorEstimate(
         values,
         method="quadratic_program",

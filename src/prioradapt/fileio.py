@@ -443,7 +443,6 @@ def read_scenario_json(
             true_priors=priors,
             transfer_size=_require(doc, "transfer_size", int, "scenario", path),
             test_size=_require(doc, "test_size", int, "scenario", path),
-            sharpness=float(sharpness),
             drift=drift,
             seed=int(seed),
             name=str(doc.get("name", os.path.splitext(os.path.basename(path))[0])),

@@ -85,7 +85,6 @@ class ScenarioSpec:
     true_priors: np.ndarray
     transfer_size: int
     test_size: int
-    sharpness: float = DEFAULT_SHARPNESS
     drift: Optional[tuple[DriftSegment, ...]] = None
     seed: int = 0
     name: str = "scenario"
@@ -114,8 +113,6 @@ class ScenarioSpec:
 
         if self.transfer_size < 1 or self.test_size < 1:
             raise ValidationError("transfer_size and test_size must be >= 1")
-        if not self.sharpness > 0.0:
-            raise ValidationError("sharpness must be > 0")
         if self.drift is not None:
             segments = tuple(self.drift)
             starts = [s.start for s in segments]
@@ -157,7 +154,6 @@ class EvaluationRow:
     accuracy: Optional[float]
     accuracy_std: Optional[float]
     folds: int
-    priors: Optional[np.ndarray] = None
     prior_l1_error: Optional[float] = None
     error: Optional[str] = None
 
@@ -199,20 +195,18 @@ def generate_record(
 def estimate_confusion(
     clf: SyntheticClassifier,
     samples_per_class: int,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> ConfusionMatrix:
     """Measure an empirical confusion matrix on balanced synthetic data."""
     if samples_per_class < 1:
         raise ValidationError("samples_per_class must be >= 1")
-    if rng is None:
-        rng = np.random.default_rng(0)
     k = clf.catalog.k
     counts = np.zeros((k, k), dtype=np.int64)
     for true_class in range(k):
         for _ in range(samples_per_class):
             record = generate_record(clf, true_class, rng)
             counts[true_class, decide_baseline(record)] += 1
-    return ConfusionMatrix(clf.catalog, counts, sample_counts=counts.sum(axis=1))
+    return ConfusionMatrix(clf.catalog, counts)
 
 
 def _mixture_counts(priors: np.ndarray, n: int) -> np.ndarray:
@@ -274,8 +268,6 @@ def _evaluate_split(
     (N, K) scores, true labels and baseline argmax decisions; ``table`` is
     ``precision_recall(conf)``, read once per scenario by the caller.
     """
-    catalog = spec.catalog
-
     def estimate(method: str) -> PriorEstimate:
         if method == "naive":
             return estimate_naive(hist)
@@ -290,9 +282,8 @@ def _evaluate_split(
     results: dict[str, dict] = {}
     results["baseline"] = {
         "accuracy": _accuracy(baseline_decisions, truth),
-        "priors": uniform_estimate(catalog.k).values,
         "prior_l1_error": float(
-            np.abs(uniform_estimate(catalog.k).values - spec.true_priors).sum()
+            np.abs(uniform_estimate(spec.catalog.k).values - spec.true_priors).sum()
         ),
     }
     for method in METHODS:
@@ -307,7 +298,6 @@ def _evaluate_split(
         decisions = decide_adapted_batch(scores, policy)
         results[method.name] = {
             "accuracy": _accuracy(decisions, truth),
-            "priors": priors.values,
             "prior_l1_error": float(np.abs(priors.values - spec.true_priors).sum()),
         }
     return results
@@ -316,17 +306,6 @@ def _evaluate_split(
 def _check_catalogs(spec: ScenarioSpec, clf: SyntheticClassifier) -> None:
     if spec.catalog != clf.catalog:
         raise ValidationError("scenario and classifier use different catalogs")
-
-
-def _resolve_confusion(
-    clf: SyntheticClassifier,
-    confusion: Optional[ConfusionMatrix],
-    h_samples_per_class: int,
-    rng: np.random.Generator,
-) -> ConfusionMatrix:
-    if confusion is not None:
-        return confusion
-    return estimate_confusion(clf, h_samples_per_class, rng)
 
 
 def _collect_rows(spec_name: str, fold_results: list[dict[str, dict]]) -> list[EvaluationRow]:
@@ -349,7 +328,6 @@ def _collect_rows(spec_name: str, fold_results: list[dict[str, dict]]) -> list[E
             )
             continue
         ok = [f[method] for f in fold_results if "error" not in f[method]]
-        priors = np.mean([r["priors"] for r in ok], axis=0)
         error = None
         if errors:
             error = f"failed in {len(errors)}/{folds} folds: {errors[-1]}"
@@ -360,40 +338,11 @@ def _collect_rows(spec_name: str, fold_results: list[dict[str, dict]]) -> list[E
                 accuracy=float(np.mean(accuracies)),
                 accuracy_std=float(np.std(accuracies)),
                 folds=folds,
-                priors=priors,
                 prior_l1_error=float(np.mean([r["prior_l1_error"] for r in ok])),
                 error=error,
             )
         )
     return rows
-
-
-def run_scenario(
-    spec: ScenarioSpec,
-    clf: SyntheticClassifier,
-    confusion: Optional[ConfusionMatrix] = None,
-    h_samples_per_class: int = DEFAULT_H_SAMPLES_PER_CLASS,
-) -> list[EvaluationRow]:
-    """Single-pass evaluation: fresh transfer and test streams, one row per method.
-
-    The transfer stream only ever feeds the decision histogram; the test
-    stream only ever scores decisions.  The two are drawn from separate
-    RNG substreams, so no sample is shared.  Unless ``confusion`` is given,
-    the estimators see an empirically measured confusion matrix (its own
-    substream).
-    """
-    _check_catalogs(spec, clf)
-    transfer_ss, test_ss, h_ss = np.random.SeedSequence(spec.seed).spawn(3)
-    transfer_rng = np.random.default_rng(transfer_ss)
-    test_rng = np.random.default_rng(test_ss)
-    conf = _resolve_confusion(
-        clf, confusion, h_samples_per_class, np.random.default_rng(h_ss)
-    )
-    transfer = _draw_records(clf, _draw_labels(spec.true_priors, spec.transfer_size, transfer_rng), transfer_rng)
-    test = _draw_records(clf, _draw_labels(spec.true_priors, spec.test_size, test_rng), test_rng)
-    hist = _histogram(_stack(transfer)[2], spec.catalog.k)
-    results = _evaluate_split(spec, conf, hist, *_stack(test), precision_recall(conf))
-    return _collect_rows(spec.name, [results])
 
 
 def _fold_partitions(
@@ -415,14 +364,15 @@ def cross_validate(
     clf: SyntheticClassifier,
     folds: int = 10,
     confusion: Optional[ConfusionMatrix] = None,
-    h_samples_per_class: int = DEFAULT_H_SAMPLES_PER_CLASS,
 ) -> list[EvaluationRow]:
     """K-fold evaluation over a fixed sample pool.
 
     A pool of ``transfer_size + test_size`` records is drawn once; each
     fold re-partitions it at random into a transfer part (decision
     histogram only) and a test part (accuracy only), disjoint within the
-    fold.  Rows carry mean and standard deviation across folds.
+    fold.  Rows carry mean and standard deviation across folds.  Unless
+    ``confusion`` is given, the estimators see a confusion matrix measured
+    on the classifier from its own random substream.
     """
     _check_catalogs(spec, clf)
     if folds < 2:
@@ -435,9 +385,9 @@ def cross_validate(
     pool_ss, fold_ss, h_ss = np.random.SeedSequence(spec.seed).spawn(3)
     pool_rng = np.random.default_rng(pool_ss)
     fold_rng = np.random.default_rng(fold_ss)
-    conf = _resolve_confusion(
-        clf, confusion, h_samples_per_class, np.random.default_rng(h_ss)
-    )
+    conf = confusion
+    if conf is None:
+        conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(h_ss))
     pool = _draw_records(clf, _draw_labels(spec.true_priors, pool_size, pool_rng), pool_rng)
     scores, labels, baseline = _stack(pool)
     table = precision_recall(conf)
@@ -492,7 +442,6 @@ def default_suite(
                 true_priors=priors,
                 transfer_size=transfer_per_class * active_per_scenario,
                 test_size=test_per_class * active_per_scenario,
-                sharpness=sharpness,
                 seed=int(scenario_seeds[s]),
                 name=f"context-{s:02d}",
             )
@@ -503,7 +452,6 @@ def default_suite(
 def evaluate_suite(
     suite: Suite,
     folds: int = 10,
-    h_samples_per_class: int = DEFAULT_H_SAMPLES_PER_CLASS,
 ) -> list[EvaluationRow]:
     """Cross-validate every scenario of a suite against its shared classifier.
 
@@ -512,7 +460,7 @@ def evaluate_suite(
     outright contributes error rows instead of raising.
     """
     clf = suite.classifier
-    conf = estimate_confusion(clf, h_samples_per_class, np.random.default_rng(suite.h_seed))
+    conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(suite.h_seed))
     rows = []
     for spec in suite.scenarios:
         try:
@@ -559,8 +507,6 @@ def run_drift_scenario(
     clf: SyntheticClassifier,
     window: Optional[int],
     reestimate_every: int,
-    confusion: Optional[ConfusionMatrix] = None,
-    h_samples_per_class: int = DEFAULT_H_SAMPLES_PER_CLASS,
 ) -> list[EvaluationRow]:
     """Prequential evaluation of a windowed monitor over a drifting stream.
 
@@ -575,9 +521,7 @@ def run_drift_scenario(
     if reestimate_every < 1:
         raise ValidationError("reestimate_every must be >= 1")
     stream_ss, h_ss = np.random.SeedSequence(spec.seed).spawn(2)
-    conf = _resolve_confusion(
-        clf, confusion, h_samples_per_class, np.random.default_rng(h_ss)
-    )
+    conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(h_ss))
     monitor = StreamMonitor(spec.catalog, window=window)
     policy: Optional[AdaptedPolicy] = None
     per_segment: dict[int, dict[str, int]] = {}

@@ -35,21 +35,9 @@ _SUPPORT_STEPS = 20
 #: A class joins the support only if its multiplier is below minus this
 #: many ulps of the gradient scale; smaller ones are rounding noise.
 _MULTIPLIER_ULPS = 16
-
-
-@dataclass(frozen=True)
-class SolverOptions:
-    """Knobs for the simplex least-squares solver.
-
-    ``max_iterations`` caps the projected-gradient steps and the support
-    solves of the active-set method together.
-    """
-
-    max_iterations: int = 10_000
-
-    def __post_init__(self):
-        if self.max_iterations < 1:
-            raise ValidationError("max_iterations must be >= 1")
+#: Cap on the projected-gradient steps and the active-set method's support
+#: solves together; a solve that reaches it raises ConvergenceError.
+_MAX_ITERATIONS = 10_000
 
 
 @dataclass(frozen=True)
@@ -263,7 +251,6 @@ def _support_solve(
 def solve_simplex_lsq(
     h,
     c,
-    opts: Optional[SolverOptions] = None,
     gram: Optional[Gram] = None,
 ) -> tuple[np.ndarray, SolveReport]:
     """Minimize ``||H v - c||^2`` over the probability simplex, exactly.
@@ -285,11 +272,9 @@ def solve_simplex_lsq(
     Returns the feasible minimizer and a :class:`SolveReport` whose
     ``iterations`` counts gradient steps plus support solves.  Raises
     :class:`ConvergenceError` (carrying the current feasible iterate and
-    its report) if ``opts.max_iterations`` of them do not reach the
+    its report) if ``_MAX_ITERATIONS`` (10 000) of them do not reach the
     optimum.
     """
-    if opts is None:
-        opts = SolverOptions()
     if gram is None:
         gram = Gram.of(h)
         h = gram.h
@@ -300,7 +285,7 @@ def solve_simplex_lsq(
     c = _as_vector(c, h.shape[0])
     g = gram.matrix
     b = h.T @ c
-    budget = opts.max_iterations
+    budget = _MAX_ITERATIONS
 
     v = project_simplex(c)
     iterations = 0
@@ -328,7 +313,7 @@ def solve_simplex_lsq(
     )
     if not converged:
         raise ConvergenceError(
-            f"no convergence within {opts.max_iterations} iterations "
+            f"no convergence within {budget} iterations "
             f"(squared residual {sq_residual:.6e})",
             best_iterate=v,
             report=report,

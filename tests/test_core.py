@@ -30,7 +30,6 @@ class TestClassCatalog:
     def test_basic(self):
         cat = ClassCatalog(("cat", "dog", "bird"))
         assert cat.k == 3
-        assert cat.uniform_prior() == pytest.approx(1 / 3)
         assert cat.index_of("dog") == 1
 
     def test_rejects_single_class(self):
@@ -153,10 +152,6 @@ class TestDecideBaseline:
 
     def test_full_tie_breaks_low(self):
         assert decide_baseline(ScoreRecord((1 / 3, 1 / 3, 1 / 3))) == 0
-
-    def test_catalog_dimension_check(self):
-        with pytest.raises(DimensionError):
-            decide_baseline(ScoreRecord((0.5, 0.5)), make_catalog(3))
 
 
 def _policy(priors) -> AdaptedPolicy:

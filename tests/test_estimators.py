@@ -8,9 +8,9 @@ from prioradapt import (
     DecisionHistogram,
     Gram,
     DegenerateRecallError,
+    DimensionError,
     IllConditionedError,
     InsufficientDataError,
-    PriorEstimate,
     ValidationError,
     estimate_ground_truth,
     estimate_matrix_inverse,
@@ -46,16 +46,6 @@ class TestPrecisionRecall:
         assert table.precision[2] == 0.0
         assert not table.undefined[:2].any()
 
-    def test_assumed_priors_reweight_columns(self):
-        rows = np.array([[0.8, 0.2], [0.4, 0.6]])
-        priors = PriorEstimate(np.array([0.75, 0.25]), method="ground_truth")
-        table = precision_recall(conf_from(rows), priors)
-        # Precision under the weighted mixture, by direct Bayes arithmetic.
-        col0 = 0.75 * 0.8 + 0.25 * 0.4
-        col1 = 0.75 * 0.2 + 0.25 * 0.6
-        assert np.allclose(table.precision, [0.75 * 0.8 / col0, 0.25 * 0.6 / col1])
-        assert np.allclose(table.recall, [0.8, 0.6])
-
 
 class TestEstimateNaive:
     def test_direct_frequency(self):
@@ -74,6 +64,11 @@ class TestEstimateNaive:
     def test_empty_histogram_errors(self):
         with pytest.raises(InsufficientDataError):
             estimate_naive(DecisionHistogram(np.array([0, 0])))
+
+    @pytest.mark.parametrize("c", [np.array(1.0), [[0.5, 0.5]]])
+    def test_observation_vector_must_be_1d(self, c):
+        with pytest.raises(DimensionError):
+            estimate_naive(c)
 
 
 class TestEstimatePrecisionRecall:

@@ -13,7 +13,6 @@ from prioradapt import (
     Gram,
     IllConditionedWarning,
     SingularMatrixError,
-    SolverOptions,
     ValidationError,
     condition_estimate,
     kkt_violation,
@@ -21,6 +20,7 @@ from prioradapt import (
     solve_linear,
     solve_simplex_lsq,
 )
+from prioradapt import solver
 
 from conftest import random_confusion_rows, random_simplex
 
@@ -218,12 +218,13 @@ class TestSolveSimplexLsq:
         assert np.array_equal(v1, v2)
         assert r1 == r2
 
-    def test_iteration_cap_carries_best_iterate(self):
+    def test_iteration_cap_carries_best_iterate(self, monkeypatch):
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
         rng = np.random.default_rng(6)
         h = random_confusion_rows(5, rng).T
         c = random_simplex(5, rng)
         with pytest.raises(ConvergenceError) as info:
-            solve_simplex_lsq(h, c, SolverOptions(max_iterations=1))
+            solve_simplex_lsq(h, c)
         err = info.value
         assert err.best_iterate is not None
         assert abs(err.best_iterate.sum() - 1.0) <= 1e-12
@@ -362,9 +363,3 @@ class TestKktViolation:
         c = np.array([0.2, 0.3, 0.5])
         v = np.array([0.5, 0.3, 0.2])
         assert kkt_violation(h, c, v) > 1e-3
-
-
-class TestSolverOptions:
-    def test_validation(self):
-        with pytest.raises(ValidationError):
-            SolverOptions(max_iterations=0)
