@@ -290,10 +290,7 @@ def cmd_reweight(args) -> int:
     if args.priors is not None:
         method = _METHOD_BY_FLAG[args.method] if args.method else None
         values, tag = fileio.read_priors_json(args.priors, catalog, method)
-        total = values.sum()
-        if not total > 0.0:
-            raise ValidationError("priors JSON has no positive mass")
-        estimate = PriorEstimate(values / total, method=tag)
+        estimate = PriorEstimate(values / values.sum(), method=tag)
         policy = AdaptedPolicy.from_priors(estimate)
         with _open_output(args.output) as fp:
             fp.write(_reweight_header(catalog))

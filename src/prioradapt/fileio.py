@@ -28,6 +28,7 @@ from typing import IO, Iterator, Optional
 import numpy as np
 
 from .core import (
+    METHODS,
     ClassCatalog,
     ConfusionMatrix,
     PriorEstimate,
@@ -161,35 +162,37 @@ def read_score_records(
     lenient: bool = False,
     warn=None,
 ) -> tuple[ClassCatalog, Iterator[tuple[int, ScoreRecord]]]:
-    """Open a scores CSV; yields (line_no, record) lazily.
+    """Return a scores CSV's catalog and a lazy iterator of (line_no, record).
 
-    Malformed rows raise :class:`ParseError` naming the line, or are
-    skipped with a ``warn(message)`` callback when ``lenient`` is set.
+    The header is read in a block of its own; the iterator opens the file
+    again and closes it when exhausted or closed, so a caller that fails
+    before iterating leaves no file open.  Malformed rows raise
+    :class:`ParseError` naming the line, or are skipped with a
+    ``warn(message)`` callback when ``lenient`` is set.
     """
-    fp = open(path, "r", encoding="utf-8", newline="")
-    reader = csv.reader(fp)
-    try:
+    with open(path, "r", encoding="utf-8", newline="") as fp:
+        reader = csv.reader(fp)
         with _text_errors(path, reader):
             header = next(reader, None)
-        if header is None:
-            raise ParseError("empty scores file", path=path)
-        catalog, has_label = parse_scores_header(header, path)
-    except ParseError:
-        fp.close()
-        raise
+    if header is None:
+        raise ParseError("empty scores file", path=path)
+    catalog, has_label = parse_scores_header(header, path)
 
     def records() -> Iterator[tuple[int, ScoreRecord]]:
-        with fp, _text_errors(path, reader):
-            for line_no, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                try:
-                    yield line_no, _parse_score_row(row, catalog, has_label, path, line_no)
-                except ParseError as exc:
-                    if not lenient:
-                        raise
-                    if warn is not None:
-                        warn(str(exc))
+        with open(path, "r", encoding="utf-8", newline="") as fp:
+            reader = csv.reader(fp)
+            with _text_errors(path, reader):
+                next(reader, None)  # the header, parsed above
+                for line_no, row in enumerate(reader, start=2):
+                    if not row or (len(row) == 1 and not row[0].strip()):
+                        continue
+                    try:
+                        yield line_no, _parse_score_row(row, catalog, has_label, path, line_no)
+                    except ParseError as exc:
+                        if not lenient:
+                            raise
+                        if warn is not None:
+                            warn(str(exc))
 
     return catalog, records()
 
@@ -299,7 +302,8 @@ def read_priors_json(
     bare ``{label: probability}`` mapping.  With several methods present,
     ``method`` selects one (required unless only one exists).  Returns the
     vector and the method tag; a bare mapping is tagged ``ground_truth``
-    since it represents externally known priors.
+    since it represents externally known priors.  The entries must be
+    nonnegative with positive mass; they need not sum to 1.
     """
     doc = _load_json(path)
     if not isinstance(doc, dict):
@@ -327,6 +331,8 @@ def read_priors_json(
                 )
         if method not in methods:
             raise ParseError(f"method {method!r} not present in priors JSON", path=path)
+        if method not in {m.name for m in METHODS}:
+            raise ParseError(f"unknown estimation method {method!r}", path=path)
         mapping = methods[method]
         tag = method
         if not isinstance(mapping, dict):
@@ -338,14 +344,16 @@ def read_priors_json(
     for label, value in mapping.items():
         if label not in catalog.labels:
             raise ParseError(f"priors JSON names unknown class {label!r}", path=path)
-        if not _is_number(value) or not math.isfinite(value):
-            raise ParseError(f"prior for {label!r} is not a finite number", path=path)
+        if not _is_number(value) or not math.isfinite(value) or value < 0:
+            raise ParseError(f"prior for {label!r} is not a finite nonnegative number", path=path)
         values[catalog.index_of(label)] = float(value)
     missing = set(catalog.labels) - set(mapping)
     if missing:
         raise ParseError(
             f"priors JSON missing classes: {', '.join(sorted(missing))}", path=path
         )
+    if not values.sum() > 0.0:
+        raise ParseError("priors JSON has no positive mass", path=path)
     return values, tag
 
 
@@ -433,9 +441,7 @@ def read_scenario_json(
         raise ParseError("scenario.seed must be a non-negative integer", path=path)
     if seed_override is not None:
         seed = seed_override
-    sharpness = doc.get("sharpness", DEFAULT_SHARPNESS)
-    if not _is_number(sharpness):
-        raise ParseError("scenario.sharpness must be a number", path=path)
+    sharpness = _sharpness(doc.get("sharpness", DEFAULT_SHARPNESS), "scenario", path)
     try:
         spec = ScenarioSpec(
             catalog=catalog,
@@ -452,20 +458,24 @@ def read_scenario_json(
 
     classifier = None
     if "classifier" in doc and doc["classifier"] is not None:
-        classifier = _build_classifier(doc["classifier"], catalog, path)
+        classifier = _build_classifier(doc["classifier"], catalog, sharpness, path)
     return spec, classifier
 
 
+def _sharpness(value, where: str, path: str) -> float:
+    if not _is_number(value) or not 0 < value < math.inf:
+        raise ParseError(f"{where}.sharpness must be a positive finite number", path=path)
+    return float(value)
+
+
 def _build_classifier(
-    section, catalog: ClassCatalog, path: str
+    section, catalog: ClassCatalog, default_sharpness: float, path: str
 ) -> SyntheticClassifier:
+    """The synthetic classifier; its sharpness defaults to the scenario's."""
     where = "scenario.classifier"
     if not isinstance(section, dict):
         raise ParseError(f"{where} must be an object", path=path)
-    sharpness = section.get("sharpness", DEFAULT_SHARPNESS)
-    if not _is_number(sharpness):
-        raise ParseError(f"{where}.sharpness must be a number", path=path)
-    sharpness = float(sharpness)
+    sharpness = _sharpness(section.get("sharpness", default_sharpness), where, path)
     if "confusion_csv" in section:
         csv_path = section["confusion_csv"]
         if not isinstance(csv_path, str):

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from prioradapt import solver
 from prioradapt.cli import main, render_csv
 from prioradapt.harness import EvaluationRow
 
@@ -141,6 +142,16 @@ class TestEstimate:
         doc = json.loads(capsys.readouterr().out)
         assert "error" in doc["methods"]["matrix_inverse"]
 
+    def test_solver_cap_exit_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
+        argv = ["estimate", data("fixture_confusion3.csv"), data("fixture_decisions.txt")]
+        code = main([*argv, "--method", "qp"])
+        assert code == 3
+        doc = json.loads(capsys.readouterr().out)
+        error = doc["methods"]["quadratic_program"]["error"]
+        assert error.startswith("ConvergenceError: ")
+        assert "best iterate: " in error
+
     def test_all_with_partial_failure_still_succeeds(self, tmp_path, capsys):
         conf = tmp_path / "sing.csv"
         conf.write_text("a,b\n0.5,0.5\n0.5,0.5\n", encoding="utf-8")
@@ -216,13 +227,16 @@ class TestReweight:
         {"methods": [{"priors": {"a": 0.2, "b": 0.3, "c": 0.5}}]},
         {"methods": {"naive": {"priors": [0.2, 0.3, 0.5]}}},
         {"a": True, "b": False, "c": 0},
+        {"methods": {"foo": {"priors": {"a": 0.2, "b": 0.3, "c": 0.5}}}},
+        {"a": -1, "b": 2, "c": 0},
+        {"a": 0, "b": 0, "c": 0},
     ])
     def test_malformed_priors_json_exit_2(self, tmp_path, capsys, doc):
         priors = tmp_path / "p.json"
         priors.write_text(json.dumps(doc), encoding="utf-8")
         code = main(["reweight", data("fixture_scores.csv"), "--priors", str(priors)])
         assert code == 2
-        assert "p.json: " in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: {priors}: ")
 
     def test_live_reestimation(self, tmp_path, capsys):
         # Identity confusion, stream dominated by class b: once priors are

@@ -254,6 +254,25 @@ class TestScenarioJson:
         with pytest.raises(ParseError, match="scenario.true_priors.a"):
             read_scenario_json(path)
 
+    def test_top_level_sharpness_is_classifier_default(self, tmp_path):
+        path = write(tmp_path, "scen.json", json.dumps(scenario_doc(sharpness=2.0)))
+        _, clf = read_scenario_json(path)
+        assert clf.sharpness == 2.0
+        doc = scenario_doc(sharpness=2.0, classifier={"diagonal": 0.8, "sharpness": 9.0})
+        path = write(tmp_path, "scen.json", json.dumps(doc))
+        _, clf = read_scenario_json(path)
+        assert clf.sharpness == 9.0
+
+    @pytest.mark.parametrize("sharpness", ["25", True, 0, -1.0, float("inf")])
+    @pytest.mark.parametrize("where", ["scenario", "scenario.classifier"])
+    def test_bad_sharpness_names_field(self, tmp_path, sharpness, where):
+        write(tmp_path, "conf.csv", "a,b,c\n1,0,0\n0,1,0\n0,0,1\n")
+        doc = scenario_doc(classifier={"confusion_csv": "conf.csv"})
+        (doc if where == "scenario" else doc["classifier"])["sharpness"] = sharpness
+        path = write(tmp_path, "scen.json", json.dumps(doc))
+        with pytest.raises(ParseError, match=rf"scen.json: {where}.sharpness must be"):
+            read_scenario_json(path)
+
     def test_bad_drift_entry(self, tmp_path):
         doc = scenario_doc(drift=[{"start": 5}])
         path = write(tmp_path, "scen.json", json.dumps(doc))
