@@ -47,7 +47,7 @@ class SingularMatrixError(PriorAdaptError):
 
 
 class IllConditionedError(PriorAdaptError):
-    """Condition estimate beyond the trustable range for a direct solve."""
+    """Condition number beyond the trustable range for a direct solve."""
 
 
 class ConvergenceError(PriorAdaptError):
@@ -64,4 +64,4 @@ class ConvergenceError(PriorAdaptError):
 
 
 class IllConditionedWarning(UserWarning):
-    """Attached to direct solves whose condition estimate exceeds 1e12."""
+    """Attached to direct solves whose condition number exceeds 1e12."""

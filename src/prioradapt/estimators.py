@@ -186,7 +186,7 @@ def estimate_matrix_inverse(
     zero and the remainder renormalized.  Diagnostics record the clipped
     mass and the residual of the returned (clipped) vector.
 
-    Raises :class:`IllConditionedError` when the condition estimate exceeds
+    Raises :class:`IllConditionedError` when the condition number exceeds
     1e12; fall back to :func:`estimate_qp` in that case.
     """
     c = _observation_vector(hist, conf.k)
@@ -194,7 +194,7 @@ def estimate_matrix_inverse(
     cond = condition_estimate(h)
     if not np.isfinite(cond) or cond > CONDITION_LIMIT:
         raise IllConditionedError(
-            f"mixing matrix condition estimate {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
+            f"mixing matrix condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
             "use the least-squares estimator instead"
         )
     raw = solve_linear(h, c)

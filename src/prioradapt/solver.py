@@ -1,7 +1,8 @@
 """Numerical machinery for the prior-estimation problem.
 
-Three pieces: a dense linear solve (LU with partial pivoting, via LAPACK),
-Euclidean projection onto the probability simplex, and an exact minimizer
+Three pieces: a dense linear solve (LU with partial pivoting, via numpy's
+LAPACK) guarded by the exact 1-norm condition number, Euclidean projection
+onto the probability simplex, and an exact minimizer
 of ``||H v - c||^2`` over the simplex.  The simplex solve needs H only
 through the Gram matrix ``G = H^T H`` (a :class:`Gram`) and the vector
 ``b = H^T c``, so a caller that solves many times against one H builds the
@@ -16,7 +17,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     ConvergenceError,
@@ -89,55 +89,51 @@ def _as_vector(c, n: int) -> np.ndarray:
     return c
 
 
-def condition_estimate(h) -> float:
-    """1-norm condition estimate of a square matrix from its LU factors.
+def _inverse(a: np.ndarray) -> tuple[Optional[np.ndarray], float]:
+    """Inverse of a square matrix and its 1-norm condition number ``||A||_1 ||A^-1||_1``.
 
-    Returns ``inf`` for exactly singular input.
+    Returns ``(None, inf)`` for an exactly singular matrix, and an infinite
+    condition number whenever the inverse overflows.
     """
-    h = _as_square_matrix(h)
-    anorm = np.linalg.norm(h, 1)
-    if anorm == 0.0:
-        return np.inf
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(h)
-    if np.any(np.diag(lu) == 0.0):
-        return np.inf
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-    rcond, _ = gecon(lu, anorm)
-    if rcond <= 0.0:
-        return np.inf
-    return 1.0 / float(rcond)
+    try:
+        inv = np.linalg.inv(a)
+    except np.linalg.LinAlgError:
+        return None, np.inf
+    cond = float(np.linalg.norm(a, 1)) * float(np.linalg.norm(inv, 1))
+    return inv, cond if np.isfinite(cond) else np.inf
+
+
+def condition_estimate(h) -> float:
+    """Exact 1-norm condition number of a square matrix, from its inverse.
+
+    Returns ``inf`` for singular input.  LAPACK's ``gecon`` estimate is a
+    lower bound on this number, so a matrix it placed just under
+    ``CONDITION_LIMIT`` may lie above it here.
+    """
+    return _inverse(_as_square_matrix(h))[1]
 
 
 def solve_linear(h, c) -> np.ndarray:
     """Solve ``H v = c`` by dense LU with partial pivoting.
 
-    Raises :class:`SingularMatrixError` on exact singularity.  When the
-    condition estimate exceeds 1e12 the solve still proceeds but an
+    Raises :class:`SingularMatrixError` when the condition number is
+    infinite.  When it exceeds 1e12 the solve still proceeds but an
     :class:`IllConditionedWarning` is attached, since the result may carry
     few correct digits.
     """
     h = _as_square_matrix(h)
     c = _as_vector(c, h.shape[0])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(h)
-    if np.any(np.diag(lu) == 0.0):
-        raise SingularMatrixError("matrix is exactly singular")
-    anorm = np.linalg.norm(h, 1)
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-    rcond, _ = gecon(lu, anorm)
-    if rcond <= 0.0:
-        raise SingularMatrixError("matrix is numerically singular (rcond = 0)")
-    if 1.0 / rcond > CONDITION_LIMIT:
+    cond = _inverse(h)[1]
+    if not np.isfinite(cond):
+        raise SingularMatrixError("matrix is singular (condition number inf)")
+    if cond > CONDITION_LIMIT:
         warnings.warn(
-            f"condition estimate {1.0 / rcond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
+            f"condition number {cond:.3e} exceeds {CONDITION_LIMIT:.0e}; "
             "solution digits are unreliable",
             IllConditionedWarning,
             stacklevel=2,
         )
-    return scipy.linalg.lu_solve((lu, piv), c)
+    return np.linalg.solve(h, c)
 
 
 def project_simplex(y) -> np.ndarray:
@@ -219,30 +215,25 @@ def _support_solve(
 
     Solves the KKT system ``[G_SS 1; 1^T 0] [x; mu] = [b_S; 1]`` by LU and
     corrects the result once with the residual ``H_S x - c`` computed
-    through H (Bjorck's corrected seminormal equations): G alone holds
-    only half the digits of H's smallest singular values.  When the KKT
-    system's condition estimate exceeds ``CONDITION_LIMIT`` (columns of H
-    that nearly coincide, or affinely dependent ones) it solves the same
-    problem through H by SVD least squares instead, with the constraint
-    eliminated.
+    through H (Bjorck's corrected seminormal equations), applying the
+    KKT matrix's inverse to it: G alone holds only half the digits of H's
+    smallest singular values.  When the KKT system's 1-norm condition
+    number exceeds ``CONDITION_LIMIT`` (columns of H that nearly coincide,
+    or affinely dependent ones) it solves the same problem through H by
+    SVD least squares instead, with the constraint eliminated.
     """
     n = support.size
-    kkt = np.ones((n + 1, n + 1), order="F")
+    kkt = np.ones((n + 1, n + 1))
     kkt[:n, :n] = g[np.ix_(support, support)]
     kkt[n, n] = 0.0
-    anorm = np.linalg.norm(kkt, 1)
     cols = h[:, support]
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        lu, piv = scipy.linalg.lu_factor(kkt, overwrite_a=True, check_finite=False)
-    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
-    rcond, _ = gecon(lu, anorm)
-    if rcond * CONDITION_LIMIT > 1.0:
-        sol = scipy.linalg.lu_solve((lu, piv), np.append(b[support], 1.0), check_finite=False)
+    inv, cond = _inverse(kkt)
+    if cond < CONDITION_LIMIT:
+        sol = np.linalg.solve(kkt, np.append(b[support], 1.0))
         x = sol[:n]
         grad = cols.T @ (cols @ x - c)
         correction = np.append(-grad - sol[n], 1.0 - x.sum())
-        return x + scipy.linalg.lu_solve((lu, piv), correction, check_finite=False)[:n]
+        return x + (inv @ correction)[:n]
     last = cols[:, -1]
     y = np.linalg.lstsq(cols[:, :-1] - last[:, None], c - last, rcond=None)[0]
     return np.append(y, 1.0 - y.sum())
