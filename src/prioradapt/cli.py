@@ -16,7 +16,9 @@ import argparse
 import contextlib
 import json
 import os
+import stat
 import sys
+import tempfile
 from typing import Optional
 
 from . import fileio
@@ -165,11 +167,38 @@ def build_parser() -> argparse.ArgumentParser:
 
 @contextlib.contextmanager
 def _open_output(path: Optional[str]):
+    """Yield a text handle on ``path``, or on stdout when it is None.
+
+    A regular file is written under a temporary name in its directory and
+    renamed onto ``path`` only when the block succeeds, so a failing
+    command leaves no partial file and an existing one untouched.  The
+    file gets the mode a plain ``open(path, "w")`` would give it.  Other
+    targets, such as a device or a pipe, are written in place.
+    """
     if path is None:
         yield sys.stdout
-    else:
+        return
+    try:
+        mode = os.stat(path).st_mode
+    except FileNotFoundError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    if not stat.S_ISREG(mode):
         with open(path, "w", encoding="utf-8", newline="\n") as fp:
             yield fp
+        return
+    fd, tmp = tempfile.mkstemp(
+        prefix=f".{os.path.basename(path)}.", suffix=".tmp", dir=os.path.dirname(path)
+    )
+    try:
+        with open(fd, "w", encoding="utf-8", newline="\n") as fp:
+            yield fp
+        os.chmod(tmp, stat.S_IMODE(mode))
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _note(args, message: str) -> None:
@@ -333,8 +362,7 @@ def cmd_simulate(args) -> int:
     labels = spec.catalog.labels
 
     segments = [(0, spec.true_priors)] + [(d.start, d.priors) for d in (spec.drift or ())]
-    with open(scores_path, "w", encoding="utf-8", newline="\n") as scores_fp, \
-            open(truth_path, "w", encoding="utf-8", newline="\n") as truth_fp:
+    with _open_output(scores_path) as scores_fp, _open_output(truth_path) as truth_fp:
         scores_fp.write(",".join(f"s_{l}" for l in labels) + "\n")
         truth_fp.write("# true priors per segment; each segment begins at the named row index\n")
         for seg_no, (start, priors) in enumerate(segments):

@@ -34,7 +34,7 @@ from .core import (
     PriorEstimate,
     ScoreRecord,
 )
-from .errors import ParseError, PriorAdaptError
+from .errors import ParseError, PriorAdaptError, ValidationError
 from .harness import (
     DEFAULT_SHARPNESS,
     DriftSegment,
@@ -216,11 +216,21 @@ def _parse_score_row(
             raw = row[0].strip()
             values = row[1:]
             if raw:
-                true_label = catalog.index_of(raw) if not raw.lstrip("-").isdigit() else int(raw)
+                true_label = _truth_index(raw, catalog)
         scores = [float(x) for x in values]
         return ScoreRecord(scores, true_label=true_label)
     except (ValueError, PriorAdaptError) as exc:
         raise ParseError(str(exc), path=path, line=line_no) from None
+
+
+def _truth_index(raw: str, catalog: ClassCatalog) -> int:
+    """A truth cell as a class index: a class name first, else an integer index."""
+    try:
+        return catalog.index_of(raw)
+    except ValidationError:
+        if not raw.lstrip("-").isdigit():
+            raise
+        return int(raw)
 
 
 def stream_kind(path: str) -> str:

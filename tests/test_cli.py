@@ -1,19 +1,23 @@
 """Command-line behavior: commands, exit codes, and byte-stable outputs."""
 
 import csv
+import gc
 import io
+import itertools
 import json
 import os
+import stat
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prioradapt import solver
+from prioradapt import ValidationError, cli, solver
 from prioradapt.cli import main, render_csv
 from prioradapt.harness import EvaluationRow
 
@@ -223,6 +227,17 @@ class TestReweight:
         assert code == 2
         assert "s.csv:2: unknown class label 'zzz'" in capsys.readouterr().err
 
+    def test_digit_class_names_as_truth(self, tmp_path):
+        # Truth cells that name a class are read as that class, digits or not.
+        scores = tmp_path / "s.csv"
+        scores.write_text("label,s_1,s_2,s_3\n1,0.6,0.3,0.1\n3,0.1,0.2,0.7\n", encoding="utf-8")
+        priors = tmp_path / "p.json"
+        priors.write_text(json.dumps({"1": 0.2, "2": 0.3, "3": 0.5}), encoding="utf-8")
+        code, out = run(["reweight", str(scores), "--priors", str(priors)], tmp_path)
+        assert code == 0
+        lines = read_bytes(out).decode("utf-8").splitlines()
+        assert [line.split(",")[:2] for line in lines[1:]] == [["0", "0"], ["2", "2"]]
+
     @pytest.mark.parametrize("doc", [
         {"methods": [{"priors": {"a": 0.2, "b": 0.3, "c": 0.5}}]},
         {"methods": {"naive": {"priors": [0.2, 0.3, 0.5]}}},
@@ -262,6 +277,116 @@ class TestReweight:
             "--confusion", data("fixture_confusion3.csv"),
         ])
         assert code == 2
+
+
+def _write_scores_csv(path, labels, scores, truth=None):
+    header = ",".join(f"s_{l}" for l in labels)
+    rows = [",".join(repr(float(x)) for x in row) for row in scores]
+    if truth is not None:
+        header = "label," + header
+        rows = [f"{labels[t]},{row}" for t, row in zip(truth, rows)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fp:
+        fp.write("\n".join([header, *rows]) + "\n")
+
+
+def _reweight_output(path, k):
+    with open(path, encoding="utf-8") as fp:
+        header, *lines = fp.read().splitlines()
+    cells = np.array([[float(x) for x in line.split(",")] for line in lines]).reshape(-1, 2 + 2 * k)
+    return header.split(","), cells[:, 0].astype(int), cells[:, 1].astype(int), cells[:, 2:2 + k], cells[:, 2 + k:]
+
+
+def _close(actual, expected, rtol=1e-12):
+    """Elementwise relative agreement; exact zeros must match."""
+    return np.all(np.abs(actual - expected) <= rtol * np.abs(expected))
+
+
+@st.composite
+def _grid_scores(draw, k, rows, positive=False):
+    """Score rows on a grid of 1/G steps: ties and zeros are common unless ``positive``."""
+    grid = draw(st.sampled_from([2, 4, 8]))
+    out = np.zeros((rows, k))
+    for r in range(rows):
+        if positive:
+            counts = np.array(draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)), dtype=float)
+        else:
+            cuts = sorted(draw(st.lists(st.integers(0, grid), min_size=k - 1, max_size=k - 1)))
+            counts = np.diff([0, *cuts, grid]).astype(float)
+        out[r] = counts / counts.sum()
+    return out
+
+
+class TestReweightDifferential:
+    """``reweight`` through ``cli.main`` against a numpy reference on small CSVs."""
+
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_static_priors(self, data):
+        k = data.draw(st.integers(2, 8))
+        n = data.draw(st.integers(1, 50))
+        labels = [f"c{i}" for i in range(k)]
+        scores = data.draw(_grid_scores(k, n))
+        weights = np.array(data.draw(st.lists(st.integers(0, 4), min_size=k, max_size=k)), dtype=float)
+        if not weights.any():
+            weights[data.draw(st.integers(0, k - 1))] = 1.0
+        truth = data.draw(st.none() | st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        with tempfile.TemporaryDirectory() as tmp:
+            scores_path, priors_path = os.path.join(tmp, "s.csv"), os.path.join(tmp, "p.json")
+            out = os.path.join(tmp, "out.csv")
+            _write_scores_csv(scores_path, labels, scores, truth)
+            with open(priors_path, "w", encoding="utf-8") as fp:
+                json.dump(dict(zip(labels, weights.tolist())), fp)
+            code = main(["--output", out, "reweight", scores_path, "--priors", priors_path])
+            assert code == 0
+            header, baseline, adapted, raw, norm = _reweight_output(out, k)
+        assert header == ["baseline", "adapted", *(f"raw_{l}" for l in labels), *(f"norm_{l}" for l in labels)]
+        products = (weights / weights.sum()) * scores
+        expected_baseline = np.argmax(scores, axis=1)  # ties go to the lowest index
+        fallback = ~np.any(products > 0.0, axis=1)
+        expected_adapted = np.where(fallback, expected_baseline, np.argmax(products, axis=1))
+        totals = products.sum(axis=1, keepdims=True)
+        expected_norm = np.divide(products, totals, out=products.copy(), where=totals > 0.0)
+        assert np.array_equal(baseline, expected_baseline)
+        assert np.array_equal(adapted, expected_adapted)
+        assert _close(raw, products)
+        assert _close(norm, expected_norm)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_live_priors_on_simplex_between_cadence_multiples(self, data):
+        k = data.draw(st.integers(2, 8))
+        n = data.draw(st.integers(1, 50))
+        cadence = data.draw(st.integers(1, 12))
+        window = data.draw(st.integers(1, 60))
+        method = data.draw(st.sampled_from(["qp", "inverse", "naive", "pr"]))
+        labels = [f"c{i}" for i in range(k)]
+        scores = data.draw(_grid_scores(k, n, positive=True))
+        confusion = np.array(
+            data.draw(st.lists(st.integers(0, 4), min_size=k * k, max_size=k * k)), dtype=float
+        ).reshape(k, k) + np.eye(k)
+        with tempfile.TemporaryDirectory() as tmp:
+            scores_path, conf_path = os.path.join(tmp, "s.csv"), os.path.join(tmp, "c.csv")
+            out = os.path.join(tmp, "out.csv")
+            _write_scores_csv(scores_path, labels, scores)
+            with open(conf_path, "w", encoding="utf-8") as fp:
+                fp.write(",".join(labels) + "\n")
+                fp.writelines(",".join(str(int(x)) for x in row) + "\n" for row in confusion)
+            code = main([
+                "--quiet", "--output", out, "reweight", scores_path, "--confusion", conf_path,
+                "--method", method, "--reestimate-every", str(cadence), "--window", str(window),
+            ])
+            assert code == 0
+            _, baseline, adapted, raw, _ = _reweight_output(out, k)
+        assert np.array_equal(baseline, np.argmax(scores, axis=1))
+        in_force = raw / scores  # every score is positive
+        assert np.all(in_force >= 0.0)
+        assert np.all(np.abs(in_force.sum(axis=1) - 1.0) <= 1e-9)
+        block_start = in_force[(np.arange(n) // cadence) * cadence]
+        assert _close(in_force, block_start)
+        assert np.allclose(in_force[0], 1.0 / k, rtol=1e-12, atol=0.0)
+        best = raw.max(axis=1)
+        assert np.all(raw[np.arange(n), adapted] >= best * (1.0 - 1e-12))
+        assert np.array_equal(adapted[best == 0.0], baseline[best == 0.0])
 
 
 class TestSimulate:
@@ -313,6 +438,66 @@ class TestSimulate:
         code = main(["--output", str(tmp_path / "sim"), "simulate", str(scen)])
         assert code == 2
         assert "scenario.active_classes" in capsys.readouterr().err
+
+
+class TestOutputFile:
+    """--output is written in full or not at all."""
+
+    BAD_SCORES = "s_a,s_b,s_c\n0.5,0.25,0.25\n0.9,0.3,0.1\n"
+
+    def _failing_reweight(self, tmp_path, out):
+        scores = tmp_path / "s.csv"
+        scores.write_text(self.BAD_SCORES, encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["--output", str(out), "reweight", str(scores), "--priors", data("fixture_priors.json")])
+            gc.collect()
+        assert code == 2
+        assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+    def test_failure_leaves_no_new_file(self, tmp_path):
+        out = tmp_path / "out.csv"
+        self._failing_reweight(tmp_path, out)
+        assert sorted(os.listdir(tmp_path)) == ["s.csv"]
+
+    def test_failure_leaves_existing_file_untouched(self, tmp_path):
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier output\n")
+        self._failing_reweight(tmp_path, out)
+        assert read_bytes(str(out)) == b"earlier output\n"
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "s.csv"]
+
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX file modes")
+    def test_file_mode_as_plain_open(self, tmp_path):
+        umask = os.umask(0o027)
+        try:
+            code, out = run(["normalize", data("fixture_confusion_raw.csv")], tmp_path)
+        finally:
+            os.umask(umask)
+        assert code == 0
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o640
+        os.chmod(out, 0o604)
+        code, out = run(["normalize", data("fixture_confusion3.csv")], tmp_path)
+        assert code == 0
+        assert stat.S_IMODE(os.stat(out).st_mode) == 0o604
+        assert read_bytes(out).startswith(b"a,b,c\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
+    def test_device_written_in_place(self):
+        assert main(["--output", "/dev/null", "normalize", data("fixture_confusion_raw.csv")]) == 0
+        assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
+
+    def test_simulate_failure_leaves_neither_file(self, tmp_path, monkeypatch):
+        real = cli.simulate_stream
+
+        def failing(spec, clf):
+            yield from itertools.islice(real(spec, clf), 3)
+            raise ValidationError("stream cut short")
+
+        monkeypatch.setattr(cli, "simulate_stream", failing)
+        code = main(["--quiet", "--output", str(tmp_path / "sim"), "simulate", data("fixture_scenario.json")])
+        assert code == 2
+        assert os.listdir(tmp_path) == []
 
 
 class TestEvaluate:
@@ -494,6 +679,23 @@ class TestEntryPoint:
         assert len(doc["solves"]) == spans["estimators.qp"]["calls"]
         assert all(s["converged"] for s in doc["solves"])
         assert max(s["kkt"] for s in doc["solves"]) <= 1e-12
+
+    def test_runtime_never_loads_scipy(self, tmp_path):
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        argv = [
+            "estimate", data("fixture_confusion3.csv"), data("fixture_decisions.txt"),
+            "--method", "all", "--output", str(tmp_path / "priors.json"),
+        ]
+        script = (
+            "import sys\n"
+            "from prioradapt.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_unknown_command_usage_error(self):
         proc = subprocess.run(

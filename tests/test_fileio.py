@@ -104,6 +104,13 @@ class TestScoresCsv:
         (_, record), = list(records)
         assert record.true_label == 1
 
+    def test_digit_class_names_read_as_names(self, tmp_path):
+        # A truth cell naming a class is that class, even when it is all
+        # digits; an index is only the fallback for cells that name none.
+        path = write(tmp_path, "s.csv", "label,s_1,s_2,s_3\n1,0.6,0.3,0.1\n3,0.1,0.2,0.7\n0,0.5,0.5,0\n")
+        _, records = read_score_records(path)
+        assert [record.true_label for _, record in records] == [0, 2, 0]
+
     def test_bad_header(self, tmp_path):
         path = write(tmp_path, "s.csv", "x,y\n0.5,0.5\n")
         with pytest.raises(ParseError, match="header"):

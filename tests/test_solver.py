@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import scipy.linalg
 import scipy.optimize
 
 from prioradapt import (
@@ -80,6 +81,57 @@ class TestSolveLinear:
     def test_condition_estimate(self):
         assert condition_estimate(np.eye(4)) == pytest.approx(1.0)
         assert condition_estimate(np.ones((2, 2))) == np.inf
+
+
+def gecon_estimate(a: np.ndarray) -> float:
+    """LAPACK's 1-norm condition estimate from an LU factorization (a lower bound)."""
+    lu, _ = scipy.linalg.lu_factor(a)
+    gecon = scipy.linalg.get_lapack_funcs("gecon", (lu,))
+    rcond, _ = gecon(lu, np.linalg.norm(a, 1))
+    return 1.0 / rcond if rcond > 0.0 else np.inf
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices of order 2-12, some with two nearly equal columns."""
+    k = draw(st.integers(min_value=2, max_value=12))
+    entries = st.floats(min_value=-1.0, max_value=1.0, allow_subnormal=False)
+    a = draw(hnp.arrays(np.float64, (k, k), elements=entries))
+    a += draw(st.sampled_from([0.0, 1.0, float(k)])) * np.eye(k)
+    if draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, k - 1), min_size=2, max_size=2, unique=True))
+        gap = draw(st.sampled_from([1e-3, 1e-6, 1e-9, 1e-12, 1e-15]))
+        a[:, j] = a[:, i] + gap * draw(hnp.arrays(np.float64, k, elements=entries))
+    return a
+
+
+class TestConditionNumber:
+    @given(square_matrices(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_against_gecon_and_svd(self, a, data):
+        k = a.shape[0]
+        eps = np.finfo(np.float64).eps
+        cond = condition_estimate(a)
+        s = np.linalg.svd(a, compute_uv=False)
+        kappa2 = float(s[0]) / float(s[-1]) if s[-1] > 0.0 else np.inf
+        # ||A||_1 and ||A||_2 are within a factor sqrt(K) of each other, so
+        # the 1-norm and 2-norm condition numbers are within a factor K;
+        # rounding caps what any computed inverse can show near 1 / eps.
+        assert cond >= min(kappa2, 1.0 / (k * eps)) / k
+        if kappa2 * eps <= 1e-6:
+            # Both computed numbers carry relative errors up to about K * kappa * eps.
+            slack = 4.0 * k * kappa2 * eps
+            assert cond <= k * kappa2 * (1.0 + slack)
+            assert cond >= gecon_estimate(a) * (1.0 - slack)
+        singular = a.copy()
+        singular[:, data.draw(st.integers(0, k - 1))] = 0.0
+        assert condition_estimate(singular) == np.inf
+        with pytest.raises(SingularMatrixError):
+            solve_linear(singular, np.ones(k))
+
+    def test_exact_for_a_diagonal_matrix(self):
+        # gecon may underestimate; the number here is the exact ||A||_1 ||A^-1||_1.
+        assert condition_estimate(np.diag([4.0, 1.0, 0.5])) == 8.0
 
 
 class TestProjectSimplex:
