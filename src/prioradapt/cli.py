@@ -188,6 +188,7 @@ def _open_output(path: Optional[str]):
         with open(path, "w", encoding="utf-8", newline="\n") as fp:
             yield fp
         return
+    path = os.path.realpath(path)  # through a symbolic link, as open() writes
     fd, tmp = tempfile.mkstemp(
         prefix=f".{os.path.basename(path)}.", suffix=".tmp", dir=os.path.dirname(path)
     )

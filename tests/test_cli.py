@@ -482,6 +482,18 @@ class TestOutputFile:
         assert stat.S_IMODE(os.stat(out).st_mode) == 0o604
         assert read_bytes(out).startswith(b"a,b,c\n")
 
+    @pytest.mark.skipif(os.name != "posix", reason="POSIX symbolic links")
+    def test_symlink_written_through(self, tmp_path):
+        target = tmp_path / "target.csv"
+        target.write_bytes(b"earlier output\n")
+        link = tmp_path / "link.csv"
+        link.symlink_to(target)
+        code, _ = run(["normalize", data("fixture_confusion_raw.csv")], tmp_path, "link.csv")
+        assert code == 0
+        assert link.is_symlink()
+        assert read_bytes(str(target)).startswith(b"a,b\n")
+        assert sorted(os.listdir(tmp_path)) == ["link.csv", "target.csv"]
+
     @pytest.mark.skipif(not os.path.exists("/dev/null"), reason="needs /dev/null")
     def test_device_written_in_place(self):
         assert main(["--output", "/dev/null", "normalize", data("fixture_confusion_raw.csv")]) == 0

@@ -129,9 +129,11 @@ class TestConditionNumber:
         with pytest.raises(SingularMatrixError):
             solve_linear(singular, np.ones(k))
 
-    def test_exact_for_a_diagonal_matrix(self):
-        # gecon may underestimate; the number here is the exact ||A||_1 ||A^-1||_1.
-        assert condition_estimate(np.diag([4.0, 1.0, 0.5])) == 8.0
+    def test_exact_where_gecon_underestimates(self):
+        # ||A||_1 = 5 and ||A^-1||_1 = 3.25; gecon's estimate for A is 2.5.
+        a = np.array([[2.0, 0.0, 0.0], [2.0, 0.0, -1.0], [1.0, 2.0, 3.0]])
+        assert gecon_estimate(a) < 3.0
+        assert condition_estimate(a) == 16.25
 
 
 class TestProjectSimplex:
