@@ -181,7 +181,7 @@ def _open_output(path: Optional[str]):
     try:
         mode = os.stat(path).st_mode
     except FileNotFoundError:
-        umask = os.umask(0)
+        umask = os.umask(0)  # the umask can only be read by setting it
         os.umask(umask)
         mode = stat.S_IFREG | (0o666 & ~umask)
     if not stat.S_ISREG(mode):
