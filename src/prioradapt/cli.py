@@ -19,6 +19,7 @@ import os
 import stat
 import sys
 import tempfile
+from functools import partial
 from typing import Optional
 
 from . import fileio
@@ -30,7 +31,6 @@ from .core import (
     decide_baseline,
     reweight,
     reweight_normalized,
-    uniform_estimate,
 )
 from .errors import (
     ConvergenceError,
@@ -41,6 +41,7 @@ from .errors import (
     SingularMatrixError,
     ValidationError,
 )
+# Bound here, though unused, because bench/traced.py patches these names.
 from .estimators import (
     estimate_matrix_inverse,
     estimate_naive,
@@ -50,8 +51,10 @@ from .estimators import (
 )
 from .harness import (
     EvaluationRow,
+    adapt,
     cross_validate,
     default_suite,
+    estimator,
     evaluate_suite,
     run_drift_scenario,
     simulate_stream,
@@ -207,25 +210,6 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _estimator(conf):
-    """Return ``estimate(method, hist) -> PriorEstimate`` for the flagged methods.
-
-    The precision/recall table is read off ``conf`` once, not per estimate.
-    """
-    table = precision_recall(conf)
-
-    def estimate(method: str, hist) -> PriorEstimate:
-        if method == "naive":
-            return estimate_naive(hist)
-        if method == "precision_recall":
-            return estimate_precision_recall(hist, table)
-        if method == "matrix_inverse":
-            return estimate_matrix_inverse(conf, hist)
-        return estimate_qp(conf, hist)
-
-    return estimate
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -259,7 +243,7 @@ def cmd_estimate(args) -> int:
     hist = monitor.snapshot()
 
     wanted = list(_METHOD_BY_FLAG.values()) if args.method == "all" else [_METHOD_BY_FLAG[args.method]]
-    estimate = _estimator(conf)
+    estimate = estimator(conf)
     estimates, failures, failure_excs = {}, {}, {}
     for method in wanted:
         try:
@@ -308,46 +292,40 @@ def _reweight_row(record, policy) -> str:
 def cmd_reweight(args) -> int:
     if (args.priors is None) == (args.confusion is None):
         raise ValidationError("reweight needs exactly one of --priors or --confusion")
+    if args.confusion is not None:
+        if args.reestimate_every is None or args.reestimate_every < 1:
+            raise ValidationError("--confusion requires --reestimate-every N (N >= 1)")
+        conf = fileio.read_confusion_csv(args.confusion)
     if os.path.getsize(args.scores) == 0:
-        # An empty stream re-weights to an empty stream.
+        # An empty stream re-weights to an empty stream.  With no header the
+        # priors' class labels cannot be checked, but the file must be JSON.
+        if args.priors is not None:
+            fileio.read_json(args.priors)
         with _open_output(args.output) as fp:
             pass
         return EXIT_OK
 
     warn = (lambda msg: _note(args, f"warning: {msg}")) if args.lenient else None
-    catalog, records = fileio.read_score_records(args.scores, args.lenient, warn)
-
+    catalog, rows = fileio.read_score_records(args.scores, args.lenient, warn)
+    records = (record for _, record in rows)
     if args.priors is not None:
         method = _METHOD_BY_FLAG[args.method] if args.method else None
         values, tag = fileio.read_priors_json(args.priors, catalog, method)
-        estimate = PriorEstimate(values / values.sum(), method=tag)
-        policy = AdaptedPolicy.from_priors(estimate)
-        with _open_output(args.output) as fp:
-            fp.write(_reweight_header(catalog))
-            for _, record in records:
-                fp.write(_reweight_row(record, policy))
-        return EXIT_OK
-
-    # Live mode: re-estimate from the running histogram every N records.
-    if args.reestimate_every is None or args.reestimate_every < 1:
-        raise ValidationError("--confusion requires --reestimate-every N (N >= 1)")
-    conf = fileio.read_confusion_csv(args.confusion)
-    if conf.catalog != catalog:
-        raise ValidationError("scores CSV classes do not match the confusion matrix classes")
-    method = _METHOD_BY_FLAG[args.method or "qp"]
-    estimate = _estimator(conf)
-    monitor = StreamMonitor(catalog, window=args.window)
-    policy = AdaptedPolicy.from_priors(uniform_estimate(catalog.k))
+        policy = AdaptedPolicy.from_priors(PriorEstimate(values / values.sum(), method=tag))
+        pairs = ((record, policy) for record in records)
+    else:
+        # Live mode: re-estimate from the running histogram every N records.
+        if conf.catalog != catalog:
+            raise ValidationError("scores CSV classes do not match the confusion matrix classes")
+        pairs = adapt(
+            records, StreamMonitor(catalog, window=args.window),
+            partial(estimator(conf), _METHOD_BY_FLAG[args.method or "qp"]), args.reestimate_every,
+            lambda exc: _note(args, f"warning: keeping previous priors: {exc}"),
+        )
     with _open_output(args.output) as fp:
         fp.write(_reweight_header(catalog))
-        for _, record in records:
+        for record, policy in pairs:
             fp.write(_reweight_row(record, policy))
-            monitor.ingest_scored(record)
-            if monitor.decisions_seen % args.reestimate_every == 0:
-                try:
-                    policy = AdaptedPolicy.from_priors(estimate(method, monitor.snapshot()))
-                except PriorAdaptError as exc:
-                    _note(args, f"warning: keeping previous priors: {exc}")
     return EXIT_OK
 
 

@@ -83,7 +83,7 @@ def _is_seed(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
-def _load_json(path: str):
+def read_json(path: str):
     with open(path, "r", encoding="utf-8") as fp, _text_errors(path):
         text = fp.read()
     try:
@@ -315,7 +315,7 @@ def read_priors_json(
     since it represents externally known priors.  The entries must be
     nonnegative with positive mass; they need not sum to 1.
     """
-    doc = _load_json(path)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParseError("priors JSON must be an object", path=path)
 
@@ -402,7 +402,7 @@ def read_scenario_json(
     seed_override: Optional[int] = None,
 ) -> tuple[ScenarioSpec, Optional[SyntheticClassifier]]:
     """Parse a scenario file; validation failures name the offending field."""
-    doc = _load_json(path)
+    doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParseError("scenario JSON must be an object", path=path)
 

@@ -18,7 +18,8 @@ a faithful small-scale reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from functools import partial
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from .core import (
 )
 from .errors import PriorAdaptError, ValidationError
 from .estimators import (
-    PrecisionRecallTable,
     estimate_ground_truth,
     estimate_matrix_inverse,
     estimate_naive,
@@ -253,32 +253,65 @@ def _accuracy(decisions: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(decisions == truth))
 
 
-def _evaluate_split(
-    spec: ScenarioSpec,
-    conf: ConfusionMatrix,
-    hist: DecisionHistogram,
-    scores: np.ndarray,
-    truth: np.ndarray,
-    baseline_decisions: np.ndarray,
-    table: PrecisionRecallTable,
-) -> dict[str, dict]:
-    """Estimate priors from the transfer histogram, score decisions on the test rows.
+def estimator(conf: ConfusionMatrix) -> Callable[[str, DecisionHistogram], PriorEstimate]:
+    """Return ``estimate(method, hist) -> PriorEstimate`` for the four data-driven methods.
 
-    ``scores``, ``truth`` and ``baseline_decisions`` are the test stream's
-    (N, K) scores, true labels and baseline argmax decisions; ``table`` is
-    ``precision_recall(conf)``, read once per scenario by the caller.
+    The precision/recall table is read off ``conf`` once, not per estimate.
     """
-    def estimate(method: str) -> PriorEstimate:
+    table = precision_recall(conf)
+
+    def estimate(method: str, hist: DecisionHistogram) -> PriorEstimate:
         if method == "naive":
             return estimate_naive(hist)
         if method == "precision_recall":
             return estimate_precision_recall(hist, table)
         if method == "matrix_inverse":
             return estimate_matrix_inverse(conf, hist)
-        if method == "quadratic_program":
-            return estimate_qp(conf, hist)
-        return estimate_ground_truth(spec.true_priors)
+        return estimate_qp(conf, hist)
 
+    return estimate
+
+
+def adapt(
+    records: Iterable[ScoreRecord],
+    monitor: StreamMonitor,
+    estimate: Callable[[DecisionHistogram], PriorEstimate],
+    every: int,
+    on_failure: Callable[[PriorAdaptError], object],
+) -> Iterator[tuple[ScoreRecord, AdaptedPolicy]]:
+    """Yield each record with the policy in force, re-estimating every ``every`` records.
+
+    The policy starts uniform.  After a record is yielded its baseline
+    decision is counted in ``monitor``; after every ``every``-th record
+    ``estimate(monitor.snapshot())`` becomes the policy.  An estimate that
+    raises :class:`PriorAdaptError` leaves the policy in force and is
+    passed to ``on_failure``.
+    """
+    policy = AdaptedPolicy.from_priors(uniform_estimate(monitor.catalog.k))
+    for record in records:
+        yield record, policy
+        monitor.ingest_scored(record)
+        if monitor.decisions_seen % every == 0:
+            try:
+                policy = AdaptedPolicy.from_priors(estimate(monitor.snapshot()))
+            except PriorAdaptError as exc:
+                on_failure(exc)
+
+
+def _evaluate_split(
+    spec: ScenarioSpec,
+    estimate: Callable[[str, DecisionHistogram], PriorEstimate],
+    hist: DecisionHistogram,
+    scores: np.ndarray,
+    truth: np.ndarray,
+    baseline_decisions: np.ndarray,
+) -> dict[str, dict]:
+    """Estimate priors from the transfer histogram, score decisions on the test rows.
+
+    ``estimate`` is :func:`estimator` of the scenario's confusion matrix;
+    ``scores``, ``truth`` and ``baseline_decisions`` are the test stream's
+    (N, K) scores, true labels and baseline argmax decisions.
+    """
     results: dict[str, dict] = {}
     results["baseline"] = {
         "accuracy": _accuracy(baseline_decisions, truth),
@@ -290,7 +323,10 @@ def _evaluate_split(
         if method.name == "baseline":
             continue
         try:
-            priors = estimate(method.name)
+            if method.name == "ground_truth":
+                priors = estimate_ground_truth(spec.true_priors)
+            else:
+                priors = estimate(method.name, hist)
         except PriorAdaptError as exc:
             results[method.name] = {"error": f"{type(exc).__name__}: {exc}"}
             continue
@@ -390,12 +426,12 @@ def cross_validate(
         conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(h_ss))
     pool = _draw_records(clf, _draw_labels(spec.true_priors, pool_size, pool_rng), pool_rng)
     scores, labels, baseline = _stack(pool)
-    table = precision_recall(conf)
+    estimate = estimator(conf)
     fold_results = []
     for transfer_idx, test_idx in _fold_partitions(pool_size, spec.transfer_size, folds, fold_rng):
         hist = _histogram(baseline[transfer_idx], spec.catalog.k)
         fold_results.append(_evaluate_split(
-            spec, conf, hist, scores[test_idx], labels[test_idx], baseline[test_idx], table,
+            spec, estimate, hist, scores[test_idx], labels[test_idx], baseline[test_idx],
         ))
     return _collect_rows(spec.name, fold_results)
 
@@ -405,28 +441,25 @@ def default_suite(
     catalog_size: int = 36,
     n_scenarios: int = 12,
     active_per_scenario: int = 3,
-    transfer_per_class: int = 20,
-    test_per_class: int = 30,
-    diagonal_range: tuple[float, float] = (0.65, 0.85),
-    sharpness: float = DEFAULT_SHARPNESS,
 ) -> Suite:
     """The default comparison suite: one classifier, twelve disjoint contexts.
 
     A ``catalog_size``-class synthetic classifier with per-class diagonal
-    accuracy drawn from ``diagonal_range`` is shared by all scenarios; each
-    scenario activates a disjoint block of classes with a uniform mixture
-    over them.
+    accuracy drawn uniformly from [0.65, 0.85] and the default sharpness
+    (``DEFAULT_SHARPNESS``) is shared by all scenarios; each scenario
+    activates a disjoint block of classes with a uniform mixture over
+    them, and has 20 transfer and 30 test records per active class.
     """
     if active_per_scenario * n_scenarios > catalog_size:
         raise ValidationError("not enough catalog classes for disjoint scenario blocks")
     catalog = ClassCatalog(tuple(f"c{i:02d}" for i in range(catalog_size)))
     rng = np.random.default_rng(seed)
-    diagonal = rng.uniform(diagonal_range[0], diagonal_range[1], catalog_size)
+    diagonal = rng.uniform(0.65, 0.85, catalog_size)
     rows = np.zeros((catalog_size, catalog_size))
     for i in range(catalog_size):
         spread = rng.dirichlet(np.ones(catalog_size - 1))
         rows[i, :] = np.insert(spread * (1.0 - diagonal[i]), i, diagonal[i])
-    clf = SyntheticClassifier(ConfusionMatrix(catalog, rows), sharpness=sharpness)
+    clf = SyntheticClassifier(ConfusionMatrix(catalog, rows))
 
     scenario_seeds = rng.integers(0, 2**31 - 1, size=n_scenarios)
     h_seed = int(rng.integers(0, 2**31 - 1))
@@ -440,8 +473,8 @@ def default_suite(
                 catalog=catalog,
                 active_classes=active,
                 true_priors=priors,
-                transfer_size=transfer_per_class * active_per_scenario,
-                test_size=test_per_class * active_per_scenario,
+                transfer_size=20 * active_per_scenario,
+                test_size=30 * active_per_scenario,
                 seed=int(scenario_seeds[s]),
                 name=f"context-{s:02d}",
             )
@@ -510,55 +543,40 @@ def run_drift_scenario(
 ) -> list[EvaluationRow]:
     """Prequential evaluation of a windowed monitor over a drifting stream.
 
-    Every record is decided with the policy estimated from the decisions
-    seen so far (baseline decisions, windowed histogram, least-squares
-    estimator re-run every ``reestimate_every`` records), then counted.
-    Accuracy is reported per drift segment, baseline versus adapted.
-    This goes beyond the batch protocol the estimators were validated
-    under, so treat the rows as an extension rather than a reproduction.
+    The stream runs through :func:`adapt`, the loop live ``reweight``
+    runs: every record is decided with the policy in force (uniform until
+    the first estimate), then its baseline decision is counted in a
+    windowed histogram, and the least-squares estimator re-runs every
+    ``reestimate_every`` records.  Accuracy is reported per drift segment,
+    baseline versus adapted; the adapted rows' ``error`` counts the
+    re-estimates that failed and kept the previous priors.  This goes
+    beyond the batch protocol the estimators were validated under, so
+    treat the rows as an extension rather than a reproduction.
     """
     _check_catalogs(spec, clf)
     if reestimate_every < 1:
         raise ValidationError("reestimate_every must be >= 1")
     stream_ss, h_ss = np.random.SeedSequence(spec.seed).spawn(2)
     conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(h_ss))
-    monitor = StreamMonitor(spec.catalog, window=window)
-    policy: Optional[AdaptedPolicy] = None
-    per_segment: dict[int, dict[str, int]] = {}
-    for index, record, segment in simulate_stream(spec, clf, np.random.default_rng(stream_ss)):
-        stats = per_segment.setdefault(segment, {"n": 0, "baseline": 0, "adapted": 0})
-        baseline = decide_baseline(record)
-        adapted = decide_adapted(record, policy) if policy is not None else baseline
-        stats["n"] += 1
-        stats["baseline"] += int(baseline == record.true_label)
-        stats["adapted"] += int(adapted == record.true_label)
-        monitor.ingest(baseline)
-        if (index + 1) % reestimate_every == 0:
-            try:
-                estimate = estimate_qp(conf, monitor.snapshot())
-                policy = AdaptedPolicy.from_priors(estimate)
-            except PriorAdaptError:
-                pass  # keep the previous policy
+    _, records, segments = zip(*simulate_stream(spec, clf, np.random.default_rng(stream_ss)))
+    failures: list[PriorAdaptError] = []
+    pairs = adapt(
+        records, StreamMonitor(spec.catalog, window=window),
+        partial(estimator(conf), "quadratic_program"), reestimate_every, failures.append,
+    )
+    decided = np.array([(decide_baseline(r), decide_adapted(r, p), r.true_label) for r, p in pairs])
+    hits = decided[:, :2] == decided[:, 2:]
+    error = None
+    if failures:
+        last = failures[-1]
+        error = f"{len(failures)} re-estimates failed, kept previous priors: {type(last).__name__}: {last}"
     rows = []
-    for segment in sorted(per_segment):
-        stats = per_segment[segment]
+    segments = np.array(segments)
+    for segment in np.unique(segments):
         name = f"{spec.name}/segment-{segment}"
+        baseline, adapted = hits[segments == segment].mean(axis=0)
+        rows.append(EvaluationRow(name, "baseline", float(baseline), None, folds=1))
         rows.append(
-            EvaluationRow(
-                scenario=name,
-                method="baseline",
-                accuracy=stats["baseline"] / stats["n"],
-                accuracy_std=None,
-                folds=1,
-            )
-        )
-        rows.append(
-            EvaluationRow(
-                scenario=name,
-                method="quadratic_program",
-                accuracy=stats["adapted"] / stats["n"],
-                accuracy_std=None,
-                folds=1,
-            )
+            EvaluationRow(name, "quadratic_program", float(adapted), None, folds=1, error=error)
         )
     return rows

@@ -17,9 +17,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prioradapt import ValidationError, cli, solver
+from prioradapt import ValidationError, cli, fileio, solver
 from prioradapt.cli import main, render_csv
-from prioradapt.harness import EvaluationRow
+from prioradapt.harness import (
+    DEFAULT_H_SAMPLES_PER_CLASS,
+    EvaluationRow,
+    estimate_confusion,
+    run_drift_scenario,
+    simulate_stream,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -278,6 +284,35 @@ class TestReweight:
         ])
         assert code == 2
 
+    # An empty stream is checked like any other before it re-weights to
+    # nothing: these exits match those of a non-empty stream.
+
+    def _empty(self, tmp_path):
+        empty = tmp_path / "empty.csv"
+        empty.write_text("", encoding="utf-8")
+        return str(empty)
+
+    def test_empty_stream_missing_priors_exit_4(self, tmp_path):
+        argv = ["reweight", self._empty(tmp_path), "--priors", str(tmp_path / "nope.json")]
+        assert main(argv) == 4
+
+    def test_empty_stream_malformed_priors_exit_2(self, tmp_path, capsys):
+        priors = tmp_path / "p.json"
+        priors.write_text("{not json", encoding="utf-8")
+        assert main(["reweight", self._empty(tmp_path), "--priors", str(priors)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {priors}: invalid JSON")
+
+    def test_empty_stream_live_needs_cadence(self, tmp_path):
+        argv = ["reweight", self._empty(tmp_path), "--confusion", data("fixture_confusion3.csv")]
+        assert main(argv) == 2
+
+    def test_empty_stream_missing_confusion_exit_4(self, tmp_path):
+        argv = [
+            "reweight", self._empty(tmp_path), "--confusion", str(tmp_path / "nope.csv"),
+            "--reestimate-every", "2",
+        ]
+        assert main(argv) == 4
+
 
 def _write_scores_csv(path, labels, scores, truth=None):
     header = ",".join(f"s_{l}" for l in labels)
@@ -387,6 +422,50 @@ class TestReweightDifferential:
         best = raw.max(axis=1)
         assert np.all(raw[np.arange(n), adapted] >= best * (1.0 - 1e-12))
         assert np.array_equal(adapted[best == 0.0], baseline[best == 0.0])
+
+
+class TestLiveReweightMatchesDriftReplay:
+    """``reweight --confusion`` and the drift rows of ``evaluate`` run one adaptation loop."""
+
+    @pytest.mark.parametrize("window,every", [(None, 7), (8, 3), (1, 1)])
+    @pytest.mark.parametrize("transfer,test", [(None, None), (150, 100)])
+    def test_segment_accuracy(self, tmp_path, window, every, transfer, test):
+        scenario = data("fixture_scenario.json")
+        if transfer is not None:
+            # A longer stream, on which the estimators' decisions part.
+            with open(scenario, encoding="utf-8") as fp:
+                doc = json.load(fp)
+            doc.update(transfer_size=transfer, test_size=test)
+            doc["drift"][0]["start"] = transfer
+            scenario = tmp_path / "scenario.json"
+            scenario.write_text(json.dumps(doc), encoding="utf-8")
+        spec, clf = fileio.read_scenario_json(str(scenario))
+        rows = run_drift_scenario(spec, clf, window=window, reestimate_every=every)
+        # The replay's confusion matrix and stream, from the same seeds.
+        stream_ss, h_ss = np.random.SeedSequence(spec.seed).spawn(2)
+        conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(h_ss))
+        stream = list(simulate_stream(spec, clf, np.random.default_rng(stream_ss)))
+        conf_path, scores_path = tmp_path / "conf.csv", tmp_path / "scores.csv"
+        with open(conf_path, "w", encoding="utf-8", newline="\n") as fp:
+            fileio.write_confusion_csv(conf, fp)
+        labels = spec.catalog.labels
+        with open(scores_path, "w", encoding="utf-8", newline="\n") as fp:
+            fp.write(",".join(["label", *(f"s_{l}" for l in labels)]) + "\n")
+            for _, record, _ in stream:
+                cells = [labels[record.true_label], *map(fileio.format_float, record.scores)]
+                fp.write(",".join(cells) + "\n")
+        argv = ["reweight", str(scores_path), "--confusion", str(conf_path),
+                "--reestimate-every", str(every)]
+        if window is not None:
+            argv += ["--window", str(window)]
+        code, out = run(argv, tmp_path)
+        assert code == 0
+        with open(out, encoding="utf-8") as fp:
+            adapted = [int(line.split(",")[1]) for line in fp.read().splitlines()[1:]]
+        expected = {r.scenario: r.accuracy for r in rows if r.method == "quadratic_program"}
+        for segment in sorted({s for _, _, s in stream}):
+            hits = [a == r.true_label for a, (_, r, s) in zip(adapted, stream) if s == segment]
+            assert sum(hits) / len(hits) == expected[f"{spec.name}/segment-{segment}"]
 
 
 class TestSimulate:
@@ -691,6 +770,32 @@ class TestEntryPoint:
         assert len(doc["solves"]) == spans["estimators.qp"]["calls"]
         assert all(s["converged"] for s in doc["solves"])
         assert max(s["kkt"] for s in doc["solves"]) <= 1e-12
+
+    def test_bench_tracer_counts_live_estimates(self, tmp_path):
+        # Live re-estimates run in harness.adapt; the tracer must still see
+        # every one through the estimator names bound in harness.
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
+        scores = data("fixture_scores.csv")
+        argv = ["reweight", scores, "--confusion", data("fixture_confusion3.csv"),
+                "--reestimate-every", "2"]
+        trace = str(tmp_path / "trace.json")
+        traced = subprocess.run(
+            [sys.executable, os.path.join(root, "bench", "traced.py"), trace, "--", *argv],
+            capture_output=True, env=env, cwd=root,
+        )
+        plain = subprocess.run(
+            [sys.executable, "-m", "prioradapt", *argv], capture_output=True, env=env, cwd=root,
+        )
+        assert traced.returncode == 0, traced.stderr
+        assert plain.returncode == 0, plain.stderr
+        assert traced.stdout == plain.stdout
+        with open(trace, encoding="utf-8") as fp:
+            doc = json.load(fp)
+        with open(scores, encoding="utf-8") as fp:
+            rows = len(fp.read().splitlines()) - 1
+        assert doc["spans"]["estimators.qp"]["calls"] == rows // 2
+        assert len(doc["solves"]) == rows // 2
 
     def test_runtime_never_loads_scipy(self, tmp_path):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

@@ -1,5 +1,8 @@
 """Synthetic classifier calibration and the deployment-simulation protocol."""
 
+import itertools
+import os
+
 import numpy as np
 import pytest
 
@@ -7,6 +10,7 @@ from prioradapt import (
     ClassCatalog,
     ConfusionMatrix,
     DriftSegment,
+    IllConditionedError,
     ScenarioSpec,
     SyntheticClassifier,
     ValidationError,
@@ -19,10 +23,14 @@ from prioradapt import (
     run_drift_scenario,
     simulate_stream,
 )
+from prioradapt import harness
 from prioradapt.core import METHODS
+from prioradapt.fileio import read_scenario_json
 from prioradapt.harness import _fold_partitions, _mixture_counts
 
 from conftest import make_catalog, random_confusion_rows
+
+DATA_SCENARIO = os.path.join(os.path.dirname(__file__), "data", "fixture_scenario.json")
 
 
 def make_classifier(rows, sharpness=25.0) -> SyntheticClassifier:
@@ -395,6 +403,25 @@ class TestRunDriftScenario:
         )
         with pytest.raises(ValidationError, match="different catalogs"):
             run_drift_scenario(spec, clf, window=20, reestimate_every=10)
+
+    def test_failed_reestimates_reported(self, monkeypatch):
+        # Every second QP re-estimate fails; the replay keeps the previous
+        # priors and says so on each adapted row.
+        calls = itertools.count()
+        qp = harness.estimate_qp
+
+        def flaky_qp(conf, hist):
+            if next(calls) % 2:
+                raise IllConditionedError("injected failure")
+            return qp(conf, hist)
+
+        monkeypatch.setattr(harness, "estimate_qp", flaky_qp)
+        spec, clf = read_scenario_json(DATA_SCENARIO)
+        rows = run_drift_scenario(spec, clf, window=None, reestimate_every=2)
+        failed = (spec.transfer_size + spec.test_size) // 2 // 2
+        message = f"{failed} re-estimates failed, kept previous priors: IllConditionedError: injected failure"
+        assert [r.error for r in rows if r.method == "quadratic_program"] == [message] * 2
+        assert [r.error for r in rows if r.method == "baseline"] == [None] * 2
 
     def test_window_beats_cumulative_after_drift(self):
         rng = np.random.default_rng(16)
