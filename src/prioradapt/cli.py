@@ -161,9 +161,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--folds", type=int, default=10, help="cross-validation folds")
     p.add_argument("--window", type=int, default=None, help="window for drift scenarios")
     p.add_argument(
-        "--reestimate-every", type=int, default=50,
-        help="re-estimation cadence for drift scenarios (no validated default exists; "
-        "50 is just a starting point)",
+        "--reestimate-every", type=int, default=None,
+        help="re-estimation cadence for drift scenarios (default: 50; no validated "
+        "default exists, 50 is just a starting point)",
     )
     return parser
 
@@ -292,6 +292,8 @@ def _reweight_row(record, policy) -> str:
 def cmd_reweight(args) -> int:
     if (args.priors is None) == (args.confusion is None):
         raise ValidationError("reweight needs exactly one of --priors or --confusion")
+    if args.priors is not None and (args.window, args.reestimate_every) != (None, None):
+        raise ValidationError("--window and --reestimate-every apply only with --confusion")
     if args.confusion is not None:
         if args.reestimate_every is None or args.reestimate_every < 1:
             raise ValidationError("--confusion requires --reestimate-every N (N >= 1)")
@@ -465,22 +467,28 @@ def render_json(rows: list[EvaluationRow]) -> str:
 def cmd_evaluate(args) -> int:
     if args.folds < 2:
         raise ValidationError(f"--folds must be >= 2, got {args.folds}")
+    spec = None
     if args.scenario is not None:
         spec, clf = fileio.read_scenario_json(args.scenario, seed_override=args.seed)
         if clf is None:
             raise ValidationError("scenario JSON needs a classifier section to evaluate")
-        if spec.drift:
-            rows = run_drift_scenario(
-                spec, clf,
-                window=args.window if args.window is not None else spec.transfer_size,
-                reestimate_every=args.reestimate_every,
-            )
-        else:
-            rows = cross_validate(spec, clf, folds=args.folds)
+    if spec is not None and spec.drift:
+        rows = run_drift_scenario(
+            spec, clf,
+            window=args.window if args.window is not None else spec.transfer_size,
+            reestimate_every=50 if args.reestimate_every is None else args.reestimate_every,
+        )
+    elif (args.window, args.reestimate_every) != (None, None):
+        raise ValidationError("--window and --reestimate-every apply only to drift scenarios")
+    elif spec is not None:
+        rows = cross_validate(spec, clf, folds=args.folds)
     else:
         suite = default_suite(
             seed=args.seed if args.seed is not None else DEFAULT_SUITE_SEED
         )
+        smallest = min(s.transfer_size + s.test_size for s in suite.scenarios)
+        if args.folds > smallest:
+            raise ValidationError(f"--folds {args.folds} exceeds the smallest pool, {smallest} records")
         rows = evaluate_suite(suite, folds=args.folds)
     renderer = {"markdown": render_markdown, "csv": render_csv, "json": render_json}
     with _open_output(args.output) as fp:

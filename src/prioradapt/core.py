@@ -53,10 +53,30 @@ METHODS = (
 _PRIOR_TAGS = frozenset(m.name for m in METHODS) | {"uniform"}
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.array(a, dtype=np.float64, copy=True)
+def readonly(a, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of ``a`` as ``dtype``: how every value type stores an array."""
+    out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
+
+
+def probability_vector(values, what: str, tol: float) -> np.ndarray:
+    """A read-only copy of ``values`` once it is checked to be a probability vector.
+
+    It must have K >= 2 entries, all finite and in [0, 1], summing to 1
+    within ``tol``; otherwise :class:`ValidationError` is raised.
+    """
+    v = readonly(values)
+    if v.ndim != 1 or v.size < 2:
+        raise ValidationError(f"{what} must be a vector of K >= 2 entries, got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValidationError(f"{what} must be finite, got NaN or infinity")
+    if np.any(v < 0.0) or np.any(v > 1.0):
+        raise ValidationError(f"{what} must lie in [0, 1]")
+    total = float(v.sum())
+    if abs(total - 1.0) > tol:
+        raise ValidationError(f"{what} must sum to 1 within {tol}, got {total!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -99,22 +119,13 @@ class ScoreRecord:
     true_label: Optional[int] = None
 
     def __post_init__(self):
-        scores = np.asarray(self.scores, dtype=np.float64)
-        if scores.ndim != 1 or scores.size < 2:
-            raise ValidationError(f"scores must be a vector of K >= 2 entries, got shape {scores.shape}")
-        if not np.all(np.isfinite(scores)):
-            raise ValidationError("scores contain NaN or infinity")
-        if np.any(scores < 0.0) or np.any(scores > 1.0):
-            raise ValidationError("scores must lie in [0, 1]")
-        total = float(scores.sum())
-        if abs(total - 1.0) > SCORE_SUM_TOL:
-            raise ValidationError(f"scores sum to {total!r}, expected 1 within {SCORE_SUM_TOL}")
+        scores = probability_vector(self.scores, "scores", SCORE_SUM_TOL)
         if self.true_label is not None:
             lbl = int(self.true_label)
             if lbl < 0 or lbl >= scores.size:
                 raise ValidationError(f"true_label {lbl} out of range for {scores.size} classes")
             object.__setattr__(self, "true_label", lbl)
-        object.__setattr__(self, "scores", _readonly(scores))
+        object.__setattr__(self, "scores", scores)
 
     @property
     def k(self) -> int:
@@ -149,7 +160,7 @@ class ConfusionMatrix:
             raise ValidationError(
                 f"confusion row {self.catalog.labels[zero[0]]!r} is all zeros and cannot be normalized"
             )
-        object.__setattr__(self, "rows", _readonly(rows / sums[:, None]))
+        object.__setattr__(self, "rows", readonly(rows / sums[:, None]))
 
     @property
     def k(self) -> int:
@@ -181,19 +192,14 @@ class DecisionHistogram:
     counts: np.ndarray
 
     def __post_init__(self):
-        counts = np.asarray(self.counts)
-        if counts.ndim != 1 or counts.size < 2:
-            raise ValidationError(f"counts must be a vector of K >= 2 entries, got shape {counts.shape}")
-        if not np.issubdtype(counts.dtype, np.integer):
-            as_int = np.asarray(counts, dtype=np.int64)
-            if not np.array_equal(as_int, counts):
-                raise ValidationError("decision counts must be integers")
-            counts = as_int
-        else:
-            counts = counts.astype(np.int64, copy=True)
+        raw = np.asarray(self.counts)
+        if raw.ndim != 1 or raw.size < 2:
+            raise ValidationError(f"counts must be a vector of K >= 2 entries, got shape {raw.shape}")
+        counts = readonly(raw, dtype=np.int64)
+        if not np.array_equal(counts, raw):
+            raise ValidationError("decision counts must be integers")
         if np.any(counts < 0):
             raise ValidationError("decision counts must be nonnegative")
-        counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
     @property
@@ -231,19 +237,10 @@ class PriorEstimate:
     diagnostics: EstimatorDiagnostics = field(default_factory=EstimatorDiagnostics)
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 1 or values.size < 2:
-            raise ValidationError(f"prior vector must have K >= 2 entries, got shape {values.shape}")
-        if not np.all(np.isfinite(values)):
-            raise ValidationError("prior vector contains NaN or infinity")
-        if np.any(values < 0.0) or np.any(values > 1.0):
-            raise ValidationError("priors must lie in [0, 1]")
-        total = float(values.sum())
-        if abs(total - 1.0) > PRIOR_SUM_TOL:
-            raise ValidationError(f"priors sum to {total!r}, expected 1 within {PRIOR_SUM_TOL}")
+        values = probability_vector(self.values, "priors", PRIOR_SUM_TOL)
         if self.method not in _PRIOR_TAGS:
             raise ValidationError(f"unknown estimation method {self.method!r}")
-        object.__setattr__(self, "values", _readonly(values))
+        object.__setattr__(self, "values", values)
 
     @property
     def k(self) -> int:
@@ -264,14 +261,14 @@ class AdaptedPolicy:
     weights: np.ndarray
 
     def __post_init__(self):
-        weights = np.asarray(self.weights, dtype=np.float64)
+        weights = readonly(self.weights)
         if weights.shape != self.priors.values.shape:
             raise DimensionError("weights and priors must have the same length")
         if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
             raise ValidationError("weights must be finite and nonnegative")
         if not np.array_equal(weights == 0.0, self.priors.values == 0.0):
             raise ValidationError("weights must vanish exactly where the priors do")
-        object.__setattr__(self, "weights", _readonly(weights))
+        object.__setattr__(self, "weights", weights)
 
     @classmethod
     def from_priors(cls, priors: PriorEstimate) -> "AdaptedPolicy":

@@ -30,10 +30,13 @@ from typing import Union
 import numpy as np
 
 from .core import (
+    SCORE_SUM_TOL,
     ConfusionMatrix,
     DecisionHistogram,
     EstimatorDiagnostics,
     PriorEstimate,
+    probability_vector,
+    readonly,
 )
 from .errors import (
     DegenerateRecallError,
@@ -65,16 +68,14 @@ class PrecisionRecallTable:
     undefined: np.ndarray
 
     def __post_init__(self):
-        precision = np.asarray(self.precision, dtype=np.float64)
-        recall = np.asarray(self.recall, dtype=np.float64)
-        undefined = np.asarray(self.undefined, dtype=bool)
+        precision = readonly(self.precision)
+        recall = readonly(self.recall)
+        undefined = readonly(self.undefined, dtype=bool)
         if precision.shape != recall.shape or precision.shape != undefined.shape:
             raise DimensionError("precision, recall and undefined must share a shape")
         for name, vec in (("precision", precision), ("recall", recall)):
             if np.any(vec < 0.0) or np.any(vec > 1.0 + 1e-12):
                 raise ValidationError(f"{name} entries must lie in [0, 1]")
-        for a in (precision, recall, undefined):
-            a.setflags(write=False)
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "recall", recall)
         object.__setattr__(self, "undefined", undefined)
@@ -107,14 +108,9 @@ def _observation_vector(hist: Observations, k: int) -> np.ndarray:
     c = np.asarray(hist, dtype=np.float64)
     if c.shape != (k,):
         raise DimensionError(f"observation vector must have length {k}, got shape {c.shape}")
-    if not np.all(np.isfinite(c)) or np.any(c < 0.0):
-        raise ValidationError("observation vector must be finite and nonnegative")
-    total = float(c.sum())
-    if total <= 0.0:
+    if not np.any(c):
         raise InsufficientDataError("observation vector has no mass")
-    if abs(total - 1.0) > 1e-6:
-        raise ValidationError(f"observation vector sums to {total!r}, expected 1")
-    return c
+    return probability_vector(c, "observation vector", SCORE_SUM_TOL)
 
 
 def estimate_naive(hist: Observations) -> PriorEstimate:
@@ -124,8 +120,6 @@ def estimate_naive(hist: Observations) -> PriorEstimate:
     often serviceable first guess.
     """
     if isinstance(hist, DecisionHistogram):
-        if hist.total < 1:
-            raise InsufficientDataError("naive estimate needs at least one decision")
         values = hist.normalized()
     else:
         values = _observation_vector(hist, np.size(hist))
@@ -147,8 +141,6 @@ def estimate_precision_recall(
     """
     k = table.recall.size
     if isinstance(hist, DecisionHistogram):
-        if hist.total < 1:
-            raise InsufficientDataError("precision/recall estimate needs at least one decision")
         observed = hist.counts.astype(np.float64)
     else:
         observed = _observation_vector(hist, k)
@@ -245,5 +237,4 @@ def estimate_qp(
 
 def estimate_ground_truth(priors) -> PriorEstimate:
     """Wrap known true priors for the oracle comparison row."""
-    values = np.asarray(priors, dtype=np.float64)
-    return PriorEstimate(values, method="ground_truth")
+    return PriorEstimate(priors, method="ground_truth")

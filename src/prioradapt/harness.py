@@ -25,6 +25,7 @@ import numpy as np
 
 from .core import (
     METHODS,
+    PRIOR_SUM_TOL,
     AdaptedPolicy,
     ClassCatalog,
     ConfusionMatrix,
@@ -34,6 +35,7 @@ from .core import (
     decide_adapted,
     decide_adapted_batch,
     decide_baseline,
+    probability_vector,
     uniform_estimate,
 )
 from .errors import PriorAdaptError, ValidationError
@@ -59,21 +61,11 @@ class DriftSegment:
     priors: np.ndarray
 
     def __post_init__(self):
-        priors = np.asarray(self.priors, dtype=np.float64)
         if self.start < 1:
             raise ValidationError("drift segment must start at index >= 1")
-        _check_simplex(priors, "drift priors")
-        priors.setflags(write=False)
-        object.__setattr__(self, "priors", priors)
-
-
-def _check_simplex(v: np.ndarray, what: str) -> None:
-    if v.ndim != 1:
-        raise ValidationError(f"{what} must be a vector")
-    if not np.all(np.isfinite(v)) or np.any(v < 0.0):
-        raise ValidationError(f"{what} must be finite and nonnegative")
-    if abs(float(v.sum()) - 1.0) > 1e-9:
-        raise ValidationError(f"{what} must sum to 1, got {float(v.sum())!r}")
+        object.__setattr__(
+            self, "priors", probability_vector(self.priors, "drift priors", PRIOR_SUM_TOL)
+        )
 
 
 @dataclass(frozen=True)
@@ -100,15 +92,13 @@ class ScenarioSpec:
             raise ValidationError(f"active class index out of range for {k} classes")
         object.__setattr__(self, "active_classes", active)
 
-        priors = np.asarray(self.true_priors, dtype=np.float64)
+        priors = probability_vector(self.true_priors, "true_priors", PRIOR_SUM_TOL)
         if priors.shape != (k,):
             raise ValidationError(f"true_priors must have length {k}")
-        _check_simplex(priors, "true_priors")
         inactive = np.ones(k, dtype=bool)
         inactive[list(active)] = False
         if np.any(priors[inactive] > 0.0):
             raise ValidationError("true_priors put mass on classes outside active_classes")
-        priors.setflags(write=False)
         object.__setattr__(self, "true_priors", priors)
 
         if self.transfer_size < 1 or self.test_size < 1:
@@ -282,20 +272,20 @@ def adapt(
     """Yield each record with the policy in force, re-estimating every ``every`` records.
 
     The policy starts uniform.  After a record is yielded its baseline
-    decision is counted in ``monitor``; after every ``every``-th record
-    ``estimate(monitor.snapshot())`` becomes the policy.  An estimate that
-    raises :class:`PriorAdaptError` leaves the policy in force and is
-    passed to ``on_failure``.
+    decision is counted in ``monitor``; before the record after every
+    ``every``-th, ``estimate(monitor.snapshot())`` becomes the policy.  An
+    estimate that raises :class:`PriorAdaptError` leaves the policy in
+    force and is passed to ``on_failure``.
     """
     policy = AdaptedPolicy.from_priors(uniform_estimate(monitor.catalog.k))
     for record in records:
-        yield record, policy
-        monitor.ingest_scored(record)
-        if monitor.decisions_seen % every == 0:
+        if monitor.decisions_seen and monitor.decisions_seen % every == 0:
             try:
                 policy = AdaptedPolicy.from_priors(estimate(monitor.snapshot()))
             except PriorAdaptError as exc:
                 on_failure(exc)
+        yield record, policy
+        monitor.ingest_scored(record)
 
 
 def _evaluate_split(
@@ -305,19 +295,19 @@ def _evaluate_split(
     scores: np.ndarray,
     truth: np.ndarray,
     baseline_decisions: np.ndarray,
-) -> dict[str, dict]:
+) -> dict[str, tuple[float, float] | str]:
     """Estimate priors from the transfer histogram, score decisions on the test rows.
 
     ``estimate`` is :func:`estimator` of the scenario's confusion matrix;
     ``scores``, ``truth`` and ``baseline_decisions`` are the test stream's
-    (N, K) scores, true labels and baseline argmax decisions.
+    (N, K) scores, true labels and baseline argmax decisions.  Each method
+    maps to its ``(accuracy, prior_l1_error)`` or to the error it raised.
     """
-    results: dict[str, dict] = {}
-    results["baseline"] = {
-        "accuracy": _accuracy(baseline_decisions, truth),
-        "prior_l1_error": float(
-            np.abs(uniform_estimate(spec.catalog.k).values - spec.true_priors).sum()
-        ),
+    def outcome(decisions: np.ndarray, priors: PriorEstimate) -> tuple[float, float]:
+        return _accuracy(decisions, truth), float(np.abs(priors.values - spec.true_priors).sum())
+
+    results: dict[str, tuple[float, float] | str] = {
+        "baseline": outcome(baseline_decisions, uniform_estimate(spec.catalog.k)),
     }
     for method in METHODS:
         if method.name == "baseline":
@@ -328,14 +318,10 @@ def _evaluate_split(
             else:
                 priors = estimate(method.name, hist)
         except PriorAdaptError as exc:
-            results[method.name] = {"error": f"{type(exc).__name__}: {exc}"}
+            results[method.name] = f"{type(exc).__name__}: {exc}"
             continue
         policy = AdaptedPolicy.from_priors(priors)
-        decisions = decide_adapted_batch(scores, policy)
-        results[method.name] = {
-            "accuracy": _accuracy(decisions, truth),
-            "prior_l1_error": float(np.abs(priors.values - spec.true_priors).sum()),
-        }
+        results[method.name] = outcome(decide_adapted_batch(scores, policy), priors)
     return results
 
 
@@ -344,40 +330,23 @@ def _check_catalogs(spec: ScenarioSpec, clf: SyntheticClassifier) -> None:
         raise ValidationError("scenario and classifier use different catalogs")
 
 
-def _collect_rows(spec_name: str, fold_results: list[dict[str, dict]]) -> list[EvaluationRow]:
-    """Aggregate per-fold results into one row per method."""
+def _collect_rows(spec_name: str, fold_results: list[dict]) -> list[EvaluationRow]:
+    """Aggregate :func:`_evaluate_split` results into one row per method."""
     rows = []
     folds = len(fold_results)
     for method in (m.name for m in METHODS):
-        accuracies = [f[method]["accuracy"] for f in fold_results if "error" not in f[method]]
-        errors = [f[method]["error"] for f in fold_results if "error" in f[method]]
-        if not accuracies:
-            rows.append(
-                EvaluationRow(
-                    scenario=spec_name,
-                    method=method,
-                    accuracy=None,
-                    accuracy_std=None,
-                    folds=folds,
-                    error=errors[-1] if errors else "no successful folds",
-                )
-            )
+        ok, errors = [], []
+        for result in (f[method] for f in fold_results):
+            (errors if isinstance(result, str) else ok).append(result)
+        if not ok:
+            rows.append(EvaluationRow(spec_name, method, None, None, folds, error=errors[-1]))
             continue
-        ok = [f[method] for f in fold_results if "error" not in f[method]]
-        error = None
-        if errors:
-            error = f"failed in {len(errors)}/{folds} folds: {errors[-1]}"
-        rows.append(
-            EvaluationRow(
-                scenario=spec_name,
-                method=method,
-                accuracy=float(np.mean(accuracies)),
-                accuracy_std=float(np.std(accuracies)),
-                folds=folds,
-                prior_l1_error=float(np.mean([r["prior_l1_error"] for r in ok])),
-                error=error,
-            )
-        )
+        accuracies, l1_errors = zip(*ok)
+        error = f"failed in {len(errors)}/{folds} folds: {errors[-1]}" if errors else None
+        rows.append(EvaluationRow(
+            spec_name, method, float(np.mean(accuracies)), float(np.std(accuracies)), folds,
+            float(np.mean(l1_errors)), error,
+        ))
     return rows
 
 
@@ -492,6 +461,8 @@ def evaluate_suite(
     offline evaluation serving many deployments.  A scenario that fails
     outright contributes error rows instead of raising.
     """
+    if folds < 2:
+        raise ValidationError(f"folds must be >= 2, got {folds}")
     clf = suite.classifier
     conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(suite.h_seed))
     rows = []
@@ -499,14 +470,8 @@ def evaluate_suite(
         try:
             rows += cross_validate(spec, clf, folds=folds, confusion=conf)
         except PriorAdaptError as exc:
-            message = f"{type(exc).__name__}: {exc}"
-            rows += [
-                EvaluationRow(
-                    scenario=spec.name, method=method.name, accuracy=None,
-                    accuracy_std=None, folds=folds, error=message,
-                )
-                for method in METHODS
-            ]
+            failed = dict.fromkeys((m.name for m in METHODS), f"{type(exc).__name__}: {exc}")
+            rows += _collect_rows(spec.name, [failed] * folds)
     return rows
 
 

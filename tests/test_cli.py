@@ -226,6 +226,16 @@ class TestReweight:
             "--confusion", data("fixture_confusion3.csv"),
         ]) == 2
 
+    @pytest.mark.parametrize("extra", [
+        ["--window", "0", "--reestimate-every", "-3"], ["--window", "5"], ["--reestimate-every", "2"],
+    ])
+    def test_static_refuses_live_options(self, extra, capsys):
+        code = main(["reweight", data("fixture_scores.csv"), "--priors", data("fixture_priors.json"), *extra])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--window and --reestimate-every apply only with --confusion" in captured.err
+
     def test_unknown_truth_label_names_line(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
         scores.write_text("label,s_a,s_b,s_c\nzzz,0.6,0.3,0.1\n", encoding="utf-8")
@@ -662,6 +672,35 @@ class TestEvaluate:
         assert code == 0
         assert read_bytes(out) == read_bytes(data("golden_evaluate_seed7.json"))
 
+    @pytest.mark.parametrize("argv", [
+        ["evaluate", "--folds", "2", "--window", "0", "--reestimate-every", "0"],
+        ["evaluate", "--folds", "2", "--reestimate-every", "50"],
+        ["evaluate", "SCENARIO", "--folds", "2", "--window", "0", "--reestimate-every", "-5"],
+        ["evaluate", "SCENARIO", "--folds", "2", "--window", "8"],
+    ])
+    def test_refuses_drift_options_without_drift(self, argv, tmp_path, capsys):
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(_SCENARIO), encoding="utf-8")
+        assert main([str(scen) if a == "SCENARIO" else a for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--window and --reestimate-every apply only to drift scenarios" in captured.err
+
+    def test_drift_cadence_defaults_to_50(self, tmp_path, capsys):
+        scen = data("fixture_scenario.json")
+        assert main(["evaluate", scen]) == 0
+        default = capsys.readouterr().out
+        assert main(["evaluate", scen, "--reestimate-every", "50"]) == 0
+        assert capsys.readouterr().out == default
+        assert main(["evaluate", scen, "--reestimate-every", "0"]) == 2
+
+    @pytest.mark.parametrize("folds", ["151", "1000"])
+    def test_folds_beyond_suite_pool_exit_2(self, folds, capsys):
+        assert main(["evaluate", "--folds", folds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--folds {folds} exceeds the smallest pool, 150 records" in captured.err
+
     def test_drift_scenario_reports_segments(self, tmp_path, capsys):
         code = main(["evaluate", data("fixture_scenario.json"), "--window", "8"])
         assert code == 0
@@ -794,8 +833,8 @@ class TestEntryPoint:
             doc = json.load(fp)
         with open(scores, encoding="utf-8") as fp:
             rows = len(fp.read().splitlines()) - 1
-        assert doc["spans"]["estimators.qp"]["calls"] == rows // 2
-        assert len(doc["solves"]) == rows // 2
+        assert doc["spans"]["estimators.qp"]["calls"] == (rows - 1) // 2
+        assert len(doc["solves"]) == (rows - 1) // 2
 
     def test_runtime_never_loads_scipy(self, tmp_path):
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))

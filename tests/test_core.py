@@ -11,17 +11,21 @@ from prioradapt import (
     ConfusionMatrix,
     DecisionHistogram,
     DimensionError,
+    DriftSegment,
     InsufficientDataError,
+    PrecisionRecallTable,
     PriorEstimate,
+    ScenarioSpec,
     ScoreRecord,
     ValidationError,
     decide_adapted,
     decide_baseline,
+    estimate_qp,
     reweight,
     reweight_normalized,
     uniform_estimate,
 )
-from prioradapt.core import decide_adapted_batch
+from prioradapt.core import PRIOR_SUM_TOL, SCORE_SUM_TOL, decide_adapted_batch
 
 from conftest import make_catalog
 
@@ -319,3 +323,47 @@ def test_uniform_estimate():
     est = uniform_estimate(4)
     assert est.method == "uniform"
     assert np.allclose(est.values, 0.25)
+
+
+class TestArrayIntake:
+    """Value types keep their own read-only copies and share one probability rule."""
+
+    @pytest.mark.parametrize("build, attrs", [
+        (
+            lambda a: ScenarioSpec(
+                catalog=make_catalog(3), active_classes=(0, 1), true_priors=a[0],
+                transfer_size=10, test_size=10,
+            ),
+            ("true_priors",),
+        ),
+        (lambda a: DriftSegment(start=1, priors=a[0]), ("priors",)),
+        (lambda a: PrecisionRecallTable(*a), ("precision", "recall", "undefined")),
+    ], ids=["ScenarioSpec", "DriftSegment", "PrecisionRecallTable"])
+    def test_callers_arrays_stay_writable_and_apart(self, build, attrs):
+        arrays = [np.array([0.75, 0.25, 0.0]), np.array([0.25, 0.75, 0.0]), np.array([True, False, False])]
+        obj = build(arrays)
+        for name, array in zip(attrs, arrays):
+            before = array.copy()
+            array[0] = array[2]  # raises if the object froze the caller's array
+            stored = getattr(obj, name)
+            assert np.array_equal(stored, before)
+            assert not stored.flags.writeable
+
+    @pytest.mark.parametrize("build, tol", [
+        (ScoreRecord, SCORE_SUM_TOL),
+        (lambda v: PriorEstimate(v, method="naive"), PRIOR_SUM_TOL),
+        (lambda v: DriftSegment(start=1, priors=v), PRIOR_SUM_TOL),
+        (
+            lambda v: ScenarioSpec(
+                catalog=make_catalog(3), active_classes=(0, 1, 2), true_priors=v,
+                transfer_size=10, test_size=10,
+            ),
+            PRIOR_SUM_TOL,
+        ),
+        (lambda v: estimate_qp(ConfusionMatrix(make_catalog(3), np.eye(3)), v), SCORE_SUM_TOL),
+    ], ids=["ScoreRecord", "PriorEstimate", "DriftSegment", "ScenarioSpec", "estimators"])
+    def test_sum_tolerance(self, build, tol):
+        build(np.array([0.25 + tol / 2, 0.25, 0.5]))
+        with pytest.raises(ValidationError) as excinfo:
+            build(np.array([0.25 + 2 * tol, 0.25, 0.5]))
+        assert type(excinfo.value) is ValidationError

@@ -245,6 +245,38 @@ class TestCrossValidate:
         with pytest.raises(ValidationError, match="different catalogs"):
             cross_validate(spec, clf, folds=2)
 
+    def test_partial_fold_failures_average_the_passing_folds(self, monkeypatch):
+        # The QP fails in folds 1 and 3; its row reports the failures and
+        # the mean over folds 0 and 2.
+        rng = np.random.default_rng(14)
+        clf = make_classifier(random_confusion_rows(6, rng, 0.7, 0.8))
+        spec = uniform_scenario(clf.catalog, active=(0, 3), seed=9)
+        calls = itertools.count()
+        qp = harness.estimate_qp
+
+        def flaky_qp(conf, hist):
+            if next(calls) % 2:
+                raise IllConditionedError("injected failure")
+            return qp(conf, hist)
+
+        folds = []
+        split = harness._evaluate_split
+
+        def recorded_split(*args):
+            result = split(*args)
+            folds.append(result["quadratic_program"])
+            return result
+
+        monkeypatch.setattr(harness, "estimate_qp", flaky_qp)
+        monkeypatch.setattr(harness, "_evaluate_split", recorded_split)
+        row = {r.method: r for r in cross_validate(spec, clf, folds=4)}["quadratic_program"]
+        assert row.error == "failed in 2/4 folds: IllConditionedError: injected failure"
+        passing = folds[0::2]  # (accuracy, prior_l1_error) of each passing fold
+        assert row.accuracy == np.mean([acc for acc, _ in passing])
+        assert row.accuracy_std == np.std([acc for acc, _ in passing])
+        assert row.prior_l1_error == np.mean([l1 for _, l1 in passing])
+        assert row.folds == 4
+
     def test_ground_truth_variance_is_resampling_only(self):
         # The oracle row has no estimation noise, so its fold-to-fold std
         # must be within the binomial resampling scale of the test split.
@@ -418,7 +450,7 @@ class TestRunDriftScenario:
         monkeypatch.setattr(harness, "estimate_qp", flaky_qp)
         spec, clf = read_scenario_json(DATA_SCENARIO)
         rows = run_drift_scenario(spec, clf, window=None, reestimate_every=2)
-        failed = (spec.transfer_size + spec.test_size) // 2 // 2
+        failed = (spec.transfer_size + spec.test_size - 1) // 2 // 2
         message = f"{failed} re-estimates failed, kept previous priors: IllConditionedError: injected failure"
         assert [r.error for r in rows if r.method == "quadratic_program"] == [message] * 2
         assert [r.error for r in rows if r.method == "baseline"] == [None] * 2
