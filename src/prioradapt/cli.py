@@ -71,6 +71,7 @@ _SOLVER_ERRORS = (ConvergenceError, IllConditionedError, SingularMatrixError)
 _METHOD_BY_FLAG = {m.flag: m.name for m in METHODS if m.flag is not None}
 
 DEFAULT_SUITE_SEED = 20240
+DEFAULT_FOLDS = 10
 
 
 def _add_global_options(parser: argparse.ArgumentParser, for_subcommand: bool) -> None:
@@ -158,7 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
         "scenario", nargs="?", default=None,
         help="scenario JSON; omit for the built-in 12-scenario suite",
     )
-    p.add_argument("--folds", type=int, default=10, help="cross-validation folds")
+    p.add_argument(
+        "--folds", type=int, default=None,
+        help=f"cross-validation folds (default: {DEFAULT_FOLDS}); not for drift scenarios",
+    )
     p.add_argument("--window", type=int, default=None, help="window for drift scenarios")
     p.add_argument(
         "--reestimate-every", type=int, default=None,
@@ -224,8 +228,8 @@ def cmd_normalize(args) -> int:
 def _ingest_stream(args, conf) -> StreamMonitor:
     monitor = StreamMonitor(conf.catalog, window=args.window)
     if fileio.stream_kind(args.stream) == "decisions":
-        for decision in fileio.read_decision_stream(args.stream, conf.k):
-            monitor.ingest(decision)
+        for block in fileio.read_decision_stream(args.stream, conf.k):
+            monitor.ingest_many(block)
     else:
         catalog, records = fileio.read_score_records(args.stream)
         if catalog != conf.catalog:
@@ -465,14 +469,14 @@ def render_json(rows: list[EvaluationRow]) -> str:
 
 
 def cmd_evaluate(args) -> int:
-    if args.folds < 2:
-        raise ValidationError(f"--folds must be >= 2, got {args.folds}")
     spec = None
     if args.scenario is not None:
         spec, clf = fileio.read_scenario_json(args.scenario, seed_override=args.seed)
         if clf is None:
             raise ValidationError("scenario JSON needs a classifier section to evaluate")
     if spec is not None and spec.drift:
+        if args.folds is not None:
+            raise ValidationError("--folds applies only to cross-validation, not to drift scenarios")
         rows = run_drift_scenario(
             spec, clf,
             window=args.window if args.window is not None else spec.transfer_size,
@@ -480,16 +484,20 @@ def cmd_evaluate(args) -> int:
         )
     elif (args.window, args.reestimate_every) != (None, None):
         raise ValidationError("--window and --reestimate-every apply only to drift scenarios")
-    elif spec is not None:
-        rows = cross_validate(spec, clf, folds=args.folds)
     else:
-        suite = default_suite(
-            seed=args.seed if args.seed is not None else DEFAULT_SUITE_SEED
-        )
-        smallest = min(s.transfer_size + s.test_size for s in suite.scenarios)
-        if args.folds > smallest:
-            raise ValidationError(f"--folds {args.folds} exceeds the smallest pool, {smallest} records")
-        rows = evaluate_suite(suite, folds=args.folds)
+        folds = DEFAULT_FOLDS if args.folds is None else args.folds
+        if folds < 2:
+            raise ValidationError(f"--folds must be >= 2, got {folds}")
+        if spec is not None:
+            rows = cross_validate(spec, clf, folds=folds)
+        else:
+            suite = default_suite(
+                seed=args.seed if args.seed is not None else DEFAULT_SUITE_SEED
+            )
+            smallest = min(s.transfer_size + s.test_size for s in suite.scenarios)
+            if folds > smallest:
+                raise ValidationError(f"--folds {folds} exceeds the smallest pool, {smallest} records")
+            rows = evaluate_suite(suite, folds=folds)
     renderer = {"markdown": render_markdown, "csv": render_csv, "json": render_json}
     with _open_output(args.output) as fp:
         fp.write(renderer[args.format](rows))

@@ -23,6 +23,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from typing import IO, Iterator, Optional
 
 import numpy as np
@@ -105,19 +106,9 @@ def read_confusion_csv(path: str) -> ConfusionMatrix:
             if header is None:
                 raise ParseError("empty confusion file", path=path)
             labels = [h.strip() for h in header]
-            rows = []
-            for line_no, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != len(labels):
-                    raise ParseError(
-                        f"expected {len(labels)} columns, got {len(row)}",
-                        path=path, line=line_no,
-                    )
-                try:
-                    rows.append([float(x) for x in row])
-                except ValueError as exc:
-                    raise ParseError(str(exc), path=path, line=line_no) from None
+            rows = _confusion_block(path, len(labels), reader.line_num)
+            if rows is None:
+                rows = np.array(_confusion_rows(reader, len(labels), path))
     if len(rows) != len(labels):
         raise ParseError(
             f"confusion matrix must be square: {len(labels)} labels but {len(rows)} rows",
@@ -125,9 +116,43 @@ def read_confusion_csv(path: str) -> ConfusionMatrix:
         )
     try:
         catalog = ClassCatalog(tuple(labels))
-        return ConfusionMatrix(catalog, np.array(rows))
+        return ConfusionMatrix(catalog, rows)
     except PriorAdaptError as exc:
         raise ParseError(str(exc), path=path) from exc
+
+
+def _confusion_block(path: str, k: int, header_lines: int) -> Optional[np.ndarray]:
+    """The data rows in one ``loadtxt`` call, or None when they are not a plain K x K block.
+
+    ``loadtxt`` refuses quoted cells, empty cells, undecodable bytes and the
+    spellings only ``float`` accepts (``1_0``, non-ASCII digits); the caller
+    then reads the rows with :func:`_confusion_rows`, which accepts those and
+    names the line of a real error.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = np.loadtxt(
+                path, dtype=np.float64, delimiter=",", skiprows=header_lines,
+                comments=None, ndmin=2, encoding="utf-8",
+            )
+    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
+        return None
+    return rows if rows.shape == (k, k) else None
+
+
+def _confusion_rows(reader, k: int, path: str) -> list[list[float]]:
+    rows = []
+    for line_no, row in enumerate(reader, start=2):
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        if len(row) != k:
+            raise ParseError(f"expected {k} columns, got {len(row)}", path=path, line=line_no)
+        try:
+            rows.append([float(x) for x in row])
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=line_no) from None
+    return rows
 
 
 def write_confusion_csv(conf: ConfusionMatrix, fp: IO[str]) -> None:
@@ -245,24 +270,54 @@ def stream_kind(path: str) -> str:
     raise ParseError("empty stream file", path=path)
 
 
-def read_decision_stream(path: str, k: int) -> Iterator[int]:
+_DECISION_BLOCK_CHARS = 1 << 14
+
+
+def read_decision_stream(path: str, k: int) -> Iterator[np.ndarray]:
+    """Yield a decision stream's class indices, one int64 array per block of lines.
+
+    Each block of about 16 KiB is parsed in one ``loadtxt`` call.  A block
+    it refuses, or one holding an index outside [0, k), is read again line
+    by line with :func:`_decision`, which raises the :class:`ParseError`
+    naming the bad line.
+    """
     with open(path, "r", encoding="utf-8") as fp, _text_errors(path):
-        for line_no, line in enumerate(fp, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                value = int(stripped)
-            except ValueError:
-                raise ParseError(
-                    f"expected a class index, got {stripped!r}", path=path, line=line_no
-                ) from None
-            if value < 0 or value >= k:
-                raise ParseError(
-                    f"class index {value} out of range for {k} classes",
-                    path=path, line=line_no,
-                )
-            yield value
+        line_no = 1
+        while lines := fp.readlines(_DECISION_BLOCK_CHARS):
+            yield _decision_block(lines, k, path, line_no)
+            line_no += len(lines)
+
+
+def _decision_block(lines: list[str], k: int, path: str, line_no: int) -> np.ndarray:
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # "input contained no data" on blank lines
+            values = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
+        if values.shape[1] == 1 and values.min() >= 0 and values.max() < k:
+            return values[:, 0]
+    except (ValueError, Warning):
+        pass
+    decisions = (_decision(line, k, path, n) for n, line in enumerate(lines, start=line_no))
+    return np.array([d for d in decisions if d is not None], dtype=np.int64)
+
+
+def _decision(line: str, k: int, path: str, line_no: int) -> Optional[int]:
+    """One line's class index, or None for a blank line."""
+    stripped = line.strip()
+    if not stripped:
+        return None
+    try:
+        value = int(stripped)
+    except ValueError:
+        raise ParseError(
+            f"expected a class index, got {stripped!r}", path=path, line=line_no
+        ) from None
+    if value < 0 or value >= k:
+        raise ParseError(
+            f"class index {value} out of range for {k} classes",
+            path=path, line=line_no,
+        )
+    return value
 
 
 # ---------------------------------------------------------------------------

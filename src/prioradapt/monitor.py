@@ -9,7 +9,6 @@ class mixture drifts over time.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Optional
 
 import numpy as np
@@ -38,7 +37,12 @@ class StreamMonitor:
         self.catalog = catalog
         self.window = window
         self._counts = np.zeros(catalog.k, dtype=np.int64)
-        self._ring: Optional[deque[int]] = deque() if window is not None else None
+        # Decision number n sits in slot n % window.  The ring grows to the
+        # window length as decisions arrive, so a long window costs no
+        # memory up front.
+        self._ring: Optional[np.ndarray] = (
+            np.empty(0, dtype=np.int64) if window is not None else None
+        )
         self._seen = 0
 
     @property
@@ -54,12 +58,54 @@ class StreamMonitor:
                 f"decision index {decision} out of range for {self.catalog.k} classes"
             )
         if self._ring is not None:
-            if len(self._ring) == self.window:
-                evicted = self._ring.popleft()
-                self._counts[evicted] -= 1
-            self._ring.append(decision)
+            slot = self._seen % self.window
+            if self._seen >= self.window:
+                self._counts[self._ring[slot]] -= 1
+            else:
+                self._reserve(slot + 1)
+            self._ring[slot] = decision
         self._counts[decision] += 1
         self._seen += 1
+
+    def ingest_many(self, decisions) -> None:
+        """Count a batch of decisions, as ``ingest`` would one at a time.
+
+        The whole batch is checked first: an index out of range raises
+        :class:`ValidationError` and leaves the monitor unchanged.
+        """
+        batch = np.asarray(decisions, dtype=np.int64)
+        if batch.ndim != 1:
+            raise DimensionError(f"decisions must be one-dimensional, got shape {batch.shape}")
+        bad = (batch < 0) | (batch >= self.catalog.k)
+        if bad.any():
+            raise ValidationError(
+                f"decision index {batch[bad.argmax()]} out of range for {self.catalog.k} classes"
+            )
+        counted = batch
+        if self._ring is not None:
+            # Only the last `window` decisions of the batch enter the ring;
+            # the ones before them would be evicted within the batch.
+            window = self.window
+            counted = batch[-window:]
+            filled = min(self._seen, window)
+            oldest = self._seen - filled
+            evicted = max(0, filled + len(counted) - window)
+            self._counts -= np.bincount(
+                self._ring[np.arange(oldest, oldest + evicted) % window],
+                minlength=self.catalog.k,
+            )
+            start = self._seen + len(batch) - len(counted)
+            self._reserve(min(start + len(counted), window))
+            self._ring[np.arange(start, start + len(counted)) % window] = counted
+        self._counts += np.bincount(counted, minlength=self.catalog.k)
+        self._seen += len(batch)
+
+    def _reserve(self, n: int) -> None:
+        """Grow the ring to hold at least ``n`` slots, doubling up to the window length."""
+        if n > len(self._ring):
+            grown = np.empty(min(self.window, max(n, 2 * len(self._ring))), dtype=np.int64)
+            grown[: len(self._ring)] = self._ring
+            self._ring = grown
 
     def ingest_scored(self, record: ScoreRecord) -> int:
         """Count a score record's baseline decision and return it."""

@@ -34,6 +34,12 @@ def data(name: str) -> str:
     return os.path.join(DATA, name)
 
 
+def src_env(**extra) -> dict:
+    """The environment for a child ``python -m prioradapt``, with ``src`` on the path."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    return dict(os.environ, PYTHONPATH=os.path.join(root, "src"), **extra)
+
+
 def read_bytes(path: str) -> bytes:
     with open(path, "rb") as fp:
         return fp.read()
@@ -625,6 +631,20 @@ class TestEvaluate:
     def test_rejects_single_fold(self, tmp_path):
         assert main(["evaluate", data("fixture_scenario.json"), "--folds", "1"]) == 2
 
+    @pytest.mark.parametrize("folds", ["0", "1"])
+    def test_suite_rejects_fewer_than_two_folds(self, folds, capsys):
+        assert main(["evaluate", "--folds", folds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--folds must be >= 2, got {folds}" in captured.err
+
+    @pytest.mark.parametrize("folds", ["1", "7", "10"])
+    def test_refuses_folds_on_drift_scenario(self, folds, capsys):
+        assert main(["evaluate", data("fixture_scenario.json"), "--folds", folds]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--folds applies only to cross-validation, not to drift scenarios" in captured.err
+
     def test_csv_format(self, tmp_path, capsys):
         doc = {
             "labels": ["a", "b", "c"],
@@ -657,7 +677,7 @@ class TestEvaluate:
     def test_json_independent_of_hash_seed(self):
         outputs = []
         for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env = src_env(PYTHONHASHSEED=hash_seed)
             proc = subprocess.run(
                 [sys.executable, "-m", "prioradapt", "--format", "json", "evaluate", "--folds", "2"],
                 capture_output=True, env=env,
@@ -780,6 +800,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "prioradapt", "normalize", data("fixture_confusion_raw.csv")],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "a,b"
@@ -858,6 +879,7 @@ class TestEntryPoint:
             [sys.executable, "-m", "prioradapt", "frobnicate"],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 2
 

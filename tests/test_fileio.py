@@ -1,15 +1,21 @@
 """CSV and JSON formats: parsing, validation messages, round trips."""
 
+import csv
 import io
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from prioradapt import ClassCatalog, ConfusionMatrix, ParseError
+from prioradapt import ClassCatalog, ConfusionMatrix, ParseError, PriorAdaptError
 from prioradapt.estimators import estimate_naive
 from prioradapt.core import DecisionHistogram
 from prioradapt.fileio import (
+    _text_errors,
     format_float,
     priors_document,
     read_confusion_csv,
@@ -141,7 +147,7 @@ class TestScoresCsv:
 class TestDecisionStream:
     def test_reads_indices(self, tmp_path):
         path = write(tmp_path, "d.txt", "0\n2\n1\n\n2\n")
-        assert list(read_decision_stream(path, 3)) == [0, 2, 1, 2]
+        assert np.concatenate(list(read_decision_stream(path, 3))).tolist() == [0, 2, 1, 2]
 
     def test_out_of_range(self, tmp_path):
         path = write(tmp_path, "d.txt", "0\n7\n")
@@ -161,6 +167,147 @@ class TestDecisionStream:
         empty = write(tmp_path, "e.txt", "\n")
         with pytest.raises(ParseError):
             stream_kind(empty)
+
+
+# Line-at-a-time readers, kept as the references for the block readers.
+
+def reference_decision_stream(path, k):
+    with open(path, "r", encoding="utf-8") as fp:
+        for line_no, line in enumerate(fp, start=1):
+            stripped = line.strip()
+            if not stripped:
+                continue
+            try:
+                value = int(stripped)
+            except ValueError:
+                raise ParseError(
+                    f"expected a class index, got {stripped!r}", path=path, line=line_no
+                ) from None
+            if value < 0 or value >= k:
+                raise ParseError(
+                    f"class index {value} out of range for {k} classes",
+                    path=path, line=line_no,
+                )
+            yield value
+
+
+def reference_confusion_csv(path):
+    with open(path, "r", encoding="utf-8", newline="") as fp:
+        reader = csv.reader(fp)
+        with _text_errors(path, reader):
+            header = next(reader, None)
+            if header is None:
+                raise ParseError("empty confusion file", path=path)
+            labels = [h.strip() for h in header]
+            rows = []
+            for line_no, row in enumerate(reader, start=2):
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                if len(row) != len(labels):
+                    raise ParseError(
+                        f"expected {len(labels)} columns, got {len(row)}",
+                        path=path, line=line_no,
+                    )
+                try:
+                    rows.append([float(x) for x in row])
+                except ValueError as exc:
+                    raise ParseError(str(exc), path=path, line=line_no) from None
+    if len(rows) != len(labels):
+        raise ParseError(
+            f"confusion matrix must be square: {len(labels)} labels but {len(rows)} rows",
+            path=path,
+        )
+    try:
+        catalog = ClassCatalog(tuple(labels))
+        return ConfusionMatrix(catalog, np.array(rows))
+    except PriorAdaptError as exc:
+        raise ParseError(str(exc), path=path) from exc
+
+
+def outcome(read, text):
+    """What ``read`` makes of a file holding ``text``: a value, or (type, message)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in")
+        with open(path, "wb") as fp:
+            fp.write(text.encode("utf-8"))
+        try:
+            return read(path)
+        except PriorAdaptError as exc:
+            return type(exc), str(exc).replace(path, "PATH")
+
+
+_DECISION_TOKENS = [
+    *"0123456789", "12", "+1", "-1", "1_0", "\u0663", "1 2", "0.5", "nan", "#", ",", '"', "\x00",
+    " ", "\t", "\x0b", "\x0c", "\x1c", "\x85", "\u00a0", "\u2028",
+    "\r", "\n", "\r\n",
+]
+# Most lines should hold a valid index, so that whole blocks get accepted.
+_decision_tokens = st.one_of(
+    st.sampled_from("0123456789"), st.just("\n"), st.sampled_from(_DECISION_TOKENS)
+)
+
+_CONFUSION_HEADERS = ["a,b\n", "a,b\r\n", '"a\nx",b\n', "a,b,c\n"]
+_CONFUSION_CELLS = [
+    "0", "1", "2", "0.25", "3e-1", "nan", "inf", "1e999", "1_0", " 1 ", "\t0.5", '"1"', "",
+]
+
+
+@st.composite
+def confusion_texts(draw):
+    """A header, then rows that mostly have two numeric cells."""
+    cell = st.one_of(st.sampled_from(["0", "1", "0.5", "7"]), st.sampled_from(_CONFUSION_CELLS))
+    width = st.sampled_from([2, 2, 2, 2, 1, 3])
+    row = width.flatmap(lambda n: st.lists(cell, min_size=n, max_size=n)).map(",".join)
+    rows = draw(st.sampled_from([2, 2, 2, 1, 3]).flatmap(
+        lambda n: st.lists(row, min_size=n, max_size=n)
+    ))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(["", " "])))
+    ends = st.sampled_from(["\n", "\n", "\r\n"])
+    body = "".join(row + draw(ends) for row in rows)
+    return draw(st.sampled_from(_CONFUSION_HEADERS)) + body
+
+
+class TestBlockReadersMatchLineReaders:
+    @given(st.lists(_decision_tokens, max_size=60), st.integers(1, 15))
+    @settings(max_examples=400, deadline=None)
+    def test_decision_stream(self, tokens, k):
+        def blocks(path):
+            return np.concatenate([np.empty(0, np.int64), *read_decision_stream(path, k)]).tolist()
+
+        def lines(path):
+            return list(reference_decision_stream(path, k))
+
+        text = "".join(tokens)
+        assert outcome(blocks, text) == outcome(lines, text)
+
+    def test_decision_stream_across_blocks(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.integers(0, 7, 50_000)
+        lines = [f"{v}\n" for v in values]
+        lines[9_999] = "\u0663\n"  # accepted by int() only
+        lines[20_000] = "\n"
+        path = write(tmp_path, "d.txt", "".join(lines))
+        blocks = list(read_decision_stream(path, 7))
+        assert len(blocks) > 1
+        assert np.concatenate(blocks).tolist() == list(reference_decision_stream(path, 7))
+        lines[41_234] = "7\n"
+        path = write(tmp_path, "d.txt", "".join(lines))
+        with pytest.raises(ParseError, match=r"d\.txt:41235: class index 7 out of range"):
+            list(read_decision_stream(path, 7))
+
+    @given(confusion_texts())
+    @settings(max_examples=400, deadline=None)
+    def test_confusion_csv(self, text):
+        def read(reader):
+            def run(path):
+                conf = reader(path)
+                return conf.catalog.labels, conf.rows.tobytes()
+            return run
+
+        assert outcome(read(read_confusion_csv), text) == outcome(
+            read(reference_confusion_csv), text
+        )
 
 
 class TestPriorsJson:

@@ -39,6 +39,19 @@ class TestIngest:
         with pytest.raises(ValidationError):
             monitor.ingest(-1)
 
+    @pytest.mark.parametrize("window", [None, 2])
+    def test_out_of_range_batch_leaves_monitor_unchanged(self, window):
+        monitor = StreamMonitor(make_catalog(3), window=window)
+        monitor.ingest_many([0, 1, 1])
+        before = monitor.snapshot().counts
+        for batch, bad in (([2, 3, 0], 3), ([0, -1], -1)):
+            with pytest.raises(ValidationError, match=f"decision index {bad} out of range"):
+                monitor.ingest_many(batch)
+            assert np.array_equal(monitor.snapshot().counts, before)
+            assert monitor.decisions_seen == 3
+        monitor.ingest_many([2])
+        assert np.array_equal(monitor.snapshot().counts, [0, 1, 1] if window else [1, 2, 1])
+
     def test_totals(self):
         monitor = StreamMonitor(make_catalog(2), window=3)
         for d in (0, 1, 0, 1, 1):
@@ -126,13 +139,25 @@ class TestStreamProperties:
 
     @given(
         st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=300),
-        st.integers(min_value=1, max_value=20),
+        st.none() | st.integers(min_value=1, max_value=20),
+        st.lists(st.integers(min_value=0, max_value=45), max_size=30),
     )
     @settings(max_examples=100, deadline=None)
-    def test_window_matches_brute_force_all_prefixes(self, decisions, window):
+    def test_window_matches_brute_force_all_prefixes(self, decisions, window, sizes):
+        # Decisions arrive in batches of the given sizes, a size of 1 through
+        # ingest, then one at a time once the sizes run out.
         monitor = StreamMonitor(make_catalog(4), window=window)
-        for i, d in enumerate(decisions):
-            monitor.ingest(d)
-            tail = decisions[max(0, i + 1 - window): i + 1]
-            expected = np.bincount(tail, minlength=4)
-            assert np.array_equal(monitor.snapshot().counts, expected)
+        sizes = iter(sizes)
+        i = 0
+        while i < len(decisions):
+            size = next(sizes, 1)
+            if size == 1:
+                monitor.ingest(decisions[i])
+            else:
+                monitor.ingest_many(np.array(decisions[i: i + size], dtype=np.int64))
+            i = min(i + size, len(decisions))
+            tail = decisions[max(0, i - (window or i)): i]
+            assert monitor.decisions_seen == i
+            if tail:
+                expected = np.bincount(tail, minlength=4)
+                assert np.array_equal(monitor.snapshot().counts, expected)
