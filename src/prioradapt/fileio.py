@@ -22,6 +22,7 @@ import csv
 import json
 import math
 import os
+import stat
 import sys
 import warnings
 from typing import IO, Iterator, Optional
@@ -129,6 +130,8 @@ def _confusion_block(path: str, k: int, header_lines: int) -> Optional[np.ndarra
     then reads the rows with :func:`_confusion_rows`, which accepts those and
     names the line of a real error.
     """
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None  # opened again, a pipe would not give back the bytes already read
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")

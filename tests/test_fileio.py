@@ -5,6 +5,7 @@ import io
 import json
 import os
 import tempfile
+import threading
 
 import numpy as np
 import pytest
@@ -86,6 +87,23 @@ class TestConfusionCsv:
         path = write(tmp_path, "c.csv", "")
         with pytest.raises(ParseError, match="empty"):
             read_confusion_csv(path)
+
+    def test_reads_a_pipe(self, tmp_path):
+        conf = random_confusion(60, np.random.default_rng(2))
+        buf = io.StringIO()
+        write_confusion_csv(conf, buf)
+        assert len(buf.getvalue()) > 1 << 16  # more than one read of the pipe
+        fifo = tmp_path / "c.csv"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_text, args=(buf.getvalue(),), daemon=True)
+        writer.start()
+        try:
+            again = read_confusion_csv(str(fifo))
+        finally:
+            writer.join(timeout=10)
+        assert not writer.is_alive()
+        plain = read_confusion_csv(write(tmp_path, "plain.csv", buf.getvalue()))
+        assert again.rows.tobytes() == plain.rows.tobytes()
 
 
 class TestScoresCsv:
