@@ -132,16 +132,23 @@ def _confusion_block(path: str, k: int, header_lines: int) -> Optional[np.ndarra
     """
     if not stat.S_ISREG(os.stat(path).st_mode):
         return None  # opened again, a pipe would not give back the bytes already read
+    rows = _loadtxt(
+        path, dtype=np.float64, delimiter=",", skiprows=header_lines, encoding="utf-8"
+    )
+    return rows if rows is not None and rows.shape == (k, k) else None
+
+
+def _loadtxt(source, **options) -> Optional[np.ndarray]:
+    """``np.loadtxt`` into a 2-D array, or None for input it refuses or warns about.
+
+    It warns, for one, that a block of blank lines "contained no data".
+    """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows = np.loadtxt(
-                path, dtype=np.float64, delimiter=",", skiprows=header_lines,
-                comments=None, ndmin=2, encoding="utf-8",
-            )
+            return np.loadtxt(source, comments=None, ndmin=2, **options)
     except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
         return None
-    return rows if rows.shape == (k, k) else None
 
 
 def _confusion_rows(reader, k: int, path: str) -> list[list[float]]:
@@ -292,14 +299,9 @@ def read_decision_stream(path: str, k: int) -> Iterator[np.ndarray]:
 
 
 def _decision_block(lines: list[str], k: int, path: str, line_no: int) -> np.ndarray:
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # "input contained no data" on blank lines
-            values = np.loadtxt(lines, dtype=np.int64, comments=None, ndmin=2)
-        if values.shape[1] == 1 and values.min() >= 0 and values.max() < k:
-            return values[:, 0]
-    except (ValueError, Warning):
-        pass
+    values = _loadtxt(lines, dtype=np.int64)
+    if values is not None and values.shape[1] == 1 and values.min() >= 0 and values.max() < k:
+        return values[:, 0]
     decisions = (_decision(line, k, path, n) for n, line in enumerate(lines, start=line_no))
     return np.array([d for d in decisions if d is not None], dtype=np.int64)
 

@@ -49,6 +49,8 @@ class TestIngest:
                 monitor.ingest_many(batch)
             assert np.array_equal(monitor.snapshot().counts, before)
             assert monitor.decisions_seen == 3
+        with pytest.raises(DimensionError):
+            monitor.ingest_many([[2]])
         monitor.ingest_many([2])
         assert np.array_equal(monitor.snapshot().counts, [0, 1, 1] if window else [1, 2, 1])
 
