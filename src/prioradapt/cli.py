@@ -22,16 +22,17 @@ import tempfile
 from functools import partial
 from typing import Optional
 
+import numpy as np
+
 from . import fileio
 from .core import (
     METHODS,
     AdaptedPolicy,
     PriorEstimate,
-    decide_adapted,
-    decide_baseline,
-    reweight,
-    reweight_normalized,
+    reweight_batch,
 )
+# Bound here, though unused, because bench/traced.py patches these names.
+from .core import decide_adapted, decide_baseline, reweight, reweight_normalized
 from .errors import (
     ConvergenceError,
     IllConditionedError,
@@ -227,17 +228,18 @@ def cmd_normalize(args) -> int:
 
 def _ingest_stream(args, conf) -> StreamMonitor:
     monitor = StreamMonitor(conf.catalog, window=args.window)
-    if fileio.stream_kind(args.stream) == "decisions":
-        for block in fileio.read_decision_stream(args.stream, conf.k):
+    with fileio.TextInput(args.stream) as stream:
+        if fileio.stream_kind(stream) == "decisions":
+            blocks = fileio.read_decision_stream(stream, conf.k)
+        else:
+            catalog, rows = fileio.read_score_records(stream)
+            if catalog != conf.catalog:
+                raise ValidationError(
+                    "scores CSV classes do not match the confusion matrix classes"
+                )
+            blocks = (scores.argmax(axis=1) for scores, _ in rows)
+        for block in blocks:
             monitor.ingest_many(block)
-    else:
-        catalog, records = fileio.read_score_records(args.stream)
-        if catalog != conf.catalog:
-            raise ValidationError(
-                "scores CSV classes do not match the confusion matrix classes"
-            )
-        for _, record in records:
-            monitor.ingest_scored(record)
     return monitor
 
 
@@ -282,15 +284,10 @@ def _reweight_header(catalog) -> str:
     return f"baseline,adapted,{raw},{norm}\n"
 
 
-def _reweight_row(record, policy) -> str:
-    baseline = decide_baseline(record)
-    adapted = decide_adapted(record, policy)
-    raw = reweight(record, policy)
-    norm = reweight_normalized(record, policy)
-    cells = [str(baseline), str(adapted)]
-    cells += [fileio.format_float(v) for v in raw]
-    cells += [fileio.format_float(v) for v in norm]
-    return ",".join(cells) + "\n"
+def _reweight_rows(scores, policy) -> str:
+    adapted, raw, norm = reweight_batch(scores, policy)
+    # Class indices are exact in float64, and %.17g prints them as integers.
+    return fileio.format_rows(np.column_stack([scores.argmax(axis=1), adapted, raw, norm]))
 
 
 def cmd_reweight(args) -> int:
@@ -302,36 +299,37 @@ def cmd_reweight(args) -> int:
         if args.reestimate_every is None or args.reestimate_every < 1:
             raise ValidationError("--confusion requires --reestimate-every N (N >= 1)")
         conf = fileio.read_confusion_csv(args.confusion)
-    if os.path.getsize(args.scores) == 0:
-        # An empty stream re-weights to an empty stream.  With no header the
-        # priors' class labels cannot be checked, but the file must be JSON.
-        if args.priors is not None:
-            fileio.read_json(args.priors)
-        with _open_output(args.output) as fp:
-            pass
-        return EXIT_OK
+    with fileio.TextInput(args.scores) as stream:
+        if stream.empty():
+            # An empty stream re-weights to an empty stream.  With no header the
+            # priors' class labels cannot be checked, but the file must be JSON.
+            if args.priors is not None:
+                fileio.read_json(args.priors)
+            with _open_output(args.output) as fp:
+                pass
+            return EXIT_OK
 
-    warn = (lambda msg: _note(args, f"warning: {msg}")) if args.lenient else None
-    catalog, rows = fileio.read_score_records(args.scores, args.lenient, warn)
-    records = (record for _, record in rows)
-    if args.priors is not None:
-        method = _METHOD_BY_FLAG[args.method] if args.method else None
-        values, tag = fileio.read_priors_json(args.priors, catalog, method)
-        policy = AdaptedPolicy.from_priors(PriorEstimate(values / values.sum(), method=tag))
-        pairs = ((record, policy) for record in records)
-    else:
-        # Live mode: re-estimate from the running histogram every N records.
-        if conf.catalog != catalog:
-            raise ValidationError("scores CSV classes do not match the confusion matrix classes")
-        pairs = adapt(
-            records, StreamMonitor(catalog, window=args.window),
-            partial(estimator(conf), _METHOD_BY_FLAG[args.method or "qp"]), args.reestimate_every,
-            lambda exc: _note(args, f"warning: keeping previous priors: {exc}"),
-        )
-    with _open_output(args.output) as fp:
-        fp.write(_reweight_header(catalog))
-        for record, policy in pairs:
-            fp.write(_reweight_row(record, policy))
+        warn = (lambda msg: _note(args, f"warning: {msg}")) if args.lenient else None
+        catalog, rows = fileio.read_score_records(stream, args.lenient, warn)
+        blocks = (scores for scores, _ in rows)
+        if args.priors is not None:
+            method = _METHOD_BY_FLAG[args.method] if args.method else None
+            values, tag = fileio.read_priors_json(args.priors, catalog, method)
+            policy = AdaptedPolicy.from_priors(PriorEstimate(values / values.sum(), method=tag))
+            parts = ((scores, policy) for scores in blocks)
+        else:
+            # Live mode: re-estimate from the running histogram every N records.
+            if conf.catalog != catalog:
+                raise ValidationError("scores CSV classes do not match the confusion matrix classes")
+            parts = adapt(
+                blocks, StreamMonitor(catalog, window=args.window),
+                partial(estimator(conf), _METHOD_BY_FLAG[args.method or "qp"]), args.reestimate_every,
+                lambda exc: _note(args, f"warning: keeping previous priors: {exc}"),
+            )
+        with _open_output(args.output) as fp:
+            fp.write(_reweight_header(catalog))
+            for scores, policy in parts:
+                fp.write(_reweight_rows(scores, policy))
     return EXIT_OK
 
 
@@ -355,7 +353,7 @@ def cmd_simulate(args) -> int:
             truth_fp.write(f"# segment {seg_no} from row {start}: {json.dumps(nonzero)}\n")
         truth_fp.write("index,label,segment\n")
         for index, record, segment in simulate_stream(spec, clf):
-            scores_fp.write(",".join(fileio.format_float(v) for v in record.scores) + "\n")
+            scores_fp.write(fileio.format_rows(record.scores[np.newaxis]))
             truth_fp.write(f"{index},{labels[record.true_label]},{segment}\n")
     _note(args, f"wrote {scores_path} and {truth_path}")
     return EXIT_OK

@@ -6,8 +6,9 @@ classes, multiplying each confidence score by an estimated class prior
 and taking the argmax recovers the Bayes-optimal decision under the new
 priors, without retraining.  This module holds the immutable value types
 the rest of the package is built on, plus the two decision rules.  The
-adapted rule also has a batch form, :func:`decide_adapted_batch`, which
-decides every row of an (N, K) score array in one array operation.
+adapted rule and the re-weighting also have batch forms,
+:func:`decide_adapted_batch` and :func:`reweight_batch`, which handle
+every row of an (N, K) score array in one array operation.
 
 All types are frozen dataclasses wrapping read-only numpy arrays; every
 operation is a pure function, so everything here is safe to share across
@@ -63,20 +64,35 @@ def readonly(a, dtype=np.float64) -> np.ndarray:
 def probability_vector(values, what: str, tol: float) -> np.ndarray:
     """A read-only copy of ``values`` once it is checked to be a probability vector.
 
-    It must have K >= 2 entries, all finite and in [0, 1], summing to 1
-    within ``tol``; otherwise :class:`ValidationError` is raised.
+    It must have K >= 2 entries that pass :func:`check_probability_rows`;
+    otherwise :class:`ValidationError` is raised.
     """
     v = readonly(values)
     if v.ndim != 1 or v.size < 2:
         raise ValidationError(f"{what} must be a vector of K >= 2 entries, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
-        raise ValidationError(f"{what} must be finite, got NaN or infinity")
-    if np.any(v < 0.0) or np.any(v > 1.0):
-        raise ValidationError(f"{what} must lie in [0, 1]")
-    total = float(v.sum())
-    if abs(total - 1.0) > tol:
-        raise ValidationError(f"{what} must sum to 1 within {tol}, got {total!r}")
+    check_probability_rows(v[np.newaxis], what, tol)
     return v
+
+
+def check_probability_rows(rows: np.ndarray, what: str, tol: float) -> None:
+    """Check that every row of an (N, K) array is a probability vector.
+
+    Each entry must be finite and in [0, 1], and each row must sum to 1
+    within ``tol``.  Otherwise :class:`ValidationError` is raised with the
+    first condition that the first failing row breaks.
+    """
+    finite = np.isfinite(rows).all(axis=1)
+    in_range = ((rows >= 0.0) & (rows <= 1.0)).all(axis=1)
+    totals = rows.sum(axis=1)
+    ok = finite & in_range & (np.abs(totals - 1.0) <= tol)
+    if ok.all():
+        return
+    row = int(ok.argmin())
+    if not finite[row]:
+        raise ValidationError(f"{what} must be finite, got NaN or infinity")
+    if not in_range[row]:
+        raise ValidationError(f"{what} must lie in [0, 1]")
+    raise ValidationError(f"{what} must sum to 1 within {tol}, got {float(totals[row])!r}")
 
 
 @dataclass(frozen=True)
@@ -341,18 +357,39 @@ def decide_adapted(
     return decision
 
 
+def _products(scores: np.ndarray, policy: AdaptedPolicy) -> np.ndarray:
+    if scores.ndim != 2 or scores.shape[1] != policy.k:
+        raise DimensionError(f"scores have shape {scores.shape}, expected (N, {policy.k})")
+    return scores * policy.priors.values
+
+
+def _adapted_decisions(scores: np.ndarray, products: np.ndarray) -> np.ndarray:
+    decisions = products.argmax(axis=1)
+    fell_back = ~np.any(products > 0.0, axis=1)
+    decisions[fell_back] = scores[fell_back].argmax(axis=1)
+    return decisions
+
+
 def decide_adapted_batch(scores: np.ndarray, policy: AdaptedPolicy) -> np.ndarray:
     """:func:`decide_adapted` applied to each row of an (N, K) score array.
 
     The rule is the same row by row: argmax of prior times score, ties to
     the lowest class index, and the row's baseline argmax where every
     product is zero.  Rows are not validated; pass scores that
-    :class:`ScoreRecord` accepted.
+    :func:`check_probability_rows` accepts.
     """
-    if scores.ndim != 2 or scores.shape[1] != policy.k:
-        raise DimensionError(f"scores have shape {scores.shape}, expected (N, {policy.k})")
-    products = scores * policy.priors.values
-    decisions = products.argmax(axis=1)
-    fell_back = ~np.any(products > 0.0, axis=1)
-    decisions[fell_back] = scores[fell_back].argmax(axis=1)
-    return decisions
+    return _adapted_decisions(scores, _products(scores, policy))
+
+
+def reweight_batch(
+    scores: np.ndarray, policy: AdaptedPolicy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The adapted decisions, raw products and normalized products of (N, K) scores.
+
+    Row by row these are :func:`decide_adapted`, :func:`reweight` and
+    :func:`reweight_normalized`, from one product per entry.
+    """
+    products = _products(scores, policy)
+    totals = products.sum(axis=1, keepdims=True)
+    normalized = np.divide(products, totals, out=products.copy(), where=totals > 0.0)
+    return _adapted_decisions(scores, products), products, normalized

@@ -19,22 +19,28 @@ from __future__ import annotations
 
 import contextlib
 import csv
+import io
+import itertools
 import json
 import math
 import os
 import stat
 import sys
 import warnings
+from functools import partial
 from typing import IO, Iterator, Optional
 
 import numpy as np
 
 from .core import (
     METHODS,
+    SCORE_SUM_TOL,
     ClassCatalog,
     ConfusionMatrix,
     PriorEstimate,
-    ScoreRecord,
+    ScoreRecord,  # unused; bound because bench/traced.py patches it
+    check_probability_rows,
+    probability_vector,
 )
 from .errors import ParseError, PriorAdaptError, ValidationError
 from .harness import (
@@ -50,18 +56,29 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def format_rows(rows: np.ndarray) -> str:
+    """An (n, K) array as n CSV lines of :func:`format_float` cells, each ending in ``\n``."""
+    n, k = rows.shape
+    return ((",".join(["%.17g"] * k) + "\n") * n) % tuple(rows.ravel().tolist())
+
+
 @contextlib.contextmanager
-def _text_errors(path: str, reader=None):
-    """Re-raise undecodable bytes, or a CSV ``reader``'s error, as a ParseError."""
+def _text_errors(path: str, reader=None, offset: int = 0):
+    """Re-raise undecodable bytes, or a CSV ``reader``'s error, as a ParseError.
+
+    ``offset`` is the number of lines before the first one ``reader`` reads.
+    """
     try:
         yield
     except UnicodeDecodeError:
         raise ParseError("not valid UTF-8", path=path, line=_first_non_utf8_line(path)) from None
     except csv.Error as exc:
-        raise ParseError(str(exc), path=path, line=reader.line_num) from None
+        raise ParseError(str(exc), path=path, line=offset + reader.line_num) from None
 
 
 def _first_non_utf8_line(path: str) -> Optional[int]:
+    if not stat.S_ISREG(os.stat(path).st_mode):
+        return None  # a pipe cannot be read again
     # A line break is one byte that never occurs inside a multi-byte UTF-8
     # sequence, so each line decodes on its own.
     with open(path, "rb") as fp:
@@ -153,27 +170,126 @@ def _loadtxt(source, **options) -> Optional[np.ndarray]:
 
 def _confusion_rows(reader, k: int, path: str) -> list[list[float]]:
     rows = []
-    for line_no, row in enumerate(reader, start=2):
+    for row in reader:
         if not row or (len(row) == 1 and not row[0].strip()):
             continue
         if len(row) != k:
-            raise ParseError(f"expected {k} columns, got {len(row)}", path=path, line=line_no)
+            raise ParseError(f"expected {k} columns, got {len(row)}", path=path, line=reader.line_num)
         try:
             rows.append([float(x) for x in row])
         except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=line_no) from None
+            raise ParseError(str(exc), path=path, line=reader.line_num) from None
     return rows
 
 
 def write_confusion_csv(conf: ConfusionMatrix, fp: IO[str]) -> None:
     fp.write(",".join(conf.catalog.labels) + "\n")
-    for row in conf.rows:
-        fp.write(",".join(format_float(x) for x in row) + "\n")
+    fp.write(format_rows(conf.rows))
 
 
 # ---------------------------------------------------------------------------
 # scores CSV and decision streams
 # ---------------------------------------------------------------------------
+
+class TextInput:
+    """A UTF-8 file or pipe, opened once and read as lines, a block at a time.
+
+    Lines split as ``open(path, newline="")`` splits them: at ``\\n``,
+    ``\\r\\n`` or a bare ``\\r``, and each line keeps its ending.  Bytes that
+    are not UTF-8 raise :class:`ParseError` naming their line, counted at
+    ``\\n`` bytes.  Iterating yields single lines; :meth:`block` hands out
+    the rest of the current block at once.  ``line_no`` counts the lines
+    handed out so far.
+    """
+
+    def __init__(self, path: str):
+        self.path = path
+        self.line_no = 0
+        self._fp = open(path, "rb")
+        self._lines: list[str] = []
+        self._pos = 0
+        self._raw_lines = 0
+
+    def __enter__(self) -> "TextInput":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self._fp.close()
+
+    def __iter__(self) -> "TextInput":
+        return self
+
+    def __next__(self) -> str:
+        if self._pos == len(self._lines) and not self._fill(_LINE_BLOCK_BYTES):
+            raise StopIteration
+        line = self._lines[self._pos]
+        self._pos += 1
+        self.line_no += 1
+        return line
+
+    def block(self, size: int) -> list[str]:
+        """The lines not yet handed out, reading a block of about ``size`` bytes if none are left.
+
+        An empty list means the input is exhausted.
+        """
+        if self._pos == len(self._lines):
+            self._fill(size)
+        block = self._lines[self._pos:] if self._pos else self._lines
+        self._lines, self._pos = [], 0
+        self.line_no += len(block)
+        return block
+
+    def empty(self) -> bool:
+        """Whether the input holds no bytes at all."""
+        return self._pos == len(self._lines) and not self._fill(_LINE_BLOCK_BYTES)
+
+    def first_line(self) -> Optional[str]:
+        """The first line that is not blank, or None; nothing is handed out."""
+        pos = self._pos
+        while pos < len(self._lines) or self._fill(_LINE_BLOCK_BYTES):
+            if self._lines[pos].strip():
+                return self._lines[pos]
+            pos += 1
+        return None
+
+    def _fill(self, size: int) -> bool:
+        """Append the next block's lines to those not handed out; False at the end of the input."""
+        data = self._fp.read(size)
+        if data and not data.endswith(b"\n"):
+            data += self._fp.readline()
+        if not data:
+            return False
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            # A line break never occurs inside a multi-byte UTF-8 sequence,
+            # so the first bad byte lies on the first line that fails alone.
+            line = self._raw_lines + data.count(b"\n", 0, exc.start) + 1
+            raise ParseError("not valid UTF-8", path=self.path, line=line) from None
+        self._raw_lines += data.count(b"\n")
+        lines = io.StringIO(text, newline="").readlines()
+        if self._pos == len(self._lines):
+            self._lines, self._pos = lines, 0
+        else:
+            self._lines += lines
+        return True
+
+
+#: Bytes per block of a scores CSV.
+_SCORE_BLOCK_BYTES = 1 << 16
+#: Bytes per block of a decision stream, and per read of lines one at a time.
+_LINE_BLOCK_BYTES = 1 << 14
+
+
+@contextlib.contextmanager
+def _opened(source):
+    """``source`` when it is an open :class:`TextInput`; otherwise one on that path, closed on exit."""
+    if isinstance(source, TextInput):
+        yield source
+        return
+    with TextInput(source) as stream:
+        yield stream
+
 
 def parse_scores_header(header: list[str], path: str) -> tuple[ClassCatalog, bool]:
     """Return (catalog, has_label_column) from a scores CSV header."""
@@ -193,43 +309,150 @@ def parse_scores_header(header: list[str], path: str) -> tuple[ClassCatalog, boo
 
 
 def read_score_records(
-    path: str,
+    source,
     lenient: bool = False,
     warn=None,
-) -> tuple[ClassCatalog, Iterator[tuple[int, ScoreRecord]]]:
-    """Return a scores CSV's catalog and a lazy iterator of (line_no, record).
+) -> tuple[ClassCatalog, Iterator[tuple[np.ndarray, np.ndarray]]]:
+    """Return a scores CSV's catalog and a lazy iterator of ``(scores, truth)`` blocks.
 
-    The header is read in a block of its own; the iterator opens the file
-    again and closes it when exhausted or closed, so a caller that fails
-    before iterating leaves no file open.  Malformed rows raise
-    :class:`ParseError` naming the line, or are skipped with a
-    ``warn(message)`` callback when ``lenient`` is set.
+    ``source`` is a path or an open :class:`TextInput`.  ``scores`` is an
+    (n, K) float64 array whose rows are probability vectors; ``truth`` is
+    an (n,) int64 array of class indices, -1 where the truth cell is empty
+    or absent.  The header is read before this returns.  A file opened
+    here is closed when the iterator is exhausted, closed or dropped.
+
+    A malformed row raises :class:`ParseError` naming its line, or is
+    skipped with a ``warn(message)`` callback when ``lenient`` is set; the
+    rows before it are yielded first either way.
     """
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
+    blocks = _score_blocks(source, lenient, warn)
+    return next(blocks), blocks
+
+
+def _score_blocks(source, lenient: bool, warn) -> Iterator:
+    """Yield the catalog, then the rows of :func:`read_score_records` in blocks.
+
+    Each block is parsed by one ``loadtxt`` call and checked at once.  A
+    block it refuses, or one with a bad row, is read again by
+    :func:`_csv_score_rows`, which names the bad line.  From the first
+    block holding a ``"``, the rest of the input goes to csv, because a
+    quoted cell may hold a line break.
+    """
+    with _opened(source) as stream:
+        path = stream.path
+        reader = csv.reader(stream)
         with _text_errors(path, reader):
             header = next(reader, None)
-    if header is None:
-        raise ParseError("empty scores file", path=path)
-    catalog, has_label = parse_scores_header(header, path)
+        if header is None:
+            raise ParseError("empty scores file", path=path)
+        catalog, has_label = parse_scores_header(header, path)
+        yield catalog
+        rows = partial(_csv_score_rows, catalog=catalog, has_label=has_label, path=path,
+                       lenient=lenient, warn=warn)
+        while lines := stream.block(_SCORE_BLOCK_BYTES):
+            first = stream.line_no - len(lines) + 1
+            if any('"' in line for line in lines):
+                yield from rows(itertools.chain(lines, stream), first)
+                return
+            block = _score_block(lines, catalog, has_label)
+            if block is None:
+                yield from rows(lines, first)
+            else:
+                yield block
 
-    def records() -> Iterator[tuple[int, ScoreRecord]]:
-        with open(path, "r", encoding="utf-8", newline="") as fp:
-            reader = csv.reader(fp)
-            with _text_errors(path, reader):
-                next(reader, None)  # the header, parsed above
-                for line_no, row in enumerate(reader, start=2):
-                    if not row or (len(row) == 1 and not row[0].strip()):
-                        continue
-                    try:
-                        yield line_no, _parse_score_row(row, catalog, has_label, path, line_no)
-                    except ParseError as exc:
-                        if not lenient:
-                            raise
-                        if warn is not None:
-                            warn(str(exc))
 
-    return catalog, records()
+def _score_block(
+    lines: list[str], catalog: ClassCatalog, has_label: bool
+) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """Unquoted score lines as ``(scores, truth)``; None if a row breaks a rule, or all are blank."""
+    lines = [line for line in lines if not line.isspace()]
+    if not lines:
+        return None
+    values = lines
+    truth = np.full(len(lines), -1, dtype=np.int64)
+    if has_label:
+        cells, _, values = zip(*(line.partition(",") for line in lines))
+        truth = _truth_column(cells, catalog)
+        if truth is None:
+            return None
+    scores = _loadtxt(list(values), dtype=np.float64, delimiter=",")
+    if scores is None or scores.shape != (len(lines), catalog.k):
+        return None
+    try:
+        check_probability_rows(scores, "scores", SCORE_SUM_TOL)
+    except ValidationError:
+        return None
+    return scores, truth
+
+
+def _truth_column(cells, catalog: ClassCatalog) -> Optional[np.ndarray]:
+    """Truth cells as class indices, -1 for an empty one; None if one names no class."""
+    index = {}
+    for cell in set(cells):
+        raw = cell.strip()
+        if not raw:
+            index[cell] = -1
+            continue
+        try:
+            label = _truth_index(raw, catalog)
+        except (ValueError, PriorAdaptError):
+            return None
+        if not 0 <= label < catalog.k:
+            return None
+        index[cell] = label
+    return np.array([index[cell] for cell in cells], dtype=np.int64)
+
+
+#: Rows the csv rule gathers before it yields them as a block.
+_CSV_BLOCK_ROWS = 1024
+
+
+def _csv_score_rows(
+    lines,
+    first: int,
+    catalog: ClassCatalog,
+    has_label: bool,
+    path: str,
+    lenient: bool,
+    warn,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield score rows parsed one at a time, ``lines`` starting at line ``first``.
+
+    The rows read before a bad one are yielded before it raises or warns,
+    so a consumer handles them first, as it would row by row.
+    """
+    reader = csv.reader(lines)
+    scores, truth = [], []
+
+    def gathered():
+        block = np.array(scores), np.array(truth, dtype=np.int64)
+        scores.clear()
+        truth.clear()
+        return block
+
+    while True:
+        with _text_errors(path, reader, first - 1):
+            row = next(reader, None)
+        if row is None:
+            break
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            values, label = _parse_score_row(row, catalog, has_label, path, first - 1 + reader.line_num)
+        except ParseError as exc:
+            if scores:
+                yield gathered()
+            if not lenient:
+                raise
+            if warn is not None:
+                warn(str(exc))
+            continue
+        scores.append(values)
+        truth.append(label)
+        if len(scores) == _CSV_BLOCK_ROWS:
+            yield gathered()
+    if scores:
+        yield gathered()
 
 
 def _parse_score_row(
@@ -238,24 +461,27 @@ def _parse_score_row(
     has_label: bool,
     path: str,
     line_no: int,
-) -> ScoreRecord:
+) -> tuple[np.ndarray, int]:
+    """One row's scores and truth index (-1 when absent), or the ParseError naming its line."""
     expected = catalog.k + (1 if has_label else 0)
     if len(row) != expected:
         raise ParseError(
             f"expected {expected} columns, got {len(row)}", path=path, line=line_no
         )
-    true_label: Optional[int] = None
+    label: Optional[int] = None
     values = row
     try:
         if has_label:
             raw = row[0].strip()
             values = row[1:]
             if raw:
-                true_label = _truth_index(raw, catalog)
-        scores = [float(x) for x in values]
-        return ScoreRecord(scores, true_label=true_label)
+                label = _truth_index(raw, catalog)
+        scores = probability_vector([float(x) for x in values], "scores", SCORE_SUM_TOL)
+        if label is not None and not 0 <= label < catalog.k:
+            raise ValidationError(f"true_label {label} out of range for {catalog.k} classes")
     except (ValueError, PriorAdaptError) as exc:
         raise ParseError(str(exc), path=path, line=line_no) from None
+    return scores, -1 if label is None else label
 
 
 def _truth_index(raw: str, catalog: ClassCatalog) -> int:
@@ -268,34 +494,33 @@ def _truth_index(raw: str, catalog: ClassCatalog) -> int:
         return int(raw)
 
 
-def stream_kind(path: str) -> str:
-    """Classify an input file as 'decisions' (index per line) or 'scores' CSV."""
-    with open(path, "r", encoding="utf-8") as fp, _text_errors(path):
-        for line in fp:
-            stripped = line.strip()
-            if not stripped:
-                continue
-            first = stripped.split(",")[0].strip()
-            return "decisions" if first.isdigit() and "," not in stripped else "scores"
-    raise ParseError("empty stream file", path=path)
+def stream_kind(source) -> str:
+    """Classify an input as 'decisions' (index per line) or 'scores' CSV.
+
+    ``source`` is a path or an open :class:`TextInput`; the lines read to
+    classify it are not handed out.
+    """
+    with _opened(source) as stream:
+        line = stream.first_line()
+        if line is None:
+            raise ParseError("empty stream file", path=stream.path)
+    stripped = line.strip()
+    first = stripped.split(",")[0].strip()
+    return "decisions" if first.isdigit() and "," not in stripped else "scores"
 
 
-_DECISION_BLOCK_CHARS = 1 << 14
-
-
-def read_decision_stream(path: str, k: int) -> Iterator[np.ndarray]:
+def read_decision_stream(source, k: int) -> Iterator[np.ndarray]:
     """Yield a decision stream's class indices, one int64 array per block of lines.
 
-    Each block of about 16 KiB is parsed in one ``loadtxt`` call.  A block
-    it refuses, or one holding an index outside [0, k), is read again line
-    by line with :func:`_decision`, which raises the :class:`ParseError`
-    naming the bad line.
+    ``source`` is a path or an open :class:`TextInput`.  Each block of
+    about 16 KiB is parsed in one ``loadtxt`` call.  A block it refuses,
+    or one holding an index outside [0, k), is read again line by line
+    with :func:`_decision`, which raises the :class:`ParseError` naming
+    the bad line.
     """
-    with open(path, "r", encoding="utf-8") as fp, _text_errors(path):
-        line_no = 1
-        while lines := fp.readlines(_DECISION_BLOCK_CHARS):
-            yield _decision_block(lines, k, path, line_no)
-            line_no += len(lines)
+    with _opened(source) as stream:
+        while lines := stream.block(_LINE_BLOCK_BYTES):
+            yield _decision_block(lines, k, stream.path, stream.line_no - len(lines) + 1)
 
 
 def _decision_block(lines: list[str], k: int, path: str, line_no: int) -> np.ndarray:

@@ -32,7 +32,7 @@ from .core import (
     DecisionHistogram,
     PriorEstimate,
     ScoreRecord,
-    decide_adapted,
+    decide_adapted,  # unused; bound because bench/traced.py patches it
     decide_adapted_batch,
     decide_baseline,
     probability_vector,
@@ -263,29 +263,37 @@ def estimator(conf: ConfusionMatrix) -> Callable[[str, DecisionHistogram], Prior
 
 
 def adapt(
-    records: Iterable[ScoreRecord],
+    blocks: Iterable[np.ndarray],
     monitor: StreamMonitor,
     estimate: Callable[[DecisionHistogram], PriorEstimate],
     every: int,
     on_failure: Callable[[PriorAdaptError], object],
-) -> Iterator[tuple[ScoreRecord, AdaptedPolicy]]:
-    """Yield each record with the policy in force, re-estimating every ``every`` records.
+) -> Iterator[tuple[np.ndarray, AdaptedPolicy]]:
+    """Yield ``(scores, policy)`` parts of (N, K) score blocks, re-estimating every ``every`` rows.
 
-    The policy starts uniform.  After a record is yielded its baseline
-    decision is counted in ``monitor``; before the record after every
-    ``every``-th, ``estimate(monitor.snapshot())`` becomes the policy.  An
-    estimate that raises :class:`PriorAdaptError` leaves the policy in
-    force and is passed to ``on_failure``.
+    The policy starts uniform.  Parts are cut at multiples of ``every``
+    rows.  After a part is yielded its baseline decisions are counted in
+    ``monitor``; before the row after every ``every``-th,
+    ``estimate(monitor.snapshot())`` becomes the policy, so each row is
+    decided under the policy in force before it is counted, and nothing is
+    estimated after the last row.  An estimate that raises
+    :class:`PriorAdaptError` leaves the policy in force and is passed to
+    ``on_failure``.
     """
     policy = AdaptedPolicy.from_priors(uniform_estimate(monitor.catalog.k))
-    for record in records:
-        if monitor.decisions_seen and monitor.decisions_seen % every == 0:
-            try:
-                policy = AdaptedPolicy.from_priors(estimate(monitor.snapshot()))
-            except PriorAdaptError as exc:
-                on_failure(exc)
-        yield record, policy
-        monitor.ingest_scored(record)
+    for scores in blocks:
+        start = 0
+        while start < len(scores):
+            seen = monitor.decisions_seen
+            if seen and seen % every == 0:
+                try:
+                    policy = AdaptedPolicy.from_priors(estimate(monitor.snapshot()))
+                except PriorAdaptError as exc:
+                    on_failure(exc)
+            part = scores[start:start + every - seen % every]
+            yield part, policy
+            monitor.ingest_many(part.argmax(axis=1))
+            start += len(part)
 
 
 def _evaluate_split(
@@ -509,13 +517,13 @@ def run_drift_scenario(
     """Prequential evaluation of a windowed monitor over a drifting stream.
 
     The stream runs through :func:`adapt`, the loop live ``reweight``
-    runs: every record is decided with the policy in force (uniform until
-    the first estimate), then its baseline decision is counted in a
-    windowed histogram, and the least-squares estimator re-runs every
-    ``reestimate_every`` records.  Accuracy is reported per drift segment,
-    baseline versus adapted; the adapted rows' ``error`` counts the
-    re-estimates that failed and kept the previous priors.  This goes
-    beyond the batch protocol the estimators were validated under, so
+    runs, as one block: every record is decided with the policy in force
+    (uniform until the first estimate), then its baseline decision is
+    counted in a windowed histogram, and the least-squares estimator
+    re-runs every ``reestimate_every`` records.  Accuracy is reported per
+    drift segment, baseline versus adapted; the adapted rows' ``error``
+    counts the re-estimates that failed and kept the previous priors.  This
+    goes beyond the batch protocol the estimators were validated under, so
     treat the rows as an extension rather than a reproduction.
     """
     _check_catalogs(spec, clf)
@@ -524,13 +532,14 @@ def run_drift_scenario(
     stream_ss, h_ss = np.random.SeedSequence(spec.seed).spawn(2)
     conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(h_ss))
     _, records, segments = zip(*simulate_stream(spec, clf, np.random.default_rng(stream_ss)))
+    scores, truth, baseline = _stack(records)
     failures: list[PriorAdaptError] = []
-    pairs = adapt(
-        records, StreamMonitor(spec.catalog, window=window),
+    parts = adapt(
+        [scores], StreamMonitor(spec.catalog, window=window),
         partial(estimator(conf), "quadratic_program"), reestimate_every, failures.append,
     )
-    decided = np.array([(decide_baseline(r), decide_adapted(r, p), r.true_label) for r, p in pairs])
-    hits = decided[:, :2] == decided[:, 2:]
+    adapted = np.concatenate([decide_adapted_batch(part, policy) for part, policy in parts])
+    hits = np.column_stack([baseline == truth, adapted == truth])
     error = None
     if failures:
         last = failures[-1]

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 
-from prioradapt import ClassCatalog, ConfusionMatrix
+from prioradapt import ClassCatalog, ConfusionMatrix, fileio
 
 
 def make_catalog(k: int) -> ClassCatalog:
@@ -37,3 +39,8 @@ def random_confusion(
 
 def random_simplex(k: int, rng: np.random.Generator, alpha: float = 1.0) -> np.ndarray:
     return rng.dirichlet(np.full(k, alpha))
+
+
+def small_blocks(size: int):
+    """Read every text stream in blocks of about ``size`` bytes, its header included."""
+    return mock.patch.multiple(fileio, _SCORE_BLOCK_BYTES=size, _LINE_BLOCK_BYTES=size)

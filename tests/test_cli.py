@@ -10,6 +10,7 @@ import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 
 import numpy as np
@@ -26,6 +27,8 @@ from prioradapt.harness import (
     run_drift_scenario,
     simulate_stream,
 )
+
+from conftest import small_blocks
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -330,6 +333,111 @@ class TestReweight:
         assert main(argv) == 4
 
 
+class TestReweightLongFile:
+    """A bad row far into a file that spans many blocks."""
+
+    def _write(self, tmp_path):
+        rows = ["label,s_a,s_b,s_c\n"] + ["b,0.25,0.5,0.25\n", "a,0.5,0.3,0.2\n"] * 15_000
+        rows[22_222] = "c,0.25,0.5,0.35\n"
+        path = tmp_path / "s.csv"
+        path.write_text("".join(rows), encoding="utf-8")
+        good = tmp_path / "good.csv"
+        good.write_text("".join(rows[:22_222] + rows[22_223:]), encoding="utf-8")
+        return str(path), str(good)
+
+    def test_strict_names_the_line(self, tmp_path, capsys):
+        path, good = self._write(tmp_path)
+        assert main(["reweight", path, "--priors", data("fixture_priors.json")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"error: {path}:22223: scores must sum to 1 within 1e-06, got 1.1\n"
+        )
+        # The rows before the bad one were written, as a row-by-row reader writes them.
+        assert main(["reweight", good, "--priors", data("fixture_priors.json")]) == 0
+        assert captured.out.splitlines() == capsys.readouterr().out.splitlines()[:22_222]
+
+    @pytest.mark.parametrize("live", [False, True])
+    def test_lenient_skips_the_line(self, tmp_path, capsys, live):
+        path, good = self._write(tmp_path)
+        source = (["--confusion", data("fixture_confusion3.csv"), "--reestimate-every", "7"]
+                  if live else ["--priors", data("fixture_priors.json")])
+        assert main(["reweight", path, *source, "--lenient"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == (
+            f"warning: {path}:22223: scores must sum to 1 within 1e-06, got 1.1\n"
+        )
+        assert main(["reweight", good, *source]) == 0
+        assert captured.out == capsys.readouterr().out
+
+
+def _through_fifo(tmp_path, content: bytes, argv_of):
+    """Run ``python -m prioradapt`` on a named pipe carrying ``content``."""
+    fifo = str(tmp_path / "in")
+    os.mkfifo(fifo)
+
+    def feed():
+        try:
+            with open(fifo, "wb") as fp:
+                fp.write(content)
+        except BrokenPipeError:
+            pass
+
+    writer = threading.Thread(target=feed, daemon=True)
+    writer.start()
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "prioradapt", *argv_of(fifo)],
+            capture_output=True, env=src_env(), timeout=60,
+        )
+    finally:
+        if writer.is_alive():  # the child never opened the pipe: let the writer go
+            os.close(os.open(fifo, os.O_RDONLY | os.O_NONBLOCK))
+        writer.join(timeout=10)
+
+
+class TestPipes:
+    """Each input stream is read once, through one handle, so a pipe reads like a file."""
+
+    def _same_as_file(self, tmp_path, name, argv_of):
+        via_pipe = _through_fifo(tmp_path, read_bytes(data(name)), argv_of)
+        via_file = subprocess.run(
+            [sys.executable, "-m", "prioradapt", *argv_of(data(name))],
+            capture_output=True, env=src_env(),
+        )
+        assert via_pipe.returncode == via_file.returncode == 0, via_pipe.stderr
+        assert via_pipe.stdout == via_file.stdout
+        return via_pipe.stdout
+
+    def test_reweight_scores(self, tmp_path):
+        out = self._same_as_file(
+            tmp_path, "fixture_scores.csv",
+            lambda path: ["reweight", path, "--priors", data("fixture_priors.json")],
+        )
+        assert out == read_bytes(data("golden_reweight.csv"))
+
+    def test_estimate_decisions(self, tmp_path):
+        out = self._same_as_file(
+            tmp_path, "fixture_decisions.txt",
+            lambda path: ["estimate", data("fixture_confusion3.csv"), path, "--method", "naive"],
+        )
+        assert json.loads(out)["total_decisions"] == 100
+
+    def test_estimate_scores(self, tmp_path):
+        out = self._same_as_file(
+            tmp_path, "fixture_scores.csv",
+            lambda path: ["estimate", data("fixture_confusion3.csv"), path, "--method", "naive"],
+        )
+        assert json.loads(out)["total_decisions"] == 4
+
+    def test_undecodable_decisions_name_the_line(self, tmp_path):
+        proc = _through_fifo(
+            tmp_path, b"0\n1\n\xff\n",
+            lambda path: ["estimate", data("fixture_confusion3.csv"), path, "--method", "naive"],
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == f"error: {tmp_path / 'in'}:3: not valid UTF-8\n"
+
+
 def _write_scores_csv(path, labels, scores, truth=None):
     header = ",".join(f"s_{l}" for l in labels)
     rows = [",".join(repr(float(x)) for x in row) for row in scores]
@@ -367,6 +475,10 @@ def _grid_scores(draw, k, rows, positive=False):
     return out
 
 
+#: Score block sizes in bytes: one row per block, a few rows, and the default.
+_block_bytes = st.sampled_from([1, 40, 150, 1 << 16])
+
+
 class TestReweightDifferential:
     """``reweight`` through ``cli.main`` against a numpy reference on small CSVs."""
 
@@ -381,13 +493,15 @@ class TestReweightDifferential:
         if not weights.any():
             weights[data.draw(st.integers(0, k - 1))] = 1.0
         truth = data.draw(st.none() | st.lists(st.integers(0, k - 1), min_size=n, max_size=n))
+        block_bytes = data.draw(_block_bytes)
         with tempfile.TemporaryDirectory() as tmp:
             scores_path, priors_path = os.path.join(tmp, "s.csv"), os.path.join(tmp, "p.json")
             out = os.path.join(tmp, "out.csv")
             _write_scores_csv(scores_path, labels, scores, truth)
             with open(priors_path, "w", encoding="utf-8") as fp:
                 json.dump(dict(zip(labels, weights.tolist())), fp)
-            code = main(["--output", out, "reweight", scores_path, "--priors", priors_path])
+            with small_blocks(block_bytes):
+                code = main(["--output", out, "reweight", scores_path, "--priors", priors_path])
             assert code == 0
             header, baseline, adapted, raw, norm = _reweight_output(out, k)
         assert header == ["baseline", "adapted", *(f"raw_{l}" for l in labels), *(f"norm_{l}" for l in labels)]
@@ -422,11 +536,16 @@ class TestReweightDifferential:
             with open(conf_path, "w", encoding="utf-8") as fp:
                 fp.write(",".join(labels) + "\n")
                 fp.writelines(",".join(str(int(x)) for x in row) + "\n" for row in confusion)
-            code = main([
+            argv = [
                 "--quiet", "--output", out, "reweight", scores_path, "--confusion", conf_path,
                 "--method", method, "--reestimate-every", str(cadence), "--window", str(window),
-            ])
-            assert code == 0
+            ]
+            assert main(argv) == 0
+            whole = read_bytes(out)
+            # Blocks of a few rows, or of one row longer than the block, decide the same.
+            with small_blocks(data.draw(_block_bytes)):
+                assert main(argv) == 0
+            assert read_bytes(out) == whole
             _, baseline, adapted, raw, _ = _reweight_output(out, k)
         assert np.array_equal(baseline, np.argmax(scores, axis=1))
         in_force = raw / scores  # every score is positive

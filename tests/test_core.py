@@ -1,5 +1,7 @@
 """Domain types and the two decision rules."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,14 @@ from prioradapt import (
     reweight_normalized,
     uniform_estimate,
 )
-from prioradapt.core import PRIOR_SUM_TOL, SCORE_SUM_TOL, decide_adapted_batch
+from prioradapt.core import (
+    PRIOR_SUM_TOL,
+    SCORE_SUM_TOL,
+    check_probability_rows,
+    decide_adapted_batch,
+    probability_vector,
+    reweight_batch,
+)
 
 from conftest import make_catalog
 
@@ -367,3 +376,78 @@ class TestArrayIntake:
         with pytest.raises(ValidationError) as excinfo:
             build(np.array([0.25 + 2 * tol, 0.25, 0.5]))
         assert type(excinfo.value) is ValidationError
+
+
+@st.composite
+def _edge_batch(draw):
+    """Grid scores, some nudged to a row sum at the 1e-6 edge, and grid priors with zeros."""
+    k = draw(st.integers(2, 6))
+    n = draw(st.integers(1, 12))
+    row = st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any)
+    counts = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.float64)
+    scores = counts / counts.sum(axis=1, keepdims=True)
+    for r in range(n):
+        nudge = draw(st.sampled_from([0.0, 0.0, 9.9e-7, -9.9e-7]))
+        top = int(scores[r].argmax())
+        scores[r, top] = min(1.0, scores[r, top] + nudge)
+    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any)), float)
+    return scores, weights / weights.sum()
+
+
+class TestReweightBatch:
+    @given(batch=_edge_batch())
+    @example(batch=(np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]), np.array([0.0, 0.5, 0.5])))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scalar_rules_row_by_row(self, batch):
+        scores, priors = batch
+        policy = _policy(priors)
+        records = [ScoreRecord(row) for row in scores]  # every row is a valid score vector
+        decisions, products, normalized = reweight_batch(scores, policy)
+        assert decisions.tolist() == [decide_adapted(r, policy) for r in records]
+        assert products.tobytes() == np.stack([reweight(r, policy) for r in records]).tobytes()
+        assert normalized.tobytes() == np.stack(
+            [reweight_normalized(r, policy) for r in records]
+        ).tobytes()
+        assert np.array_equal(decide_adapted_batch(scores, policy), decisions)
+
+    def test_rejects_wrong_width(self):
+        with pytest.raises(DimensionError):
+            reweight_batch(np.full((2, 2), 0.5), _policy((0.2, 0.3, 0.5)))
+
+
+_ENTRIES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 0.5 + 1e-6, -0.25, 1.5, np.nan, np.inf])
+
+
+def _vector_fault(v, tol):
+    """The message of the first probability-vector condition ``v`` breaks, checked one by one."""
+    if not np.all(np.isfinite(v)):
+        return "scores must be finite, got NaN or infinity"
+    if np.any(v < 0.0) or np.any(v > 1.0):
+        return "scores must lie in [0, 1]"
+    total = float(v.sum())
+    if abs(total - 1.0) > tol:
+        return f"scores must sum to 1 within {tol}, got {total!r}"
+    return None
+
+
+class TestCheckProbabilityRows:
+    @given(st.integers(2, 4).flatmap(
+        lambda k: st.lists(st.lists(_ENTRIES, min_size=k, max_size=k), min_size=1, max_size=6)
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_reports_the_first_bad_row(self, rows):
+        rows = np.array(rows)
+        faults = [f for f in (_vector_fault(row, SCORE_SUM_TOL) for row in rows) if f is not None]
+        try:
+            check_probability_rows(rows, "scores", SCORE_SUM_TOL)
+        except ValidationError as exc:
+            assert faults and str(exc) == faults[0]
+        else:
+            assert not faults
+        for row in rows:
+            fault = _vector_fault(row, SCORE_SUM_TOL)
+            if fault is None:
+                assert probability_vector(row, "scores", SCORE_SUM_TOL).tobytes() == row.tobytes()
+            else:
+                with pytest.raises(ValidationError, match=re.escape(fault)):
+                    probability_vector(row, "scores", SCORE_SUM_TOL)

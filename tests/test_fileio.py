@@ -12,11 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prioradapt import ClassCatalog, ConfusionMatrix, ParseError, PriorAdaptError
+from prioradapt import ClassCatalog, ConfusionMatrix, ParseError, PriorAdaptError, ScoreRecord
+from prioradapt import fileio
 from prioradapt.estimators import estimate_naive
 from prioradapt.core import DecisionHistogram
 from prioradapt.fileio import (
     _text_errors,
+    _truth_index,
+    parse_scores_header,
     format_float,
     priors_document,
     read_confusion_csv,
@@ -29,7 +32,7 @@ from prioradapt.fileio import (
     write_json,
 )
 
-from conftest import make_catalog, random_confusion
+from conftest import make_catalog, random_confusion, small_blocks
 
 
 def write(tmp_path, name, text):
@@ -106,34 +109,41 @@ class TestConfusionCsv:
         assert again.rows.tobytes() == plain.rows.tobytes()
 
 
+def score_rows(records):
+    """The concatenated (scores, truth) blocks of a read_score_records iterator."""
+    blocks = list(records)
+    assert all(scores.shape == (len(truth), scores.shape[1]) for scores, truth in blocks)
+    return np.concatenate([s for s, _ in blocks]), np.concatenate([t for _, t in blocks])
+
+
 class TestScoresCsv:
     def test_with_label_column(self, tmp_path):
         path = write(tmp_path, "s.csv", "label,s_a,s_b\na,0.9,0.1\n,0.2,0.8\n")
         catalog, records = read_score_records(path)
-        rows = list(records)
+        scores, truth = score_rows(records)
         assert catalog.labels == ("a", "b")
-        assert rows[0][1].true_label == 0
-        assert rows[1][1].true_label is None
+        assert scores.tolist() == [[0.9, 0.1], [0.2, 0.8]]
+        assert truth.tolist() == [0, -1]
 
     def test_without_label_column(self, tmp_path):
         path = write(tmp_path, "s.csv", "s_a,s_b\n0.9,0.1\n")
         catalog, records = read_score_records(path)
-        (line_no, record), = list(records)
-        assert line_no == 2
-        assert record.true_label is None
+        scores, truth = score_rows(records)
+        assert scores.tolist() == [[0.9, 0.1]]
+        assert truth.tolist() == [-1]
 
     def test_numeric_label(self, tmp_path):
         path = write(tmp_path, "s.csv", "label,s_a,s_b\n1,0.9,0.1\n")
         _, records = read_score_records(path)
-        (_, record), = list(records)
-        assert record.true_label == 1
+        _, truth = score_rows(records)
+        assert truth.tolist() == [1]
 
     def test_digit_class_names_read_as_names(self, tmp_path):
         # A truth cell naming a class is that class, even when it is all
         # digits; an index is only the fallback for cells that name none.
         path = write(tmp_path, "s.csv", "label,s_1,s_2,s_3\n1,0.6,0.3,0.1\n3,0.1,0.2,0.7\n0,0.5,0.5,0\n")
         _, records = read_score_records(path)
-        assert [record.true_label for _, record in records] == [0, 2, 0]
+        assert score_rows(records)[1].tolist() == [0, 2, 0]
 
     def test_bad_header(self, tmp_path):
         path = write(tmp_path, "s.csv", "x,y\n0.5,0.5\n")
@@ -150,8 +160,8 @@ class TestScoresCsv:
         path = write(tmp_path, "s.csv", "s_a,s_b\n0.5,0.5\n0.9,0.3\n0.2,0.8\n")
         warnings = []
         _, records = read_score_records(path, lenient=True, warn=warnings.append)
-        rows = list(records)
-        assert len(rows) == 2
+        scores, _ = score_rows(records)
+        assert scores.tolist() == [[0.5, 0.5], [0.2, 0.8]]
         assert len(warnings) == 1
         assert "3" in warnings[0]
 
@@ -218,18 +228,18 @@ def reference_confusion_csv(path):
                 raise ParseError("empty confusion file", path=path)
             labels = [h.strip() for h in header]
             rows = []
-            for line_no, row in enumerate(reader, start=2):
+            for row in reader:
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) != len(labels):
                     raise ParseError(
                         f"expected {len(labels)} columns, got {len(row)}",
-                        path=path, line=line_no,
+                        path=path, line=reader.line_num,
                     )
                 try:
                     rows.append([float(x) for x in row])
                 except ValueError as exc:
-                    raise ParseError(str(exc), path=path, line=line_no) from None
+                    raise ParseError(str(exc), path=path, line=reader.line_num) from None
     if len(rows) != len(labels):
         raise ParseError(
             f"confusion matrix must be square: {len(labels)} labels but {len(rows)} rows",
@@ -240,6 +250,48 @@ def reference_confusion_csv(path):
         return ConfusionMatrix(catalog, np.array(rows))
     except PriorAdaptError as exc:
         raise ParseError(str(exc), path=path) from exc
+
+
+def reference_score_records(path, lenient=False, warn=None):
+    """The row-at-a-time scores reader: (line_no, scores, truth) per accepted row."""
+    with open(path, "r", encoding="utf-8", newline="") as fp:
+        reader = csv.reader(fp)
+        with _text_errors(path, reader):
+            header = next(reader, None)
+    if header is None:
+        raise ParseError("empty scores file", path=path)
+    catalog, has_label = parse_scores_header(header, path)
+    with open(path, "r", encoding="utf-8", newline="") as fp:
+        reader = csv.reader(fp)
+        with _text_errors(path, reader):
+            next(reader, None)
+            for row in reader:
+                if not row or (len(row) == 1 and not row[0].strip()):
+                    continue
+                try:
+                    yield reference_score_row(row, catalog, has_label, path, reader.line_num)
+                except ParseError as exc:
+                    if not lenient:
+                        raise
+                    warn(str(exc))
+
+
+def reference_score_row(row, catalog, has_label, path, line_no):
+    expected = catalog.k + (1 if has_label else 0)
+    if len(row) != expected:
+        raise ParseError(f"expected {expected} columns, got {len(row)}", path=path, line=line_no)
+    true_label = None
+    values = row
+    try:
+        if has_label:
+            raw = row[0].strip()
+            values = row[1:]
+            if raw:
+                true_label = _truth_index(raw, catalog)
+        record = ScoreRecord([float(x) for x in values], true_label=true_label)
+    except (ValueError, PriorAdaptError) as exc:
+        raise ParseError(str(exc), path=path, line=line_no) from None
+    return record.scores, -1 if record.true_label is None else record.true_label
 
 
 def outcome(read, text):
@@ -326,6 +378,97 @@ class TestBlockReadersMatchLineReaders:
         assert outcome(read(read_confusion_csv), text) == outcome(
             read(reference_confusion_csv), text
         )
+
+
+_SCORE_HEADERS = [
+    ("label,s_a,s_b\n", 2), ("s_a,s_b\r\n", 2), ("label,s_1,s_2,s_3\n", 3),
+    ('label,"s_a",s_b\r', 2), ('"s_a\nb",s_b\n', 2),
+]
+_TRUTH_CELLS = ["", "a", "b", "1", "2", "3", "0", "-1", "7", "1_0", " a ", '"b"', "zz", "\u0663"]
+_SCORE_VECTORS = {
+    2: [("0.5", "0.5"), ("0.25", "0.75"), ("1", "0"), ("0", "1"), ("0.5000009", "0.5"),
+        ("0.4999991", "0.5"), ("0.500001", "0.5000001"), ("0.4999989", "0.5")],
+    3: [("0.5", "0.25", "0.25"), ("0.6", "0.3", "0.1"), ("1", "0", "0"), ("0.2", "0.2", "0.6000009"),
+        ("0.2", "0.2", "0.5999989")],
+}
+_ODD_SCORES = ["nan", "inf", "-0.25", "1.5", "1_0", '"0.5"', "", " 0.5 ", "0.5e0", '"0.5\n"', "\u0663"]
+
+
+@st.composite
+def score_texts(draw):
+    """A scores header, then rows that are mostly well-formed probability vectors."""
+    header, k = draw(st.sampled_from(_SCORE_HEADERS))
+    has_label = header.split(",")[0].strip('"') == "label"
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        cells = list(draw(st.sampled_from(_SCORE_VECTORS[k])))
+        if draw(st.integers(0, 4)) == 0:
+            cells[draw(st.integers(0, k - 1))] = draw(st.sampled_from(_ODD_SCORES))
+        if has_label:
+            cells.insert(0, draw(st.sampled_from(_TRUTH_CELLS)))
+        width = draw(st.sampled_from([0, 0, 0, 0, 0, 1, -1]))
+        cells = cells + ["0"] * width if width >= 0 else cells[:width]
+        line = ",".join(cells)
+        if draw(st.integers(0, 9)) == 0:
+            line = draw(st.sampled_from(["", " ", "\t"]))
+        lines.append(line + draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])))
+    return header + "".join(lines)
+
+
+def score_outcome(read, text, lenient):
+    """The rows ``read`` yields from ``text``, the error ending them, and the warnings."""
+    warnings = []
+    rows = []
+
+    def run(path):
+        try:
+            for scores, truth in read(path, lenient, warnings.append):
+                rows.append((scores.tobytes(), truth.tolist()))
+        except PriorAdaptError as exc:
+            return type(exc), str(exc).replace(path, "PATH")
+        finally:
+            warnings[:] = [w.replace(path, "PATH") for w in warnings]
+
+    error = outcome(run, text)
+    return error, rows, warnings
+
+
+class TestScoreBlocksMatchRowReader:
+    @staticmethod
+    def blocks(path, lenient, warn):
+        _, records = read_score_records(path, lenient, warn)
+        return records
+
+    @staticmethod
+    def rows(path, lenient, warn):
+        for scores, truth in reference_score_records(path, lenient, warn):
+            yield scores[np.newaxis], np.array([truth])
+
+    @given(score_texts(), st.booleans(), st.sampled_from([1, 30, 100, 1 << 16]))
+    @settings(max_examples=500, deadline=None)
+    def test_scores_csv(self, text, lenient, block_bytes):
+        with small_blocks(block_bytes):
+            got = score_outcome(self.blocks, text, lenient)
+        want = score_outcome(self.rows, text, lenient)
+        assert got[0] == want[0]
+        assert b"".join(r[0] for r in got[1]) == b"".join(r[0] for r in want[1])
+        assert sum((r[1] for r in got[1]), []) == sum((r[1] for r in want[1]), [])
+        assert got[2] == want[2]
+
+    def test_bad_row_deep_in_a_long_file(self, tmp_path):
+        rows = ["label,s_a,s_b,s_c\n"] + ["b,0.25,0.5,0.25\n"] * 30_000
+        rows[22_222] = "b,0.25,0.5,0.35\n"
+        path = write(tmp_path, "s.csv", "".join(rows))
+        _, records = read_score_records(path)
+        got = []
+        with pytest.raises(ParseError, match=r"s\.csv:22223: scores must sum to 1"):
+            for scores, _ in records:
+                got.append(len(scores))
+        assert len(got) > 1 and sum(got) == 22_221
+        warnings = []
+        _, records = read_score_records(path, lenient=True, warn=warnings.append)
+        assert sum(len(scores) for scores, _ in records) == 29_999
+        assert [w.split(": ")[0] for w in warnings] == [f"{path}:22223"]
 
 
 class TestPriorsJson:
