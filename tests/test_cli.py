@@ -437,6 +437,12 @@ class TestPipes:
         assert proc.returncode == 2
         assert proc.stderr.decode() == f"error: {tmp_path / 'in'}:3: not valid UTF-8\n"
 
+    def test_undecodable_confusion_pipe_ends(self, tmp_path):
+        # A pipe cannot be read again to find the line, so none is named.
+        proc = _through_fifo(tmp_path, b"a,b\n1,0\n\xff,1\n", lambda path: ["normalize", path])
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == f"error: {tmp_path / 'in'}: not valid UTF-8\n"
+
 
 def _write_scores_csv(path, labels, scores, truth=None):
     header = ",".join(f"s_{l}" for l in labels)
