@@ -6,8 +6,10 @@ decision or score stream, ``reweight`` a score stream with priors,
 into a comparison table.
 
 Exit codes: 0 success, 2 parse or validation failure, 3 solver failure,
-4 I/O failure.  All outputs are UTF-8 with LF line endings and are
-byte-stable for fixed seeds and inputs.
+4 I/O failure.  All outputs are UTF-8 with LF line endings.  For fixed
+seeds and inputs they are byte-stable on one numpy/BLAS build run with one
+BLAS thread count; across builds or thread counts the last digits of the
+solver-based estimates may differ.
 """
 
 from __future__ import annotations

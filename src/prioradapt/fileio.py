@@ -24,7 +24,6 @@ import itertools
 import json
 import math
 import os
-import stat
 import sys
 import warnings
 from functools import partial
@@ -62,34 +61,6 @@ def format_rows(rows: np.ndarray) -> str:
     return ((",".join(["%.17g"] * k) + "\n") * n) % tuple(rows.ravel().tolist())
 
 
-@contextlib.contextmanager
-def _text_errors(path: str, reader=None, offset: int = 0):
-    """Re-raise undecodable bytes, or a CSV ``reader``'s error, as a ParseError.
-
-    ``offset`` is the number of lines before the first one ``reader`` reads.
-    """
-    try:
-        yield
-    except UnicodeDecodeError:
-        raise ParseError("not valid UTF-8", path=path, line=_first_non_utf8_line(path)) from None
-    except csv.Error as exc:
-        raise ParseError(str(exc), path=path, line=offset + reader.line_num) from None
-
-
-def _first_non_utf8_line(path: str) -> Optional[int]:
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        return None  # a pipe cannot be read again
-    # A line break is one byte that never occurs inside a multi-byte UTF-8
-    # sequence, so each line decodes on its own.
-    with open(path, "rb") as fp:
-        for line_no, raw in enumerate(fp, start=1):
-            try:
-                raw.decode("utf-8")
-            except UnicodeDecodeError:
-                return line_no
-    return None
-
-
 def _is_number(value) -> bool:
     """Whether a parsed JSON value is a number that fits a float (bools are not)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -103,8 +74,10 @@ def _is_seed(value) -> bool:
 
 
 def read_json(path: str):
-    with open(path, "r", encoding="utf-8") as fp, _text_errors(path):
-        text = fp.read()
+    with TextInput(path) as stream:
+        # Line ends are translated as text-mode open() translates them, which
+        # the positions in json's messages count.
+        text = "".join(stream).replace("\r\n", "\n").replace("\r", "\n")
     try:
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
@@ -112,83 +85,7 @@ def read_json(path: str):
 
 
 # ---------------------------------------------------------------------------
-# confusion CSV
-# ---------------------------------------------------------------------------
-
-def read_confusion_csv(path: str) -> ConfusionMatrix:
-    """Read a confusion CSV and return the row-normalized matrix."""
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        with _text_errors(path, reader):
-            header = next(reader, None)
-            if header is None:
-                raise ParseError("empty confusion file", path=path)
-            labels = [h.strip() for h in header]
-            rows = _confusion_block(path, len(labels), reader.line_num)
-            if rows is None:
-                rows = np.array(_confusion_rows(reader, len(labels), path))
-    if len(rows) != len(labels):
-        raise ParseError(
-            f"confusion matrix must be square: {len(labels)} labels but {len(rows)} rows",
-            path=path,
-        )
-    try:
-        catalog = ClassCatalog(tuple(labels))
-        return ConfusionMatrix(catalog, rows)
-    except PriorAdaptError as exc:
-        raise ParseError(str(exc), path=path) from exc
-
-
-def _confusion_block(path: str, k: int, header_lines: int) -> Optional[np.ndarray]:
-    """The data rows in one ``loadtxt`` call, or None when they are not a plain K x K block.
-
-    ``loadtxt`` refuses quoted cells, empty cells, undecodable bytes and the
-    spellings only ``float`` accepts (``1_0``, non-ASCII digits); the caller
-    then reads the rows with :func:`_confusion_rows`, which accepts those and
-    names the line of a real error.
-    """
-    if not stat.S_ISREG(os.stat(path).st_mode):
-        return None  # opened again, a pipe would not give back the bytes already read
-    rows = _loadtxt(
-        path, dtype=np.float64, delimiter=",", skiprows=header_lines, encoding="utf-8"
-    )
-    return rows if rows is not None and rows.shape == (k, k) else None
-
-
-def _loadtxt(source, **options) -> Optional[np.ndarray]:
-    """``np.loadtxt`` into a 2-D array, or None for input it refuses or warns about.
-
-    It warns, for one, that a block of blank lines "contained no data".
-    """
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            return np.loadtxt(source, comments=None, ndmin=2, **options)
-    except (ValueError, Warning):  # UnicodeDecodeError is a ValueError
-        return None
-
-
-def _confusion_rows(reader, k: int, path: str) -> list[list[float]]:
-    rows = []
-    for row in reader:
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        if len(row) != k:
-            raise ParseError(f"expected {k} columns, got {len(row)}", path=path, line=reader.line_num)
-        try:
-            rows.append([float(x) for x in row])
-        except ValueError as exc:
-            raise ParseError(str(exc), path=path, line=reader.line_num) from None
-    return rows
-
-
-def write_confusion_csv(conf: ConfusionMatrix, fp: IO[str]) -> None:
-    fp.write(",".join(conf.catalog.labels) + "\n")
-    fp.write(format_rows(conf.rows))
-
-
-# ---------------------------------------------------------------------------
-# scores CSV and decision streams
+# text input and CSV bodies
 # ---------------------------------------------------------------------------
 
 class TextInput:
@@ -197,9 +94,9 @@ class TextInput:
     Lines split as ``open(path, newline="")`` splits them: at ``\\n``,
     ``\\r\\n`` or a bare ``\\r``, and each line keeps its ending.  Bytes that
     are not UTF-8 raise :class:`ParseError` naming their line, counted at
-    ``\\n`` bytes.  Iterating yields single lines; :meth:`block` hands out
-    the rest of the current block at once.  ``line_no`` counts the lines
-    handed out so far.
+    ``\\n`` bytes, once the lines before it have been handed out.
+    Iterating yields single lines; :meth:`block` hands out the rest of the
+    current block at once.  ``line_no`` counts the lines handed out so far.
     """
 
     def __init__(self, path: str):
@@ -209,6 +106,7 @@ class TextInput:
         self._lines: list[str] = []
         self._pos = 0
         self._raw_lines = 0
+        self._error: Optional[ParseError] = None
 
     def __enter__(self) -> "TextInput":
         return self
@@ -253,7 +151,13 @@ class TextInput:
         return None
 
     def _fill(self, size: int) -> bool:
-        """Append the next block's lines to those not handed out; False at the end of the input."""
+        """Append the next block's lines to those not handed out; False at the end of the input.
+
+        A block holding undecodable bytes gives the lines before the first
+        bad one; the next call raises the error that names its line.
+        """
+        if self._error is not None:
+            raise self._error
         data = self._fp.read(size)
         if data and not data.endswith(b"\n"):
             data += self._fp.readline()
@@ -264,8 +168,13 @@ class TextInput:
         except UnicodeDecodeError as exc:
             # A line break never occurs inside a multi-byte UTF-8 sequence,
             # so the first bad byte lies on the first line that fails alone.
-            line = self._raw_lines + data.count(b"\n", 0, exc.start) + 1
-            raise ParseError("not valid UTF-8", path=self.path, line=line) from None
+            good = data.rfind(b"\n", 0, exc.start) + 1
+            line = self._raw_lines + data.count(b"\n", 0, good) + 1
+            self._error = ParseError("not valid UTF-8", path=self.path, line=line)
+            if not good:
+                raise self._error from None
+            data = data[:good]
+            text = data.decode("utf-8")
         self._raw_lines += data.count(b"\n")
         lines = io.StringIO(text, newline="").readlines()
         if self._pos == len(self._lines):
@@ -275,10 +184,12 @@ class TextInput:
         return True
 
 
-#: Bytes per block of a scores CSV.
-_SCORE_BLOCK_BYTES = 1 << 16
+#: Bytes per block of a CSV body.
+_CSV_BLOCK_BYTES = 1 << 16
 #: Bytes per block of a decision stream, and per read of lines one at a time.
 _LINE_BLOCK_BYTES = 1 << 14
+#: Rows the csv rule gathers before it yields them as a block.
+_CSV_BLOCK_ROWS = 1024
 
 
 @contextlib.contextmanager
@@ -290,6 +201,157 @@ def _opened(source):
     with TextInput(source) as stream:
         yield stream
 
+
+def _next_record(reader, path: str, offset: int = 0) -> Optional[list[str]]:
+    """A CSV ``reader``'s next record, or None at the end; its error raises a ParseError naming the line.
+
+    ``offset`` is the number of lines before the first one ``reader`` reads.
+    """
+    try:
+        return next(reader, None)
+    except csv.Error as exc:
+        raise ParseError(str(exc), path=path, line=offset + reader.line_num) from None
+
+
+def _csv_header(stream: TextInput, what: str) -> list[str]:
+    """The first CSV record of ``stream``, which may span lines."""
+    header = _next_record(csv.reader(stream), stream.path)
+    if header is None:
+        raise ParseError(f"empty {what} file", path=stream.path)
+    return header
+
+
+def _csv_body(stream: TextInput, fast, parse, gather, lenient: bool = False, warn=None) -> Iterator:
+    """Yield the rows of a CSV body, the rest of ``stream``, in blocks.
+
+    Each block of lines that are not blank is parsed at once by
+    ``fast(lines)``, which returns the block or None when it refuses it.  A
+    refused block is read again by :func:`_csv_rows`, which names the bad
+    line.  From the first block holding a ``"``, the rest of the input
+    goes to csv, because a quoted cell may hold a line break.
+    """
+    rows = partial(_csv_rows, parse=parse, gather=gather, path=stream.path,
+                   lenient=lenient, warn=warn)
+    while lines := stream.block(_CSV_BLOCK_BYTES):
+        first = stream.line_no - len(lines) + 1
+        if any('"' in line for line in lines):
+            yield from rows(itertools.chain(lines, stream), first)
+            return
+        data = [line for line in lines if not line.isspace()]
+        block = fast(data) if data else None
+        if block is not None:
+            yield block
+        elif data:
+            yield from rows(lines, first)
+
+
+def _csv_rows(lines, first: int, parse, gather, path: str, lenient: bool, warn) -> Iterator:
+    """Yield rows parsed one at a time, ``lines`` starting at line ``first``.
+
+    ``parse(row, line_no)`` returns a row's values or raises the
+    :class:`ParseError` naming its line; under ``lenient`` that row is
+    skipped with a ``warn(message)`` callback.  ``gather`` makes a block
+    of the parsed values.  The rows read before an error are yielded
+    before it is raised or warned about, so a consumer handles them first,
+    as it would row by row.
+    """
+    reader = csv.reader(lines)
+    parsed = []
+    while True:
+        try:
+            row = _next_record(reader, path, first - 1)
+        except ParseError:  # bad bytes or quoting: never skipped
+            if parsed:
+                yield gather(parsed)
+            raise
+        if row is None:
+            break
+        if not row or (len(row) == 1 and not row[0].strip()):
+            continue
+        try:
+            parsed.append(parse(row, first - 1 + reader.line_num))
+        except ParseError as exc:
+            if parsed:
+                yield gather(parsed)
+                parsed = []
+            if not lenient:
+                raise
+            if warn is not None:
+                warn(str(exc))
+            continue
+        if len(parsed) == _CSV_BLOCK_ROWS:
+            yield gather(parsed)
+            parsed = []
+    if parsed:
+        yield gather(parsed)
+
+
+def _loadtxt(source, **options) -> Optional[np.ndarray]:
+    """``np.loadtxt`` into a 2-D array, or None for input it refuses or warns about.
+
+    It warns, for one, that a block of blank lines "contained no data".
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return np.loadtxt(source, comments=None, ndmin=2, **options)
+    except (ValueError, Warning):
+        return None
+
+
+def _float_block(lines, k: int) -> Optional[np.ndarray]:
+    """Lines of ``k`` comma-separated numbers as an (n, k) array; None if ``loadtxt`` refuses one.
+
+    ``loadtxt`` refuses, among others, empty cells and the spellings only
+    ``float`` accepts (``1_0``, non-ASCII digits); the csv rule then reads
+    the lines and names the line of a real error.
+    """
+    values = _loadtxt(lines, dtype=np.float64, delimiter=",")
+    return values if values is not None and values.shape == (len(lines), k) else None
+
+
+# ---------------------------------------------------------------------------
+# confusion CSV
+# ---------------------------------------------------------------------------
+
+def read_confusion_csv(path: str) -> ConfusionMatrix:
+    """Read a confusion CSV and return the row-normalized matrix."""
+    with TextInput(path) as stream:
+        labels = [h.strip() for h in _csv_header(stream, "confusion")]
+        k = len(labels)
+        rows = np.empty((k, k))
+        n = 0
+        for block in _csv_body(stream, partial(_float_block, k=k),
+                               partial(_confusion_row, k=k, path=path), np.array):
+            if n + len(block) <= k:
+                rows[n:n + len(block)] = block
+            n += len(block)  # rows past the K-th are counted for the message
+    if n != k:
+        raise ParseError(f"confusion matrix must be square: {k} labels but {n} rows", path=path)
+    try:
+        catalog = ClassCatalog(tuple(labels))
+        return ConfusionMatrix(catalog, rows)
+    except PriorAdaptError as exc:
+        raise ParseError(str(exc), path=path) from exc
+
+
+def _confusion_row(row: list[str], line_no: int, k: int, path: str) -> list[float]:
+    if len(row) != k:
+        raise ParseError(f"expected {k} columns, got {len(row)}", path=path, line=line_no)
+    try:
+        return [float(x) for x in row]
+    except ValueError as exc:
+        raise ParseError(str(exc), path=path, line=line_no) from None
+
+
+def write_confusion_csv(conf: ConfusionMatrix, fp: IO[str]) -> None:
+    fp.write(",".join(conf.catalog.labels) + "\n")
+    fp.write(format_rows(conf.rows))
+
+
+# ---------------------------------------------------------------------------
+# scores CSV and decision streams
+# ---------------------------------------------------------------------------
 
 def parse_scores_header(header: list[str], path: str) -> tuple[ClassCatalog, bool]:
     """Return (catalog, has_label_column) from a scores CSV header."""
@@ -330,44 +392,23 @@ def read_score_records(
 
 
 def _score_blocks(source, lenient: bool, warn) -> Iterator:
-    """Yield the catalog, then the rows of :func:`read_score_records` in blocks.
-
-    Each block is parsed by one ``loadtxt`` call and checked at once.  A
-    block it refuses, or one with a bad row, is read again by
-    :func:`_csv_score_rows`, which names the bad line.  From the first
-    block holding a ``"``, the rest of the input goes to csv, because a
-    quoted cell may hold a line break.
-    """
+    """Yield the catalog, then the ``(scores, truth)`` blocks of :func:`read_score_records`."""
     with _opened(source) as stream:
         path = stream.path
-        reader = csv.reader(stream)
-        with _text_errors(path, reader):
-            header = next(reader, None)
-        if header is None:
-            raise ParseError("empty scores file", path=path)
-        catalog, has_label = parse_scores_header(header, path)
+        catalog, has_label = parse_scores_header(_csv_header(stream, "scores"), path)
         yield catalog
-        rows = partial(_csv_score_rows, catalog=catalog, has_label=has_label, path=path,
-                       lenient=lenient, warn=warn)
-        while lines := stream.block(_SCORE_BLOCK_BYTES):
-            first = stream.line_no - len(lines) + 1
-            if any('"' in line for line in lines):
-                yield from rows(itertools.chain(lines, stream), first)
-                return
-            block = _score_block(lines, catalog, has_label)
-            if block is None:
-                yield from rows(lines, first)
-            else:
-                yield block
+        yield from _csv_body(
+            stream,
+            partial(_score_block, catalog=catalog, has_label=has_label),
+            partial(_parse_score_row, catalog=catalog, has_label=has_label, path=path),
+            _gather_scores, lenient, warn,
+        )
 
 
 def _score_block(
     lines: list[str], catalog: ClassCatalog, has_label: bool
 ) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Unquoted score lines as ``(scores, truth)``; None if a row breaks a rule, or all are blank."""
-    lines = [line for line in lines if not line.isspace()]
-    if not lines:
-        return None
+    """Unquoted score lines as ``(scores, truth)``; None if a row breaks a rule."""
     values = lines
     truth = np.full(len(lines), -1, dtype=np.int64)
     if has_label:
@@ -375,8 +416,8 @@ def _score_block(
         truth = _truth_column(cells, catalog)
         if truth is None:
             return None
-    scores = _loadtxt(list(values), dtype=np.float64, delimiter=",")
-    if scores is None or scores.shape != (len(lines), catalog.k):
+    scores = _float_block(list(values), catalog.k)
+    if scores is None:
         return None
     try:
         check_probability_rows(scores, "scores", SCORE_SUM_TOL)
@@ -403,64 +444,16 @@ def _truth_column(cells, catalog: ClassCatalog) -> Optional[np.ndarray]:
     return np.array([index[cell] for cell in cells], dtype=np.int64)
 
 
-#: Rows the csv rule gathers before it yields them as a block.
-_CSV_BLOCK_ROWS = 1024
-
-
-def _csv_score_rows(
-    lines,
-    first: int,
-    catalog: ClassCatalog,
-    has_label: bool,
-    path: str,
-    lenient: bool,
-    warn,
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield score rows parsed one at a time, ``lines`` starting at line ``first``.
-
-    The rows read before a bad one are yielded before it raises or warns,
-    so a consumer handles them first, as it would row by row.
-    """
-    reader = csv.reader(lines)
-    scores, truth = [], []
-
-    def gathered():
-        block = np.array(scores), np.array(truth, dtype=np.int64)
-        scores.clear()
-        truth.clear()
-        return block
-
-    while True:
-        with _text_errors(path, reader, first - 1):
-            row = next(reader, None)
-        if row is None:
-            break
-        if not row or (len(row) == 1 and not row[0].strip()):
-            continue
-        try:
-            values, label = _parse_score_row(row, catalog, has_label, path, first - 1 + reader.line_num)
-        except ParseError as exc:
-            if scores:
-                yield gathered()
-            if not lenient:
-                raise
-            if warn is not None:
-                warn(str(exc))
-            continue
-        scores.append(values)
-        truth.append(label)
-        if len(scores) == _CSV_BLOCK_ROWS:
-            yield gathered()
-    if scores:
-        yield gathered()
+def _gather_scores(rows: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, np.ndarray]:
+    return np.array([scores for scores, _ in rows]), np.array([t for _, t in rows], dtype=np.int64)
 
 
 def _parse_score_row(
     row: list[str],
+    line_no: int,
     catalog: ClassCatalog,
     has_label: bool,
     path: str,
-    line_no: int,
 ) -> tuple[np.ndarray, int]:
     """One row's scores and truth index (-1 when absent), or the ParseError naming its line."""
     expected = catalog.k + (1 if has_label else 0)

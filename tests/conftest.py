@@ -42,5 +42,5 @@ def random_simplex(k: int, rng: np.random.Generator, alpha: float = 1.0) -> np.n
 
 
 def small_blocks(size: int):
-    """Read every text stream in blocks of about ``size`` bytes, its header included."""
-    return mock.patch.multiple(fileio, _SCORE_BLOCK_BYTES=size, _LINE_BLOCK_BYTES=size)
+    """Read every text stream in blocks of about ``size`` bytes, its header included, and gather csv-rule rows ``size`` at a time."""
+    return mock.patch.multiple(fileio, _CSV_BLOCK_BYTES=size, _LINE_BLOCK_BYTES=size, _CSV_BLOCK_ROWS=size)

@@ -438,10 +438,52 @@ class TestPipes:
         assert proc.stderr.decode() == f"error: {tmp_path / 'in'}:3: not valid UTF-8\n"
 
     def test_undecodable_confusion_pipe_ends(self, tmp_path):
-        # A pipe cannot be read again to find the line, so none is named.
         proc = _through_fifo(tmp_path, b"a,b\n1,0\n\xff,1\n", lambda path: ["normalize", path])
         assert proc.returncode == 2
-        assert proc.stderr.decode() == f"error: {tmp_path / 'in'}: not valid UTF-8\n"
+        assert proc.stderr.decode() == f"error: {tmp_path / 'in'}:3: not valid UTF-8\n"
+
+    def test_normalize(self, tmp_path):
+        out = self._same_as_file(tmp_path, "fixture_confusion_raw.csv", lambda path: ["normalize", path])
+        assert out == read_bytes(data("golden_normalize.csv"))
+
+    def test_undecodable_priors_name_the_line(self, tmp_path):
+        proc = _through_fifo(
+            tmp_path, b'{"a": 0.5,\n"b": 0.5,\n"\xff": 0}\n',
+            lambda path: ["reweight", data("fixture_scores.csv"), "--priors", path],
+        )
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == f"error: {tmp_path / 'in'}:3: not valid UTF-8\n"
+
+
+class TestErrorsInFileOrder:
+    """The first error in a file ends the run, after the rows before it are written."""
+
+    HEADER = "baseline,adapted,raw_a,raw_b,norm_a,norm_b\n"
+
+    def _reweight(self, tmp_path, *extra):
+        path = tmp_path / "mix.csv"
+        # A bad cell on line 3 and an undecodable byte on line 5.
+        path.write_bytes(b"label,s_a,s_b\na,0.5,0.5\nb,oops,0.5\na,0.25,0.75\nb,0.5,0.5\xff\n")
+        priors = tmp_path / "p.json"
+        priors.write_text('{"a": 0.5, "b": 0.5}', encoding="utf-8")
+        return path, main(["reweight", str(path), "--priors", str(priors), *extra])
+
+    def test_strict_stops_at_the_bad_cell(self, tmp_path, capsys):
+        path, code = self._reweight(tmp_path)
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == self.HEADER + "0,0,0.25,0.25,0.5,0.5\n"
+        assert captured.err == f"error: {path}:3: could not convert string to float: 'oops'\n"
+
+    def test_lenient_stops_at_the_bad_byte(self, tmp_path, capsys):
+        path, code = self._reweight(tmp_path, "--lenient")
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == self.HEADER + "0,0,0.25,0.25,0.5,0.5\n1,1,0.125,0.375,0.25,0.75\n"
+        assert captured.err == (
+            f"warning: {path}:3: could not convert string to float: 'oops'\n"
+            f"error: {path}:5: not valid UTF-8\n"
+        )
 
 
 def _write_scores_csv(path, labels, scores, truth=None):

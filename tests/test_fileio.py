@@ -16,7 +16,6 @@ from prioradapt import ClassCatalog, ConfusionMatrix, ParseError, PriorAdaptErro
 from prioradapt.estimators import estimate_naive
 from prioradapt.core import DecisionHistogram
 from prioradapt.fileio import (
-    _text_errors,
     _truth_index,
     parse_scores_header,
     format_float,
@@ -198,47 +197,75 @@ class TestDecisionStream:
 
 # Line-at-a-time readers, kept as the references for the block readers.
 
-def reference_decision_stream(path, k):
-    with open(path, "r", encoding="utf-8") as fp:
-        for line_no, line in enumerate(fp, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
+def reference_lines(path):
+    """The lines of ``path`` as ``open(path, newline="")`` splits them.
+
+    Each ``\\n``-ended line is decoded on its own, so a bad byte raises only
+    once the lines before it have been read.
+    """
+    with open(path, "rb") as fp:
+        for line_no, raw in enumerate(fp, start=1):
             try:
-                value = int(stripped)
-            except ValueError:
-                raise ParseError(
-                    f"expected a class index, got {stripped!r}", path=path, line=line_no
-                ) from None
-            if value < 0 or value >= k:
-                raise ParseError(
-                    f"class index {value} out of range for {k} classes",
-                    path=path, line=line_no,
-                )
-            yield value
+                text = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise ParseError("not valid UTF-8", path=path, line=line_no) from None
+            yield from io.StringIO(text, newline="").readlines()
+
+
+def reference_records(path):
+    """``(line_no, record)`` for each CSV record of ``path``."""
+    reader = csv.reader(reference_lines(path))
+    while True:
+        try:
+            row = next(reader)
+        except StopIteration:
+            return
+        except csv.Error as exc:
+            raise ParseError(str(exc), path=path, line=reader.line_num) from None
+        yield reader.line_num, row
+
+
+def is_blank(row):
+    return not row or (len(row) == 1 and not row[0].strip())
+
+
+def reference_decision_stream(path, k):
+    for line_no, line in enumerate(reference_lines(path), start=1):
+        stripped = line.strip()
+        if not stripped:
+            continue
+        try:
+            value = int(stripped)
+        except ValueError:
+            raise ParseError(
+                f"expected a class index, got {stripped!r}", path=path, line=line_no
+            ) from None
+        if value < 0 or value >= k:
+            raise ParseError(
+                f"class index {value} out of range for {k} classes",
+                path=path, line=line_no,
+            )
+        yield value
 
 
 def reference_confusion_csv(path):
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        with _text_errors(path, reader):
-            header = next(reader, None)
-            if header is None:
-                raise ParseError("empty confusion file", path=path)
-            labels = [h.strip() for h in header]
-            rows = []
-            for row in reader:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != len(labels):
-                    raise ParseError(
-                        f"expected {len(labels)} columns, got {len(row)}",
-                        path=path, line=reader.line_num,
-                    )
-                try:
-                    rows.append([float(x) for x in row])
-                except ValueError as exc:
-                    raise ParseError(str(exc), path=path, line=reader.line_num) from None
+    records = reference_records(path)
+    header = next(records, None)
+    if header is None:
+        raise ParseError("empty confusion file", path=path)
+    labels = [h.strip() for h in header[1]]
+    rows = []
+    for line_no, row in records:
+        if is_blank(row):
+            continue
+        if len(row) != len(labels):
+            raise ParseError(
+                f"expected {len(labels)} columns, got {len(row)}", path=path, line=line_no
+            )
+        try:
+            rows.append([float(x) for x in row])
+        except ValueError as exc:
+            raise ParseError(str(exc), path=path, line=line_no) from None
     if len(rows) != len(labels):
         raise ParseError(
             f"confusion matrix must be square: {len(labels)} labels but {len(rows)} rows",
@@ -252,27 +279,21 @@ def reference_confusion_csv(path):
 
 
 def reference_score_records(path, lenient=False, warn=None):
-    """The row-at-a-time scores reader: (line_no, scores, truth) per accepted row."""
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        with _text_errors(path, reader):
-            header = next(reader, None)
+    """The row-at-a-time scores reader: (scores, truth) per accepted row."""
+    records = reference_records(path)
+    header = next(records, None)
     if header is None:
         raise ParseError("empty scores file", path=path)
-    catalog, has_label = parse_scores_header(header, path)
-    with open(path, "r", encoding="utf-8", newline="") as fp:
-        reader = csv.reader(fp)
-        with _text_errors(path, reader):
-            next(reader, None)
-            for row in reader:
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                try:
-                    yield reference_score_row(row, catalog, has_label, path, reader.line_num)
-                except ParseError as exc:
-                    if not lenient:
-                        raise
-                    warn(str(exc))
+    catalog, has_label = parse_scores_header(header[1], path)
+    for line_no, row in records:
+        if is_blank(row):
+            continue
+        try:
+            yield reference_score_row(row, catalog, has_label, path, line_no)
+        except ParseError as exc:
+            if not lenient:
+                raise
+            warn(str(exc))
 
 
 def reference_score_row(row, catalog, has_label, path, line_no):
@@ -293,12 +314,12 @@ def reference_score_row(row, catalog, has_label, path, line_no):
     return record.scores, -1 if record.true_label is None else record.true_label
 
 
-def outcome(read, text):
-    """What ``read`` makes of a file holding ``text``: a value, or (type, message)."""
+def outcome(read, content):
+    """What ``read`` makes of a file holding the bytes ``content``: a value, or (type, message)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in")
         with open(path, "wb") as fp:
-            fp.write(text.encode("utf-8"))
+            fp.write(content)
         try:
             return read(path)
         except PriorAdaptError as exc:
@@ -314,6 +335,24 @@ _DECISION_TOKENS = [
 _decision_tokens = st.one_of(
     st.sampled_from("0123456789"), st.just("\n"), st.sampled_from(_DECISION_TOKENS)
 )
+
+#: Byte sequences that are not UTF-8: a stray byte, a lead byte cut short,
+#: an encoded surrogate and an over-long form.
+_BAD_BYTES = [b"\xff", b"\x80", b"\xc3", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"]
+
+
+@st.composite
+def with_bad_bytes(draw, texts):
+    """A drawn text as UTF-8, often with undecodable bytes put in at any positions."""
+    data = draw(texts).encode("utf-8")
+    for _ in range(draw(st.sampled_from([0, 0, 1, 1, 2]))):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from(_BAD_BYTES)) + data[at:]
+    return data
+
+
+#: Block sizes in bytes: a line per block, a few lines, and the default.
+_block_bytes = st.sampled_from([1, 30, 100, 1 << 16])
 
 _CONFUSION_HEADERS = ["a,b\n", "a,b\r\n", '"a\nx",b\n', "a,b,c\n"]
 _CONFUSION_CELLS = [
@@ -338,17 +377,19 @@ def confusion_texts(draw):
 
 
 class TestBlockReadersMatchLineReaders:
-    @given(st.lists(_decision_tokens, max_size=60), st.integers(1, 15))
+    @given(with_bad_bytes(st.lists(_decision_tokens, max_size=60).map("".join)),
+           st.integers(1, 15), _block_bytes)
     @settings(max_examples=400, deadline=None)
-    def test_decision_stream(self, tokens, k):
+    def test_decision_stream(self, content, k, block_bytes):
         def blocks(path):
             return np.concatenate([np.empty(0, np.int64), *read_decision_stream(path, k)]).tolist()
 
         def lines(path):
             return list(reference_decision_stream(path, k))
 
-        text = "".join(tokens)
-        assert outcome(blocks, text) == outcome(lines, text)
+        with small_blocks(block_bytes):
+            got = outcome(blocks, content)
+        assert got == outcome(lines, content)
 
     def test_decision_stream_across_blocks(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -365,18 +406,18 @@ class TestBlockReadersMatchLineReaders:
         with pytest.raises(ParseError, match=r"d\.txt:41235: class index 7 out of range"):
             list(read_decision_stream(path, 7))
 
-    @given(confusion_texts())
+    @given(with_bad_bytes(confusion_texts()), _block_bytes)
     @settings(max_examples=400, deadline=None)
-    def test_confusion_csv(self, text):
+    def test_confusion_csv(self, content, block_bytes):
         def read(reader):
             def run(path):
                 conf = reader(path)
                 return conf.catalog.labels, conf.rows.tobytes()
             return run
 
-        assert outcome(read(read_confusion_csv), text) == outcome(
-            read(reference_confusion_csv), text
-        )
+        with small_blocks(block_bytes):
+            got = outcome(read(read_confusion_csv), content)
+        assert got == outcome(read(reference_confusion_csv), content)
 
 
 _SCORE_HEADERS = [
@@ -414,8 +455,8 @@ def score_texts(draw):
     return header + "".join(lines)
 
 
-def score_outcome(read, text, lenient):
-    """The rows ``read`` yields from ``text``, the error ending them, and the warnings."""
+def score_outcome(read, content, lenient):
+    """The rows ``read`` yields from ``content``, the error ending them, and the warnings."""
     warnings = []
     rows = []
 
@@ -428,7 +469,7 @@ def score_outcome(read, text, lenient):
         finally:
             warnings[:] = [w.replace(path, "PATH") for w in warnings]
 
-    error = outcome(run, text)
+    error = outcome(run, content)
     return error, rows, warnings
 
 
@@ -443,12 +484,12 @@ class TestScoreBlocksMatchRowReader:
         for scores, truth in reference_score_records(path, lenient, warn):
             yield scores[np.newaxis], np.array([truth])
 
-    @given(score_texts(), st.booleans(), st.sampled_from([1, 30, 100, 1 << 16]))
+    @given(with_bad_bytes(score_texts()), st.booleans(), _block_bytes)
     @settings(max_examples=500, deadline=None)
-    def test_scores_csv(self, text, lenient, block_bytes):
+    def test_scores_csv(self, content, lenient, block_bytes):
         with small_blocks(block_bytes):
-            got = score_outcome(self.blocks, text, lenient)
-        want = score_outcome(self.rows, text, lenient)
+            got = score_outcome(self.blocks, content, lenient)
+        want = score_outcome(self.rows, content, lenient)
         assert got[0] == want[0]
         assert b"".join(r[0] for r in got[1]) == b"".join(r[0] for r in want[1])
         assert sum((r[1] for r in got[1]), []) == sum((r[1] for r in want[1]), [])
@@ -518,6 +559,28 @@ class TestPriorsJson:
         path = write(tmp_path, "p.json", "{")
         with pytest.raises(ParseError, match="invalid JSON"):
             read_priors_json(path, make_catalog(2))
+
+    @pytest.mark.parametrize("content, message", [
+        # json counts positions after text-mode newline translation.
+        (b'{"a": 0.5,\r\n "b": 0.5,\r\n "c" 0}\r\n', "Expecting ':' delimiter: line 3 column 6 (char 27)"),
+        (b'{"a": 0.5,\r "b": 0.5,\r "c" 0}\r', "Expecting ':' delimiter: line 3 column 6 (char 27)"),
+        (b'{"a": 1}\r\n\r\nx', "Extra data: line 3 column 1 (char 10)"),
+        (b'{"a": "\r"}', "Invalid control character at: line 1 column 8 (char 7)"),
+        (b"", "Expecting value: line 1 column 1 (char 0)"),
+        (b"\xef\xbb\xbf{}", "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"),
+    ])
+    def test_invalid_json_message(self, tmp_path, content, message):
+        path = tmp_path / "p.json"
+        path.write_bytes(content)
+        with pytest.raises(ParseError) as info:
+            read_priors_json(str(path), make_catalog(3))
+        assert str(info.value) == f"{path}: invalid JSON: {message}"
+
+    def test_crlf_document(self, tmp_path):
+        path = tmp_path / "p.json"
+        path.write_bytes(b'\r\n{"x00": 1,\r\n "x01": 3}\r\n')
+        values, _ = read_priors_json(str(path), make_catalog(2))
+        assert values.tolist() == [1.0, 3.0]
 
 
 def scenario_doc(**overrides):
