@@ -24,7 +24,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import DimensionError, InsufficientDataError, ValidationError
-from .solver import Gram
+from .solver import Gram, condition_estimate
 
 SCORE_SUM_TOL = 1e-6
 PRIOR_SUM_TOL = 1e-9
@@ -199,6 +199,11 @@ class ConfusionMatrix:
         against this matrix reuses it.
         """
         return Gram.of(self.rows.T)
+
+    @cached_property
+    def condition(self) -> float:
+        """The exact 1-norm condition number of :meth:`mixing_matrix`, computed on first use and kept."""
+        return condition_estimate(self.mixing_matrix())
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ a faithful small-scale reproduction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -34,7 +34,7 @@ from .core import (
     ScoreRecord,
     decide_adapted,  # unused; bound because bench/traced.py patches it
     decide_adapted_batch,
-    decide_baseline,
+    decide_baseline,  # unused; bound because bench/traced.py patches it
     probability_vector,
     uniform_estimate,
 )
@@ -134,6 +134,14 @@ class SyntheticClassifier:
     def catalog(self) -> ClassCatalog:
         return self.confusion.catalog
 
+    @cached_property
+    def cdf(self) -> np.ndarray:
+        """Each confusion row's cumulative sum over its last entry, as ``Generator.choice`` builds it."""
+        cdf = self.confusion.rows.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        cdf.setflags(write=False)
+        return cdf
+
 
 @dataclass(frozen=True)
 class EvaluationRow:
@@ -157,29 +165,47 @@ class Suite:
     h_seed: int = 0
 
 
+def _draw_scores(
+    clf: SyntheticClassifier,
+    labels: Sequence[int],
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """Draw one synthetic score row per true label, as an (N, K) array.
+
+    Each row's intended decision is sampled from its class's confusion row;
+    its scores are exponential jitter with the largest entry moved to the
+    intended decision and boosted by the sharpness, then normalized.  The
+    argmax therefore always equals the intended decision, so empirical
+    decision frequencies converge to the confusion row exactly.
+
+    RNG contract, pinned by the goldens: per row, in row order, one
+    ``rng.random()`` picks the decision (the draw ``rng.choice(K, p=row)``
+    makes) and then one ``rng.exponential(1.0, K)`` gives the jitter.  The
+    exponential draws stay one call per row: the ziggurat consumes a
+    data-dependent number of words, so batching them would move every
+    later row's ``random()`` to another place in the stream.
+    """
+    cdf, k, sharpness = clf.cdf, clf.catalog.k, clf.sharpness
+    weights = np.empty((len(labels), k))
+    for row, label in zip(weights, labels):
+        intended = cdf[label].searchsorted(rng.random(), side="right")
+        row[:] = rng.exponential(1.0, k)
+        top = row.argmax()
+        row[intended], row[top] = row[top], row[intended]
+        row[intended] += sharpness
+    return weights / weights.sum(axis=1, keepdims=True)
+
+
 def generate_record(
     clf: SyntheticClassifier,
     true_class: int,
     rng: np.random.Generator,
 ) -> ScoreRecord:
-    """Draw one synthetic score vector for a sample of ``true_class``.
-
-    The intended decision is sampled from the class's confusion row; the
-    score vector is exponential jitter with the largest entry moved to the
-    intended decision and boosted by the sharpness, then normalized.  The
-    argmax therefore always equals the intended decision, so empirical
-    decision frequencies converge to the confusion row exactly.
-    """
+    """Draw one synthetic score vector for a sample of ``true_class`` (see :func:`_draw_scores`)."""
     k = clf.catalog.k
     if true_class < 0 or true_class >= k:
         raise ValidationError(f"true_class {true_class} out of range for {k} classes")
-    row = clf.confusion.rows[true_class]
-    intended = int(rng.choice(k, p=row))
-    weights = rng.exponential(1.0, k)
-    top = int(np.argmax(weights))
-    weights[intended], weights[top] = weights[top], weights[intended]
-    weights[intended] += clf.sharpness
-    return ScoreRecord(weights / weights.sum(), true_label=true_class)
+    return ScoreRecord(_draw_scores(clf, (true_class,), rng)[0], true_label=true_class)
 
 
 def estimate_confusion(
@@ -187,15 +213,19 @@ def estimate_confusion(
     samples_per_class: int,
     rng: np.random.Generator,
 ) -> ConfusionMatrix:
-    """Measure an empirical confusion matrix on balanced synthetic data."""
+    """Measure an empirical confusion matrix on balanced synthetic data.
+
+    Each class's ``samples_per_class`` rows are drawn and decided together,
+    one class at a time, so at most that many rows are held at once.
+    """
     if samples_per_class < 1:
         raise ValidationError("samples_per_class must be >= 1")
     k = clf.catalog.k
+    decisions = np.empty((k, samples_per_class), dtype=np.intp)
+    for true_class, row in enumerate(decisions):
+        row[:] = _draw_scores(clf, [true_class] * samples_per_class, rng).argmax(axis=1)
     counts = np.zeros((k, k), dtype=np.int64)
-    for true_class in range(k):
-        for _ in range(samples_per_class):
-            record = generate_record(clf, true_class, rng)
-            counts[true_class, decide_baseline(record)] += 1
+    np.add.at(counts, (np.arange(k)[:, None], decisions), 1)
     return ConfusionMatrix(clf.catalog, counts)
 
 
@@ -218,14 +248,6 @@ def _draw_labels(priors: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
     labels = np.repeat(np.arange(priors.size), counts)
     rng.shuffle(labels)
     return labels
-
-
-def _draw_records(
-    clf: SyntheticClassifier,
-    labels: Sequence[int],
-    rng: np.random.Generator,
-) -> list[ScoreRecord]:
-    return [generate_record(clf, int(lbl), rng) for lbl in labels]
 
 
 def _stack(records: Sequence[ScoreRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -401,8 +423,9 @@ def cross_validate(
     conf = confusion
     if conf is None:
         conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(h_ss))
-    pool = _draw_records(clf, _draw_labels(spec.true_priors, pool_size, pool_rng), pool_rng)
-    scores, labels, baseline = _stack(pool)
+    labels = _draw_labels(spec.true_priors, pool_size, pool_rng)
+    scores = _draw_scores(clf, labels, pool_rng)
+    baseline = scores.argmax(axis=1)
     estimate = estimator(conf)
     fold_results = []
     for transfer_idx, test_idx in _fold_partitions(pool_size, spec.transfer_size, folds, fold_rng):

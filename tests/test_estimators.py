@@ -149,6 +149,37 @@ class TestEstimateMatrixInverse:
         with pytest.raises(IllConditionedError):
             estimate_matrix_inverse(conf, np.array([0.6, 0.4]))
 
+    def test_ill_conditioned_raises_again_from_the_cached_condition(self):
+        conf = conf_from([[0.5, 0.5], [0.5 + 1e-14, 0.5 - 1e-14]])
+        for _ in range(2):
+            with pytest.raises(IllConditionedError, match="condition number"):
+                estimate_matrix_inverse(conf, np.array([0.6, 0.4]))
+
+    def test_repeated_estimates_invert_h_once(self, monkeypatch):
+        inverted = []
+        inv = np.linalg.inv
+
+        def counting(a):
+            inverted.append(a)
+            return inv(a)
+
+        monkeypatch.setattr(np.linalg, "inv", counting)
+        rng = np.random.default_rng(33)
+        conf = random_confusion(6, rng)
+        for _ in range(3):
+            estimate_matrix_inverse(conf, random_simplex(6, rng))
+        assert len(inverted) == 1
+        assert np.array_equal(inverted[0], conf.mixing_matrix())
+
+    def test_residual_is_taken_on_the_c_ordered_mixing_matrix(self):
+        rng = np.random.default_rng(34)
+        for k in (3, 36, 200):
+            conf = random_confusion(k, rng)
+            c = random_simplex(k, rng)
+            est = estimate_matrix_inverse(conf, c)
+            expected = float(np.linalg.norm(conf.mixing_matrix() @ est.values - c))
+            assert est.diagnostics.residual == expected
+
 
 class TestEstimateQp:
     def test_identity_projection(self):

@@ -2,9 +2,12 @@
 
 import itertools
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prioradapt import (
     ClassCatalog,
@@ -89,7 +92,81 @@ class TestGenerateRecord:
             generate_record(clf, 3, np.random.default_rng(0))
 
 
+def reference_draw(clf: SyntheticClassifier, label: int, rng: np.random.Generator) -> np.ndarray:
+    """One score row drawn the scalar way: ``choice``, one exponential call, swap, boost, normalize."""
+    k = clf.catalog.k
+    intended = int(rng.choice(k, p=clf.confusion.rows[label]))
+    weights = rng.exponential(1.0, k)
+    top = int(np.argmax(weights))
+    weights[intended], weights[top] = weights[top], weights[intended]
+    weights[intended] += clf.sharpness
+    return weights / weights.sum()
+
+
+@st.composite
+def classifiers(draw, max_k=300):
+    """A classifier with sparse confusion rows (zero entries, a nonzero diagonal) and any sharpness."""
+    k = draw(st.integers(2, max_k))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.sampled_from([0.05, 0.5, 1.0]))
+    rows = rng.random((k, k)) ** 3 * (rng.random((k, k)) < density) + np.eye(k) * rng.random(k)
+    sharpness = draw(st.floats(0.01, 1000.0))
+    return make_classifier(rows + np.eye(k) * 1e-3, sharpness=sharpness)
+
+
+class TestDrawScores:
+    @given(
+        clf=classifiers(),
+        seed=st.integers(0, 2**32 - 1),
+        fractions=st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_and_generator_state_match_the_scalar_reference(self, clf, seed, fractions):
+        labels = [int(f * clf.catalog.k) for f in fractions]
+        ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
+        drawn = harness._draw_scores(clf, labels, ours)
+        expected = np.stack([reference_draw(clf, label, theirs) for label in labels])
+        assert drawn.tobytes() == expected.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @given(clf=classifiers(max_k=40), seed=st.integers(0, 2**32 - 1), per_class=st.integers(1, 12))
+    @settings(max_examples=25, deadline=None)
+    def test_estimate_confusion_matches_a_per_record_recount(self, clf, seed, per_class):
+        k = clf.catalog.k
+        theirs = np.random.default_rng(seed)
+        counts = np.zeros((k, k), dtype=np.int64)
+        for label in range(k):
+            for _ in range(per_class):
+                counts[label, np.argmax(reference_draw(clf, label, theirs))] += 1
+        ours = np.random.default_rng(seed)
+        conf = estimate_confusion(clf, per_class, ours)
+        assert conf.rows.tobytes() == ConfusionMatrix(clf.catalog, counts).rows.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    def test_generate_record_is_the_one_row_draw(self):
+        clf = make_classifier(random_confusion_rows(7, np.random.default_rng(5)))
+        ours, theirs = np.random.default_rng(6), np.random.default_rng(6)
+        for label in (0, 6, 3, 3):
+            record = generate_record(clf, label, ours)
+            assert record.scores.tobytes() == reference_draw(clf, label, theirs).tobytes()
+            assert record.true_label == label
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+
 class TestEstimateConfusion:
+    def test_holds_one_class_of_rows_at_a_time(self):
+        # All 400 x 50 rows at once would take 64 MB, twice that normalized.
+        k, per_class = 400, 50
+        clf = make_classifier(random_confusion_rows(k, np.random.default_rng(7)))
+        tracemalloc.start()
+        try:
+            conf = estimate_confusion(clf, per_class, np.random.default_rng(8))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert conf.k == k
+        assert peak < 8e6, f"peak {peak / 1e6:.1f} MB"
+
     def test_identity_generator_is_exact(self):
         clf = make_classifier(np.eye(4))
         conf = estimate_confusion(clf, 25, np.random.default_rng(0))
