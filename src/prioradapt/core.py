@@ -202,7 +202,7 @@ class ConfusionMatrix:
 
     @cached_property
     def condition(self) -> float:
-        """The exact 1-norm condition number of :meth:`mixing_matrix`, computed on first use and kept."""
+        """The exact 1-norm condition number of :meth:`mixing_matrix`, computed once and kept."""
         return condition_estimate(self.mixing_matrix())
 
 
