@@ -10,6 +10,12 @@ Exit codes: 0 success, 2 parse or validation failure, 3 solver failure,
 seeds and inputs they are byte-stable on one numpy/BLAS build run with one
 BLAS thread count; across builds or thread counts the last digits of the
 solver-based estimates may differ.
+
+``evaluate`` without a scenario file cross-validates the built-in suite in
+up to one process per CPU the command may run on, and at most one per
+context.  The output bytes do not depend on that number; ``taskset -c 0``
+runs the suite in one process.  A cgroup CPU quota below the affinity set
+is not read.
 """
 
 from __future__ import annotations
@@ -198,15 +204,19 @@ def _open_output(path: Optional[str]):
         with open(path, "w", encoding="utf-8", newline="\n") as fp:
             yield fp
         return
-    path = os.path.realpath(path)  # through a symbolic link, as open() writes
-    fd, tmp = tempfile.mkstemp(
-        prefix=f".{os.path.basename(path)}.", suffix=".tmp", dir=os.path.dirname(path)
-    )
+    target = os.path.realpath(path)  # through a symbolic link, as open() writes
+    try:
+        fd, tmp = tempfile.mkstemp(
+            prefix=f".{os.path.basename(target)}.", suffix=".tmp", dir=os.path.dirname(target)
+        )
+    except OSError as exc:
+        # Name the path asked for, not the random temporary name.
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as fp:
             yield fp
         os.chmod(tmp, stat.S_IMODE(mode))
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except BaseException:
         os.unlink(tmp)
         raise

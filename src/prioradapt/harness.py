@@ -17,6 +17,9 @@ a faithful small-scale reproduction.
 
 from __future__ import annotations
 
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -482,6 +485,87 @@ def default_suite(
     return Suite(classifier=clf, scenarios=tuple(scenarios), h_seed=h_seed)
 
 
+def _cross_validate_all(
+    specs: Sequence[ScenarioSpec],
+    clf: SyntheticClassifier,
+    folds: int,
+    conf: ConfusionMatrix,
+) -> list[EvaluationRow]:
+    """Cross-validate ``specs`` in order; a context that fails outright gives error rows."""
+    rows = []
+    for spec in specs:
+        try:
+            rows += cross_validate(spec, clf, folds=folds, confusion=conf)
+        except PriorAdaptError as exc:
+            failed = dict.fromkeys((m.name for m in METHODS), f"{type(exc).__name__}: {exc}")
+            rows += _collect_rows(spec.name, [failed] * folds)
+    return rows
+
+
+def _cpu_count() -> int:
+    """The CPUs this process may run on, or 1 where that cannot be read or nothing can fork."""
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _chunks(items: Sequence, n: int) -> list[Sequence]:
+    """``items`` cut into ``min(n, len(items))`` contiguous chunks (at least one), longer ones first."""
+    n = max(1, min(n, len(items)))
+    size, extra = divmod(len(items), n)
+    bounds = [i * size + min(i, extra) for i in range(n + 1)]
+    return [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
+
+
+def _fork(run: Callable[[], object]) -> Optional[tuple[int, int]]:
+    """Start ``run()`` in a forked child: its pid and the read end of its result pipe, or None.
+
+    The child writes the pickled ``(True, result)`` or ``(False, exception)``
+    to the pipe, or nothing if that cannot be pickled, and leaves through
+    ``os._exit``, so it runs no exit handler and flushes no inherited
+    buffer.  None means no child could be started.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid:
+        os.close(write_fd)
+        return pid, read_fd
+    status = 1
+    try:
+        os.close(read_fd)
+        try:
+            outcome = (True, run())
+        except BaseException as exc:
+            outcome = (False, exc)
+        data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _receive(pid: int, read_fd: int) -> Optional[tuple[bool, object]]:
+    """Read a child's outcome to the end of its pipe and reap it; None if it left none."""
+    try:
+        with open(read_fd, "rb") as pipe:
+            data = pipe.read()
+    finally:
+        os.waitpid(pid, 0)
+    try:
+        return pickle.loads(data)
+    except Exception:
+        return None
+
+
 def evaluate_suite(
     suite: Suite,
     folds: int = 10,
@@ -491,19 +575,48 @@ def evaluate_suite(
     The confusion matrix is measured once and shared, mirroring a single
     offline evaluation serving many deployments.  A scenario that fails
     outright contributes error rows instead of raising.
+
+    The scenarios are cut into contiguous chunks, one per CPU this process
+    may run on (``os.sched_getaffinity``) and at most one per scenario.
+    This process cross-validates the first chunk; each other chunk runs in
+    a forked child that sends its rows back through a pipe.  Each
+    scenario's folds depend only on its own seed and the shared matrix, so
+    the rows, and the output bytes made from them, do not depend on the
+    number of chunks; under ``taskset -c 0`` there is one chunk and nothing
+    forks.  A cgroup CPU quota below the affinity set is not read.  Rows
+    come back in scenario order.  Any other exception is raised as the
+    serial loop would raise it: the one from the earliest scenario.  A
+    chunk whose child could not start or left no result is cross-validated
+    here instead, and every child is reaped before this returns or raises.
     """
     if folds < 2:
         raise ValidationError(f"folds must be >= 2, got {folds}")
     clf = suite.classifier
     conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(suite.h_seed))
-    rows = []
-    for spec in suite.scenarios:
-        try:
-            rows += cross_validate(spec, clf, folds=folds, confusion=conf)
-        except PriorAdaptError as exc:
-            failed = dict.fromkeys((m.name for m in METHODS), f"{type(exc).__name__}: {exc}")
-            rows += _collect_rows(spec.name, [failed] * folds)
-    return rows
+    run = partial(_cross_validate_all, clf=clf, folds=folds, conf=conf)
+    first, *rest = _chunks(suite.scenarios, _cpu_count())
+    workers = []  # (chunk, (pid, read end) or None) per chunk not yet read back, in order
+    try:
+        for chunk in rest:
+            workers.append((chunk, _fork(partial(run, chunk))))
+        rows = run(first)
+        while workers:
+            chunk, worker = workers.pop(0)
+            outcome = None if worker is None else _receive(*worker)
+            if outcome is None:
+                rows += run(chunk)
+            elif outcome[0]:
+                rows += outcome[1]
+            else:
+                raise outcome[1]
+        return rows
+    finally:
+        for _, worker in workers:
+            if worker is not None:
+                pid, read_fd = worker
+                os.close(read_fd)
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
 
 
 def simulate_stream(

@@ -6,6 +6,7 @@ import io
 import itertools
 import json
 import os
+import shutil
 import stat
 import subprocess
 import sys
@@ -761,6 +762,16 @@ class TestOutputFile:
         assert main(["--output", "/dev/null", "normalize", data("fixture_confusion_raw.csv")]) == 0
         assert stat.S_ISCHR(os.stat("/dev/null").st_mode)
 
+    def test_missing_directory_names_the_given_path(self, tmp_path, capsys):
+        out = str(tmp_path / "missing" / "x.json")
+        errors = []
+        for _ in range(2):
+            assert main(["--output", out, "normalize", data("fixture_confusion_raw.csv")]) == 4
+            errors.append(capsys.readouterr().err)
+        assert "x.json" in errors[0] and out in errors[0]
+        assert ".tmp" not in errors[0]
+        assert errors[0] == errors[1]
+
     def test_simulate_failure_leaves_neither_file(self, tmp_path, monkeypatch):
         real = cli.simulate_stream
 
@@ -852,6 +863,17 @@ class TestEvaluate:
             assert proc.returncode == 0, proc.stderr
             outputs.append(proc.stdout)
         assert outputs[0] == outputs[1]
+
+    @pytest.mark.skipif(shutil.which("taskset") is None, reason="needs taskset")
+    def test_suite_bytes_on_one_cpu(self):
+        argv = [sys.executable, "-m", "prioradapt", "--format", "json", "--seed", "7",
+                "evaluate", "--folds", "20"]
+        default = subprocess.run(argv, capture_output=True, env=src_env())
+        one_cpu = subprocess.run(["taskset", "-c", "0", *argv], capture_output=True, env=src_env())
+        assert default.returncode == 0, default.stderr
+        assert one_cpu.returncode == 0, one_cpu.stderr
+        assert one_cpu.stdout == default.stdout
+        assert default.stdout == read_bytes(data("golden_evaluate_seed7.json"))
 
     def test_json_full_precision_golden(self, tmp_path):
         # golden_evaluate.md rounds to 3 decimals; this pins every digit.

@@ -2,6 +2,7 @@
 
 import itertools
 import os
+import time
 import tracemalloc
 
 import numpy as np
@@ -402,6 +403,15 @@ class TestDirectionalCoreClaim:
         assert ordered >= 0.9 * n_scenarios, f"ordering held in only {ordered}/{n_scenarios}"
 
 
+def failing_suite():
+    """A two-context suite whose first context cannot be cross-validated."""
+    suite = default_suite(catalog_size=6, n_scenarios=2, active_per_scenario=3)
+    broken = list(suite.scenarios)
+    object.__setattr__(broken[0], "transfer_size", 1)
+    object.__setattr__(broken[0], "test_size", 1)
+    return type(suite)(suite.classifier, tuple(broken), suite.h_seed)
+
+
 class TestDefaultSuite:
     def test_shape(self):
         suite = default_suite()
@@ -419,17 +429,142 @@ class TestDefaultSuite:
         assert [s.seed for s in a.scenarios] == [s.seed for s in b.scenarios]
 
     def test_evaluate_suite_isolates_failures(self):
-        suite = default_suite(catalog_size=6, n_scenarios=2, active_per_scenario=3)
-        # Sabotage one scenario so it cannot be cross-validated.
-        broken = list(suite.scenarios)
-        object.__setattr__(broken[0], "transfer_size", 1)
-        object.__setattr__(broken[0], "test_size", 1)
-        suite = type(suite)(suite.classifier, tuple(broken), suite.h_seed)
+        suite = failing_suite()
+        broken = suite.scenarios
         rows = evaluate_suite(suite, folds=10)
         first = [r for r in rows if r.scenario == broken[0].name]
         second = [r for r in rows if r.scenario == broken[1].name]
         assert all(r.accuracy is None and r.error for r in first)
         assert any(r.accuracy is not None for r in second)
+
+
+def use_cpus(monkeypatch, n):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+                    reason="needs os.fork and os.sched_getaffinity")
+class TestEvaluateSuiteWorkers:
+    """The suite's contexts are cross-validated in one forked process per CPU chunk."""
+
+    FOLDS = 3
+
+    @staticmethod
+    def raising_in(names, exc=RuntimeError, only_in_child=False, delay_s=None):
+        """A ``cross_validate`` that raises ``exc`` for the named contexts."""
+        real, parent = harness.cross_validate, os.getpid()
+
+        def fake(spec, clf, **kw):
+            in_child = os.getpid() != parent
+            if delay_s and spec.name in delay_s and in_child:
+                time.sleep(delay_s[spec.name])
+            if spec.name in names and (in_child or not only_in_child):
+                raise exc(f"boom in {spec.name}")
+            return real(spec, clf, **kw)
+
+        return fake
+
+    def test_chunks_are_contiguous_and_even(self):
+        items = tuple(range(12))
+        for n, sizes in ((1, [12]), (2, [6, 6]), (5, [3, 3, 2, 2, 2]), (40, [1] * 12)):
+            chunks = harness._chunks(items, n)
+            assert [len(c) for c in chunks] == sizes
+            assert tuple(itertools.chain(*chunks)) == items
+        assert harness._chunks((), 4) == [()]
+
+    @pytest.mark.parametrize("make_suite", [default_suite, failing_suite], ids=["default", "failing"])
+    def test_rows_do_not_depend_on_cpu_count(self, make_suite, monkeypatch):
+        suite = make_suite()
+        real_fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        results = {}
+        for n in (1, 2, 5):
+            use_cpus(monkeypatch, n)
+            forks.clear()
+            results[n] = evaluate_suite(suite, folds=self.FOLDS)
+            assert len(forks) == min(n, len(suite.scenarios)) - 1
+            assert_no_children()
+        assert [r.scenario for r in results[1]] == [
+            s.name for s in suite.scenarios for _ in METHODS
+        ]
+        for n in (2, 5):
+            assert results[n] == results[1]
+            assert repr(results[n]) == repr(results[1])  # bitwise floats, error strings, order
+
+    def test_worker_exception_is_raised_in_the_parent(self, monkeypatch):
+        use_cpus(monkeypatch, 2)
+        fake = self.raising_in({"context-10"}, only_in_child=True)
+        monkeypatch.setattr(harness, "cross_validate", fake)
+        with pytest.raises(RuntimeError, match="boom in context-10"):
+            evaluate_suite(default_suite(), folds=self.FOLDS)
+        assert_no_children()
+
+    def test_earliest_context_error_wins(self, monkeypatch):
+        use_cpus(monkeypatch, 3)  # chunks 0-3, 4-7, 8-11
+        # context-05's worker is slower than context-09's, and is still reported.
+        fake = self.raising_in({"context-05", "context-09"}, delay_s={"context-05": 0.3})
+        monkeypatch.setattr(harness, "cross_validate", fake)
+        with pytest.raises(RuntimeError, match="boom in context-05"):
+            evaluate_suite(default_suite(), folds=self.FOLDS)
+        assert_no_children()
+
+    def test_parent_error_kills_the_workers(self, monkeypatch):
+        use_cpus(monkeypatch, 3)
+        stuck = {"context-04": 120.0, "context-08": 120.0}
+        fake = self.raising_in({"context-01", "context-09"}, delay_s=stuck)
+        monkeypatch.setattr(harness, "cross_validate", fake)
+        t0 = time.monotonic()
+        with pytest.raises(RuntimeError, match="boom in context-01"):
+            evaluate_suite(default_suite(), folds=self.FOLDS)
+        assert time.monotonic() - t0 < 30.0
+        assert_no_children()
+
+    def test_dead_worker_chunk_is_evaluated_in_the_parent(self, monkeypatch):
+        suite = default_suite()
+        use_cpus(monkeypatch, 1)
+        reference = evaluate_suite(suite, folds=self.FOLDS)
+        real, parent = harness.cross_validate, os.getpid()
+
+        def dying(spec, clf, **kw):
+            if spec.name == "context-07" and os.getpid() != parent:
+                os._exit(9)
+            return real(spec, clf, **kw)
+
+        monkeypatch.setattr(harness, "cross_validate", dying)
+        use_cpus(monkeypatch, 3)
+        rows = evaluate_suite(suite, folds=self.FOLDS)
+        assert repr(rows) == repr(reference)
+        assert_no_children()
+
+    def test_chunk_without_a_worker_is_evaluated_in_the_parent(self, monkeypatch):
+        suite = default_suite()
+        use_cpus(monkeypatch, 1)
+        reference = evaluate_suite(suite, folds=self.FOLDS)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        use_cpus(monkeypatch, 2)
+        assert repr(evaluate_suite(suite, folds=self.FOLDS)) == repr(reference)
+        assert_no_children()
+
+    def test_unpicklable_worker_exception_is_raised_from_the_parent(self, monkeypatch):
+        class Unpicklable(RuntimeError):
+            def __init__(self, message):
+                super().__init__(message)
+                self.hook = lambda: None
+
+        use_cpus(monkeypatch, 2)
+        monkeypatch.setattr(harness, "cross_validate", self.raising_in({"context-08"}, Unpicklable))
+        with pytest.raises(Unpicklable, match="boom in context-08"):
+            evaluate_suite(default_suite(), folds=self.FOLDS)
+        assert_no_children()
 
 
 class TestSimulateStream:
