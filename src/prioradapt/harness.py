@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import os
 import pickle
-import signal
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -524,6 +523,11 @@ def _fork(run: Callable[[], object]) -> Optional[tuple[int, int]]:
     to the pipe, or nothing if that cannot be pickled, and leaves through
     ``os._exit``, so it runs no exit handler and flushes no inherited
     buffer.  None means no child could be started.
+
+    A bare fork, not ``multiprocessing``: importing that costs about a tenth
+    of what the workers save, and a spawned worker would import numpy
+    again.  The only other threads of the process are OpenBLAS's, which
+    OpenBLAS stops and restarts around a fork.
     """
     try:
         read_fd, write_fd = os.pipe()
@@ -562,8 +566,8 @@ def _receive(pid: int, read_fd: int) -> Optional[tuple[bool, object]]:
         os.waitpid(pid, 0)
     try:
         return pickle.loads(data)
-    except Exception:
-        return None
+    except Exception:  # no result, a cut one, or an exception that cannot be rebuilt:
+        return None    # the chunk is then cross-validated in the parent, which raises it there
 
 
 def evaluate_suite(
@@ -611,12 +615,15 @@ def evaluate_suite(
                 raise outcome[1]
         return rows
     finally:
-        for _, worker in workers:
-            if worker is not None:
-                pid, read_fd = worker
-                os.close(read_fd)
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        if workers:
+            import signal  # only this error path needs it, and every command imports this module
+
+            for _, worker in workers:
+                if worker is not None:
+                    pid, read_fd = worker
+                    os.close(read_fd)
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
 
 
 def simulate_stream(
