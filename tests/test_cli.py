@@ -766,11 +766,14 @@ class TestOutputFile:
         out = str(tmp_path / "missing" / "x.json")
         errors = []
         for _ in range(2):
-            assert main(["--output", out, "normalize", data("fixture_confusion_raw.csv")]) == 4
+            assert main(["--output", out, "evaluate", "--folds", "2"]) == 4
             errors.append(capsys.readouterr().err)
         assert "x.json" in errors[0] and out in errors[0]
         assert ".tmp" not in errors[0]
         assert errors[0] == errors[1]
+        if hasattr(os, "fork"):
+            with pytest.raises(ChildProcessError):  # the suite's workers are all reaped
+                os.waitpid(-1, os.WNOHANG)
 
     def test_simulate_failure_leaves_neither_file(self, tmp_path, monkeypatch):
         real = cli.simulate_stream
@@ -868,8 +871,10 @@ class TestEvaluate:
     def test_suite_bytes_on_one_cpu(self):
         argv = [sys.executable, "-m", "prioradapt", "--format", "json", "--seed", "7",
                 "evaluate", "--folds", "20"]
-        default = subprocess.run(argv, capture_output=True, env=src_env())
-        one_cpu = subprocess.run(["taskset", "-c", "0", *argv], capture_output=True, env=src_env())
+        default = subprocess.run(argv, capture_output=True, env=src_env(), timeout=120)
+        one_cpu = subprocess.run(
+            ["taskset", "-c", "0", *argv], capture_output=True, env=src_env(), timeout=120
+        )
         assert default.returncode == 0, default.stderr
         assert one_cpu.returncode == 0, one_cpu.stderr
         assert one_cpu.stdout == default.stdout
