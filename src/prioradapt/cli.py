@@ -7,9 +7,19 @@ into a comparison table.
 
 Exit codes: 0 success, 2 parse or validation failure, 3 solver failure,
 4 I/O failure.  All outputs are UTF-8 with LF line endings.  For fixed
-seeds and inputs they are byte-stable on one numpy/BLAS build run with one
-BLAS thread count; across builds or thread counts the last digits of the
-solver-based estimates may differ.
+seeds and inputs they are byte-stable on one numpy/BLAS build at any
+thread setting of the caller: importing this module sets
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
+before numpy loads, over any value the caller set, because the last digits
+of a solve can depend on the BLAS thread count.  Across numpy/BLAS builds
+the last digits of the solver-based estimates may differ.  A caller that
+imports this module after numpy has loaded keeps its own BLAS threads,
+and so does its in-process :func:`main`.
+
+``reweight`` parses its scores body in a forked reader process when the
+command may use more than one CPU, while this process decides, solves and
+writes; the bytes, the ``--lenient`` warnings and their order, and the exit
+codes are the same as when it reads in process.
 
 ``evaluate`` without a scenario file cross-validates the built-in suite in
 up to one process per CPU the command may run on, and at most one per
@@ -28,7 +38,12 @@ import stat
 import sys
 import tempfile
 from functools import partial
-from typing import Optional
+from typing import Iterator, Optional
+
+# One BLAS thread, whatever the caller set: the last digits of a solve can
+# depend on the thread count, and so would the output bytes.  OpenBLAS reads
+# these once, when numpy loads it, so they must be set before that import.
+os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
 
 import numpy as np
 
@@ -65,6 +80,7 @@ from .harness import (
     default_suite,
     estimator,
     evaluate_suite,
+    read_ahead,
     run_drift_scenario,
     simulate_stream,
 )
@@ -302,6 +318,35 @@ def _reweight_rows(scores, policy) -> str:
     return fileio.format_rows(np.column_stack([scores.argmax(axis=1), adapted, raw, norm]))
 
 
+def _score_messages(rows, pending: list) -> Iterator:
+    """The score blocks of ``rows``, each after the ``--lenient`` warnings gathered in ``pending`` before it.
+
+    A warning is a ``str`` and a block an array.  The warnings before an
+    error come before it is raised.
+    """
+    blocks = (scores for scores, _ in rows)
+    while True:
+        try:
+            block = next(blocks, None)
+        except Exception:
+            yield from pending
+            raise
+        yield from pending
+        pending.clear()
+        if block is None:
+            return
+        yield block
+
+
+def _score_blocks(messages, warn) -> Iterator[np.ndarray]:
+    """The blocks of :func:`_score_messages`, passing each warning to ``warn`` where it falls."""
+    for message in messages:
+        if isinstance(message, str):
+            warn(message)
+        else:
+            yield message
+
+
 def cmd_reweight(args) -> int:
     if (args.priors is None) == (args.confusion is None):
         raise ValidationError("reweight needs exactly one of --priors or --confusion")
@@ -321,27 +366,31 @@ def cmd_reweight(args) -> int:
                 pass
             return EXIT_OK
 
-        warn = (lambda msg: _note(args, f"warning: {msg}")) if args.lenient else None
-        catalog, rows = fileio.read_score_records(stream, args.lenient, warn)
-        blocks = (scores for scores, _ in rows)
+        pending: list[str] = []
+        catalog, rows = fileio.read_score_records(stream, args.lenient, pending.append)
         if args.priors is not None:
             method = _METHOD_BY_FLAG[args.method] if args.method else None
             values, tag = fileio.read_priors_json(args.priors, catalog, method)
             policy = AdaptedPolicy.from_priors(PriorEstimate(values / values.sum(), method=tag))
-            parts = ((scores, policy) for scores in blocks)
-        else:
-            # Live mode: re-estimate from the running histogram every N records.
-            if conf.catalog != catalog:
-                raise ValidationError("scores CSV classes do not match the confusion matrix classes")
-            parts = adapt(
-                blocks, StreamMonitor(catalog, window=args.window),
-                partial(estimator(conf), _METHOD_BY_FLAG[args.method or "qp"]), args.reestimate_every,
-                lambda exc: _note(args, f"warning: keeping previous priors: {exc}"),
-            )
-        with _open_output(args.output) as fp:
-            fp.write(_reweight_header(catalog))
-            for scores, policy in parts:
-                fp.write(_reweight_rows(scores, policy))
+        elif conf.catalog != catalog:
+            raise ValidationError("scores CSV classes do not match the confusion matrix classes")
+        # The body is parsed ahead, in a second process where one can run,
+        # while this one decides and writes; it holds no handle on the output.
+        with read_ahead(partial(_score_messages, rows, pending)) as messages:
+            blocks = _score_blocks(messages, lambda msg: _note(args, f"warning: {msg}"))
+            if args.priors is not None:
+                parts = ((scores, policy) for scores in blocks)
+            else:
+                # Live mode: re-estimate from the running histogram every N records.
+                parts = adapt(
+                    blocks, StreamMonitor(catalog, window=args.window),
+                    partial(estimator(conf), _METHOD_BY_FLAG[args.method or "qp"]), args.reestimate_every,
+                    lambda exc: _note(args, f"warning: keeping previous priors: {exc}"),
+                )
+            with _open_output(args.output) as fp:
+                fp.write(_reweight_header(catalog))
+                for scores, policy in parts:
+                    fp.write(_reweight_rows(scores, policy))
     return EXIT_OK
 
 

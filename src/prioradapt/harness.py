@@ -17,6 +17,7 @@ a faithful small-scale reproduction.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import pickle
 from dataclasses import dataclass
@@ -516,18 +517,85 @@ def _chunks(items: Sequence, n: int) -> list[Sequence]:
     return [items[start:stop] for start, stop in zip(bounds, bounds[1:])]
 
 
-def _fork(run: Callable[[], object]) -> Optional[tuple[int, int]]:
-    """Start ``run()`` in a forked child: its pid and the read end of its result pipe, or None.
+class WorkerLost(ChildProcessError):
+    """A worker process ended, or sent bytes that do not unpickle, before its end-of-stream marker."""
 
-    The child writes the pickled ``(True, result)`` or ``(False, exception)``
-    to the pipe, or nothing if that cannot be pickled, and leaves through
-    ``os._exit``, so it runs no exit handler and flushes no inherited
-    buffer.  None means no child could be started.
+
+class _Worker:
+    """A forked child that runs ``produce()`` and pickles what it yields into a pipe, one message each.
+
+    Iterating yields the child's items in order, and then raises the
+    exception ``produce`` raised, if any, or :class:`WorkerLost` if the
+    child ended without its end-of-stream marker.  As a context manager,
+    it reaps the child on exit, killing it first if it is still sending.
+    """
+
+    def __init__(self, pid: int, read_fd: int):
+        self.pid = pid
+        self._pipe = open(read_fd, "rb")
+        self._done = False  # the end marker or an exception arrived: the child is exiting
+
+    def __enter__(self) -> "_Worker":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def __iter__(self) -> Iterator:
+        while True:
+            try:
+                last, value = pickle.load(self._pipe)
+            except Exception:  # the end of the pipe, a cut message, or one that cannot be rebuilt
+                code = self.close()
+                raise WorkerLost(
+                    f"worker process {self.pid} ended with exit code {code} before its last message"
+                ) from None
+            if not last:
+                yield value
+                continue
+            self._done = True
+            self.close()
+            if value is not None:
+                raise value
+            return
+
+    def close(self) -> Optional[int]:
+        """Reap the child, killing it first unless it is exiting; its exit code, or None if reaped before."""
+        if self._pipe.closed:
+            return None
+        self._pipe.close()
+        if not self._done:
+            import signal  # only this path needs it, and every command imports this module
+
+            os.kill(self.pid, signal.SIGKILL)
+        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+
+
+def _messages(produce: Callable[[], Iterable]) -> Iterator[tuple[bool, object]]:
+    """``(False, item)`` per item of ``produce()``, then ``(True, None)``, or ``(True, exception)`` if it raised."""
+    try:
+        for item in produce():
+            yield False, item
+    except BaseException as exc:
+        yield True, exc
+        return
+    yield True, None
+
+
+def _fork(produce: Callable[[], Iterable]) -> Optional[_Worker]:
+    """Start ``produce()`` in a forked child and return the :class:`_Worker` reading it, or None.
+
+    The child pickles each message of :func:`_messages` into the pipe as
+    soon as it has it.  A message that cannot be pickled ends the stream
+    there, without its marker.  The child leaves through ``os._exit``, so
+    it runs no exit handler and flushes no inherited buffer.  None means
+    no child could be started.
 
     A bare fork, not ``multiprocessing``: importing that costs about a tenth
-    of what the workers save, and a spawned worker would import numpy
-    again.  The only other threads of the process are OpenBLAS's, which
-    OpenBLAS stops and restarts around a fork.
+    of what the suite's workers save, and a spawned child would import
+    numpy again.  The command line runs BLAS on one thread (see ``cli``),
+    so its process forks with no other thread; in a caller whose OpenBLAS
+    runs more, OpenBLAS stops its threads around the fork.
     """
     try:
         read_fd, write_fd = os.pipe()
@@ -541,33 +609,37 @@ def _fork(run: Callable[[], object]) -> Optional[tuple[int, int]]:
         return None
     if pid:
         os.close(write_fd)
-        return pid, read_fd
+        return _Worker(pid, read_fd)
     status = 1
     try:
         os.close(read_fd)
-        try:
-            outcome = (True, run())
-        except BaseException as exc:
-            outcome = (False, exc)
-        data = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
         with open(write_fd, "wb") as pipe:
-            pipe.write(data)
+            for message in _messages(produce):
+                pipe.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
+                pipe.flush()
         status = 0
     finally:
         os._exit(status)
 
 
-def _receive(pid: int, read_fd: int) -> Optional[tuple[bool, object]]:
-    """Read a child's outcome to the end of its pipe and reap it; None if it left none."""
-    try:
-        with open(read_fd, "rb") as pipe:
-            data = pipe.read()
-    finally:
-        os.waitpid(pid, 0)
-    try:
-        return pickle.loads(data)
-    except Exception:  # no result, a cut one, or an exception that cannot be rebuilt:
-        return None    # the chunk is then cross-validated in the parent, which raises it there
+@contextlib.contextmanager
+def read_ahead(produce: Callable[[], Iterable]) -> Iterator[Iterable]:
+    """Yield the items of ``produce()``, made ahead in a forked child while the caller handles them.
+
+    The child runs when this process may use more than one CPU (see
+    :func:`_cpu_count`) and a child can be started; otherwise ``produce()``
+    runs here, item by item, as the caller iterates.  The items, their
+    order and the exception ``produce`` raises after them are the same
+    either way.  A child that ends early raises :class:`WorkerLost`.  The
+    child is reaped on exit from the block, and killed first if it is
+    still running.
+    """
+    worker = _fork(produce) if _cpu_count() > 1 else None
+    if worker is None:
+        yield produce()
+        return
+    with worker:
+        yield worker
 
 
 def evaluate_suite(
@@ -599,31 +671,21 @@ def evaluate_suite(
     conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(suite.h_seed))
     run = partial(_cross_validate_all, clf=clf, folds=folds, conf=conf)
     first, *rest = _chunks(suite.scenarios, _cpu_count())
-    workers = []  # (chunk, (pid, read end) or None) per chunk not yet read back, in order
-    try:
+    with contextlib.ExitStack() as children:
+        workers = []  # (chunk, its worker or None), in order
         for chunk in rest:
-            workers.append((chunk, _fork(partial(run, chunk))))
+            worker = _fork(lambda chunk=chunk: [run(chunk)])  # one message: the chunk's rows
+            if worker is not None:
+                children.enter_context(worker)
+            workers.append((chunk, worker))
         rows = run(first)
-        while workers:
-            chunk, worker = workers.pop(0)
-            outcome = None if worker is None else _receive(*worker)
-            if outcome is None:
-                rows += run(chunk)
-            elif outcome[0]:
-                rows += outcome[1]
-            else:
-                raise outcome[1]
+        for chunk, worker in workers:
+            part = None
+            if worker is not None:
+                with contextlib.suppress(WorkerLost):
+                    [part] = worker
+            rows += run(chunk) if part is None else part
         return rows
-    finally:
-        if workers:
-            import signal  # only this error path needs it, and every command imports this module
-
-            for _, worker in workers:
-                if worker is not None:
-                    pid, read_fd = worker
-                    os.close(read_fd)
-                    os.kill(pid, signal.SIGKILL)
-                    os.waitpid(pid, 0)
 
 
 def simulate_stream(

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prioradapt import ValidationError, cli, fileio, solver
+from prioradapt import ValidationError, cli, fileio, harness, solver
 from prioradapt.cli import main, render_csv
 from prioradapt.harness import (
     DEFAULT_H_SAMPLES_PER_CLASS,
@@ -454,6 +454,165 @@ class TestPipes:
         )
         assert proc.returncode == 2
         assert proc.stderr.decode() == f"error: {tmp_path / 'in'}:3: not valid UTF-8\n"
+
+
+def assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestScoreReader:
+    """``reweight`` parses its scores body in a forked reader when it may use two CPUs."""
+
+    def _scores(self, tmp_path, lines=400, k=4):
+        """A scores CSV whose class mix changes halfway, with one class no decision reaches."""
+        rng = np.random.default_rng(14)
+        scores = rng.dirichlet(np.ones(k), size=lines)
+        scores[lines // 2:, 1] += 2.0
+        scores /= scores.sum(axis=1, keepdims=True)
+        path = str(tmp_path / "s.csv")
+        _write_scores_csv(path, [f"c{i}" for i in range(k)], scores)
+        conf = tmp_path / "c.csv"
+        conf.write_text(
+            "c0,c1,c2,c3\n0.7,0.1,0.1,0.1\n0.1,0.7,0.1,0.1\n0.1,0.1,0.7,0.1\n0.1,0.1,0.1,0.7\n",
+            encoding="utf-8",
+        )
+        return path, str(conf)
+
+    def _run(self, monkeypatch, capsys, cpus, argv, block_bytes=200):
+        """stdout, stderr, exit code and forks of ``main(argv)`` on ``cpus`` CPUs."""
+        real_fork, forks = os.fork, []
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+        monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)
+        with small_blocks(block_bytes):
+            code = main(argv)
+        monkeypatch.setattr(os, "fork", real_fork)
+        assert_no_children()
+        captured = capsys.readouterr()
+        return captured.out, captured.err, code, len(forks)
+
+    def test_bytes_do_not_depend_on_the_reader(self, tmp_path, monkeypatch, capsys):
+        scores, conf = self._scores(tmp_path)
+        for argv, lines in (
+            (["reweight", data("fixture_scores.csv"), "--priors", data("fixture_priors.json")], 5),
+            (["reweight", scores, "--confusion", conf, "--reestimate-every", "7", "--window", "50"], 401),
+        ):
+            serial = self._run(monkeypatch, capsys, 1, argv)
+            forked = self._run(monkeypatch, capsys, 2, argv)
+            assert serial == (forked[0], "", 0, 0) and forked[1:] == ("", 0, 1)
+            assert serial[0].count("\n") == lines
+
+    def test_warnings_keep_their_order(self, tmp_path, monkeypatch, capsys):
+        # Class c has zero recall, so each precision/recall estimate after a
+        # c decision fails; every seventh row is skipped under --lenient.
+        conf = tmp_path / "c.csv"
+        conf.write_text("a,b,c\n1,0,0\n0,1,0\n1,0,0\n", encoding="utf-8")
+        rows = ["label,s_a,s_b,s_c"] + [
+            "a,0.5,0.5,0.5" if i % 7 == 3 else "c,0.1,0.2,0.7" if i % 5 == 0 else "a,0.6,0.3,0.1"
+            for i in range(60)
+        ]
+        scores = tmp_path / "s.csv"
+        scores.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        argv = ["reweight", str(scores), "--confusion", str(conf), "--method", "pr",
+                "--reestimate-every", "4", "--lenient"]
+        serial = self._run(monkeypatch, capsys, 1, argv, block_bytes=40)
+        forked = self._run(monkeypatch, capsys, 2, argv, block_bytes=40)
+        assert serial == forked[:3] + (0,)
+        kinds = ["keep" if "keeping previous priors" in line else "skip"
+                 for line in serial[1].splitlines()]
+        assert kinds.count("skip") == 9
+        assert "skip" in kinds[kinds.index("keep"):]  # the two kinds interleave
+        assert kinds[0] == "skip" and kinds[1] == "keep"
+
+    def test_body_error_leaves_no_output(self, tmp_path, monkeypatch, capsys):
+        scores, conf = self._scores(tmp_path)
+        with open(scores, "a", encoding="utf-8") as fp:
+            fp.write("0.5,0.5,0.5,oops\n")
+        out = tmp_path / "out.csv"
+        argv = ["--output", str(out), "reweight", scores, "--confusion", conf, "--reestimate-every", "7"]
+        for cpus in (1, 2):
+            _, err, code, _ = self._run(monkeypatch, capsys, cpus, argv)
+            assert code == 2
+            assert err == f"error: {scores}:402: could not convert string to float: 'oops'\n"
+            assert not out.exists()
+
+    def test_dead_reader_exits_4(self, tmp_path, monkeypatch, capsys):
+        scores, conf = self._scores(tmp_path)
+        real, parent = cli._score_messages, os.getpid()
+
+        def dying(rows, pending):
+            for i, message in enumerate(real(rows, pending)):
+                if i == 5 and os.getpid() != parent:
+                    os._exit(9)
+                yield message
+
+        monkeypatch.setattr(cli, "_score_messages", dying)
+        out = tmp_path / "out.csv"
+        argv = ["--output", str(out), "reweight", scores, "--confusion", conf, "--reestimate-every", "7"]
+        _, err, code, forks = self._run(monkeypatch, capsys, 2, argv)
+        assert (code, forks) == (4, 1)
+        assert err.startswith("error: ") and "exit code 9" in err
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_failing_fork_reads_in_process(self, tmp_path, monkeypatch, capsys):
+        scores, conf = self._scores(tmp_path)
+        argv = ["reweight", scores, "--confusion", conf, "--reestimate-every", "7"]
+        serial = self._run(monkeypatch, capsys, 1, argv)
+
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(harness.os, "fork", no_fork)
+        monkeypatch.setattr(harness, "_cpu_count", lambda: 2)
+        with small_blocks(200):
+            assert main(argv) == 0
+        assert_no_children()
+        assert capsys.readouterr().out == serial[0]
+
+    def test_fifo_input(self, tmp_path):
+        scores, conf = self._scores(tmp_path)
+        argv_of = lambda path: ["reweight", path, "--confusion", conf, "--reestimate-every", "7"]
+        via_pipe = _through_fifo(tmp_path, read_bytes(scores), argv_of)
+        via_file = subprocess.run(
+            [sys.executable, "-m", "prioradapt", *argv_of(scores)], capture_output=True, env=src_env(),
+        )
+        assert via_pipe.returncode == via_file.returncode == 0, via_pipe.stderr
+        assert via_pipe.stdout == via_file.stdout
+        assert via_pipe.stdout.count(b"\n") == 401
+
+
+class TestBlasThreads:
+    """The command line runs BLAS on one thread, so its bytes ignore the caller's thread setting."""
+
+    def _inputs(self, tmp_path, k=200):
+        rng = np.random.default_rng(200)
+        labels = [f"c{i:03d}" for i in range(k)]
+        conf = rng.dirichlet(np.full(k, 0.05), size=k) * 0.5 + np.eye(k) * 0.5
+        with open(tmp_path / "conf.csv", "w", encoding="utf-8") as fp:
+            fp.write(",".join(labels) + "\n")
+            fp.writelines(",".join(repr(float(x)) for x in row) + "\n" for row in conf)
+        np.savetxt(tmp_path / "dec.txt", rng.integers(0, k, 100_000), fmt="%d")
+        _write_scores_csv(tmp_path / "scores.csv", labels, rng.dirichlet(np.full(k, 0.3), size=300))
+        return str(tmp_path / "conf.csv"), str(tmp_path / "dec.txt"), str(tmp_path / "scores.csv")
+
+    def test_bytes_do_not_depend_on_the_thread_count(self, tmp_path):
+        conf, decisions, scores = self._inputs(tmp_path)
+        for argv in (
+            ["estimate", conf, decisions, "--method", "all"],
+            ["reweight", scores, "--confusion", conf, "--method", "qp", "--reestimate-every", "10"],
+        ):
+            outputs = []
+            for threads in ("1", "2"):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "prioradapt", *argv], capture_output=True,
+                    env=src_env(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads),
+                    timeout=120,
+                )
+                assert proc.returncode == 0, proc.stderr
+                outputs.append(proc.stdout)
+            assert outputs[0] == outputs[1], argv
 
 
 class TestErrorsInFileOrder:
@@ -1067,6 +1226,28 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_package_import_is_lazy(self):
+        script = (
+            "import importlib, sys\n"
+            "import prioradapt\n"
+            "assert 'numpy' not in sys.modules, 'import prioradapt loaded numpy'\n"
+            "names = {}\n"
+            "exec('from prioradapt import *', names)\n"
+            "assert set(names) - {'__builtins__'} == set(prioradapt.__all__)\n"
+            "for name in prioradapt.__all__:\n"
+            "    obj = getattr(prioradapt, name)\n"
+            "    assert names[name] is obj, name\n"
+            "    assert getattr(importlib.import_module(obj.__module__), name) is obj, name\n"
+            "    assert name in dir(prioradapt), name\n"
+            "print(len(prioradapt.__all__))\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        assert int(proc.stdout) == 49
+        with pytest.raises(AttributeError, match="no_such_name"):
+            import prioradapt
+            prioradapt.no_such_name
 
     def test_unknown_command_usage_error(self):
         proc = subprocess.run(
