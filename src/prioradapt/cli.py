@@ -338,7 +338,7 @@ def _score_messages(rows, pending: list) -> Iterator:
         yield block
 
 
-def _score_blocks(messages, warn) -> Iterator[np.ndarray]:
+def _blocks_of(messages, warn) -> Iterator[np.ndarray]:
     """The blocks of :func:`_score_messages`, passing each warning to ``warn`` where it falls."""
     for message in messages:
         if isinstance(message, str):
@@ -377,7 +377,7 @@ def cmd_reweight(args) -> int:
         # The body is parsed ahead, in a second process where one can run,
         # while this one decides and writes; it holds no handle on the output.
         with read_ahead(partial(_score_messages, rows, pending)) as messages:
-            blocks = _score_blocks(messages, lambda msg: _note(args, f"warning: {msg}"))
+            blocks = _blocks_of(messages, lambda msg: _note(args, f"warning: {msg}"))
             if args.priors is not None:
                 parts = ((scores, policy) for scores in blocks)
             else:

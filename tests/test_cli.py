@@ -525,6 +525,21 @@ class TestScoreReader:
         assert "skip" in kinds[kinds.index("keep"):]  # the two kinds interleave
         assert kinds[0] == "skip" and kinds[1] == "keep"
 
+    def test_warning_just_before_an_error(self, tmp_path, monkeypatch, capsys):
+        # The skipped line is the last before the bad byte: no block comes between.
+        scores = tmp_path / "s.csv"
+        scores.write_bytes(b"label,s_a,s_b\na,0.5,0.5\nb,oops,0.5\n\xff\n")
+        priors = tmp_path / "p.json"
+        priors.write_text('{"a": 0.5, "b": 0.5}', encoding="utf-8")
+        argv = ["reweight", str(scores), "--priors", str(priors), "--lenient"]
+        serial = self._run(monkeypatch, capsys, 1, argv)
+        forked = self._run(monkeypatch, capsys, 2, argv)
+        assert serial[:3] == forked[:3]
+        assert serial[1] == (
+            f"warning: {scores}:3: could not convert string to float: 'oops'\n"
+            f"error: {scores}:4: not valid UTF-8\n"
+        )
+
     def test_body_error_leaves_no_output(self, tmp_path, monkeypatch, capsys):
         scores, conf = self._scores(tmp_path)
         with open(scores, "a", encoding="utf-8") as fp:
