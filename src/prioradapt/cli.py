@@ -8,18 +8,22 @@ into a comparison table.
 Exit codes: 0 success, 2 parse or validation failure, 3 solver failure,
 4 I/O failure.  All outputs are UTF-8 with LF line endings.  For fixed
 seeds and inputs they are byte-stable on one numpy/BLAS build at any
-thread setting of the caller: importing this module sets
-``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` to 1
-before numpy loads, over any value the caller set, because the last digits
-of a solve can depend on the BLAS thread count.  Across numpy/BLAS builds
-the last digits of the solver-based estimates may differ.  A caller that
-imports this module after numpy has loaded keeps its own BLAS threads,
-and so does its in-process :func:`main`.
+thread setting of the caller: importing this module loads numpy with
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set
+to 1, over any value the caller set, because the last digits of a solve
+can depend on the BLAS thread count.  It then gives the three variables
+back their earlier values, or unsets them, so processes the caller starts
+later inherit its own setting.  Across numpy/BLAS builds the last digits
+of the solver-based estimates may differ.  A caller that imports this
+module after numpy has loaded keeps its own BLAS threads, and so does its
+in-process :func:`main`.
 
 ``reweight`` parses its scores body in a forked reader process when the
 command may use more than one CPU, while this process decides, solves and
-writes; the bytes, the ``--lenient`` warnings and their order, and the exit
-codes are the same as when it reads in process.
+writes.  Under ``--lenient`` the reader yields each skipped row's error in
+that row's place, so the warnings come out in file order between the
+blocks around them; the bytes, the warnings and the exit codes are the
+same as when it reads in process.
 
 ``evaluate`` without a scenario file cross-validates the built-in suite in
 up to one process per CPU the command may run on, and at most one per
@@ -42,10 +46,19 @@ from typing import Iterator, Optional
 
 # One BLAS thread, whatever the caller set: the last digits of a solve can
 # depend on the thread count, and so would the output bytes.  OpenBLAS reads
-# these once, when numpy loads it, so they must be set before that import.
-os.environ.update(OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-
-import numpy as np
+# these once, when numpy loads it, so they are set for that import only and
+# then given back, so that the caller's child processes inherit its own.
+_BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+_callers = {name: os.environ.get(name) for name in _BLAS_THREADS}
+os.environ.update(dict.fromkeys(_BLAS_THREADS, "1"))
+try:
+    import numpy as np
+finally:
+    for name, value in _callers.items():
+        if value is None:
+            del os.environ[name]
+        else:
+            os.environ[name] = value
 
 from . import fileio
 from .core import (
@@ -318,33 +331,13 @@ def _reweight_rows(scores, policy) -> str:
     return fileio.format_rows(np.column_stack([scores.argmax(axis=1), adapted, raw, norm]))
 
 
-def _score_messages(rows, pending: list) -> Iterator:
-    """The score blocks of ``rows``, each after the ``--lenient`` warnings gathered in ``pending`` before it.
-
-    A warning is a ``str`` and a block an array.  The warnings before an
-    error come before it is raised.
-    """
-    blocks = (scores for scores, _ in rows)
-    while True:
-        try:
-            block = next(blocks, None)
-        except Exception:
-            yield from pending
-            raise
-        yield from pending
-        pending.clear()
-        if block is None:
-            return
-        yield block
-
-
-def _blocks_of(messages, warn) -> Iterator[np.ndarray]:
-    """The blocks of :func:`_score_messages`, passing each warning to ``warn`` where it falls."""
-    for message in messages:
-        if isinstance(message, str):
-            warn(message)
+def _blocks_of(items, args) -> Iterator[np.ndarray]:
+    """The score arrays of the reader's ``items``, noting each skipped row's error where it falls."""
+    for item in items:
+        if isinstance(item, ParseError):
+            _note(args, f"warning: {item}")
         else:
-            yield message
+            yield item[0]
 
 
 def cmd_reweight(args) -> int:
@@ -366,8 +359,7 @@ def cmd_reweight(args) -> int:
                 pass
             return EXIT_OK
 
-        pending: list[str] = []
-        catalog, rows = fileio.read_score_records(stream, args.lenient, pending.append)
+        catalog, items = fileio.read_score_records(stream, args.lenient)
         if args.priors is not None:
             method = _METHOD_BY_FLAG[args.method] if args.method else None
             values, tag = fileio.read_priors_json(args.priors, catalog, method)
@@ -376,8 +368,8 @@ def cmd_reweight(args) -> int:
             raise ValidationError("scores CSV classes do not match the confusion matrix classes")
         # The body is parsed ahead, in a second process where one can run,
         # while this one decides and writes; it holds no handle on the output.
-        with read_ahead(partial(_score_messages, rows, pending)) as messages:
-            blocks = _blocks_of(messages, lambda msg: _note(args, f"warning: {msg}"))
+        with read_ahead(lambda: items) as ahead:
+            blocks = _blocks_of(ahead, args)
             if args.priors is not None:
                 parts = ((scores, policy) for scores in blocks)
             else:

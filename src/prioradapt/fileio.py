@@ -221,7 +221,7 @@ def _csv_header(stream: TextInput, what: str) -> list[str]:
     return header
 
 
-def _csv_body(stream: TextInput, fast, parse, gather, lenient: bool = False, warn=None) -> Iterator:
+def _csv_body(stream: TextInput, fast, parse, gather, lenient: bool = False) -> Iterator:
     """Yield the rows of a CSV body, the rest of ``stream``, in blocks.
 
     Each block of lines that are not blank is parsed at once by
@@ -230,8 +230,7 @@ def _csv_body(stream: TextInput, fast, parse, gather, lenient: bool = False, war
     line.  From the first block holding a ``"``, the rest of the input
     goes to csv, because a quoted cell may hold a line break.
     """
-    rows = partial(_csv_rows, parse=parse, gather=gather, path=stream.path,
-                   lenient=lenient, warn=warn)
+    rows = partial(_csv_rows, parse=parse, gather=gather, path=stream.path, lenient=lenient)
     while lines := stream.block(_CSV_BLOCK_BYTES):
         first = stream.line_no - len(lines) + 1
         if any('"' in line for line in lines):
@@ -245,15 +244,15 @@ def _csv_body(stream: TextInput, fast, parse, gather, lenient: bool = False, war
             yield from rows(lines, first)
 
 
-def _csv_rows(lines, first: int, parse, gather, path: str, lenient: bool, warn) -> Iterator:
+def _csv_rows(lines, first: int, parse, gather, path: str, lenient: bool) -> Iterator:
     """Yield rows parsed one at a time, ``lines`` starting at line ``first``.
 
     ``parse(row, line_no)`` returns a row's values or raises the
     :class:`ParseError` naming its line; under ``lenient`` that row is
-    skipped with a ``warn(message)`` callback.  ``gather`` makes a block
-    of the parsed values.  The rows read before an error are yielded
-    before it is raised or warned about, so a consumer handles them first,
-    as it would row by row.
+    skipped, and the error is yielded in its place.  ``gather`` makes a
+    block of the parsed values.  The rows read before an error are
+    yielded before it is raised or yielded, so a consumer handles them
+    first, as it would row by row.
     """
     reader = csv.reader(lines)
     parsed = []
@@ -276,8 +275,7 @@ def _csv_rows(lines, first: int, parse, gather, path: str, lenient: bool, warn) 
                 parsed = []
             if not lenient:
                 raise
-            if warn is not None:
-                warn(str(exc))
+            yield exc
             continue
         if len(parsed) == _CSV_BLOCK_ROWS:
             yield gather(parsed)
@@ -373,8 +371,7 @@ def parse_scores_header(header: list[str], path: str) -> tuple[ClassCatalog, boo
 def read_score_records(
     source,
     lenient: bool = False,
-    warn=None,
-) -> tuple[ClassCatalog, Iterator[tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[ClassCatalog, Iterator]:
     """Return a scores CSV's catalog and a lazy iterator of ``(scores, truth)`` blocks.
 
     ``source`` is a path or an open :class:`TextInput`.  ``scores`` is an
@@ -383,15 +380,16 @@ def read_score_records(
     or absent.  The header is read before this returns.  A file opened
     here is closed when the iterator is exhausted, closed or dropped.
 
-    A malformed row raises :class:`ParseError` naming its line, or is
-    skipped with a ``warn(message)`` callback when ``lenient`` is set; the
-    rows before it are yielded first either way.
+    A malformed row raises :class:`ParseError` naming its line.  When
+    ``lenient`` is set, the row is skipped instead and the iterator yields
+    that error where the row stood, so items are blocks and errors in file
+    order.  The rows before a bad row are yielded first either way.
     """
-    blocks = _score_blocks(source, lenient, warn)
+    blocks = _score_blocks(source, lenient)
     return next(blocks), blocks
 
 
-def _score_blocks(source, lenient: bool, warn) -> Iterator:
+def _score_blocks(source, lenient: bool) -> Iterator:
     """Yield the catalog, then the ``(scores, truth)`` blocks of :func:`read_score_records`."""
     with _opened(source) as stream:
         path = stream.path
@@ -401,7 +399,7 @@ def _score_blocks(source, lenient: bool, warn) -> Iterator:
             stream,
             partial(_score_block, catalog=catalog, has_label=has_label),
             partial(_parse_score_row, catalog=catalog, has_label=has_label, path=path),
-            _gather_scores, lenient, warn,
+            _gather_scores, lenient,
         )
 
 
@@ -730,13 +728,15 @@ def read_scenario_json(
     if seed_override is not None:
         seed = seed_override
     sharpness = _sharpness(doc.get("sharpness", DEFAULT_SHARPNESS), "scenario", path)
+    transfer_size = _require(doc, "transfer_size", int, "scenario", path)
+    test_size = _require(doc, "test_size", int, "scenario", path)
     try:
         spec = ScenarioSpec(
             catalog=catalog,
             active_classes=tuple(active),
             true_priors=priors,
-            transfer_size=_require(doc, "transfer_size", int, "scenario", path),
-            test_size=_require(doc, "test_size", int, "scenario", path),
+            transfer_size=transfer_size,
+            test_size=test_size,
             drift=drift,
             seed=int(seed),
             name=str(doc.get("name", os.path.splitext(os.path.basename(path))[0])),

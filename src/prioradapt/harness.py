@@ -576,7 +576,7 @@ def _messages(produce: Callable[[], Iterable]) -> Iterator[tuple[bool, object]]:
     try:
         for item in produce():
             yield False, item
-    except BaseException as exc:
+    except Exception as exc:  # a GeneratorExit, when the pipe breaks, must close this generator
         yield True, exc
         return
     yield True, None
@@ -654,8 +654,8 @@ def evaluate_suite(
 
     The scenarios are cut into contiguous chunks, one per CPU this process
     may run on (``os.sched_getaffinity``) and at most one per scenario.
-    This process cross-validates the first chunk; each other chunk runs in
-    a forked child that sends its rows back through a pipe.  Each
+    This process cross-validates the first chunk; each other chunk runs
+    ahead in a forked child through :func:`read_ahead`.  Each
     scenario's folds depend only on its own seed and the shared matrix, so
     the rows, and the output bytes made from them, do not depend on the
     number of chunks; under ``taskset -c 0`` there is one chunk and nothing
@@ -670,21 +670,22 @@ def evaluate_suite(
     clf = suite.classifier
     conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(suite.h_seed))
     run = partial(_cross_validate_all, clf=clf, folds=folds, conf=conf)
+
+    def rows_of(chunk):
+        # A generator, so that a chunk with no child runs when it is read, not
+        # when its block is entered: errors then come in scenario order.
+        yield run(chunk)
+
     first, *rest = _chunks(suite.scenarios, _cpu_count())
     with contextlib.ExitStack() as children:
-        workers = []  # (chunk, its worker or None), in order
-        for chunk in rest:
-            worker = _fork(lambda chunk=chunk: [run(chunk)])  # one message: the chunk's rows
-            if worker is not None:
-                children.enter_context(worker)
-            workers.append((chunk, worker))
+        ahead = [children.enter_context(read_ahead(partial(rows_of, chunk))) for chunk in rest]
         rows = run(first)
-        for chunk, worker in workers:
-            part = None
-            if worker is not None:
-                with contextlib.suppress(WorkerLost):
-                    [part] = worker
-            rows += run(chunk) if part is None else part
+        for chunk, part in zip(rest, ahead):
+            try:
+                [chunk_rows] = part
+            except WorkerLost:
+                chunk_rows = run(chunk)
+            rows += chunk_rows
         return rows
 
 

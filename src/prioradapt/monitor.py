@@ -34,6 +34,8 @@ class StreamMonitor:
     def __init__(self, catalog: ClassCatalog, window: Optional[int] = None):
         if window is not None and window < 1:
             raise ValidationError("window length must be >= 1")
+        if window is not None and window > 2**63 - 1:  # ring slots are numbered in int64
+            raise ValidationError(f"window length must be <= 2**63 - 1, got {window}")
         self.catalog = catalog
         self.window = window
         self._counts = np.zeros(catalog.k, dtype=np.int64)
@@ -52,28 +54,18 @@ class StreamMonitor:
 
     def ingest(self, decision: int) -> None:
         """Count one decision, evicting the oldest if the window is full."""
-        decision = int(decision)
-        if decision < 0 or decision >= self.catalog.k:
-            raise ValidationError(
-                f"decision index {decision} out of range for {self.catalog.k} classes"
-            )
-        if self._ring is not None:
-            slot = self._seen % self.window
-            if self._seen >= self.window:
-                self._counts[self._ring[slot]] -= 1
-            else:
-                self._reserve(slot + 1)
-            self._ring[slot] = decision
-        self._counts[decision] += 1
-        self._seen += 1
+        self.ingest_many((int(decision),))
 
     def ingest_many(self, decisions) -> None:
-        """Count a batch of decisions, as ``ingest`` would one at a time.
+        """Count a batch of decisions in order, evicting the oldest past the window.
 
         The whole batch is checked first: an index out of range raises
         :class:`ValidationError` and leaves the monitor unchanged.
         """
-        batch = np.asarray(decisions, dtype=np.int64)
+        try:
+            batch = np.asarray(decisions, dtype=np.int64)
+        except OverflowError:
+            raise ValidationError(f"decision index out of range for {self.catalog.k} classes") from None
         if batch.ndim != 1:
             raise DimensionError(f"decisions must be one-dimensional, got shape {batch.shape}")
         bad = (batch < 0) | (batch >= self.catalog.k)

@@ -554,15 +554,15 @@ class TestScoreReader:
 
     def test_dead_reader_exits_4(self, tmp_path, monkeypatch, capsys):
         scores, conf = self._scores(tmp_path)
-        real, parent = cli._score_messages, os.getpid()
+        real, parent, calls = fileio._score_block, os.getpid(), []
 
-        def dying(rows, pending):
-            for i, message in enumerate(real(rows, pending)):
-                if i == 5 and os.getpid() != parent:
-                    os._exit(9)
-                yield message
+        def dying(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 6 and os.getpid() != parent:
+                os._exit(9)
+            return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "_score_messages", dying)
+        monkeypatch.setattr(fileio, "_score_block", dying)
         out = tmp_path / "out.csv"
         argv = ["--output", str(out), "reweight", scores, "--confusion", conf, "--reestimate-every", "7"]
         _, err, code, forks = self._run(monkeypatch, capsys, 2, argv)
@@ -628,6 +628,29 @@ class TestBlasThreads:
                 assert proc.returncode == 0, proc.stderr
                 outputs.append(proc.stdout)
             assert outputs[0] == outputs[1], argv
+
+    def test_import_keeps_the_callers_environment(self):
+        env = src_env(OPENBLAS_NUM_THREADS="4")
+        env.pop("OMP_NUM_THREADS", None)
+        env.pop("MKL_NUM_THREADS", None)
+        code = (
+            "import os, prioradapt.cli\n"
+            "print([os.environ.get(n) for n in ('OPENBLAS_NUM_THREADS', 'OMP_NUM_THREADS', 'MKL_NUM_THREADS')])"
+        )
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True, timeout=60)
+        assert proc.stdout == "['4', None, None]\n", proc.stderr
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="counts threads in /proc/self/task")
+    def test_numpy_loaded_by_the_cli_runs_one_thread(self):
+        code = (
+            "import os, prioradapt.cli, numpy as np\n"
+            "a = np.ones((1500, 1500))\n"
+            "a @ a\n"
+            "print(len(os.listdir('/proc/self/task')))"
+        )
+        env = src_env(OPENBLAS_NUM_THREADS="4", OMP_NUM_THREADS="4", MKL_NUM_THREADS="4")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, text=True, timeout=60)
+        assert proc.stdout == "1\n", proc.stderr
 
 
 class TestErrorsInFileOrder:
@@ -1134,6 +1157,22 @@ class TestNegativeSeed:
                         ["--output", str(tmp_path / "sim"), "simulate", str(scen)]):
             assert main(command) == 2
             assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [
+    ["estimate", data("fixture_confusion3.csv"), data("fixture_decisions.txt")],
+    ["reweight", data("fixture_scores.csv"), "--confusion", data("fixture_confusion3.csv"),
+     "--reestimate-every", "2"],
+    ["evaluate", data("fixture_scenario.json")],
+], ids=["estimate", "reweight", "evaluate"])
+def test_window_past_int64_exits_2(command):
+    # In a child process, so that the stderr of a forked reader is caught too.
+    proc = subprocess.run(
+        [sys.executable, "-m", "prioradapt", *command, "--window", str(2**63)],
+        capture_output=True, env=src_env(), timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (2, b"")
+    assert proc.stderr.decode() == f"error: window length must be <= 2**63 - 1, got {2**63}\n"
 
 
 class TestGlobalFlagPlacement:

@@ -114,6 +114,13 @@ def score_rows(records):
     return np.concatenate([s for s, _ in blocks]), np.concatenate([t for _, t in blocks])
 
 
+def lenient_items(records):
+    """The blocks of a lenient read_score_records iterator, and the messages of the errors among them."""
+    items = list(records)
+    blocks = [item for item in items if not isinstance(item, ParseError)]
+    return blocks, [str(item) for item in items if isinstance(item, ParseError)]
+
+
 class TestScoresCsv:
     def test_with_label_column(self, tmp_path):
         path = write(tmp_path, "s.csv", "label,s_a,s_b\na,0.9,0.1\n,0.2,0.8\n")
@@ -156,9 +163,9 @@ class TestScoresCsv:
 
     def test_lenient_skips_with_warning(self, tmp_path):
         path = write(tmp_path, "s.csv", "s_a,s_b\n0.5,0.5\n0.9,0.3\n0.2,0.8\n")
-        warnings = []
-        _, records = read_score_records(path, lenient=True, warn=warnings.append)
-        scores, _ = score_rows(records)
+        _, records = read_score_records(path, lenient=True)
+        blocks, warnings = lenient_items(records)
+        scores, _ = score_rows(blocks)
         assert scores.tolist() == [[0.5, 0.5], [0.2, 0.8]]
         assert len(warnings) == 1
         assert "3" in warnings[0]
@@ -278,8 +285,8 @@ def reference_confusion_csv(path):
         raise ParseError(str(exc), path=path) from exc
 
 
-def reference_score_records(path, lenient=False, warn=None):
-    """The row-at-a-time scores reader: (scores, truth) per accepted row."""
+def reference_score_records(path, lenient=False):
+    """The row-at-a-time scores reader: (scores, truth) per accepted row, and a skipped row's error in its place."""
     records = reference_records(path)
     header = next(records, None)
     if header is None:
@@ -293,7 +300,7 @@ def reference_score_records(path, lenient=False, warn=None):
         except ParseError as exc:
             if not lenient:
                 raise
-            warn(str(exc))
+            yield exc
 
 
 def reference_score_row(row, catalog, has_label, path, line_no):
@@ -456,18 +463,25 @@ def score_texts(draw):
 
 
 def score_outcome(read, content, lenient):
-    """The rows ``read`` yields from ``content``, the error ending them, and the warnings."""
+    """The rows ``read`` yields from ``content``, the error ending them, and the warnings.
+
+    Each warning is paired with the number of rows yielded before it.
+    """
     warnings = []
     rows = []
 
     def run(path):
+        seen = 0
         try:
-            for scores, truth in read(path, lenient, warnings.append):
+            for item in read(path, lenient):
+                if isinstance(item, ParseError):
+                    warnings.append((seen, str(item).replace(path, "PATH")))
+                    continue
+                scores, truth = item
                 rows.append((scores.tobytes(), truth.tolist()))
+                seen += len(truth)
         except PriorAdaptError as exc:
             return type(exc), str(exc).replace(path, "PATH")
-        finally:
-            warnings[:] = [w.replace(path, "PATH") for w in warnings]
 
     error = outcome(run, content)
     return error, rows, warnings
@@ -475,14 +489,18 @@ def score_outcome(read, content, lenient):
 
 class TestScoreBlocksMatchRowReader:
     @staticmethod
-    def blocks(path, lenient, warn):
-        _, records = read_score_records(path, lenient, warn)
+    def blocks(path, lenient):
+        _, records = read_score_records(path, lenient)
         return records
 
     @staticmethod
-    def rows(path, lenient, warn):
-        for scores, truth in reference_score_records(path, lenient, warn):
-            yield scores[np.newaxis], np.array([truth])
+    def rows(path, lenient):
+        for item in reference_score_records(path, lenient):
+            if isinstance(item, ParseError):
+                yield item
+            else:
+                scores, truth = item
+                yield scores[np.newaxis], np.array([truth])
 
     @given(with_bad_bytes(score_texts()), st.booleans(), _block_bytes)
     @settings(max_examples=500, deadline=None)
@@ -505,9 +523,9 @@ class TestScoreBlocksMatchRowReader:
             for scores, _ in records:
                 got.append(len(scores))
         assert len(got) > 1 and sum(got) == 22_221
-        warnings = []
-        _, records = read_score_records(path, lenient=True, warn=warnings.append)
-        assert sum(len(scores) for scores, _ in records) == 29_999
+        _, records = read_score_records(path, lenient=True)
+        blocks, warnings = lenient_items(records)
+        assert sum(len(scores) for scores, _ in blocks) == 29_999
         assert [w.split(": ")[0] for w in warnings] == [f"{path}:22223"]
 
 
@@ -618,6 +636,19 @@ class TestScenarioJson:
         path = write(tmp_path, "scen.json", json.dumps(doc))
         with pytest.raises(ParseError, match="scenario.transfer_size"):
             read_scenario_json(path)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("test_size", None, "scenario.test_size is required"),
+        ("transfer_size", 10.0, "scenario.transfer_size must be of type int"),
+    ])
+    def test_size_error_names_the_file_once(self, tmp_path, field, value, message):
+        doc = scenario_doc(**{field: value})
+        if value is None:
+            del doc[field]
+        path = write(tmp_path, "scen.json", json.dumps(doc))
+        with pytest.raises(ParseError) as info:
+            read_scenario_json(path)
+        assert str(info.value) == f"{path}: {message}"
 
     def test_unknown_active_class(self, tmp_path):
         doc = scenario_doc(active_classes=["a", "zzz"])

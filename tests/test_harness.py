@@ -554,6 +554,24 @@ class TestEvaluateSuiteWorkers:
         assert repr(evaluate_suite(suite, folds=self.FOLDS)) == repr(reference)
         assert_no_children()
 
+    def test_earliest_context_error_wins_without_workers(self, monkeypatch):
+        def no_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        use_cpus(monkeypatch, 2)  # chunks 0-5 and 6-11, both run here
+        fake = self.raising_in({"context-01", "context-08"})
+        monkeypatch.setattr(harness, "cross_validate", fake)
+        with pytest.raises(RuntimeError, match="boom in context-01"):
+            evaluate_suite(default_suite(), folds=self.FOLDS)
+
+    def test_message_stream_closes_quietly(self):
+        # A child's pipe breaks when its parent stops reading; the stream it
+        # was sending must then close, not send one more message.
+        messages = harness._messages(lambda: iter(range(3)))
+        assert next(messages) == (False, 0)
+        messages.close()
+
     def test_unpicklable_worker_exception_is_raised_from_the_parent(self, monkeypatch):
         class Unpicklable(RuntimeError):
             def __init__(self, message):

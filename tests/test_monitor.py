@@ -38,6 +38,12 @@ class TestIngest:
             monitor.ingest(7)
         with pytest.raises(ValidationError):
             monitor.ingest(-1)
+        for huge in (2**70, -2**70):  # past int64
+            with pytest.raises(ValidationError, match="out of range"):
+                monitor.ingest(huge)
+        with pytest.raises(ValidationError, match="out of range"):
+            monitor.ingest_many([0, 2**64])
+        assert monitor.decisions_seen == 0
 
     @pytest.mark.parametrize("window", [None, 2])
     def test_out_of_range_batch_leaves_monitor_unchanged(self, window):
@@ -64,6 +70,15 @@ class TestIngest:
     def test_window_validation(self):
         with pytest.raises(ValidationError):
             StreamMonitor(make_catalog(2), window=0)
+
+    def test_window_past_int64_is_refused(self):
+        # Ring slots are numbered in int64, so the longest window is 2**63 - 1.
+        with pytest.raises(ValidationError, match=r"^window length must be <= 2\*\*63 - 1, got 9223372036854775808$"):
+            StreamMonitor(make_catalog(3), window=2**63)
+        monitor = StreamMonitor(make_catalog(3), window=2**63 - 1)
+        monitor.ingest_many([0, 1, 1])
+        monitor.ingest(2)
+        assert np.array_equal(monitor.snapshot().counts, [1, 2, 1])
 
 
 class TestSnapshot:
