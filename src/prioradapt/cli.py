@@ -278,7 +278,7 @@ def _ingest_stream(args, conf) -> StreamMonitor:
                 raise ValidationError(
                     "scores CSV classes do not match the confusion matrix classes"
                 )
-            blocks = (scores.argmax(axis=1) for scores, _ in rows)
+            blocks = (scores.argmax(axis=1) for scores in rows)
         for block in blocks:
             monitor.ingest_many(block)
     return monitor
@@ -337,7 +337,7 @@ def _blocks_of(items, args) -> Iterator[np.ndarray]:
         if isinstance(item, ParseError):
             _note(args, f"warning: {item}")
         else:
-            yield item[0]
+            yield item
 
 
 def cmd_reweight(args) -> int:
@@ -405,9 +405,11 @@ def cmd_simulate(args) -> int:
             nonzero = {labels[i]: float(p) for i, p in enumerate(priors) if p > 0.0}
             truth_fp.write(f"# segment {seg_no} from row {start}: {json.dumps(nonzero)}\n")
         truth_fp.write("index,label,segment\n")
-        for index, record, segment in simulate_stream(spec, clf):
-            scores_fp.write(fileio.format_rows(record.scores[np.newaxis]))
-            truth_fp.write(f"{index},{labels[record.true_label]},{segment}\n")
+        index = 0
+        for scores, truth, segment in simulate_stream(spec, clf):
+            scores_fp.write(fileio.format_rows(scores))
+            truth_fp.write("".join(f"{i},{labels[t]},{segment}\n" for i, t in enumerate(truth, index)))
+            index += len(truth)
     _note(args, f"wrote {scores_path} and {truth_path}")
     return EXIT_OK
 

@@ -7,7 +7,7 @@ JSON relies on Python's shortest-round-trip float repr.
 * confusion CSV — header row of class labels, then one row of K values
   per true class (raw counts or already-normalized rates).
 * scores CSV — header ``label,s_<class>,...`` where the leading truth
-  column is optional; one record per row.
+  column is optional, and checked but not used; one record per row.
 * decision stream — one class index per line.
 * priors JSON — keyed by method, then by class label, with per-method
   diagnostics alongside.
@@ -47,6 +47,7 @@ from .harness import (
     DriftSegment,
     ScenarioSpec,
     SyntheticClassifier,
+    diagonal_confusion_rows,
 )
 
 
@@ -372,13 +373,14 @@ def read_score_records(
     source,
     lenient: bool = False,
 ) -> tuple[ClassCatalog, Iterator]:
-    """Return a scores CSV's catalog and a lazy iterator of ``(scores, truth)`` blocks.
+    """Return a scores CSV's catalog and a lazy iterator of score blocks.
 
-    ``source`` is a path or an open :class:`TextInput`.  ``scores`` is an
-    (n, K) float64 array whose rows are probability vectors; ``truth`` is
-    an (n,) int64 array of class indices, -1 where the truth cell is empty
-    or absent.  The header is read before this returns.  A file opened
-    here is closed when the iterator is exhausted, closed or dropped.
+    ``source`` is a path or an open :class:`TextInput`.  Each block is an
+    (n, K) float64 array whose rows are probability vectors.  A truth cell
+    is checked, as a class name first, else an integer index in [0, K),
+    and then dropped: nothing downstream reads it.  The header is read
+    before this returns.  A file opened here is closed when the iterator
+    is exhausted, closed or dropped.
 
     A malformed row raises :class:`ParseError` naming its line.  When
     ``lenient`` is set, the row is skipped instead and the iterator yields
@@ -390,7 +392,7 @@ def read_score_records(
 
 
 def _score_blocks(source, lenient: bool) -> Iterator:
-    """Yield the catalog, then the ``(scores, truth)`` blocks of :func:`read_score_records`."""
+    """Yield the catalog, then the score blocks of :func:`read_score_records`."""
     with _opened(source) as stream:
         path = stream.path
         catalog, has_label = parse_scores_header(_csv_header(stream, "scores"), path)
@@ -399,20 +401,16 @@ def _score_blocks(source, lenient: bool) -> Iterator:
             stream,
             partial(_score_block, catalog=catalog, has_label=has_label),
             partial(_parse_score_row, catalog=catalog, has_label=has_label, path=path),
-            _gather_scores, lenient,
+            np.array, lenient,
         )
 
 
-def _score_block(
-    lines: list[str], catalog: ClassCatalog, has_label: bool
-) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """Unquoted score lines as ``(scores, truth)``; None if a row breaks a rule."""
+def _score_block(lines: list[str], catalog: ClassCatalog, has_label: bool) -> Optional[np.ndarray]:
+    """Unquoted score lines as an (n, K) array; None if a row breaks a rule."""
     values = lines
-    truth = np.full(len(lines), -1, dtype=np.int64)
     if has_label:
         cells, _, values = zip(*(line.partition(",") for line in lines))
-        truth = _truth_column(cells, catalog)
-        if truth is None:
+        if not _valid_truth(cells, catalog):
             return None
     scores = _float_block(list(values), catalog.k)
     if scores is None:
@@ -421,29 +419,19 @@ def _score_block(
         check_probability_rows(scores, "scores", SCORE_SUM_TOL)
     except ValidationError:
         return None
-    return scores, truth
+    return scores
 
 
-def _truth_column(cells, catalog: ClassCatalog) -> Optional[np.ndarray]:
-    """Truth cells as class indices, -1 for an empty one; None if one names no class."""
-    index = {}
-    for cell in set(cells):
-        raw = cell.strip()
-        if not raw:
-            index[cell] = -1
-            continue
+def _valid_truth(cells, catalog: ClassCatalog) -> bool:
+    """Whether every truth cell is empty or names a class (see :func:`_truth_index`)."""
+    for raw in {cell.strip() for cell in cells} - {""}:
         try:
             label = _truth_index(raw, catalog)
         except (ValueError, PriorAdaptError):
-            return None
+            return False
         if not 0 <= label < catalog.k:
-            return None
-        index[cell] = label
-    return np.array([index[cell] for cell in cells], dtype=np.int64)
-
-
-def _gather_scores(rows: list[tuple[np.ndarray, int]]) -> tuple[np.ndarray, np.ndarray]:
-    return np.array([scores for scores, _ in rows]), np.array([t for _, t in rows], dtype=np.int64)
+            return False
+    return True
 
 
 def _parse_score_row(
@@ -452,27 +440,23 @@ def _parse_score_row(
     catalog: ClassCatalog,
     has_label: bool,
     path: str,
-) -> tuple[np.ndarray, int]:
-    """One row's scores and truth index (-1 when absent), or the ParseError naming its line."""
+) -> np.ndarray:
+    """One row's scores, its truth cell checked, or the ParseError naming its line."""
     expected = catalog.k + (1 if has_label else 0)
     if len(row) != expected:
         raise ParseError(
             f"expected {expected} columns, got {len(row)}", path=path, line=line_no
         )
     label: Optional[int] = None
-    values = row
     try:
-        if has_label:
-            raw = row[0].strip()
-            values = row[1:]
-            if raw:
-                label = _truth_index(raw, catalog)
-        scores = probability_vector([float(x) for x in values], "scores", SCORE_SUM_TOL)
+        if has_label and row[0].strip():
+            label = _truth_index(row[0].strip(), catalog)
+        scores = probability_vector([float(x) for x in row[int(has_label):]], "scores", SCORE_SUM_TOL)
         if label is not None and not 0 <= label < catalog.k:
             raise ValidationError(f"true_label {label} out of range for {catalog.k} classes")
     except (ValueError, PriorAdaptError) as exc:
         raise ParseError(str(exc), path=path, line=line_no) from None
-    return scores, -1 if label is None else label
+    return scores
 
 
 def _truth_index(raw: str, catalog: ClassCatalog) -> int:
@@ -796,10 +780,7 @@ def _build_classifier(
             )
         if np.any(diag <= 0.0) or np.any(diag > 1.0):
             raise ParseError(f"{where}.diagonal entries must lie in (0, 1]", path=path)
-        rows = np.zeros((catalog.k, catalog.k))
-        for i in range(catalog.k):
-            spread = rng.dirichlet(np.ones(catalog.k - 1))
-            rows[i] = np.insert(spread * (1.0 - diag[i]), i, diag[i])
+        rows = diagonal_confusion_rows(diag, rng)
         try:
             return SyntheticClassifier(ConfusionMatrix(catalog, rows), sharpness=sharpness)
         except PriorAdaptError as exc:

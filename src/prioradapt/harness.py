@@ -18,6 +18,7 @@ a faithful small-scale reproduction.
 from __future__ import annotations
 
 import contextlib
+import itertools
 import os
 import pickle
 from dataclasses import dataclass
@@ -170,16 +171,20 @@ class Suite:
 
 def _draw_scores(
     clf: SyntheticClassifier,
-    labels: Sequence[int],
+    n: int,
+    labels: Iterable[int],
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Draw one synthetic score row per true label, as an (N, K) array.
+    """Draw ``n`` synthetic score rows, one per true label, as an (n, K) array.
 
     Each row's intended decision is sampled from its class's confusion row;
     its scores are exponential jitter with the largest entry moved to the
     intended decision and boosted by the sharpness, then normalized.  The
     argmax therefore always equals the intended decision, so empirical
     decision frequencies converge to the confusion row exactly.
+
+    ``labels`` is read lazily, each label just before its row is drawn, so
+    it may draw from ``rng`` itself, as :func:`simulate_stream`'s does.
 
     RNG contract, pinned by the goldens: per row, in row order, one
     ``rng.random()`` picks the decision (the draw ``rng.choice(K, p=row)``
@@ -189,7 +194,7 @@ def _draw_scores(
     later row's ``random()`` to another place in the stream.
     """
     cdf, k, sharpness = clf.cdf, clf.catalog.k, clf.sharpness
-    weights = np.empty((len(labels), k))
+    weights = np.empty((n, k))
     for row, label in zip(weights, labels):
         intended = cdf[label].searchsorted(rng.random(), side="right")
         row[:] = rng.exponential(1.0, k)
@@ -208,7 +213,7 @@ def generate_record(
     k = clf.catalog.k
     if true_class < 0 or true_class >= k:
         raise ValidationError(f"true_class {true_class} out of range for {k} classes")
-    return ScoreRecord(_draw_scores(clf, (true_class,), rng)[0], true_label=true_class)
+    return ScoreRecord(_draw_scores(clf, 1, (true_class,), rng)[0], true_label=true_class)
 
 
 def estimate_confusion(
@@ -226,7 +231,7 @@ def estimate_confusion(
     k = clf.catalog.k
     decisions = np.empty((k, samples_per_class), dtype=np.intp)
     for true_class, row in enumerate(decisions):
-        row[:] = _draw_scores(clf, [true_class] * samples_per_class, rng).argmax(axis=1)
+        row[:] = _draw_scores(clf, samples_per_class, itertools.repeat(true_class), rng).argmax(axis=1)
     counts = np.zeros((k, k), dtype=np.int64)
     np.add.at(counts, (np.arange(k)[:, None], decisions), 1)
     return ConfusionMatrix(clf.catalog, counts)
@@ -251,13 +256,6 @@ def _draw_labels(priors: np.ndarray, n: int, rng: np.random.Generator) -> np.nda
     labels = np.repeat(np.arange(priors.size), counts)
     rng.shuffle(labels)
     return labels
-
-
-def _stack(records: Sequence[ScoreRecord]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The (N, K) scores, true labels and baseline decisions of labelled records."""
-    scores = np.stack([r.scores for r in records])
-    labels = np.array([r.true_label for r in records])
-    return scores, labels, scores.argmax(axis=1)
 
 
 def _histogram(decisions: np.ndarray, k: int) -> DecisionHistogram:
@@ -427,7 +425,7 @@ def cross_validate(
     if conf is None:
         conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(h_ss))
     labels = _draw_labels(spec.true_priors, pool_size, pool_rng)
-    scores = _draw_scores(clf, labels, pool_rng)
+    scores = _draw_scores(clf, pool_size, labels, pool_rng)
     baseline = scores.argmax(axis=1)
     estimate = estimator(conf)
     fold_results = []
@@ -437,6 +435,16 @@ def cross_validate(
             spec, estimate, hist, scores[test_idx], labels[test_idx], baseline[test_idx],
         ))
     return _collect_rows(spec.name, fold_results)
+
+
+def diagonal_confusion_rows(diagonal: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Confusion rows with the given diagonal, the rest of each row spread by ``rng.dirichlet``."""
+    k = diagonal.size
+    rows = np.zeros((k, k))
+    for i in range(k):
+        spread = rng.dirichlet(np.ones(k - 1))
+        rows[i] = np.insert(spread * (1.0 - diagonal[i]), i, diagonal[i])
+    return rows
 
 
 def default_suite(
@@ -457,11 +465,7 @@ def default_suite(
         raise ValidationError("not enough catalog classes for disjoint scenario blocks")
     catalog = ClassCatalog(tuple(f"c{i:02d}" for i in range(catalog_size)))
     rng = np.random.default_rng(seed)
-    diagonal = rng.uniform(0.65, 0.85, catalog_size)
-    rows = np.zeros((catalog_size, catalog_size))
-    for i in range(catalog_size):
-        spread = rng.dirichlet(np.ones(catalog_size - 1))
-        rows[i, :] = np.insert(spread * (1.0 - diagonal[i]), i, diagonal[i])
+    rows = diagonal_confusion_rows(rng.uniform(0.65, 0.85, catalog_size), rng)
     clf = SyntheticClassifier(ConfusionMatrix(catalog, rows))
 
     scenario_seeds = rng.integers(0, 2**31 - 1, size=n_scenarios)
@@ -689,29 +693,39 @@ def evaluate_suite(
         return rows
 
 
+#: Rows per block of :func:`simulate_stream`.
+_STREAM_BLOCK_ROWS = 1024
+
+
 def simulate_stream(
     spec: ScenarioSpec,
     clf: SyntheticClassifier,
     rng: Optional[np.random.Generator] = None,
-) -> Iterator[tuple[int, ScoreRecord, int]]:
-    """Yield ``(index, record, segment)`` for a deployment stream.
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """Yield ``(scores, labels, segment)`` blocks of a deployment stream.
 
-    The stream has ``transfer_size + test_size`` records drawn i.i.d. from
+    The stream has ``transfer_size + test_size`` rows drawn i.i.d. from
     the scenario mixture, switching to each drift segment's mixture at its
-    start index.  Segment 0 is the scenario's own priors.
+    start index.  Segment 0 is the scenario's own priors.  ``scores`` is an
+    (n, K) array and ``labels`` the (n,) true class indices of its rows.  A
+    block holds at most ``_STREAM_BLOCK_ROWS`` rows, all of one segment.
+
+    RNG contract, pinned by the goldens: per row, in row order, one
+    ``rng.random()`` draws the label (the draw ``rng.choice(K, p=priors)``
+    makes), then :func:`_draw_scores` draws the row.
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    total = spec.transfer_size + spec.test_size
-    boundaries = [(seg.start, seg.priors) for seg in (spec.drift or ())]
-    segment = 0
-    priors = spec.true_priors
-    for index in range(total):
-        while boundaries and index >= boundaries[0][0]:
-            priors = boundaries.pop(0)[1]
-            segment += 1
-        label = int(rng.choice(spec.catalog.k, p=priors))
-        yield index, generate_record(clf, label, rng), segment
+    segments = [(0, spec.true_priors), *((seg.start, seg.priors) for seg in spec.drift or ())]
+    ends = [start for start, _ in segments[1:]] + [spec.transfer_size + spec.test_size]
+    for segment, ((start, priors), end) in enumerate(zip(segments, ends)):
+        cdf = priors.cumsum()
+        cdf /= cdf[-1]
+        for first in range(start, end, _STREAM_BLOCK_ROWS):
+            n = min(_STREAM_BLOCK_ROWS, end - first)
+            # The kernel draws each label just before its row; tee keeps a copy.
+            drawn, kept = itertools.tee(cdf.searchsorted(rng.random(), side="right") for _ in range(n))
+            yield _draw_scores(clf, n, drawn, rng), np.fromiter(kept, np.intp, n), segment
 
 
 def run_drift_scenario(
@@ -737,8 +751,10 @@ def run_drift_scenario(
         raise ValidationError("reestimate_every must be >= 1")
     stream_ss, h_ss = np.random.SeedSequence(spec.seed).spawn(2)
     conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(h_ss))
-    _, records, segments = zip(*simulate_stream(spec, clf, np.random.default_rng(stream_ss)))
-    scores, truth, baseline = _stack(records)
+    scores, truth, segments = zip(*simulate_stream(spec, clf, np.random.default_rng(stream_ss)))
+    segments = np.repeat(segments, [len(labels) for labels in truth])
+    scores, truth = np.concatenate(scores), np.concatenate(truth)
+    baseline = scores.argmax(axis=1)
     failures: list[PriorAdaptError] = []
     parts = adapt(
         [scores], StreamMonitor(spec.catalog, window=window),
@@ -751,7 +767,6 @@ def run_drift_scenario(
         last = failures[-1]
         error = f"{len(failures)} re-estimates failed, kept previous priors: {type(last).__name__}: {last}"
     rows = []
-    segments = np.array(segments)
     for segment in np.unique(segments):
         name = f"{spec.name}/segment-{segment}"
         baseline, adapted = hits[segments == segment].mean(axis=0)

@@ -99,7 +99,8 @@ def _inverse(a: np.ndarray) -> tuple[Optional[np.ndarray], float]:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         return None, np.inf
-    cond = float(np.linalg.norm(a, 1)) * float(np.linalg.norm(inv, 1))
+    with np.errstate(over="ignore"):  # an inverse too large to add up is mapped to inf below
+        cond = float(np.linalg.norm(a, 1)) * float(np.linalg.norm(inv, 1))
     return inv, cond if np.isfinite(cond) else np.inf
 
 

@@ -94,6 +94,19 @@ class TestEstimate:
         assert doc["methods"]["naive"]["priors"] == {"a": 0.5, "b": 0.25, "c": 0.25}
         assert doc["total_decisions"] == 4
 
+    def test_inverse_too_large_to_add_up_prints_no_warning(self, tmp_path):
+        # The inverse's column sums overflow; the exit is the solver's, with no numpy warning.
+        (tmp_path / "c.csv").write_text("a,b\n1,0\n1,1e-308\n", encoding="utf-8")
+        (tmp_path / "d.txt").write_text("0\n1\n0\n", encoding="utf-8")
+        proc = subprocess.run(
+            [sys.executable, "-m", "prioradapt", "estimate", "c.csv", "d.txt", "--method", "inverse"],
+            cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr == ""
+        error = json.loads(proc.stdout)["methods"]["matrix_inverse"]["error"]
+        assert error.startswith("IllConditionedError: mixing matrix condition number inf")
+
     def test_consistent_fixture_qp_recovers(self, tmp_path, capsys):
         code = main([
             "estimate", data("fixture_confusion3.csv"), data("fixture_decisions.txt"),
@@ -826,15 +839,17 @@ class TestLiveReweightMatchesDriftReplay:
         stream_ss, h_ss = np.random.SeedSequence(spec.seed).spawn(2)
         conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(h_ss))
         stream = list(simulate_stream(spec, clf, np.random.default_rng(stream_ss)))
+        truth = np.concatenate([t for _, t, _ in stream])
+        segments = np.repeat([s for _, _, s in stream], [len(t) for _, t, _ in stream])
         conf_path, scores_path = tmp_path / "conf.csv", tmp_path / "scores.csv"
         with open(conf_path, "w", encoding="utf-8", newline="\n") as fp:
             fileio.write_confusion_csv(conf, fp)
         labels = spec.catalog.labels
         with open(scores_path, "w", encoding="utf-8", newline="\n") as fp:
             fp.write(",".join(["label", *(f"s_{l}" for l in labels)]) + "\n")
-            for _, record, _ in stream:
-                cells = [labels[record.true_label], *map(fileio.format_float, record.scores)]
-                fp.write(",".join(cells) + "\n")
+            for scores, block_truth, _ in stream:
+                for row, label in zip(scores, block_truth):
+                    fp.write(",".join([labels[label], *map(fileio.format_float, row)]) + "\n")
         argv = ["reweight", str(scores_path), "--confusion", str(conf_path),
                 "--reestimate-every", str(every)]
         if window is not None:
@@ -844,8 +859,8 @@ class TestLiveReweightMatchesDriftReplay:
         with open(out, encoding="utf-8") as fp:
             adapted = [int(line.split(",")[1]) for line in fp.read().splitlines()[1:]]
         expected = {r.scenario: r.accuracy for r in rows if r.method == "quadratic_program"}
-        for segment in sorted({s for _, _, s in stream}):
-            hits = [a == r.true_label for a, (_, r, s) in zip(adapted, stream) if s == segment]
+        for segment in sorted(set(segments.tolist())):
+            hits = [a == t for a, t, s in zip(adapted, truth, segments) if s == segment]
             assert sum(hits) / len(hits) == expected[f"{spec.name}/segment-{segment}"]
 
 

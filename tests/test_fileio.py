@@ -108,10 +108,10 @@ class TestConfusionCsv:
 
 
 def score_rows(records):
-    """The concatenated (scores, truth) blocks of a read_score_records iterator."""
+    """The concatenated score blocks of a read_score_records iterator."""
     blocks = list(records)
-    assert all(scores.shape == (len(truth), scores.shape[1]) for scores, truth in blocks)
-    return np.concatenate([s for s, _ in blocks]), np.concatenate([t for _, t in blocks])
+    assert all(isinstance(scores, np.ndarray) and scores.ndim == 2 for scores in blocks)
+    return np.concatenate(blocks)
 
 
 def lenient_items(records):
@@ -125,30 +125,31 @@ class TestScoresCsv:
     def test_with_label_column(self, tmp_path):
         path = write(tmp_path, "s.csv", "label,s_a,s_b\na,0.9,0.1\n,0.2,0.8\n")
         catalog, records = read_score_records(path)
-        scores, truth = score_rows(records)
+        scores = score_rows(records)
         assert catalog.labels == ("a", "b")
         assert scores.tolist() == [[0.9, 0.1], [0.2, 0.8]]
-        assert truth.tolist() == [0, -1]
 
     def test_without_label_column(self, tmp_path):
         path = write(tmp_path, "s.csv", "s_a,s_b\n0.9,0.1\n")
         catalog, records = read_score_records(path)
-        scores, truth = score_rows(records)
+        scores = score_rows(records)
         assert scores.tolist() == [[0.9, 0.1]]
-        assert truth.tolist() == [-1]
 
     def test_numeric_label(self, tmp_path):
         path = write(tmp_path, "s.csv", "label,s_a,s_b\n1,0.9,0.1\n")
         _, records = read_score_records(path)
-        _, truth = score_rows(records)
-        assert truth.tolist() == [1]
+        assert score_rows(records).tolist() == [[0.9, 0.1]]
 
     def test_digit_class_names_read_as_names(self, tmp_path):
         # A truth cell naming a class is that class, even when it is all
         # digits; an index is only the fallback for cells that name none.
+        # So "3" names the third class, though index 3 is out of range.
         path = write(tmp_path, "s.csv", "label,s_1,s_2,s_3\n1,0.6,0.3,0.1\n3,0.1,0.2,0.7\n0,0.5,0.5,0\n")
         _, records = read_score_records(path)
-        assert score_rows(records)[1].tolist() == [0, 2, 0]
+        assert len(score_rows(records)) == 3
+        path = write(tmp_path, "s.csv", "label,s_1,s_2,s_3\n1,0.6,0.3,0.1\n4,0.1,0.2,0.7\n")
+        with pytest.raises(ParseError, match=r"s\.csv:3: true_label 4 out of range"):
+            list(read_score_records(path)[1])
 
     def test_bad_header(self, tmp_path):
         path = write(tmp_path, "s.csv", "x,y\n0.5,0.5\n")
@@ -165,10 +166,34 @@ class TestScoresCsv:
         path = write(tmp_path, "s.csv", "s_a,s_b\n0.5,0.5\n0.9,0.3\n0.2,0.8\n")
         _, records = read_score_records(path, lenient=True)
         blocks, warnings = lenient_items(records)
-        scores, _ = score_rows(blocks)
+        scores = score_rows(blocks)
         assert scores.tolist() == [[0.5, 0.5], [0.2, 0.8]]
         assert len(warnings) == 1
         assert "3" in warnings[0]
+
+    @pytest.mark.parametrize("first", ["a", '"a"'])  # a quote sends the body to csv
+    @pytest.mark.parametrize("cell, message", [
+        ("zz", "unknown class label 'zz'"),
+        ("2", "true_label 2 out of range for 2 classes"),
+        ("-1", "true_label -1 out of range for 2 classes"),
+    ])
+    def test_bad_truth_cell_fails_at_its_line(self, tmp_path, first, cell, message):
+        # 8000 rows of 10 bytes: the first 64 KiB block is accepted whole.
+        rows = [f"{first},0.25,0.75\n"] + ["b,0.5,0.5\n"] * 7999
+        rows[6999] = f"{cell},0.5,0.5\n"
+        path = write(tmp_path, "s.csv", "label,s_a,s_b\n" + "".join(rows))
+        got = []
+        with pytest.raises(ParseError, match=f"s\\.csv:7001: {message}"):
+            for scores in read_score_records(path)[1]:
+                got.append(scores)
+        assert len(got) > 1 and len(np.concatenate(got)) == 6999
+        items = list(read_score_records(path, lenient=True)[1])
+        warning = next(i for i, item in enumerate(items) if isinstance(item, ParseError))
+        assert sum(len(scores) for scores in items[:warning]) == 6999
+        assert str(items[warning]) == f"{path}:7001: {message}"
+        blocks, warnings = lenient_items(items)
+        assert len(warnings) == 1
+        assert score_rows(blocks).tobytes() == np.array([[0.25, 0.75]] + [[0.5, 0.5]] * 7998).tobytes()
 
     def test_wrong_column_count(self, tmp_path):
         path = write(tmp_path, "s.csv", "s_a,s_b\n0.5,0.4,0.1\n")
@@ -286,7 +311,7 @@ def reference_confusion_csv(path):
 
 
 def reference_score_records(path, lenient=False):
-    """The row-at-a-time scores reader: (scores, truth) per accepted row, and a skipped row's error in its place."""
+    """The row-at-a-time scores reader: the scores of each accepted row, and a skipped row's error in its place."""
     records = reference_records(path)
     header = next(records, None)
     if header is None:
@@ -318,7 +343,7 @@ def reference_score_row(row, catalog, has_label, path, line_no):
         record = ScoreRecord([float(x) for x in values], true_label=true_label)
     except (ValueError, PriorAdaptError) as exc:
         raise ParseError(str(exc), path=path, line=line_no) from None
-    return record.scores, -1 if record.true_label is None else record.true_label
+    return record.scores
 
 
 def outcome(read, content):
@@ -477,9 +502,9 @@ def score_outcome(read, content, lenient):
                 if isinstance(item, ParseError):
                     warnings.append((seen, str(item).replace(path, "PATH")))
                     continue
-                scores, truth = item
-                rows.append((scores.tobytes(), truth.tolist()))
-                seen += len(truth)
+                assert item.ndim == 2
+                rows.append(item.tobytes())
+                seen += len(item)
         except PriorAdaptError as exc:
             return type(exc), str(exc).replace(path, "PATH")
 
@@ -496,11 +521,7 @@ class TestScoreBlocksMatchRowReader:
     @staticmethod
     def rows(path, lenient):
         for item in reference_score_records(path, lenient):
-            if isinstance(item, ParseError):
-                yield item
-            else:
-                scores, truth = item
-                yield scores[np.newaxis], np.array([truth])
+            yield item if isinstance(item, ParseError) else item[np.newaxis]
 
     @given(with_bad_bytes(score_texts()), st.booleans(), _block_bytes)
     @settings(max_examples=500, deadline=None)
@@ -509,8 +530,7 @@ class TestScoreBlocksMatchRowReader:
             got = score_outcome(self.blocks, content, lenient)
         want = score_outcome(self.rows, content, lenient)
         assert got[0] == want[0]
-        assert b"".join(r[0] for r in got[1]) == b"".join(r[0] for r in want[1])
-        assert sum((r[1] for r in got[1]), []) == sum((r[1] for r in want[1]), [])
+        assert b"".join(got[1]) == b"".join(want[1])
         assert got[2] == want[2]
 
     def test_bad_row_deep_in_a_long_file(self, tmp_path):
@@ -520,12 +540,12 @@ class TestScoreBlocksMatchRowReader:
         _, records = read_score_records(path)
         got = []
         with pytest.raises(ParseError, match=r"s\.csv:22223: scores must sum to 1"):
-            for scores, _ in records:
+            for scores in records:
                 got.append(len(scores))
         assert len(got) > 1 and sum(got) == 22_221
         _, records = read_score_records(path, lenient=True)
         blocks, warnings = lenient_items(records)
-        assert sum(len(scores) for scores, _ in blocks) == 29_999
+        assert sum(len(scores) for scores in blocks) == 29_999
         assert [w.split(": ")[0] for w in warnings] == [f"{path}:22223"]
 
 

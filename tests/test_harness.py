@@ -125,7 +125,7 @@ class TestDrawScores:
     def test_rows_and_generator_state_match_the_scalar_reference(self, clf, seed, fractions):
         labels = [int(f * clf.catalog.k) for f in fractions]
         ours, theirs = np.random.default_rng(seed), np.random.default_rng(seed)
-        drawn = harness._draw_scores(clf, labels, ours)
+        drawn = harness._draw_scores(clf, len(labels), labels, ours)
         expected = np.stack([reference_draw(clf, label, theirs) for label in labels])
         assert drawn.tobytes() == expected.tobytes()
         assert ours.bit_generator.state == theirs.bit_generator.state
@@ -585,12 +585,33 @@ class TestEvaluateSuiteWorkers:
         assert_no_children()
 
 
+def stream_rows(spec, clf, rng=None):
+    """The concatenated (scores, labels, segments) of simulate_stream's blocks, each block checked."""
+    blocks = list(simulate_stream(spec, clf, rng))
+    for scores, labels, _ in blocks:
+        assert 1 <= len(labels) <= harness._STREAM_BLOCK_ROWS
+        assert scores.shape == (len(labels), clf.catalog.k)
+    segments = np.repeat([s for _, _, s in blocks], [len(l) for _, l, _ in blocks])
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks]), segments
+
+
+def reference_stream(spec, clf, rng):
+    """The stream drawn a row at a time: ``rng.choice`` picks the label, then ``generate_record``."""
+    segments = [(0, spec.true_priors), *((seg.start, seg.priors) for seg in spec.drift or ())]
+    segment = 0
+    for index in range(spec.transfer_size + spec.test_size):
+        while segment + 1 < len(segments) and index >= segments[segment + 1][0]:
+            segment += 1
+        label = int(rng.choice(spec.catalog.k, p=segments[segment][1]))
+        yield generate_record(clf, label, rng), segment
+
+
 class TestSimulateStream:
     def test_deterministic(self):
         clf = make_classifier(np.eye(3))
         spec = uniform_scenario(clf.catalog, active=(0, 1), transfer_size=5, test_size=5, seed=7)
-        a = [(i, r.scores.tolist(), s) for i, r, s in simulate_stream(spec, clf)]
-        b = [(i, r.scores.tolist(), s) for i, r, s in simulate_stream(spec, clf)]
+        a = [x.tolist() for x in stream_rows(spec, clf)]
+        b = [x.tolist() for x in stream_rows(spec, clf)]
         assert a == b
 
     def test_degenerate_priors(self):
@@ -600,8 +621,8 @@ class TestSimulateStream:
             catalog=clf.catalog, active_classes=(0,), true_priors=priors,
             transfer_size=10, test_size=10, seed=1,
         )
-        labels = {r.true_label for _, r, _ in simulate_stream(spec, clf)}
-        assert labels == {0}
+        _, labels, _ = stream_rows(spec, clf)
+        assert set(labels.tolist()) == {0}
 
     def test_drift_switches_mixture(self):
         clf = make_classifier(np.eye(2))
@@ -614,10 +635,33 @@ class TestSimulateStream:
             seed=3,
             drift=(DriftSegment(start=10, priors=np.array([0.0, 1.0])),),
         )
-        out = list(simulate_stream(spec, clf))
-        assert [s for _, _, s in out] == [0] * 10 + [1] * 10
-        assert all(r.true_label == 0 for _, r, s in out if s == 0)
-        assert all(r.true_label == 1 for _, r, s in out if s == 1)
+        _, labels, segments = stream_rows(spec, clf)
+        assert segments.tolist() == [0] * 10 + [1] * 10
+        assert all(labels[segments == 0] == 0)
+        assert all(labels[segments == 1] == 1)
+
+    @pytest.mark.parametrize("starts", [(), (1024, 3100), (1, 2047, 2048, 4199)])
+    def test_blocks_match_the_row_at_a_time_stream(self, starts):
+        # 4200 rows cross block bounds inside and at the edges of segments.
+        rng = np.random.default_rng(8)
+        clf = make_classifier(random_confusion_rows(6, rng, 0.6, 0.9), sharpness=3.0)
+        drift = []
+        for start in starts:
+            priors = rng.dirichlet(np.ones(6)) * (rng.random(6) < 0.6)  # zeros tie in the cdf
+            priors[rng.integers(6)] += 0.1
+            drift.append(DriftSegment(start, priors / priors.sum()))
+        spec = uniform_scenario(clf.catalog, active=range(6), transfer_size=2000, test_size=2200, drift=tuple(drift))
+        ours, theirs = np.random.default_rng(21), np.random.default_rng(21)
+        scores, labels, segments = stream_rows(spec, clf, ours)
+        records, expected_segments = zip(*reference_stream(spec, clf, theirs))
+        assert scores.tobytes() == np.stack([r.scores for r in records]).tobytes()
+        assert labels.tolist() == [r.true_label for r in records]
+        assert segments.tolist() == list(expected_segments)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+        bounds = [0, *starts, 4200]
+        sizes = [len(l) for _, l, _ in simulate_stream(spec, clf)]
+        assert sizes == [min(1024, stop - first) for start, stop in zip(bounds, bounds[1:])
+                         for first in range(start, stop, 1024)]
 
 
 class TestRunDriftScenario:
