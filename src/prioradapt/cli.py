@@ -6,17 +6,17 @@ decision or score stream, ``reweight`` a score stream with priors,
 into a comparison table.
 
 Exit codes: 0 success, 2 parse or validation failure, 3 solver failure,
-4 I/O failure.  All outputs are UTF-8 with LF line endings.  For fixed
-seeds and inputs they are byte-stable on one numpy/BLAS build at any
-thread setting of the caller: importing this module loads numpy with
-``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set
-to 1, over any value the caller set, because the last digits of a solve
-can depend on the BLAS thread count.  It then gives the three variables
-back their earlier values, or unsets them, so processes the caller starts
-later inherit its own setting.  Across numpy/BLAS builds the last digits
-of the solver-based estimates may differ.  A caller that imports this
-module after numpy has loaded keeps its own BLAS threads, and so does its
-in-process :func:`main`.
+4 I/O failure or an allocation that failed.  All outputs are UTF-8 with
+LF line endings.  For fixed seeds and inputs they are byte-stable on one
+numpy/BLAS build at any thread setting of the caller: importing this
+module loads numpy with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
+and ``MKL_NUM_THREADS`` set to 1, over any value the caller set, because
+the last digits of a solve can depend on the BLAS thread count.  It then
+gives the three variables back their earlier values, or unsets them, so
+processes the caller starts later inherit its own setting.  Across
+numpy/BLAS builds the last digits of the solver-based estimates may
+differ.  A caller that imports this module after numpy has loaded keeps
+its own BLAS threads, and so does its in-process :func:`main`.
 
 ``reweight`` parses its scores body in a forked reader process when the
 command may use more than one CPU, while this process decides, solves and
@@ -72,7 +72,6 @@ from .core import decide_adapted, decide_baseline, reweight, reweight_normalized
 from .errors import (
     ConvergenceError,
     IllConditionedError,
-    InsufficientDataError,
     ParseError,
     PriorAdaptError,
     SingularMatrixError,
@@ -108,7 +107,6 @@ _SOLVER_ERRORS = (ConvergenceError, IllConditionedError, SingularMatrixError)
 
 _METHOD_BY_FLAG = {m.flag: m.name for m in METHODS if m.flag is not None}
 
-DEFAULT_SUITE_SEED = 20240
 DEFAULT_FOLDS = 10
 
 
@@ -256,6 +254,21 @@ def _note(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
+def _exit_code(exc: BaseException) -> int:
+    """3 for a solver failure, 2 for any other package error, 4 for I/O and allocation failures."""
+    if isinstance(exc, _SOLVER_ERRORS):
+        return EXIT_SOLVER
+    return EXIT_VALIDATION if isinstance(exc, PriorAdaptError) else EXIT_IO
+
+
+def _describe(exc: PriorAdaptError, best_iterate_format: str) -> str:
+    """``Type: message``, then a convergence failure's best iterate put into ``best_iterate_format``."""
+    text = f"{type(exc).__name__}: {exc}"
+    if isinstance(exc, ConvergenceError) and exc.best_iterate is not None:
+        text += best_iterate_format.format(", ".join(fileio.format_float(v) for v in exc.best_iterate))
+    return text
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -291,32 +304,21 @@ def cmd_estimate(args) -> int:
 
     wanted = list(_METHOD_BY_FLAG.values()) if args.method == "all" else [_METHOD_BY_FLAG[args.method]]
     estimate = estimator(conf)
-    estimates, failures, failure_excs = {}, {}, {}
+    estimates, failures = {}, {}
     for method in wanted:
         try:
             estimates[method] = estimate(method, hist)
-        except ConvergenceError as exc:
-            message = f"{type(exc).__name__}: {exc}"
-            if exc.best_iterate is not None:
-                best = ", ".join(fileio.format_float(v) for v in exc.best_iterate)
-                message += f" (best iterate: {best})"
-            failures[method] = message
-            failure_excs[method] = exc
         except PriorAdaptError as exc:
-            failures[method] = f"{type(exc).__name__}: {exc}"
-            failure_excs[method] = exc
+            failures[method] = exc
 
     doc = fileio.priors_document(
-        conf.catalog, estimates, failures, total_decisions=hist.total
+        conf.catalog, estimates,
+        {method: _describe(exc, " (best iterate: {})") for method, exc in failures.items()},
+        total_decisions=hist.total,
     )
     with _open_output(args.output) as fp:
         fileio.write_json(doc, fp)
-
-    if estimates:
-        return EXIT_OK
-    if any(isinstance(e, _SOLVER_ERRORS) for e in failure_excs.values()):
-        return EXIT_SOLVER
-    return EXIT_VALIDATION
+    return EXIT_OK if estimates else max(map(_exit_code, failures.values()))
 
 
 def _reweight_header(catalog) -> str:
@@ -544,9 +546,7 @@ def cmd_evaluate(args) -> int:
         if spec is not None:
             rows = cross_validate(spec, clf, folds=folds)
         else:
-            suite = default_suite(
-                seed=args.seed if args.seed is not None else DEFAULT_SUITE_SEED
-            )
+            suite = default_suite() if args.seed is None else default_suite(args.seed)
             smallest = min(s.transfer_size + s.test_size for s in suite.scenarios)
             if folds > smallest:
                 raise ValidationError(f"--folds {folds} exceeds the smallest pool, {smallest} records")
@@ -578,22 +578,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.seed is not None and args.seed < 0:
             raise ValidationError(f"--seed must be a non-negative integer, got {args.seed}")
         return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except _SOLVER_ERRORS as exc:
-        message = f"error: {type(exc).__name__}: {exc}"
-        if isinstance(exc, ConvergenceError) and exc.best_iterate is not None:
-            best = ", ".join(fileio.format_float(v) for v in exc.best_iterate)
-            message += f"\nbest iterate: {best}"
-        print(message, file=sys.stderr)
-        return EXIT_SOLVER
-    except (ValidationError, InsufficientDataError, PriorAdaptError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    except (PriorAdaptError, OSError, MemoryError) as exc:
+        code = _exit_code(exc)
+        # A MemoryError that Python itself raises carries no message.
+        message = _describe(exc, "\nbest iterate: {}") if code == EXIT_SOLVER else str(exc) or type(exc).__name__
+        print(f"error: {message}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

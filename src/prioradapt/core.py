@@ -83,7 +83,8 @@ def check_probability_rows(rows: np.ndarray, what: str, tol: float) -> None:
     """
     finite = np.isfinite(rows).all(axis=1)
     in_range = ((rows >= 0.0) & (rows <= 1.0)).all(axis=1)
-    totals = rows.sum(axis=1)
+    with np.errstate(over="ignore"):  # a row that overflows is out of range anyway
+        totals = rows.sum(axis=1)
     ok = finite & in_range & (np.abs(totals - 1.0) <= tol)
     if ok.all():
         return
@@ -170,11 +171,13 @@ class ConfusionMatrix:
             raise ValidationError("confusion matrix contains NaN or infinity")
         if np.any(rows < 0.0):
             raise ValidationError("confusion matrix entries must be nonnegative")
-        sums = rows.sum(axis=1)
-        zero = np.nonzero(sums == 0.0)[0]
-        if zero.size:
+        with np.errstate(over="ignore"):
+            sums = rows.sum(axis=1)
+        bad = np.nonzero((sums == 0.0) | ~np.isfinite(sums))[0]
+        if bad.size:
+            why = "is all zeros" if sums[bad[0]] == 0.0 else "sums past the largest float"
             raise ValidationError(
-                f"confusion row {self.catalog.labels[zero[0]]!r} is all zeros and cannot be normalized"
+                f"confusion row {self.catalog.labels[bad[0]]!r} {why} and cannot be normalized"
             )
         object.__setattr__(self, "rows", readonly(rows / sums[:, None]))
 

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: validation/parse problems exit 2,
-solver problems exit 3, I/O problems exit 4.
+solver problems exit 3, I/O problems and failed allocations exit 4.
 """
 
 from __future__ import annotations

@@ -136,7 +136,8 @@ def estimate_precision_recall(
     Each class frequency is scaled by precision/recall before renormalizing
     onto the simplex.  Classes that received no decisions contribute zero
     regardless of their table entries; a class that did receive decisions
-    but has zero recall makes the correction undefined and raises
+    but has zero recall, or a recall so small that its corrected frequency
+    overflows, makes the correction undefined and raises
     :class:`DegenerateRecallError`.
     """
     k = table.recall.size
@@ -158,9 +159,16 @@ def estimate_precision_recall(
     # when precision equals recall, so this path reduces to the naive
     # estimate bit for bit.
     ratio = np.ones(k)
-    np.divide(table.precision, table.recall, out=ratio, where=active)
-    raw = np.where(active, ratio * observed, 0.0)
-    total = raw.sum()
+    with np.errstate(over="ignore"):
+        np.divide(table.precision, table.recall, out=ratio, where=active)
+        raw = np.where(active, ratio * observed, 0.0)
+        total = raw.sum()
+    if not np.isfinite(total):
+        idx = int(raw.argmax())
+        raise DegenerateRecallError(
+            f"class {idx} has a precision/recall ratio too large to correct its frequency; "
+            "its prior is unidentifiable"
+        )
     if total <= 0.0:
         raise InsufficientDataError("all corrected frequencies are zero")
     return PriorEstimate(raw / total, method="precision_recall")

@@ -17,7 +17,6 @@ JSON relies on Python's shortest-round-trip float repr.
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import io
 import itertools
@@ -193,16 +192,6 @@ _LINE_BLOCK_BYTES = 1 << 14
 _CSV_BLOCK_ROWS = 1024
 
 
-@contextlib.contextmanager
-def _opened(source):
-    """``source`` when it is an open :class:`TextInput`; otherwise one on that path, closed on exit."""
-    if isinstance(source, TextInput):
-        yield source
-        return
-    with TextInput(source) as stream:
-        yield stream
-
-
 def _next_record(reader, path: str, offset: int = 0) -> Optional[list[str]]:
     """A CSV ``reader``'s next record, or None at the end; its error raises a ParseError naming the line.
 
@@ -222,7 +211,7 @@ def _csv_header(stream: TextInput, what: str) -> list[str]:
     return header
 
 
-def _csv_body(stream: TextInput, fast, parse, gather, lenient: bool = False) -> Iterator:
+def _csv_body(stream: TextInput, fast, parse, lenient: bool = False) -> Iterator:
     """Yield the rows of a CSV body, the rest of ``stream``, in blocks.
 
     Each block of lines that are not blank is parsed at once by
@@ -231,7 +220,7 @@ def _csv_body(stream: TextInput, fast, parse, gather, lenient: bool = False) -> 
     line.  From the first block holding a ``"``, the rest of the input
     goes to csv, because a quoted cell may hold a line break.
     """
-    rows = partial(_csv_rows, parse=parse, gather=gather, path=stream.path, lenient=lenient)
+    rows = partial(_csv_rows, parse=parse, path=stream.path, lenient=lenient)
     while lines := stream.block(_CSV_BLOCK_BYTES):
         first = stream.line_no - len(lines) + 1
         if any('"' in line for line in lines):
@@ -245,15 +234,15 @@ def _csv_body(stream: TextInput, fast, parse, gather, lenient: bool = False) -> 
             yield from rows(lines, first)
 
 
-def _csv_rows(lines, first: int, parse, gather, path: str, lenient: bool) -> Iterator:
+def _csv_rows(lines, first: int, parse, path: str, lenient: bool) -> Iterator:
     """Yield rows parsed one at a time, ``lines`` starting at line ``first``.
 
     ``parse(row, line_no)`` returns a row's values or raises the
     :class:`ParseError` naming its line; under ``lenient`` that row is
-    skipped, and the error is yielded in its place.  ``gather`` makes a
-    block of the parsed values.  The rows read before an error are
-    yielded before it is raised or yielded, so a consumer handles them
-    first, as it would row by row.
+    skipped, and the error is yielded in its place.  The parsed rows are
+    yielded as arrays of up to ``_CSV_BLOCK_ROWS`` rows; the rows read
+    before an error are yielded before it is raised or yielded, so a
+    consumer handles them first, as it would row by row.
     """
     reader = csv.reader(lines)
     parsed = []
@@ -262,7 +251,7 @@ def _csv_rows(lines, first: int, parse, gather, path: str, lenient: bool) -> Ite
             row = _next_record(reader, path, first - 1)
         except ParseError:  # bad bytes or quoting: never skipped
             if parsed:
-                yield gather(parsed)
+                yield np.array(parsed)
             raise
         if row is None:
             break
@@ -272,17 +261,17 @@ def _csv_rows(lines, first: int, parse, gather, path: str, lenient: bool) -> Ite
             parsed.append(parse(row, first - 1 + reader.line_num))
         except ParseError as exc:
             if parsed:
-                yield gather(parsed)
+                yield np.array(parsed)
                 parsed = []
             if not lenient:
                 raise
             yield exc
             continue
         if len(parsed) == _CSV_BLOCK_ROWS:
-            yield gather(parsed)
+            yield np.array(parsed)
             parsed = []
     if parsed:
-        yield gather(parsed)
+        yield np.array(parsed)
 
 
 def _loadtxt(source, **options) -> Optional[np.ndarray]:
@@ -321,7 +310,7 @@ def read_confusion_csv(path: str) -> ConfusionMatrix:
         rows = np.empty((k, k))
         n = 0
         for block in _csv_body(stream, partial(_float_block, k=k),
-                               partial(_confusion_row, k=k, path=path), np.array):
+                               partial(_confusion_row, k=k, path=path)):
             if n + len(block) <= k:
                 rows[n:n + len(block)] = block
             n += len(block)  # rows past the K-th are counted for the message
@@ -370,39 +359,30 @@ def parse_scores_header(header: list[str], path: str) -> tuple[ClassCatalog, boo
 
 
 def read_score_records(
-    source,
+    stream: TextInput,
     lenient: bool = False,
 ) -> tuple[ClassCatalog, Iterator]:
     """Return a scores CSV's catalog and a lazy iterator of score blocks.
 
-    ``source`` is a path or an open :class:`TextInput`.  Each block is an
-    (n, K) float64 array whose rows are probability vectors.  A truth cell
-    is checked, as a class name first, else an integer index in [0, K),
-    and then dropped: nothing downstream reads it.  The header is read
-    before this returns.  A file opened here is closed when the iterator
-    is exhausted, closed or dropped.
+    ``stream`` is an open :class:`TextInput`, which the caller closes once
+    the iterator is done; the header is read before this returns.  Each
+    block is an (n, K) float64 array whose rows are probability vectors.
+    A truth cell is checked, as a class name first, else an integer index
+    in [0, K), and then dropped: nothing downstream reads it.
 
     A malformed row raises :class:`ParseError` naming its line.  When
     ``lenient`` is set, the row is skipped instead and the iterator yields
     that error where the row stood, so items are blocks and errors in file
     order.  The rows before a bad row are yielded first either way.
     """
-    blocks = _score_blocks(source, lenient)
-    return next(blocks), blocks
-
-
-def _score_blocks(source, lenient: bool) -> Iterator:
-    """Yield the catalog, then the score blocks of :func:`read_score_records`."""
-    with _opened(source) as stream:
-        path = stream.path
-        catalog, has_label = parse_scores_header(_csv_header(stream, "scores"), path)
-        yield catalog
-        yield from _csv_body(
-            stream,
-            partial(_score_block, catalog=catalog, has_label=has_label),
-            partial(_parse_score_row, catalog=catalog, has_label=has_label, path=path),
-            np.array, lenient,
-        )
+    path = stream.path
+    catalog, has_label = parse_scores_header(_csv_header(stream, "scores"), path)
+    return catalog, _csv_body(
+        stream,
+        partial(_score_block, catalog=catalog, has_label=has_label),
+        partial(_parse_score_row, catalog=catalog, has_label=has_label, path=path),
+        lenient,
+    )
 
 
 def _score_block(lines: list[str], catalog: ClassCatalog, has_label: bool) -> Optional[np.ndarray]:
@@ -469,33 +449,31 @@ def _truth_index(raw: str, catalog: ClassCatalog) -> int:
         return int(raw)
 
 
-def stream_kind(source) -> str:
+def stream_kind(stream: TextInput) -> str:
     """Classify an input as 'decisions' (index per line) or 'scores' CSV.
 
-    ``source`` is a path or an open :class:`TextInput`; the lines read to
-    classify it are not handed out.
+    ``stream`` is an open :class:`TextInput`; the lines read to classify
+    it are not handed out.
     """
-    with _opened(source) as stream:
-        line = stream.first_line()
-        if line is None:
-            raise ParseError("empty stream file", path=stream.path)
+    line = stream.first_line()
+    if line is None:
+        raise ParseError("empty stream file", path=stream.path)
     stripped = line.strip()
     first = stripped.split(",")[0].strip()
     return "decisions" if first.isdigit() and "," not in stripped else "scores"
 
 
-def read_decision_stream(source, k: int) -> Iterator[np.ndarray]:
+def read_decision_stream(stream: TextInput, k: int) -> Iterator[np.ndarray]:
     """Yield a decision stream's class indices, one int64 array per block of lines.
 
-    ``source`` is a path or an open :class:`TextInput`.  Each block of
-    about 16 KiB is parsed in one ``loadtxt`` call.  A block it refuses,
-    or one holding an index outside [0, k), is read again line by line
-    with :func:`_decision`, which raises the :class:`ParseError` naming
-    the bad line.
+    ``stream`` is an open :class:`TextInput`.  Each block of about 16 KiB
+    is parsed in one ``loadtxt`` call.  A block it refuses, or one holding
+    an index outside [0, k), is read again line by line with
+    :func:`_decision`, which raises the :class:`ParseError` naming the bad
+    line.
     """
-    with _opened(source) as stream:
-        while lines := stream.block(_LINE_BLOCK_BYTES):
-            yield _decision_block(lines, k, stream.path, stream.line_no - len(lines) + 1)
+    while lines := stream.block(_LINE_BLOCK_BYTES):
+        yield _decision_block(lines, k, stream.path, stream.line_no - len(lines) + 1)
 
 
 def _decision_block(lines: list[str], k: int, path: str, line_no: int) -> np.ndarray:
@@ -622,7 +600,11 @@ def read_priors_json(
         raise ParseError(
             f"priors JSON missing classes: {', '.join(sorted(missing))}", path=path
         )
-    if not values.sum() > 0.0:
+    with np.errstate(over="ignore"):
+        mass = values.sum()
+    if not math.isfinite(mass):
+        raise ParseError("priors JSON mass is too large to normalize", path=path)
+    if not mass > 0.0:
         raise ParseError("priors JSON has no positive mass", path=path)
     return values, tag
 

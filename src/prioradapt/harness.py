@@ -736,8 +736,9 @@ def run_drift_scenario(
 ) -> list[EvaluationRow]:
     """Prequential evaluation of a windowed monitor over a drifting stream.
 
-    The stream runs through :func:`adapt`, the loop live ``reweight``
-    runs, as one block: every record is decided with the policy in force
+    The stream's blocks run through :func:`adapt`, the loop live
+    ``reweight`` runs, and only each row's true label, segment and two
+    decisions are kept: every record is decided with the policy in force
     (uniform until the first estimate), then its baseline decision is
     counted in a windowed histogram, and the least-squares estimator
     re-runs every ``reestimate_every`` records.  Accuracy is reported per
@@ -751,17 +752,26 @@ def run_drift_scenario(
         raise ValidationError("reestimate_every must be >= 1")
     stream_ss, h_ss = np.random.SeedSequence(spec.seed).spawn(2)
     conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(h_ss))
-    scores, truth, segments = zip(*simulate_stream(spec, clf, np.random.default_rng(stream_ss)))
-    segments = np.repeat(segments, [len(labels) for labels in truth])
-    scores, truth = np.concatenate(scores), np.concatenate(truth)
-    baseline = scores.argmax(axis=1)
+    truth, segments, baseline, adapted = [], [], [], []
+
+    def scores_of(stream):
+        for scores, labels, segment in stream:
+            truth.append(labels)
+            segments.append(segment)
+            yield scores
+
     failures: list[PriorAdaptError] = []
     parts = adapt(
-        [scores], StreamMonitor(spec.catalog, window=window),
+        scores_of(simulate_stream(spec, clf, np.random.default_rng(stream_ss))),
+        StreamMonitor(spec.catalog, window=window),
         partial(estimator(conf), "quadratic_program"), reestimate_every, failures.append,
     )
-    adapted = np.concatenate([decide_adapted_batch(part, policy) for part, policy in parts])
-    hits = np.column_stack([baseline == truth, adapted == truth])
+    for part, policy in parts:
+        baseline.append(part.argmax(axis=1))
+        adapted.append(decide_adapted_batch(part, policy))
+    segments = np.repeat(segments, [len(labels) for labels in truth])
+    truth = np.concatenate(truth)
+    hits = np.column_stack([np.concatenate(baseline) == truth, np.concatenate(adapted) == truth])
     error = None
     if failures:
         last = failures[-1]

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prioradapt import ValidationError, cli, fileio, harness, solver
+from prioradapt.errors import ConvergenceError, InsufficientDataError, ParseError, SingularMatrixError
 from prioradapt.cli import main, render_csv
 from prioradapt.harness import (
     DEFAULT_H_SAMPLES_PER_CLASS,
@@ -80,6 +81,17 @@ class TestNormalize:
 
     def test_missing_file_exit_4(self, tmp_path):
         assert main(["normalize", str(tmp_path / "nope.csv")]) == 4
+
+    def test_row_sum_past_float_max_exit_2(self, tmp_path, capsys):
+        # Dividing by the overflowed sum would write the row as zeros.
+        bad = tmp_path / "c.csv"
+        bad.write_text("a,b\n1e308,1e308\n1,3\n", encoding="utf-8")
+        assert main(["normalize", str(bad)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {bad}: confusion row 'a' sums past the largest float and cannot be normalized\n"
+        )
 
 
 class TestEstimate:
@@ -185,6 +197,21 @@ class TestEstimate:
         assert error.startswith("ConvergenceError: ")
         assert "best iterate: " in error
 
+    @pytest.mark.parametrize("method, code", [("pr", 2), ("all", 0)])
+    def test_precision_recall_ratio_overflow_names_the_class(self, tmp_path, capsys, method, code):
+        # Class b's recall is 1e-320, so its precision/recall ratio overflows.
+        conf = tmp_path / "c.csv"
+        conf.write_text("a,b\n1,1e-320\n1,1e-320\n", encoding="utf-8")
+        stream = tmp_path / "d.txt"
+        stream.write_text("0\n1\n1\n0\n1\n", encoding="utf-8")
+        assert main(["estimate", str(conf), str(stream), "--method", method]) == code
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        methods = json.loads(captured.out)["methods"]
+        assert methods["precision_recall"]["error"].startswith("DegenerateRecallError: class 1 ")
+        if method == "all":
+            assert "priors" in methods["naive"]
+
     def test_all_with_partial_failure_still_succeeds(self, tmp_path, capsys):
         conf = tmp_path / "sing.csv"
         conf.write_text("a,b\n0.5,0.5\n0.5,0.5\n", encoding="utf-8")
@@ -284,13 +311,16 @@ class TestReweight:
         {"methods": {"foo": {"priors": {"a": 0.2, "b": 0.3, "c": 0.5}}}},
         {"a": -1, "b": 2, "c": 0},
         {"a": 0, "b": 0, "c": 0},
+        {"a": 1e308, "b": 1e308, "c": 1e308},
     ])
     def test_malformed_priors_json_exit_2(self, tmp_path, capsys, doc):
         priors = tmp_path / "p.json"
         priors.write_text(json.dumps(doc), encoding="utf-8")
         code = main(["reweight", data("fixture_scores.csv"), "--priors", str(priors)])
         assert code == 2
-        assert capsys.readouterr().err.startswith(f"error: {priors}: ")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {priors}: ")
+        assert err.count("\n") == 1
 
     def test_live_reestimation(self, tmp_path, capsys):
         # Identity confusion, stream dominated by class b: once priors are
@@ -1000,6 +1030,11 @@ class TestOutputFile:
         assert os.listdir(tmp_path) == []
 
 
+_NUMPY_ALLOCATION_ERROR = (
+    "Unable to allocate 745. GiB for an array with shape (100000000000,) and data type int64"
+)
+
+
 class TestEvaluate:
     def test_perfect_classifier_all_ones(self, tmp_path, capsys):
         conf_rows = "\n".join(",".join("1" if i == j else "0" for j in range(3)) for i in range(3))
@@ -1127,6 +1162,27 @@ class TestEvaluate:
         assert captured.out == ""
         assert f"--folds {folds} exceeds the smallest pool, 150 records" in captured.err
 
+    @pytest.mark.parametrize("message, line", [
+        (_NUMPY_ALLOCATION_ERROR, _NUMPY_ALLOCATION_ERROR),
+        ("", "MemoryError"),  # as Python itself raises it
+    ])
+    def test_failed_allocation_exits_4(self, tmp_path, monkeypatch, capsys, message, line):
+        # Injected: a real allocation this large may wake the OOM killer instead of failing.
+        def draw_labels(*args):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(harness, "_draw_labels", draw_labels)
+        with open(data("fixture_scenario.json"), encoding="utf-8") as fp:
+            scenario = json.load(fp)
+        del scenario["drift"]
+        scenario["transfer_size"] = 100_000_000_000
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        assert main(["evaluate", str(path), "--folds", "2"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {line}\n"
+
     def test_drift_scenario_reports_segments(self, tmp_path, capsys):
         code = main(["evaluate", data("fixture_scenario.json"), "--window", "8"])
         assert code == 0
@@ -1172,6 +1228,24 @@ class TestNegativeSeed:
                         ["--output", str(tmp_path / "sim"), "simulate", str(scen)]):
             assert main(command) == 2
             assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("exc, code, err", [
+    (ParseError("bad cell", path="c.csv", line=3), 2, "error: c.csv:3: bad cell\n"),
+    (InsufficientDataError("no decisions"), 2, "error: no decisions\n"),
+    (SingularMatrixError("matrix is singular"), 3, "error: SingularMatrixError: matrix is singular\n"),
+    (ConvergenceError("cap reached", best_iterate=[0.25, 0.75]), 3,
+     "error: ConvergenceError: cap reached\nbest iterate: 0.25, 0.75\n"),
+    (FileNotFoundError(2, "No such file or directory", "c.csv"), 4,
+     "error: [Errno 2] No such file or directory: 'c.csv'\n"),
+], ids=["parse", "insufficient-data", "singular", "convergence", "file-not-found"])
+def test_each_failure_has_one_exit_code_and_message(monkeypatch, capsys, exc, code, err):
+    def command(args):
+        raise exc
+
+    monkeypatch.setitem(cli._COMMANDS, "normalize", command)
+    assert main(["normalize", "c.csv"]) == code
+    assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.parametrize("command", [
@@ -1343,8 +1417,8 @@ _json_values = st.recursive(
 )
 
 _csv_cells = st.sampled_from(
-    ("", "0", "1", "2", "0.5", "0.25", "-1", "nan", "1e999", "a", "b", "c", "s_a", "s_b",
-     "s_c", "label", '"', "\r")
+    ("", "0", "1", "2", "0.5", "0.25", "-1", "nan", "1e999", "1e308", "1e-320", "a", "b", "c",
+     "s_a", "s_b", "s_c", "label", '"', "\r")
 )
 
 _file_contents = st.one_of(

@@ -415,7 +415,7 @@ class TestReweightBatch:
             reweight_batch(np.full((2, 2), 0.5), _policy((0.2, 0.3, 0.5)))
 
 
-_ENTRIES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 0.5 + 1e-6, -0.25, 1.5, np.nan, np.inf])
+_ENTRIES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 0.5 + 1e-6, -0.25, 1.5, 1e308, np.nan, np.inf])
 
 
 def _vector_fault(v, tol):

@@ -1,6 +1,7 @@
 """CSV and JSON formats: parsing, validation messages, round trips."""
 
 import csv
+import functools
 import io
 import json
 import os
@@ -16,6 +17,7 @@ from prioradapt import ClassCatalog, ConfusionMatrix, ParseError, PriorAdaptErro
 from prioradapt.estimators import estimate_naive
 from prioradapt.core import DecisionHistogram
 from prioradapt.fileio import (
+    TextInput,
     _truth_index,
     parse_scores_header,
     format_float,
@@ -124,48 +126,54 @@ def lenient_items(records):
 class TestScoresCsv:
     def test_with_label_column(self, tmp_path):
         path = write(tmp_path, "s.csv", "label,s_a,s_b\na,0.9,0.1\n,0.2,0.8\n")
-        catalog, records = read_score_records(path)
-        scores = score_rows(records)
+        with TextInput(path) as stream:
+            catalog, records = read_score_records(stream)
+            scores = score_rows(records)
         assert catalog.labels == ("a", "b")
         assert scores.tolist() == [[0.9, 0.1], [0.2, 0.8]]
 
     def test_without_label_column(self, tmp_path):
         path = write(tmp_path, "s.csv", "s_a,s_b\n0.9,0.1\n")
-        catalog, records = read_score_records(path)
-        scores = score_rows(records)
+        with TextInput(path) as stream:
+            catalog, records = read_score_records(stream)
+            scores = score_rows(records)
         assert scores.tolist() == [[0.9, 0.1]]
 
     def test_numeric_label(self, tmp_path):
         path = write(tmp_path, "s.csv", "label,s_a,s_b\n1,0.9,0.1\n")
-        _, records = read_score_records(path)
-        assert score_rows(records).tolist() == [[0.9, 0.1]]
+        with TextInput(path) as stream:
+            _, records = read_score_records(stream)
+            assert score_rows(records).tolist() == [[0.9, 0.1]]
 
     def test_digit_class_names_read_as_names(self, tmp_path):
         # A truth cell naming a class is that class, even when it is all
         # digits; an index is only the fallback for cells that name none.
         # So "3" names the third class, though index 3 is out of range.
         path = write(tmp_path, "s.csv", "label,s_1,s_2,s_3\n1,0.6,0.3,0.1\n3,0.1,0.2,0.7\n0,0.5,0.5,0\n")
-        _, records = read_score_records(path)
-        assert len(score_rows(records)) == 3
+        with TextInput(path) as stream:
+            _, records = read_score_records(stream)
+            assert len(score_rows(records)) == 3
         path = write(tmp_path, "s.csv", "label,s_1,s_2,s_3\n1,0.6,0.3,0.1\n4,0.1,0.2,0.7\n")
-        with pytest.raises(ParseError, match=r"s\.csv:3: true_label 4 out of range"):
-            list(read_score_records(path)[1])
+        with TextInput(path) as stream, pytest.raises(ParseError, match=r"s\.csv:3: true_label 4 out of range"):
+            list(read_score_records(stream)[1])
 
     def test_bad_header(self, tmp_path):
         path = write(tmp_path, "s.csv", "x,y\n0.5,0.5\n")
-        with pytest.raises(ParseError, match="header"):
-            read_score_records(path)
+        with TextInput(path) as stream, pytest.raises(ParseError, match="header"):
+            read_score_records(stream)
 
     def test_bad_sum_names_line(self, tmp_path):
         path = write(tmp_path, "s.csv", "s_a,s_b\n0.5,0.5\n0.9,0.3\n")
-        _, records = read_score_records(path)
-        with pytest.raises(ParseError, match="s.csv:3"):
-            list(records)
+        with TextInput(path) as stream:
+            _, records = read_score_records(stream)
+            with pytest.raises(ParseError, match="s.csv:3"):
+                list(records)
 
     def test_lenient_skips_with_warning(self, tmp_path):
         path = write(tmp_path, "s.csv", "s_a,s_b\n0.5,0.5\n0.9,0.3\n0.2,0.8\n")
-        _, records = read_score_records(path, lenient=True)
-        blocks, warnings = lenient_items(records)
+        with TextInput(path) as stream:
+            _, records = read_score_records(stream, lenient=True)
+            blocks, warnings = lenient_items(records)
         scores = score_rows(blocks)
         assert scores.tolist() == [[0.5, 0.5], [0.2, 0.8]]
         assert len(warnings) == 1
@@ -183,11 +191,12 @@ class TestScoresCsv:
         rows[6999] = f"{cell},0.5,0.5\n"
         path = write(tmp_path, "s.csv", "label,s_a,s_b\n" + "".join(rows))
         got = []
-        with pytest.raises(ParseError, match=f"s\\.csv:7001: {message}"):
-            for scores in read_score_records(path)[1]:
+        with TextInput(path) as stream, pytest.raises(ParseError, match=f"s\\.csv:7001: {message}"):
+            for scores in read_score_records(stream)[1]:
                 got.append(scores)
         assert len(got) > 1 and len(np.concatenate(got)) == 6999
-        items = list(read_score_records(path, lenient=True)[1])
+        with TextInput(path) as stream:
+            items = list(read_score_records(stream, lenient=True)[1])
         warning = next(i for i, item in enumerate(items) if isinstance(item, ParseError))
         assert sum(len(scores) for scores in items[:warning]) == 6999
         assert str(items[warning]) == f"{path}:7001: {message}"
@@ -197,34 +206,38 @@ class TestScoresCsv:
 
     def test_wrong_column_count(self, tmp_path):
         path = write(tmp_path, "s.csv", "s_a,s_b\n0.5,0.4,0.1\n")
-        _, records = read_score_records(path)
-        with pytest.raises(ParseError, match="columns"):
-            list(records)
+        with TextInput(path) as stream:
+            _, records = read_score_records(stream)
+            with pytest.raises(ParseError, match="columns"):
+                list(records)
 
 
 class TestDecisionStream:
     def test_reads_indices(self, tmp_path):
         path = write(tmp_path, "d.txt", "0\n2\n1\n\n2\n")
-        assert np.concatenate(list(read_decision_stream(path, 3))).tolist() == [0, 2, 1, 2]
+        with TextInput(path) as stream:
+            assert np.concatenate(list(read_decision_stream(stream, 3))).tolist() == [0, 2, 1, 2]
 
     def test_out_of_range(self, tmp_path):
         path = write(tmp_path, "d.txt", "0\n7\n")
-        with pytest.raises(ParseError, match="d.txt:2"):
-            list(read_decision_stream(path, 3))
+        with TextInput(path) as stream, pytest.raises(ParseError, match="d.txt:2"):
+            list(read_decision_stream(stream, 3))
 
     def test_non_integer(self, tmp_path):
         path = write(tmp_path, "d.txt", "zero\n")
-        with pytest.raises(ParseError):
-            list(read_decision_stream(path, 3))
+        with TextInput(path) as stream, pytest.raises(ParseError):
+            list(read_decision_stream(stream, 3))
 
     def test_stream_kind_sniffing(self, tmp_path):
         decisions = write(tmp_path, "d.txt", "0\n1\n")
         scores = write(tmp_path, "s.csv", "s_a,s_b\n0.5,0.5\n")
-        assert stream_kind(decisions) == "decisions"
-        assert stream_kind(scores) == "scores"
+        with TextInput(decisions) as stream:
+            assert stream_kind(stream) == "decisions"
+        with TextInput(scores) as stream:
+            assert stream_kind(stream) == "scores"
         empty = write(tmp_path, "e.txt", "\n")
-        with pytest.raises(ParseError):
-            stream_kind(empty)
+        with TextInput(empty) as stream, pytest.raises(ParseError):
+            stream_kind(stream)
 
 
 # Line-at-a-time readers, kept as the references for the block readers.
@@ -414,7 +427,8 @@ class TestBlockReadersMatchLineReaders:
     @settings(max_examples=400, deadline=None)
     def test_decision_stream(self, content, k, block_bytes):
         def blocks(path):
-            return np.concatenate([np.empty(0, np.int64), *read_decision_stream(path, k)]).tolist()
+            with TextInput(path) as stream:
+                return np.concatenate([np.empty(0, np.int64), *read_decision_stream(stream, k)]).tolist()
 
         def lines(path):
             return list(reference_decision_stream(path, k))
@@ -430,13 +444,14 @@ class TestBlockReadersMatchLineReaders:
         lines[9_999] = "\u0663\n"  # accepted by int() only
         lines[20_000] = "\n"
         path = write(tmp_path, "d.txt", "".join(lines))
-        blocks = list(read_decision_stream(path, 7))
+        with TextInput(path) as stream:
+            blocks = list(read_decision_stream(stream, 7))
         assert len(blocks) > 1
         assert np.concatenate(blocks).tolist() == list(reference_decision_stream(path, 7))
         lines[41_234] = "7\n"
         path = write(tmp_path, "d.txt", "".join(lines))
-        with pytest.raises(ParseError, match=r"d\.txt:41235: class index 7 out of range"):
-            list(read_decision_stream(path, 7))
+        with TextInput(path) as stream, pytest.raises(ParseError, match=r"d\.txt:41235: class index 7 out of range"):
+            list(read_decision_stream(stream, 7))
 
     @given(with_bad_bytes(confusion_texts()), _block_bytes)
     @settings(max_examples=400, deadline=None)
@@ -515,8 +530,9 @@ def score_outcome(read, content, lenient):
 class TestScoreBlocksMatchRowReader:
     @staticmethod
     def blocks(path, lenient):
-        _, records = read_score_records(path, lenient)
-        return records
+        with TextInput(path) as stream:
+            _, records = read_score_records(stream, lenient)
+            yield from records
 
     @staticmethod
     def rows(path, lenient):
@@ -537,14 +553,16 @@ class TestScoreBlocksMatchRowReader:
         rows = ["label,s_a,s_b,s_c\n"] + ["b,0.25,0.5,0.25\n"] * 30_000
         rows[22_222] = "b,0.25,0.5,0.35\n"
         path = write(tmp_path, "s.csv", "".join(rows))
-        _, records = read_score_records(path)
-        got = []
-        with pytest.raises(ParseError, match=r"s\.csv:22223: scores must sum to 1"):
-            for scores in records:
-                got.append(len(scores))
+        with TextInput(path) as stream:
+            _, records = read_score_records(stream)
+            got = []
+            with pytest.raises(ParseError, match=r"s\.csv:22223: scores must sum to 1"):
+                for scores in records:
+                    got.append(len(scores))
         assert len(got) > 1 and sum(got) == 22_221
-        _, records = read_score_records(path, lenient=True)
-        blocks, warnings = lenient_items(records)
+        with TextInput(path) as stream:
+            _, records = read_score_records(stream, lenient=True)
+            blocks, warnings = lenient_items(records)
         assert sum(len(scores) for scores in blocks) == 29_999
         assert [w.split(": ")[0] for w in warnings] == [f"{path}:22223"]
 
@@ -747,11 +765,20 @@ class TestScenarioJson:
         assert clf is None
 
 
+def on_stream(read):
+    """``read``, which takes an open TextInput, as a reader of a path; it keeps ``read``'s name."""
+    @functools.wraps(read)
+    def run(path):
+        with TextInput(path) as stream:
+            return read(stream)
+    return run
+
+
 @pytest.mark.parametrize("read, content", [
     (read_confusion_csv, b"a,b\n1,0\n\xff,1\n"),
-    (lambda p: list(read_score_records(p)[1]), b"s_a,s_b\n0.5,0.5\n\xff,0.5\n"),
-    (lambda p: list(read_decision_stream(p, 2)), b"0\n1\n\xff\n"),
-    (stream_kind, b"\n\n\xff\xfe0\n"),
+    (on_stream(lambda s: list(read_score_records(s)[1])), b"s_a,s_b\n0.5,0.5\n\xff,0.5\n"),
+    (on_stream(lambda s: list(read_decision_stream(s, 2))), b"0\n1\n\xff\n"),
+    (on_stream(stream_kind), b"\n\n\xff\xfe0\n"),
     (lambda p: read_priors_json(p, make_catalog(2)), b'{"x00": 0.5,\n"x01": 0.5,\n"\xff": 0}'),
     (read_scenario_json, b'{"labels": ["a", "b"],\n"name": 1,\n"\xff": 0}'),
 ])
