@@ -6,12 +6,14 @@ decision or score stream, ``reweight`` a score stream with priors,
 into a comparison table.
 
 Exit codes: 0 success, 2 parse or validation failure, 3 solver failure,
-4 I/O failure or an allocation that failed.  All outputs are UTF-8 with
-LF line endings.  For fixed seeds and inputs they are byte-stable on one
-numpy/BLAS build at any thread setting of the caller: importing this
-module loads numpy with ``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS``
-and ``MKL_NUM_THREADS`` set to 1, over any value the caller set, because
-the last digits of a solve can depend on the BLAS thread count.  It then
+4 I/O failure or an allocation that failed.  A closed stdout is an I/O
+failure; a closed stderr drops its lines and changes no exit code or
+output byte.  All outputs are UTF-8 with LF line endings.  For fixed
+seeds and inputs they are byte-stable on one numpy/BLAS build at any
+thread setting of the caller: importing this module loads numpy with
+``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
+set to 1, over any value the caller set, because the last digits of a
+solve can depend on the BLAS thread count.  It then
 gives the three variables back their earlier values, or unsets them, so
 processes the caller starts later inherit its own setting.  Across
 numpy/BLAS builds the last digits of the solver-based estimates may
@@ -36,6 +38,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import stat
@@ -76,6 +79,7 @@ from .errors import (
     PriorAdaptError,
     SingularMatrixError,
     ValidationError,
+    describe,
 )
 # Bound here, though unused, because bench/traced.py patches these names.
 from .estimators import (
@@ -212,13 +216,16 @@ def build_parser() -> argparse.ArgumentParser:
 def _open_output(path: Optional[str]):
     """Yield a text handle on ``path``, or on stdout when it is None.
 
-    A regular file is written under a temporary name in its directory and
+    A closed stdout, which Python leaves as None, raises ``EBADF``.  A
+    regular file is written under a temporary name in its directory and
     renamed onto ``path`` only when the block succeeds, so a failing
     command leaves no partial file and an existing one untouched.  The
     file gets the mode a plain ``open(path, "w")`` would give it.  Other
     targets, such as a device or a pipe, are written in place.
     """
     if path is None:
+        if sys.stdout is None:
+            raise OSError(errno.EBADF, "stdout is closed")
         yield sys.stdout
         return
     try:
@@ -249,9 +256,16 @@ def _open_output(path: Optional[str]):
         raise
 
 
+def _print_err(line: str) -> None:
+    """Print ``line`` to stderr, or drop it when stderr is closed, so that no exit code or output byte changes."""
+    if sys.stderr is not None:  # print(file=None) would write to stdout
+        with contextlib.suppress(OSError):
+            print(line, file=sys.stderr)
+
+
 def _note(args, message: str) -> None:
     if not args.quiet:
-        print(message, file=sys.stderr)
+        _print_err(message)
 
 
 def _exit_code(exc: BaseException) -> int:
@@ -259,14 +273,6 @@ def _exit_code(exc: BaseException) -> int:
     if isinstance(exc, _SOLVER_ERRORS):
         return EXIT_SOLVER
     return EXIT_VALIDATION if isinstance(exc, PriorAdaptError) else EXIT_IO
-
-
-def _describe(exc: PriorAdaptError, best_iterate_format: str) -> str:
-    """``Type: message``, then a convergence failure's best iterate put into ``best_iterate_format``."""
-    text = f"{type(exc).__name__}: {exc}"
-    if isinstance(exc, ConvergenceError) and exc.best_iterate is not None:
-        text += best_iterate_format.format(", ".join(fileio.format_float(v) for v in exc.best_iterate))
-    return text
 
 
 # ---------------------------------------------------------------------------
@@ -313,7 +319,7 @@ def cmd_estimate(args) -> int:
 
     doc = fileio.priors_document(
         conf.catalog, estimates,
-        {method: _describe(exc, " (best iterate: {})") for method, exc in failures.items()},
+        {method: describe(exc) for method, exc in failures.items()},
         total_decisions=hist.total,
     )
     with _open_output(args.output) as fp:
@@ -370,7 +376,7 @@ def cmd_reweight(args) -> int:
             raise ValidationError("scores CSV classes do not match the confusion matrix classes")
         # The body is parsed ahead, in a second process where one can run,
         # while this one decides and writes; it holds no handle on the output.
-        with read_ahead(lambda: items) as ahead:
+        with read_ahead(items) as ahead:
             blocks = _blocks_of(ahead, args)
             if args.priors is not None:
                 parts = ((scores, policy) for scores in blocks)
@@ -581,8 +587,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     except (PriorAdaptError, OSError, MemoryError) as exc:
         code = _exit_code(exc)
         # A MemoryError that Python itself raises carries no message.
-        message = _describe(exc, "\nbest iterate: {}") if code == EXIT_SOLVER else str(exc) or type(exc).__name__
-        print(f"error: {message}", file=sys.stderr)
+        message = describe(exc, "\nbest iterate: {}") if code == EXIT_SOLVER else str(exc) or type(exc).__name__
+        _print_err(f"error: {message}")
         return code
 
 

@@ -65,3 +65,14 @@ class ConvergenceError(PriorAdaptError):
 
 class IllConditionedWarning(UserWarning):
     """Attached to direct solves whose condition number exceeds 1e12."""
+
+
+def describe(exc: Exception, best_iterate_format: str = " (best iterate: {})") -> str:
+    """``Type: message``, then a convergence failure's best iterate put into ``best_iterate_format``.
+
+    The iterate's entries are printed to 17 significant digits, as output files print floats.
+    """
+    text = f"{type(exc).__name__}: {exc}"
+    if isinstance(exc, ConvergenceError) and exc.best_iterate is not None:
+        text += best_iterate_format.format(", ".join(f"{float(v):.17g}" for v in exc.best_iterate))
+    return text

@@ -42,7 +42,7 @@ from .core import (
     probability_vector,
     uniform_estimate,
 )
-from .errors import PriorAdaptError, ValidationError
+from .errors import PriorAdaptError, ValidationError, describe
 from .estimators import (
     estimate_ground_truth,
     estimate_matrix_inverse,
@@ -349,7 +349,7 @@ def _evaluate_split(
             else:
                 priors = estimate(method.name, hist)
         except PriorAdaptError as exc:
-            results[method.name] = f"{type(exc).__name__}: {exc}"
+            results[method.name] = describe(exc)
             continue
         policy = AdaptedPolicy.from_priors(priors)
         results[method.name] = outcome(decide_adapted_batch(scores, policy), priors)
@@ -501,7 +501,7 @@ def _cross_validate_all(
         try:
             rows += cross_validate(spec, clf, folds=folds, confusion=conf)
         except PriorAdaptError as exc:
-            failed = dict.fromkeys((m.name for m in METHODS), f"{type(exc).__name__}: {exc}")
+            failed = dict.fromkeys((m.name for m in METHODS), describe(exc))
             rows += _collect_rows(spec.name, [failed] * folds)
     return rows
 
@@ -525,60 +525,10 @@ class WorkerLost(ChildProcessError):
     """A worker process ended, or sent bytes that do not unpickle, before its end-of-stream marker."""
 
 
-class _Worker:
-    """A forked child that runs ``produce()`` and pickles what it yields into a pipe, one message each.
-
-    Iterating yields the child's items in order, and then raises the
-    exception ``produce`` raised, if any, or :class:`WorkerLost` if the
-    child ended without its end-of-stream marker.  As a context manager,
-    it reaps the child on exit, killing it first if it is still sending.
-    """
-
-    def __init__(self, pid: int, read_fd: int):
-        self.pid = pid
-        self._pipe = open(read_fd, "rb")
-        self._done = False  # the end marker or an exception arrived: the child is exiting
-
-    def __enter__(self) -> "_Worker":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __iter__(self) -> Iterator:
-        while True:
-            try:
-                last, value = pickle.load(self._pipe)
-            except Exception:  # the end of the pipe, a cut message, or one that cannot be rebuilt
-                code = self.close()
-                raise WorkerLost(
-                    f"worker process {self.pid} ended with exit code {code} before its last message"
-                ) from None
-            if not last:
-                yield value
-                continue
-            self._done = True
-            self.close()
-            if value is not None:
-                raise value
-            return
-
-    def close(self) -> Optional[int]:
-        """Reap the child, killing it first unless it is exiting; its exit code, or None if reaped before."""
-        if self._pipe.closed:
-            return None
-        self._pipe.close()
-        if not self._done:
-            import signal  # only this path needs it, and every command imports this module
-
-            os.kill(self.pid, signal.SIGKILL)
-        return os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-
-
-def _messages(produce: Callable[[], Iterable]) -> Iterator[tuple[bool, object]]:
-    """``(False, item)`` per item of ``produce()``, then ``(True, None)``, or ``(True, exception)`` if it raised."""
+def _messages(items: Iterable) -> Iterator[tuple[bool, object]]:
+    """``(False, item)`` per item of ``items``, then ``(True, None)``, or ``(True, exception)`` if iterating raised."""
     try:
-        for item in produce():
+        for item in items:
             yield False, item
     except Exception as exc:  # a GeneratorExit, when the pipe breaks, must close this generator
         yield True, exc
@@ -586,14 +536,14 @@ def _messages(produce: Callable[[], Iterable]) -> Iterator[tuple[bool, object]]:
     yield True, None
 
 
-def _fork(produce: Callable[[], Iterable]) -> Optional[_Worker]:
-    """Start ``produce()`` in a forked child and return the :class:`_Worker` reading it, or None.
+def _fork(items: Iterable) -> Optional[tuple[int, int]]:
+    """Iterate ``items`` in a forked child; return its pid and the read end of its pipe, or None.
 
     The child pickles each message of :func:`_messages` into the pipe as
     soon as it has it.  A message that cannot be pickled ends the stream
     there, without its marker.  The child leaves through ``os._exit``, so
     it runs no exit handler and flushes no inherited buffer.  None means
-    no child could be started.
+    no child could be started; ``items`` is then untouched.
 
     A bare fork, not ``multiprocessing``: importing that costs about a tenth
     of what the suite's workers save, and a spawned child would import
@@ -613,12 +563,12 @@ def _fork(produce: Callable[[], Iterable]) -> Optional[_Worker]:
         return None
     if pid:
         os.close(write_fd)
-        return _Worker(pid, read_fd)
+        return pid, read_fd
     status = 1
     try:
         os.close(read_fd)
         with open(write_fd, "wb") as pipe:
-            for message in _messages(produce):
+            for message in _messages(items):
                 pipe.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
                 pipe.flush()
         status = 0
@@ -627,23 +577,57 @@ def _fork(produce: Callable[[], Iterable]) -> Optional[_Worker]:
 
 
 @contextlib.contextmanager
-def read_ahead(produce: Callable[[], Iterable]) -> Iterator[Iterable]:
-    """Yield the items of ``produce()``, made ahead in a forked child while the caller handles them.
+def read_ahead(items: Iterable) -> Iterator[Iterable]:
+    """Yield ``items`` made ahead in a forked child while the caller handles them.
 
     The child runs when this process may use more than one CPU (see
-    :func:`_cpu_count`) and a child can be started; otherwise ``produce()``
-    runs here, item by item, as the caller iterates.  The items, their
-    order and the exception ``produce`` raises after them are the same
-    either way.  A child that ends early raises :class:`WorkerLost`.  The
-    child is reaped on exit from the block, and killed first if it is
-    still running.
+    :func:`_cpu_count`) and a child can be started (see :func:`_fork`);
+    otherwise ``items`` itself is yielded, and runs here, item by item, as
+    the caller iterates.  The items, their order and the exception that
+    iterating them raises after them are the same either way.  A child
+    whose pipe ends before its last message raises :class:`WorkerLost`,
+    naming its exit code.  The child is reaped as soon as its last message
+    arrives; on exit from the block, one that has not sent it is killed
+    and reaped.
     """
-    worker = _fork(produce) if _cpu_count() > 1 else None
-    if worker is None:
-        yield produce()
+    child = _fork(items) if _cpu_count() > 1 else None
+    if child is None:
+        yield items
         return
-    with worker:
-        yield worker
+    pid, read_fd = child
+    pipe = open(read_fd, "rb")
+    exit_code: Optional[int] = None
+
+    def reap(kill: bool) -> int:
+        nonlocal exit_code
+        if exit_code is None:
+            pipe.close()
+            if kill:
+                import signal  # only this path needs it, and every command imports this module
+
+                os.kill(pid, signal.SIGKILL)
+            exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        return exit_code
+
+    def received() -> Iterator:
+        while True:
+            try:
+                last, value = pickle.load(pipe)
+            except Exception:  # the end of the pipe, a cut message, or one that cannot be rebuilt
+                raise WorkerLost(
+                    f"worker process {pid} ended with exit code {reap(kill=True)} before its last message"
+                ) from None
+            if last:
+                break
+            yield value
+        reap(kill=False)
+        if value is not None:
+            raise value
+
+    try:
+        yield received()
+    finally:
+        reap(kill=True)
 
 
 def evaluate_suite(
@@ -658,31 +642,26 @@ def evaluate_suite(
 
     The scenarios are cut into contiguous chunks, one per CPU this process
     may run on (``os.sched_getaffinity``) and at most one per scenario.
-    This process cross-validates the first chunk; each other chunk runs
-    ahead in a forked child through :func:`read_ahead`.  Each
-    scenario's folds depend only on its own seed and the shared matrix, so
-    the rows, and the output bytes made from them, do not depend on the
-    number of chunks; under ``taskset -c 0`` there is one chunk and nothing
-    forks.  A cgroup CPU quota below the affinity set is not read.  Rows
-    come back in scenario order.  Any other exception is raised as the
+    This process cross-validates the first chunk; each other chunk is
+    ``map(run, [chunk])`` passed to :func:`read_ahead`, so it runs ahead in
+    a forked child, or, with no child, lazily here when its turn comes.
+    Each scenario's folds depend only on its own seed and the shared
+    matrix, so the rows, and the output bytes made from them, do not depend
+    on the number of chunks; under ``taskset -c 0`` there is one chunk and
+    nothing forks.  A cgroup CPU quota below the affinity set is not read.
+    Rows come back in scenario order.  Any other exception is raised as the
     serial loop would raise it: the one from the earliest scenario.  A
-    chunk whose child could not start or left no result is cross-validated
-    here instead, and every child is reaped before this returns or raises.
+    chunk whose child left no result is cross-validated here instead, and
+    every child is reaped before this returns or raises.
     """
     if folds < 2:
         raise ValidationError(f"folds must be >= 2, got {folds}")
     clf = suite.classifier
     conf = estimate_confusion(clf, DEFAULT_H_SAMPLES_PER_CLASS, np.random.default_rng(suite.h_seed))
     run = partial(_cross_validate_all, clf=clf, folds=folds, conf=conf)
-
-    def rows_of(chunk):
-        # A generator, so that a chunk with no child runs when it is read, not
-        # when its block is entered: errors then come in scenario order.
-        yield run(chunk)
-
     first, *rest = _chunks(suite.scenarios, _cpu_count())
     with contextlib.ExitStack() as children:
-        ahead = [children.enter_context(read_ahead(partial(rows_of, chunk))) for chunk in rest]
+        ahead = [children.enter_context(read_ahead(map(run, [chunk]))) for chunk in rest]
         rows = run(first)
         for chunk, part in zip(rest, ahead):
             try:
@@ -774,8 +753,7 @@ def run_drift_scenario(
     hits = np.column_stack([np.concatenate(baseline) == truth, np.concatenate(adapted) == truth])
     error = None
     if failures:
-        last = failures[-1]
-        error = f"{len(failures)} re-estimates failed, kept previous priors: {type(last).__name__}: {last}"
+        error = f"{len(failures)} re-estimates failed, kept previous priors: {describe(failures[-1])}"
     rows = []
     for segment in np.unique(segments):
         name = f"{spec.name}/segment-{segment}"

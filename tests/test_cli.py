@@ -1264,6 +1264,52 @@ def test_window_past_int64_exits_2(command):
     assert proc.stderr.decode() == f"error: window length must be <= 2**63 - 1, got {2**63}\n"
 
 
+class TestClosedStreams:
+    """A closed stdout is an I/O failure; a closed stderr changes no exit code and no output byte."""
+
+    @staticmethod
+    def _bad_row(tmp_path):
+        scores = tmp_path / "bad.csv"
+        scores.write_text("s_a,s_b\n0.5,0.5\nx,1\n0.2,0.8\n", encoding="utf-8")
+        priors = tmp_path / "p.json"
+        priors.write_text('{"a": 0.5, "b": 0.5}', encoding="utf-8")
+        return ["reweight", str(scores), "--priors", str(priors)]
+
+    @staticmethod
+    def _run(argv, closed_fd=None):
+        """``python -m prioradapt argv``, started with ``closed_fd`` closed."""
+        return subprocess.run(
+            [sys.executable, "-m", "prioradapt", *argv], capture_output=True, env=src_env(), timeout=60,
+            preexec_fn=None if closed_fd is None else lambda: os.close(closed_fd),
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["reweight", data("fixture_scores.csv"), "--priors", data("fixture_priors.json")],
+        ["normalize", data("fixture_confusion_raw.csv")],
+    ], ids=["reweight", "normalize"])
+    def test_closed_stdout_exits_4(self, argv):
+        proc = self._run(argv, closed_fd=1)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (4, b"", b"error: [Errno 9] stdout is closed\n")
+
+    @pytest.mark.parametrize("lenient, code", [(True, 0), (False, 2)], ids=["lenient", "strict"])
+    def test_closed_stderr_changes_nothing_else(self, tmp_path, lenient, code):
+        argv = self._bad_row(tmp_path) + ["--lenient"] * lenient
+        with_stderr = self._run(argv)
+        without = self._run(argv, closed_fd=2)
+        assert with_stderr.returncode == without.returncode == code
+        assert without.stdout == with_stderr.stdout
+        assert without.stdout.count(b"\n") == (3 if lenient else 2)
+
+    @pytest.mark.parametrize("lenient, code", [(True, 0), (False, 2)], ids=["lenient", "strict"])
+    def test_no_stderr_in_process_writes_nothing_to_stdout(self, tmp_path, monkeypatch, capsys, lenient, code):
+        argv = self._bad_row(tmp_path) + ["--lenient"] * lenient
+        assert main(argv) == code
+        expected = capsys.readouterr().out
+        monkeypatch.setattr(sys, "stderr", None)
+        assert main(argv) == code
+        assert capsys.readouterr().out == expected
+
+
 class TestGlobalFlagPlacement:
     def test_flags_accepted_before_or_after_subcommand(self, tmp_path):
         before = str(tmp_path / "before.csv")

@@ -1,9 +1,15 @@
 """Synthetic classifier calibration and the deployment-simulation protocol."""
 
+import contextlib
+import errno
 import itertools
 import os
+import signal
+import sys
+import tempfile
 import time
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -29,6 +35,7 @@ from prioradapt import (
 )
 from prioradapt import harness
 from prioradapt.core import METHODS
+from prioradapt.errors import ConvergenceError
 from prioradapt.fileio import read_scenario_json
 from prioradapt.harness import _fold_partitions, _mixture_counts
 
@@ -568,7 +575,7 @@ class TestEvaluateSuiteWorkers:
     def test_message_stream_closes_quietly(self):
         # A child's pipe breaks when its parent stops reading; the stream it
         # was sending must then close, not send one more message.
-        messages = harness._messages(lambda: iter(range(3)))
+        messages = harness._messages(iter(range(3)))
         assert next(messages) == (False, 0)
         messages.close()
 
@@ -583,6 +590,108 @@ class TestEvaluateSuiteWorkers:
         with pytest.raises(Unpicklable, match="boom in context-08"):
             evaluate_suite(default_suite(), folds=self.FOLDS)
         assert_no_children()
+
+
+@contextlib.contextmanager
+def captured_stderr():
+    """A list that receives what this process and its forked children write to stderr.
+
+    Both fd 2 and ``sys.stderr`` point at one line-buffered file, so a child
+    leaving through ``os._exit`` loses no whole line, and an unraisable
+    exception is printed there, as outside pytest, instead of being held.
+    """
+    with tempfile.TemporaryFile("w+", buffering=1) as fp:
+        saved, text = os.dup(2), []
+        os.dup2(fp.fileno(), 2)
+        try:
+            with mock.patch.object(sys, "stderr", fp), \
+                    mock.patch.object(sys, "unraisablehook", sys.__unraisablehook__):
+                yield text
+        finally:
+            os.dup2(saved, 2)
+            os.close(saved)
+            fp.seek(0)
+            text.append(fp.read())
+
+
+@st.composite
+def read_ahead_plans(draw):
+    """n items; whether they end or stall; one fault at item ``at``; the item count after which the consumer leaves."""
+    n = draw(st.integers(0, 20))
+    ends = draw(st.booleans())
+    fault = draw(st.sampled_from(["none", "raise", "exit", "kill", "pipe", "fork"]))
+    at = draw(st.integers(0, n)) if fault in ("raise", "exit", "kill") else None
+    # A stalled stream is only left, never read to its end.
+    leave = draw((st.none() if ends else st.nothing()) | st.integers(0, n))
+    return dict(cpus=draw(st.sampled_from([1, 2])), n=n, ends=ends, fault=fault, at=at, leave=leave)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestReadAheadProperties:
+    """``read_ahead`` gives the same items, exception and end in a child as in process, and leaves no child."""
+
+    STALL_S = 5.0
+
+    @classmethod
+    def items(cls, n, ends, fault, at, parent):
+        """0, 1, ..., n - 1 with ``fault`` at item ``at``, then the end, or a stall of ``STALL_S`` seconds."""
+        for i in itertools.count():
+            if i == at:
+                if fault == "raise":
+                    raise RuntimeError(f"failed at item {i}")
+                if fault == "exit" and os.getpid() != parent:
+                    os._exit(3)
+                if fault == "kill" and os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            if i == n:
+                if ends:
+                    return
+                time.sleep(cls.STALL_S)
+            yield i
+
+    @staticmethod
+    def expected(cpus, n, ends, fault, at, leave):
+        """The items the consumer receives, and then ``"left"``, ``"end"``, ``"lost"`` or the exception's args."""
+        stops = {n: "end"}
+        if fault == "raise":
+            stops[at] = (f"failed at item {at}",)
+        elif fault in ("exit", "kill") and cpus > 1:
+            stops[at] = "lost"
+        if leave is not None:
+            stops[leave] = "left"  # before it would read item ``leave``
+        m = min(stops)
+        return list(range(m)), stops[m]
+
+    @settings(max_examples=150, deadline=None)
+    @given(read_ahead_plans())
+    def test_items_faults_and_reaping(self, plan):
+        cpus, fault, leave = plan["cpus"], plan["fault"], plan["leave"]
+        items = self.items(plan["n"], plan["ends"], fault, plan["at"], os.getpid())
+
+        def refuse(*args):
+            raise OSError(errno.EAGAIN, "refused")
+
+        refusal = mock.patch.object(os, fault, refuse) if fault in ("pipe", "fork") else contextlib.nullcontext()
+        got, outcome = [], "left"
+        with captured_stderr() as stderr, refusal, mock.patch.object(harness, "_cpu_count", lambda: cpus):
+            with harness.read_ahead(items) as ahead:
+                stream = iter(ahead)
+                try:
+                    while len(got) != leave:
+                        got.append(next(stream))
+                except StopIteration:
+                    outcome = "end"
+                except harness.WorkerLost:
+                    outcome = "lost"
+                except RuntimeError as exc:
+                    assert type(exc) is RuntimeError
+                    outcome = exc.args
+                left_at = time.monotonic()
+            # A child still sending is killed, not waited for.
+            assert time.monotonic() - left_at < self.STALL_S / 2
+        assert (got, outcome) == self.expected(**plan)
+        assert_no_children()
+        assert "Traceback" not in stderr[0] and "Exception ignored" not in stderr[0]
 
 
 def stream_rows(spec, clf, rng=None):
@@ -742,3 +851,22 @@ class TestRunDriftScenario:
         # A cumulative histogram keeps pre-switch decisions forever and its
         # estimate stays wrong; the windowed one recovers.
         assert acc(windowed) >= acc(cumulative) + 0.05
+
+
+def test_convergence_failure_names_its_best_iterate(monkeypatch):
+    # The text ``estimate`` writes for the same failure, in each row's error.
+    def capped(conf, hist):
+        raise ConvergenceError("cap reached", best_iterate=np.array([0.25, 0.75]))
+
+    monkeypatch.setattr(harness, "estimate_qp", capped)
+    text = "ConvergenceError: cap reached (best iterate: 0.25, 0.75)"
+    spec, clf = read_scenario_json(DATA_SCENARIO)
+    replay = run_drift_scenario(spec, clf, window=None, reestimate_every=2)
+    errors = [r.error for r in replay if r.method == "quadratic_program"]
+    assert len(errors) == 2 and all(e.endswith(f"kept previous priors: {text}") for e in errors)
+    spec = uniform_scenario(clf.catalog, active=(0, 1), seed=3)
+    rows = {r.method: r for r in cross_validate(spec, clf, folds=2)}
+    assert rows["quadratic_program"].error == text
+    monkeypatch.setattr(harness, "cross_validate", lambda *args, **kwargs: capped(None, None))
+    conf = estimate_confusion(clf, 10, np.random.default_rng(0))
+    assert {r.error for r in harness._cross_validate_all([spec], clf, 2, conf)} == {text}
