@@ -20,12 +20,18 @@ numpy/BLAS builds the last digits of the solver-based estimates may
 differ.  A caller that imports this module after numpy has loaded keeps
 its own BLAS threads, and so does its in-process :func:`main`.
 
-``reweight`` parses its scores body in a forked reader process when the
-command may use more than one CPU, while this process decides, solves and
-writes.  Under ``--lenient`` the reader yields each skipped row's error in
-that row's place, so the warnings come out in file order between the
-blocks around them; the bytes, the warnings and the exit codes are the
-same as when it reads in process.
+``reweight`` runs in up to three processes when the command may use more
+than one CPU.  A forked reader parses the scores file from the start,
+while this process reads the confusion CSV.  After every check, once the
+output is open and if it has a file descriptor, a forked writer
+re-weights and formats each part of the stream while this process counts
+decisions and solves.  Under ``--lenient`` the reader yields each skipped
+row's error in that row's place, so the warnings come out in file order
+between the blocks around them.  Every ``warning:`` and ``error:`` line
+is printed by this process; the bytes, the warnings and the exit codes
+are the same as in one process.  How stdout and stderr lines interleave
+when both go to one file is not promised; it already depends on stdout's
+buffering.
 
 ``evaluate`` without a scenario file cross-validates the built-in suite in
 up to one process per CPU the command may run on, and at most one per
@@ -99,6 +105,7 @@ from .harness import (
     read_ahead,
     run_drift_scenario,
     simulate_stream,
+    write_behind,
 )
 from .monitor import StreamMonitor
 
@@ -227,6 +234,7 @@ def _open_output(path: Optional[str]):
         if sys.stdout is None:
             raise OSError(errno.EBADF, "stdout is closed")
         yield sys.stdout
+        sys.stdout.flush()
         return
     try:
         mode = os.stat(path).st_mode
@@ -348,17 +356,31 @@ def _blocks_of(items, args) -> Iterator[np.ndarray]:
             yield item
 
 
+def _score_items(path: str, lenient: bool) -> Iterator:
+    """Nothing for an empty scores file; else its catalog, then its blocks and skipped rows' errors."""
+    with fileio.TextInput(path) as stream:
+        if stream.empty():
+            return
+        catalog, items = fileio.read_score_records(stream, lenient)
+        yield catalog
+        yield from items
+
+
 def cmd_reweight(args) -> int:
     if (args.priors is None) == (args.confusion is None):
         raise ValidationError("reweight needs exactly one of --priors or --confusion")
     if args.priors is not None and (args.window, args.reestimate_every) != (None, None):
         raise ValidationError("--window and --reestimate-every apply only with --confusion")
-    if args.confusion is not None:
-        if args.reestimate_every is None or args.reestimate_every < 1:
-            raise ValidationError("--confusion requires --reestimate-every N (N >= 1)")
-        conf = fileio.read_confusion_csv(args.confusion)
-    with fileio.TextInput(args.scores) as stream:
-        if stream.empty():
+    if args.confusion is not None and (args.reestimate_every is None or args.reestimate_every < 1):
+        raise ValidationError("--confusion requires --reestimate-every N (N >= 1)")
+    # The scores are parsed ahead, in a second process where one can run,
+    # while this one reads the confusion CSV and then solves.  That process
+    # holds no handle on the output.
+    with contextlib.closing(_score_items(args.scores, args.lenient)) as items, read_ahead(items) as ahead:
+        if args.confusion is not None:
+            conf = fileio.read_confusion_csv(args.confusion)
+        catalog = next(ahead, None)
+        if catalog is None:
             # An empty stream re-weights to an empty stream.  With no header the
             # priors' class labels cannot be checked, but the file must be JSON.
             if args.priors is not None:
@@ -366,31 +388,29 @@ def cmd_reweight(args) -> int:
             with _open_output(args.output) as fp:
                 pass
             return EXIT_OK
-
-        catalog, items = fileio.read_score_records(stream, args.lenient)
         if args.priors is not None:
             method = _METHOD_BY_FLAG[args.method] if args.method else None
             values, tag = fileio.read_priors_json(args.priors, catalog, method)
             policy = AdaptedPolicy.from_priors(PriorEstimate(values / values.sum(), method=tag))
         elif conf.catalog != catalog:
             raise ValidationError("scores CSV classes do not match the confusion matrix classes")
-        # The body is parsed ahead, in a second process where one can run,
-        # while this one decides and writes; it holds no handle on the output.
-        with read_ahead(items) as ahead:
-            blocks = _blocks_of(ahead, args)
-            if args.priors is not None:
-                parts = ((scores, policy) for scores in blocks)
-            else:
-                # Live mode: re-estimate from the running histogram every N records.
-                parts = adapt(
-                    blocks, StreamMonitor(catalog, window=args.window),
-                    partial(estimator(conf), _METHOD_BY_FLAG[args.method or "qp"]), args.reestimate_every,
-                    lambda exc: _note(args, f"warning: keeping previous priors: {exc}"),
-                )
-            with _open_output(args.output) as fp:
-                fp.write(_reweight_header(catalog))
-                for scores, policy in parts:
-                    fp.write(_reweight_rows(scores, policy))
+        blocks = _blocks_of(ahead, args)
+        if args.priors is not None:
+            parts = ((scores, policy) for scores in blocks)
+        else:
+            # Live mode: re-estimate from the running histogram every N records.
+            parts = adapt(
+                blocks, StreamMonitor(catalog, window=args.window),
+                partial(estimator(conf), _METHOD_BY_FLAG[args.method or "qp"]), args.reestimate_every,
+                lambda exc: _note(args, f"warning: keeping previous priors: {exc}"),
+            )
+        with _open_output(args.output) as fp:
+            fp.write(_reweight_header(catalog))
+            # Each part is re-weighted and written behind, in a third process
+            # where one can run, while this one goes on to the next.
+            with write_behind(fp, lambda part: fp.write(_reweight_rows(*part))) as send:
+                for part in parts:
+                    send(part)
     return EXIT_OK
 
 

@@ -56,9 +56,16 @@ def format_float(x: float) -> str:
 
 
 def format_rows(rows: np.ndarray) -> str:
-    """An (n, K) array as n CSV lines of :func:`format_float` cells, each ending in ``\n``."""
-    n, k = rows.shape
-    return ((",".join(["%.17g"] * k) + "\n") * n) % tuple(rows.ravel().tolist())
+    """An (n, K) array as n CSV lines of :func:`format_float` cells, each ending in ``\n``.
+
+    A column that is +0.0 in every row is a literal ``0`` in the line
+    template; only the other columns go through ``%.17g``.  A -0.0 keeps
+    its ``-0``.
+    """
+    n = len(rows)
+    live = ((rows != 0) | np.signbit(rows)).any(axis=0)
+    line = ",".join(["%.17g" if cell else "0" for cell in live.tolist()]) + "\n"
+    return (line * n) % tuple(rows[:, live].ravel().tolist())
 
 
 def _is_number(value) -> bool:

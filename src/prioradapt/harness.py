@@ -17,13 +17,14 @@ a faithful small-scale reproduction.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import itertools
 import os
 import pickle
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -536,14 +537,76 @@ def _messages(items: Iterable) -> Iterator[tuple[bool, object]]:
     yield True, None
 
 
+#: Pickled bytes a child may hold while its pipe is full; past this it waits for room.
+_AHEAD_BYTES = 16 << 20
+#: The pipe capacity asked for, where the kernel allows it.
+_PIPE_BYTES = 1 << 20
+
+
+def _pipe() -> tuple[int, int]:
+    """``os.pipe()``, enlarged to ``_PIPE_BYTES`` where ``F_SETPIPE_SZ`` allows it (best effort)."""
+    read_fd, write_fd = os.pipe()
+    with contextlib.suppress(ImportError, AttributeError, OSError):
+        import fcntl  # Linux only; only the fork paths need it
+
+        fcntl.fcntl(write_fd, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+    return read_fd, write_fd
+
+
+def _send(fd: int, messages: Iterable) -> None:
+    """Pickle each of ``messages`` into the pipe ``fd`` as soon as the pipe has room.
+
+    The writes do not block: while the pipe is full, the messages are held
+    here and the next one is made meanwhile.  Only while more than
+    ``_AHEAD_BYTES`` are held, and after the last message or an exception,
+    does this wait for the reader.
+    """
+    import select  # only a forked child needs it
+
+    os.set_blocking(fd, False)
+    room = select.poll()
+    room.register(fd, select.POLLOUT)
+    held: collections.deque[memoryview] = collections.deque()
+    size = 0
+
+    def write_held(limit: int) -> None:
+        """Write held bytes while the pipe takes them; while more than ``limit`` are held, wait for room."""
+        nonlocal size
+        while held:
+            try:
+                written = os.write(fd, held[0])
+            except BlockingIOError:
+                if size <= limit:
+                    return
+                room.poll()
+                continue
+            size -= written
+            if written == len(held[0]):
+                held.popleft()
+            else:
+                held[0] = held[0][written:]
+
+    try:
+        for message in messages:
+            data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+            held.append(memoryview(data))
+            size += len(data)
+            write_held(_AHEAD_BYTES)
+    finally:
+        write_held(0)
+
+
 def _fork(items: Iterable) -> Optional[tuple[int, int]]:
     """Iterate ``items`` in a forked child; return its pid and the read end of its pipe, or None.
 
     The child pickles each message of :func:`_messages` into the pipe as
-    soon as it has it.  A message that cannot be pickled ends the stream
-    there, without its marker.  The child leaves through ``os._exit``, so
-    it runs no exit handler and flushes no inherited buffer.  None means
-    no child could be started; ``items`` is then untouched.
+    soon as the pipe has room (see :func:`_send`), so it runs ahead of its
+    reader by up to the pipe's capacity (``_PIPE_BYTES`` where the kernel
+    allows) plus ``_AHEAD_BYTES`` of held messages.  A message that cannot
+    be pickled ends the stream there, without its marker.  The child leaves
+    through ``os._exit``, so it runs no exit handler and flushes no
+    inherited buffer.  None means no child could be started; ``items`` is
+    then untouched.
 
     A bare fork, not ``multiprocessing``: importing that costs about a tenth
     of what the suite's workers save, and a spawned child would import
@@ -552,7 +615,7 @@ def _fork(items: Iterable) -> Optional[tuple[int, int]]:
     runs more, OpenBLAS stops its threads around the fork.
     """
     try:
-        read_fd, write_fd = os.pipe()
+        read_fd, write_fd = _pipe()
     except OSError:
         return None
     try:
@@ -567,10 +630,7 @@ def _fork(items: Iterable) -> Optional[tuple[int, int]]:
     status = 1
     try:
         os.close(read_fd)
-        with open(write_fd, "wb") as pipe:
-            for message in _messages(items):
-                pipe.write(pickle.dumps(message, pickle.HIGHEST_PROTOCOL))
-                pipe.flush()
+        _send(write_fd, _messages(items))
         status = 0
     finally:
         os._exit(status)
@@ -584,11 +644,12 @@ def read_ahead(items: Iterable) -> Iterator[Iterable]:
     :func:`_cpu_count`) and a child can be started (see :func:`_fork`);
     otherwise ``items`` itself is yielded, and runs here, item by item, as
     the caller iterates.  The items, their order and the exception that
-    iterating them raises after them are the same either way.  A child
-    whose pipe ends before its last message raises :class:`WorkerLost`,
-    naming its exit code.  The child is reaped as soon as its last message
-    arrives; on exit from the block, one that has not sent it is killed
-    and reaped.
+    iterating them raises after them are the same either way.  The child
+    runs ahead of the caller by at most the pipe's capacity plus
+    ``_AHEAD_BYTES`` of pickled items.  A child whose pipe ends before its
+    last message raises :class:`WorkerLost`, naming its exit code.  The
+    child is reaped as soon as its last message arrives; on exit from the
+    block, one that has not sent it is killed and reaped.
     """
     child = _fork(items) if _cpu_count() > 1 else None
     if child is None:
@@ -628,6 +689,90 @@ def read_ahead(items: Iterable) -> Iterator[Iterable]:
         yield received()
     finally:
         reap(kill=True)
+
+
+def _written(read_fd: int, write_fd: int, out: IO, write: Callable[[object], object]) -> Iterator:
+    """Run ``write`` on each item pickled into the pipe ``read_fd``, until its end; then flush ``out``.
+
+    Runs in :func:`write_behind`'s child, which first closes its copy of
+    the pipe's write end ``write_fd``, so that the pipe ends when the
+    sender closes it.  Yields nothing.
+    """
+    os.close(write_fd)
+    try:
+        with open(read_fd, "rb") as pipe:
+            while True:
+                try:
+                    item = pickle.load(pipe)
+                except EOFError:
+                    break
+                write(item)
+    finally:
+        out.flush()
+    yield from ()
+
+
+@contextlib.contextmanager
+def write_behind(out: IO, write: Callable[[object], object]) -> Iterator[Callable[[object], None]]:
+    """Yield ``send(item)``; ``write(item)`` runs for every item sent, in order, behind the caller.
+
+    :func:`read_ahead` in reverse.  ``write`` runs in a forked child when
+    this process may use more than one CPU, ``out`` has a file descriptor,
+    and a child can be started; otherwise ``send`` is ``write``, called
+    here.  ``out`` is flushed here before the fork, and by the child after
+    its last write, so that no byte is written twice.  The caller runs
+    ahead of the child by at most the capacity of the pipe that carries
+    the items; ``send`` waits while it is full.
+
+    On every exit from the block the pipe is closed, the child writes what
+    it was sent, and it is reaped.  An exception ``write`` raised is raised
+    here, also over one the block raised later, since it belongs to an
+    earlier item; so is one that breaks the pipe under ``send``.  A child
+    that ends before its last message raises :class:`WorkerLost`.
+    """
+    fds = None
+    if _cpu_count() > 1 and _has_descriptor(out):
+        out.flush()
+        with contextlib.suppress(OSError):
+            fds = _pipe()
+    if fds is None:
+        yield write
+        return
+    read_fd, write_fd = fds
+    items = _written(read_fd, write_fd, out, write)
+    with read_ahead(items) as done:
+        os.close(read_fd)
+        if done is items:  # no child could be started
+            os.close(write_fd)
+            yield write
+            return
+        sent = open(write_fd, "wb")
+
+        def send(item) -> None:
+            try:
+                sent.write(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
+                sent.flush()
+            except BrokenPipeError:
+                for _ in done:  # the child stopped reading: raise its own error
+                    pass
+                raise
+
+        try:
+            yield send
+        finally:
+            with contextlib.suppress(BrokenPipeError):
+                sent.close()
+            for _ in done:
+                pass
+
+
+def _has_descriptor(out: IO) -> bool:
+    """Whether ``out`` writes to a file descriptor, which a forked child can write to as well."""
+    try:
+        out.fileno()
+    except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation is both
+        return False
+    return True
 
 
 def evaluate_suite(

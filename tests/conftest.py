@@ -2,11 +2,22 @@
 
 from __future__ import annotations
 
+import os
 from unittest import mock
 
 import numpy as np
+import pytest
 
 from prioradapt import ClassCatalog, ConfusionMatrix, fileio
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fail a test that leaves a child process: by then each one must have been reaped."""
+    yield
+    if hasattr(os, "WNOHANG"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def make_catalog(k: int) -> ClassCatalog:

@@ -1,11 +1,13 @@
 """Command-line behavior: commands, exit codes, and byte-stable outputs."""
 
+import contextlib
 import csv
 import gc
 import io
 import itertools
 import json
 import os
+import select
 import shutil
 import stat
 import subprocess
@@ -13,6 +15,7 @@ import sys
 import tempfile
 import threading
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -546,6 +549,18 @@ class TestScoreReader:
             assert serial == (forked[0], "", 0, 0) and forked[1:] == ("", 0, 1)
             assert serial[0].count("\n") == lines
 
+    def test_bytes_do_not_depend_on_the_writer(self, tmp_path, monkeypatch, capfd):
+        # capfd's stdout has a descriptor, so on two CPUs the writer forks too.
+        scores, conf = self._scores(tmp_path)
+        for argv, lines in (
+            (["reweight", data("fixture_scores.csv"), "--priors", data("fixture_priors.json")], 5),
+            (["reweight", scores, "--confusion", conf, "--reestimate-every", "7", "--window", "50"], 401),
+        ):
+            serial = self._run(monkeypatch, capfd, 1, argv)
+            forked = self._run(monkeypatch, capfd, 2, argv)
+            assert serial == (forked[0], "", 0, 0) and forked[1:] == ("", 0, 2)
+            assert serial[0].count("\n") == lines
+
     def test_warnings_keep_their_order(self, tmp_path, monkeypatch, capsys):
         # Class c has zero recall, so each precision/recall estimate after a
         # c decision fails; every seventh row is skipped under --lenient.
@@ -609,7 +624,7 @@ class TestScoreReader:
         out = tmp_path / "out.csv"
         argv = ["--output", str(out), "reweight", scores, "--confusion", conf, "--reestimate-every", "7"]
         _, err, code, forks = self._run(monkeypatch, capsys, 2, argv)
-        assert (code, forks) == (4, 1)
+        assert (code, forks) == (4, 2)
         assert err.startswith("error: ") and "exit code 9" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not out.exists()
@@ -1308,6 +1323,196 @@ class TestClosedStreams:
         monkeypatch.setattr(sys, "stderr", None)
         assert main(argv) == code
         assert capsys.readouterr().out == expected
+
+
+# Runs ``python -m prioradapt`` with one fault planted in the reader or the
+# writer process; argv[1] is the plan, the rest the command line.
+_FAULT_RUNNER = """
+import json, os, runpy, sys
+from prioradapt import cli, fileio
+
+plan = json.loads(sys.argv[1])
+fileio._CSV_BLOCK_BYTES = fileio._LINE_BLOCK_BYTES = plan["block_bytes"]
+parent = os.getpid()
+if plan["fault"] == "reader":
+    real_items = cli._score_items
+    def _score_items(path, lenient):
+        for n, item in enumerate(real_items(path, lenient)):
+            if n == plan["at"] + 1 and os.getpid() != parent:  # item 0 is the catalog
+                os._exit(7)
+            yield item
+    cli._score_items = _score_items
+elif plan["fault"] == "writer":
+    real_rows, parts = cli._reweight_rows, []
+    def _reweight_rows(scores, policy):
+        parts.append(1)
+        if len(parts) == plan["at"] + 1 and os.getpid() != parent:
+            os._exit(7)
+        return real_rows(scores, policy)
+    cli._reweight_rows = _reweight_rows
+sys.argv = ["prioradapt", *sys.argv[2:]]
+runpy.run_module("prioradapt", run_name="__main__")
+"""
+
+
+@st.composite
+def _fault_plans(draw):
+    fault = draw(st.sampled_from(["none", "reader", "writer", "bad_row", "dev_full", "broken_pipe", "closed"]))
+    return dict(
+        cpus=draw(st.sampled_from([1, 2])),
+        live=draw(st.booleans()),
+        lenient=draw(st.booleans()),
+        to_file=draw(st.booleans()),
+        existing=draw(st.booleans()),
+        buffered=draw(st.booleans()),
+        fault=fault,
+        at=draw(st.integers(0, TestReweightFaultPlan.ROWS - 1)),
+    )
+
+
+@pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity")
+                    or not os.path.exists("/dev/full"), reason="needs fork, CPU affinity and /dev/full")
+class TestReweightFaultPlan:
+    """Whatever fault hits a ``reweight`` process, it exits with the code that fault implies and leaves no child."""
+
+    ROWS = 150
+    BLOCK_BYTES = 1024  # about 20 rows per reader block
+
+    @classmethod
+    def inputs(cls, tmp, bad_row=None, without=None):
+        """Scores, confusion and priors files; row ``bad_row`` broken, or row ``without`` left out."""
+        rng = np.random.default_rng(20)
+        scores = rng.dirichlet(np.ones(4), size=cls.ROWS)
+        scores[cls.ROWS // 2:, 1] += 2.0
+        scores /= scores.sum(axis=1, keepdims=True)
+        lines = [",".join(repr(float(x)) for x in row) for row in scores]
+        if bad_row is not None:
+            lines[bad_row] = "0.5,oops,0.25,0.25"
+        if without is not None:
+            del lines[without]
+        paths = {name: os.path.join(tmp, name) for name in ("s.csv", "c.csv", "p.json")}
+        with open(paths["s.csv"], "w", encoding="utf-8") as fp:
+            fp.write("\n".join(["s_c0,s_c1,s_c2,s_c3", *lines]) + "\n")
+        with open(paths["c.csv"], "w", encoding="utf-8") as fp:
+            fp.write("c0,c1,c2,c3\n0.7,0.1,0.1,0.1\n0.1,0.7,0.1,0.1\n0.1,0.1,0.7,0.1\n0.1,0.1,0.1,0.7\n")
+        with open(paths["p.json"], "w", encoding="utf-8") as fp:
+            fp.write('{"c0": 0.1, "c1": 0.6, "c2": 0.2, "c3": 0.1}')
+        return paths
+
+    @staticmethod
+    def argv(paths, live, lenient):
+        source = (["--confusion", paths["c.csv"], "--reestimate-every", "7", "--window", "40"] if live
+                  else ["--priors", paths["p.json"]])
+        return ["reweight", paths["s.csv"], *source, *["--lenient"] * lenient]
+
+    @classmethod
+    def reference(cls, argv) -> str:
+        """The fault-free output of ``argv``, made in process on one CPU."""
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(harness, "_cpu_count", lambda: 1), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(argv) == 0, err.getvalue()
+        return out.getvalue()
+
+    @classmethod
+    def expected(cls, plan, reference):
+        """The exit code, the output and whether only a row-boundary prefix of it is promised."""
+        fault, at = plan["fault"], plan["at"]
+        header, rows = reference.split("\n", 1)[0] + "\n", reference.splitlines(keepends=True)[1:]
+        if fault == "bad_row":
+            if plan["lenient"]:
+                return 0, reference, False
+            return 2, header + "".join(rows[:at]), False
+        if fault == "dev_full" or (fault in ("broken_pipe", "closed") and not plan["to_file"]):
+            return 4, "", False
+        forks = plan["cpus"] > 1 and len(os.sched_getaffinity(0)) > 1  # two CPUs keep the runner's own set
+        if forks and fault in ("reader", "writer"):
+            return 4, reference, True
+        return 0, reference, False
+
+    @settings(max_examples=30, deadline=None)
+    @given(_fault_plans())
+    def test_exit_code_output_and_no_child_left(self, plan):
+        fault, at = plan["fault"], plan["at"]
+        if fault == "reader":
+            at %= 7  # of about 13 blocks
+        elif fault == "writer":
+            at %= 20 if plan["live"] else 3  # of at least 22 parts, or 13 blocks
+        with tempfile.TemporaryDirectory() as tmp:
+            if fault == "bad_row":
+                reference_paths = self.inputs(tmp, without=at) if plan["lenient"] else self.inputs(tmp)
+                reference = self.reference(self.argv(reference_paths, plan["live"], plan["lenient"]))
+                paths = self.inputs(tmp, bad_row=at)
+            else:
+                paths = self.inputs(tmp)
+                reference = self.reference(self.argv(paths, plan["live"], plan["lenient"]))
+            code, output, prefix_only = self.expected(dict(plan, at=at), reference)
+            if plan["to_file"] and code != 0:
+                output, prefix_only = "", False  # a failed command leaves no new file
+            argv = self.argv(paths, plan["live"], plan["lenient"])
+            out_path = os.path.join(tmp, "out.csv")
+            if plan["to_file"]:
+                argv = ["--output", "/dev/full" if fault == "dev_full" else out_path, *argv]
+                if plan["existing"]:
+                    with open(out_path, "w", encoding="utf-8") as fp:
+                        fp.write("earlier\n")
+            env = src_env()
+            if plan["buffered"]:
+                env.pop("PYTHONUNBUFFERED", None)
+            else:
+                env["PYTHONUNBUFFERED"] = "1"
+            stdout, stdout_fd = subprocess.PIPE, None
+            if fault == "dev_full" and not plan["to_file"]:
+                stdout = open("/dev/full", "wb")
+            elif fault == "broken_pipe":
+                read_end, stdout_fd = os.pipe()
+                os.close(read_end)
+                stdout = stdout_fd
+
+            def preexec():
+                if plan["cpus"] == 1:
+                    os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+                if fault == "closed":
+                    os.close(1)
+
+            tree_r, tree_w = os.pipe()  # held by every process of the command's tree
+            try:
+                proc = subprocess.run(
+                    [sys.executable, "-c", _FAULT_RUNNER, json.dumps(dict(plan, at=at, block_bytes=self.BLOCK_BYTES)),
+                     *argv],
+                    stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60, preexec_fn=preexec,
+                    pass_fds=(tree_w,),
+                )
+                os.close(tree_w)
+                ended, _, _ = select.select([tree_r], [], [], 10.0)
+                assert ended and os.read(tree_r, 1) == b"", "a process of the command outlived it"
+            finally:
+                os.close(tree_r)
+                if stdout_fd is not None:
+                    os.close(stdout_fd)
+                elif stdout is not subprocess.PIPE:
+                    stdout.close()
+            err = proc.stderr.decode()
+            got = (proc.stdout or b"").decode()
+            if plan["to_file"] and fault != "dev_full":
+                assert got == ""
+                if os.path.exists(out_path):
+                    got = read_bytes(out_path).decode()
+                    if code != 0:
+                        assert plan["existing"] and got == "earlier\n"
+                        got = ""
+                else:
+                    assert code != 0 and not plan["existing"]
+            assert proc.returncode == code, err
+            assert "Traceback" not in err and "Exception ignored" not in err, err
+            errors = [line for line in err.splitlines() if line.startswith("error: ")]
+            assert len(errors) == (code != 0), err
+            skipped = [line for line in err.splitlines() if line.startswith("warning: ")]
+            assert len(skipped) == (fault == "bad_row" and plan["lenient"]), err
+            if prefix_only:
+                assert output.startswith(got) and (got == "" or got.endswith("\n"))
+            else:
+                assert got == output
 
 
 class TestGlobalFlagPlacement:

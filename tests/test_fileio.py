@@ -21,6 +21,7 @@ from prioradapt.fileio import (
     _truth_index,
     parse_scores_header,
     format_float,
+    format_rows,
     priors_document,
     read_confusion_csv,
     read_decision_stream,
@@ -49,6 +50,35 @@ class TestFormatFloat:
 
     def test_seventeen_digits(self):
         assert format_float(0.1) == "0.10000000000000001"
+
+
+_special_cells = st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 2.2e-308, 2.5e300, 1.0, 0.1])
+
+
+@st.composite
+def _row_blocks(draw):
+    """An (n, K) block with n = 0 allowed; all zeros, no zeros, or a mix of zero columns and special cells."""
+    n, k = draw(st.integers(0, 6)), draw(st.integers(1, 7))
+    kind = draw(st.sampled_from(["zeros", "no zeros", "mixed"]))
+    if kind == "zeros":
+        return np.zeros((n, k))
+    cells = _special_cells | st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+    if kind == "no zeros":
+        cells = cells.filter(lambda x: x != 0)
+    rows = np.array(draw(st.lists(st.lists(cells, min_size=k, max_size=k), min_size=n, max_size=n)), dtype=float)
+    rows = rows.reshape(n, k)
+    if kind == "mixed":
+        zero_columns = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        rows[:, zero_columns] = 0.0
+    return rows
+
+
+class TestFormatRows:
+    @settings(max_examples=300, deadline=None)
+    @given(_row_blocks())
+    def test_matches_format_float_per_cell(self, rows):
+        expected = "".join(",".join(format_float(x) for x in row) + "\n" for row in rows)
+        assert format_rows(rows) == expected
 
 
 class TestConfusionCsv:

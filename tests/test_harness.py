@@ -2,8 +2,10 @@
 
 import contextlib
 import errno
+import io
 import itertools
 import os
+import select
 import signal
 import sys
 import tempfile
@@ -692,6 +694,123 @@ class TestReadAheadProperties:
         assert (got, outcome) == self.expected(**plan)
         assert_no_children()
         assert "Traceback" not in stderr[0] and "Exception ignored" not in stderr[0]
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestRunAhead:
+    """A forked child makes its items while nobody reads them, up to the pipe plus ``_AHEAD_BYTES``."""
+
+    @staticmethod
+    def payloads(sizes, finished_fd):
+        """One bytes item per size, then a byte on ``finished_fd`` once the last is made."""
+        for i, size in enumerate(sizes):
+            yield bytes([i % 256]) * size
+        os.write(finished_fd, b"x")
+
+    @settings(max_examples=15, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 3 * harness._PIPE_BYTES // 2), min_size=1, max_size=6))
+    def test_child_finishes_before_a_late_consumer_reads(self, sizes):
+        assert sum(sizes) < harness._AHEAD_BYTES
+        finished_r, finished_w = os.pipe()
+        try:
+            with mock.patch.object(harness, "_cpu_count", lambda: 2), \
+                    harness.read_ahead(self.payloads(sizes, finished_w)) as ahead:
+                finished, _, _ = select.select([finished_r], [], [], 60.0)
+                assert finished == [finished_r], "the child waited for its reader"
+                got = list(ahead)
+        finally:
+            os.close(finished_r)
+            os.close(finished_w)
+        assert [len(item) for item in got] == sizes
+        assert all(item == bytes([i % 256]) * len(item) for i, item in enumerate(got))
+        assert_no_children()
+
+
+@st.composite
+def write_behind_plans(draw):
+    """n items; a writer fault at item ``at``; the item at which the sender raises, if any."""
+    n = draw(st.integers(0, 12))
+    fault = draw(st.sampled_from(["none", "raise", "exit", "kill"]))
+    at = None if fault == "none" else draw(st.integers(0, n))
+    stop = draw(st.none() | st.integers(0, n - 1)) if n else None
+    return dict(cpus=draw(st.sampled_from([1, 2])), n=n, fault=fault, at=at, stop=stop)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestWriteBehindProperties:
+    """``write_behind`` writes the same items, and raises the same error, in a child as in process."""
+
+    TIMEOUT_S = 5
+
+    @staticmethod
+    def expected(cpus, n, fault, at, stop):
+        """The items written, whether only a prefix of them is promised, and the outcome."""
+        sent = n if stop is None else stop
+        if at is not None and at < sent and (fault == "raise" or cpus > 1):
+            if fault == "raise":
+                return list(range(at)), False, (f"failed at item {at}",)
+            return list(range(at)), True, "lost"  # the child's buffer dies with it
+        return list(range(sent)), False, "end" if stop is None else (f"sender failed at item {stop}",)
+
+    @settings(max_examples=120, deadline=None)
+    @given(write_behind_plans())
+    def test_writes_faults_and_reaping(self, plan):
+        cpus, fault, at, parent = plan["cpus"], plan["fault"], plan["at"], os.getpid()
+
+        def write(item):
+            if item == at:
+                if fault == "raise":
+                    raise RuntimeError(f"failed at item {item}")
+                if fault == "exit" and os.getpid() != parent:
+                    os._exit(3)
+                if fault == "kill" and os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+            out.write(f"{item}\n")
+
+        def too_slow(*args):
+            raise TimeoutError("write_behind did not return")
+
+        outcome = "end"
+        with tempfile.TemporaryFile("w+") as out, captured_stderr() as stderr, \
+                mock.patch.object(harness, "_cpu_count", lambda: cpus):
+            out.write("head\n")  # still buffered: written once, before the items
+            alarm = signal.signal(signal.SIGALRM, too_slow)
+            signal.alarm(self.TIMEOUT_S)
+            try:
+                with harness.write_behind(out, write) as send:
+                    for i in range(plan["n"]):
+                        if i == plan["stop"]:
+                            raise ValueError(f"sender failed at item {i}")
+                        send(i)
+            except harness.WorkerLost:
+                outcome = "lost"
+            except (RuntimeError, ValueError) as exc:
+                outcome = exc.args
+            finally:
+                signal.alarm(0)
+                signal.signal(signal.SIGALRM, alarm)
+            out.flush()
+            out.seek(0)
+            text = out.read()
+        items, prefix_only, expected_outcome = self.expected(**plan)
+        lines = text.splitlines()
+        assert lines[0] == "head" and "head" not in lines[1:]
+        if prefix_only:
+            assert lines[1:] == [str(i) for i in items[:len(lines) - 1]]
+        else:
+            assert lines[1:] == [str(i) for i in items]
+        assert outcome == expected_outcome
+        assert_no_children()
+        assert "Traceback" not in stderr[0] and "Exception ignored" not in stderr[0]
+
+    def test_no_descriptor_writes_in_process(self):
+        out, forks = io.StringIO(), []
+        with mock.patch.object(harness, "_cpu_count", lambda: 2), \
+                mock.patch.object(os, "fork", lambda: forks.append(1) or pytest.fail("forked")):
+            with harness.write_behind(out, lambda item: out.write(f"{item}\n")) as send:
+                for i in range(3):
+                    send(i)
+        assert (out.getvalue(), forks) == ("0\n1\n2\n", [])
 
 
 def stream_rows(spec, clf, rng=None):
