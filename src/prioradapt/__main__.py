@@ -1,15 +1,26 @@
+import contextlib
 import os
 import sys
 
 from .cli import main
 
-if __name__ == "__main__":
-    code = main()
+
+def run() -> None:
+    """Run :func:`main`, flush stdout and stderr, and end the process with main's exit code.
+
+    ``main`` has closed or renamed every output and reaped every child by
+    then, so shutdown has nothing left to do.  A failed flush is ignored:
+    ``main`` has reported why stdout failed; its unwritten bytes are dropped.
+    """
     try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
-    except OSError:
-        # main has reported why stdout failed.  Drop the bytes it could not
-        # write, so that the exit does not try them again and print a second error.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    sys.exit(code)
+        code = main()
+    except SystemExit as exc:  # argparse's --help and usage errors
+        code = exc.code
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        with contextlib.suppress(OSError):
+            stream.flush()
+    os._exit(code)
+
+
+if __name__ == "__main__":
+    run()

@@ -8,17 +8,20 @@ into a comparison table.
 Exit codes: 0 success, 2 parse or validation failure, 3 solver failure,
 4 I/O failure or an allocation that failed.  A closed stdout is an I/O
 failure; a closed stderr drops its lines and changes no exit code or
-output byte.  All outputs are UTF-8 with LF line endings.  For fixed
-seeds and inputs they are byte-stable on one numpy/BLAS build at any
-thread setting of the caller: importing this module loads numpy with
-``OPENBLAS_NUM_THREADS``, ``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS``
-set to 1, over any value the caller set, because the last digits of a
-solve can depend on the BLAS thread count.  It then
-gives the three variables back their earlier values, or unsets them, so
-processes the caller starts later inherit its own setting.  Across
-numpy/BLAS builds the last digits of the solver-based estimates may
-differ.  A caller that imports this module after numpy has loaded keeps
-its own BLAS threads, and so does its in-process :func:`main`.
+output byte.  ``python -m prioradapt`` and the installed ``prioradapt``
+both end through ``prioradapt.__main__.run``; this module is no entry,
+and :func:`main` in process only returns the code.  All outputs are
+UTF-8 with LF line endings.  For fixed seeds and inputs they are
+byte-stable on one numpy/BLAS build at any thread setting of the caller:
+importing this module loads numpy with ``OPENBLAS_NUM_THREADS``,
+``OMP_NUM_THREADS`` and ``MKL_NUM_THREADS`` set to 1, over any value the
+caller set, because the last digits of a solve can depend on the BLAS
+thread count.  It then gives the three variables back their earlier
+values, or unsets them, so processes the caller starts later inherit its
+own setting.  Across numpy/BLAS builds the last digits of the
+solver-based estimates may differ.  A caller that imports this module
+after numpy has loaded keeps its own BLAS threads, and so does its
+in-process :func:`main`.
 
 ``reweight`` runs in up to three processes when the command may use more
 than one CPU.  A forked reader parses the scores file from the start,
@@ -81,6 +84,7 @@ from .core import decide_adapted, decide_baseline, reweight, reweight_normalized
 from .errors import (
     ConvergenceError,
     IllConditionedError,
+    InsufficientDataError,
     ParseError,
     PriorAdaptError,
     SingularMatrixError,
@@ -313,8 +317,10 @@ def _ingest_stream(args, conf) -> StreamMonitor:
 
 def cmd_estimate(args) -> int:
     conf = fileio.read_confusion_csv(args.confusion)
-    monitor = _ingest_stream(args, conf)
-    hist = monitor.snapshot()
+    try:
+        hist = _ingest_stream(args, conf).snapshot()
+    except InsufficientDataError as exc:
+        raise ParseError(str(exc), path=args.stream) from None
 
     wanted = list(_METHOD_BY_FLAG.values()) if args.method == "all" else [_METHOD_BY_FLAG[args.method]]
     estimate = estimator(conf)
@@ -460,10 +466,7 @@ def _best_by_scenario(rows: list[EvaluationRow]) -> dict[str, Optional[str]]:
 
 
 def _scenario_order(rows: list[EvaluationRow]) -> list[str]:
-    seen: dict[str, None] = {}
-    for r in rows:
-        seen.setdefault(r.scenario, None)
-    return list(seen)
+    return list(dict.fromkeys(r.scenario for r in rows))
 
 
 def _cell(row: EvaluationRow) -> str:
@@ -480,8 +483,7 @@ def render_markdown(rows: list[EvaluationRow]) -> str:
     best = _best_by_scenario(rows)
     by = {(r.scenario, r.method): r for r in rows}
     methods = [m for m in METHODS if any((s, m.name) in by for s in scenarios)]
-    lines = ["| Method | " + " | ".join(scenarios) + " |"]
-    lines.append("| --- |" + " --- |" * len(scenarios))
+    lines = ["| Method | " + " | ".join(scenarios) + " |", "| --- |" + " --- |" * len(scenarios)]
     for method in methods:
         cells = []
         for scenario in scenarios:
@@ -495,11 +497,7 @@ def render_markdown(rows: list[EvaluationRow]) -> str:
             cells.append(text)
         lines.append(f"| {method.display} | " + " | ".join(cells) + " |")
     if any("/segment-" in s for s in scenarios):
-        lines.append("")
-        lines.append(
-            "Per-segment rows come from the windowed drift extension, "
-            "not the validated batch protocol."
-        )
+        lines += ["", "Per-segment rows come from the windowed drift extension, not the validated batch protocol."]
     return "\n".join(lines) + "\n"
 
 
@@ -610,7 +608,3 @@ def main(argv: Optional[list[str]] = None) -> int:
         message = describe(exc, "\nbest iterate: {}") if code == EXIT_SOLVER else str(exc) or type(exc).__name__
         _print_err(f"error: {message}")
         return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

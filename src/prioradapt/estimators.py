@@ -57,28 +57,21 @@ Observations = Union[DecisionHistogram, np.ndarray, "list[float]"]
 
 @dataclass(frozen=True)
 class PrecisionRecallTable:
-    """Per-class precision and recall derived from a confusion matrix.
-
-    ``undefined`` flags classes whose column carries no mass, for which
-    precision is reported as 0 but is really 0/0.
-    """
+    """Per-class precision and recall derived from a confusion matrix."""
 
     precision: np.ndarray
     recall: np.ndarray
-    undefined: np.ndarray
 
     def __post_init__(self):
         precision = readonly(self.precision)
         recall = readonly(self.recall)
-        undefined = readonly(self.undefined, dtype=bool)
-        if precision.shape != recall.shape or precision.shape != undefined.shape:
-            raise DimensionError("precision, recall and undefined must share a shape")
+        if precision.shape != recall.shape:
+            raise DimensionError("precision and recall must share a shape")
         for name, vec in (("precision", precision), ("recall", recall)):
             if np.any(vec < 0.0) or np.any(vec > 1.0 + 1e-12):
                 raise ValidationError(f"{name} entries must lie in [0, 1]")
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "recall", recall)
-        object.__setattr__(self, "undefined", undefined)
 
 
 def precision_recall(conf: ConfusionMatrix) -> PrecisionRecallTable:
@@ -88,15 +81,14 @@ def precision_recall(conf: ConfusionMatrix) -> PrecisionRecallTable:
     diagonal over the column sum, i.e. it assumes the balanced test
     conditions the matrix was measured under.
 
-    Classes whose column sums to zero get precision 0 with the
-    ``undefined`` flag set.
+    A class whose column sums to zero gets precision 0, really 0/0, and
+    recall 0, since its diagonal cell lies in that column.
     """
     recall = np.diag(conf.rows).copy()
     column_mass = conf.rows.sum(axis=0)
-    undefined = column_mass == 0.0
     precision = np.zeros(conf.k)
-    np.divide(recall, column_mass, out=precision, where=~undefined)
-    return PrecisionRecallTable(precision=precision, recall=recall, undefined=undefined)
+    np.divide(recall, column_mass, out=precision, where=column_mass != 0.0)
+    return PrecisionRecallTable(precision=precision, recall=recall)
 
 
 def _observation_vector(hist: Observations, k: int) -> np.ndarray:

@@ -152,9 +152,7 @@ def test_criterion_4_precision_recall_reduction():
             counts[int(rng.integers(0, k))] += 1
             hist = DecisionHistogram(counts)
             shared = rng.uniform(0.05, 1.0, k)
-            table = PrecisionRecallTable(
-                precision=shared, recall=shared.copy(), undefined=np.zeros(k, dtype=bool)
-            )
+            table = PrecisionRecallTable(precision=shared, recall=shared.copy())
             corrected = estimate_precision_recall(hist, table)
             naive = estimate_naive(hist)
             assert np.array_equal(corrected.values, naive.values)

@@ -2,11 +2,13 @@
 
 import contextlib
 import csv
+import errno
 import gc
 import io
 import itertools
 import json
 import os
+import re
 import select
 import shutil
 import stat
@@ -46,6 +48,26 @@ def src_env(**extra) -> dict:
     """The environment for a child ``python -m prioradapt``, with ``src`` on the path."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     return dict(os.environ, PYTHONPATH=os.path.join(root, "src"), **extra)
+
+
+def _script_entry() -> list[str]:
+    """``python`` arguments that run what the installed ``prioradapt`` runs: the pyproject.toml script entry."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "pyproject.toml"), encoding="utf-8") as fp:
+        module, name = re.search(r'^prioradapt = "([\w.]+):(\w+)"$', fp.read(), re.M).groups()
+    return ["-c", f"import sys; from {module} import {name}; sys.exit({name}())"]
+
+
+# The two ways to start the program, as ``python`` arguments.
+ENTRIES = {"module": ["-m", "prioradapt"], "script": _script_entry()}
+
+
+def entry_env(buffered: bool) -> dict:
+    """:func:`src_env` with stdout buffered, or not: ``PYTHONUNBUFFERED`` unset, or set."""
+    env = src_env(PYTHONUNBUFFERED="1")
+    if buffered:
+        del env["PYTHONUNBUFFERED"]
+    return env
 
 
 def read_bytes(path: str) -> bytes:
@@ -189,6 +211,13 @@ class TestEstimate:
         assert code == 3
         doc = json.loads(capsys.readouterr().out)
         assert "error" in doc["methods"]["matrix_inverse"]
+
+    def test_header_only_scores_name_the_file(self, tmp_path, capsys):
+        (tmp_path / "c.csv").write_text("a,b\n0.8,0.2\n0.3,0.7\n", encoding="utf-8")
+        scores = tmp_path / "h.csv"
+        scores.write_text("s_a,s_b\n", encoding="utf-8")
+        assert main(["estimate", str(tmp_path / "c.csv"), str(scores)]) == 2
+        assert capsys.readouterr() == ("", f"error: {scores}: no decisions ingested yet\n")
 
     def test_solver_cap_exit_3(self, monkeypatch, capsys):
         monkeypatch.setattr(solver, "_MAX_ITERATIONS", 1)
@@ -1325,7 +1354,40 @@ class TestClosedStreams:
         assert capsys.readouterr().out == expected
 
 
-# Runs ``python -m prioradapt`` with one fault planted in the reader or the
+class TestMainLeavesNothingOpen:
+    """``run`` ends the process with ``os._exit``, which closes nothing: by then ``main`` must have."""
+
+    @staticmethod
+    def _descriptors() -> set:
+        return set(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
+
+    @staticmethod
+    def _io_failure(scores, policy):
+        raise OSError(errno.EIO, "write failed")
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("case, code", [("ok", 0), ("bad_row", 2), ("solver", 3), ("io", 4)])
+    def test_descriptors_and_temporaries(self, tmp_path, monkeypatch, capsys, case, code, cpus):
+        monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)  # on 2, reweight forks a reader and a writer
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        argv = ["reweight", data("fixture_scores.csv"), "--priors", data("fixture_priors.json")]
+        if case == "bad_row":
+            argv = TestClosedStreams._bad_row(tmp_path)
+        elif case == "solver":
+            (tmp_path / "sing.csv").write_text("a,b\n0.5,0.5\n0.5,0.5\n", encoding="utf-8")
+            (tmp_path / "d.txt").write_text("0\n1\n", encoding="utf-8")
+            argv = ["estimate", str(tmp_path / "sing.csv"), str(tmp_path / "d.txt"), "--method", "inverse"]
+        elif case == "io":
+            monkeypatch.setattr(cli, "_reweight_rows", self._io_failure)
+        before = self._descriptors()
+        assert main(["--output", str(out_dir / "x"), *argv]) == code, capsys.readouterr().err
+        assert self._descriptors() == before
+        assert os.listdir(out_dir) == (["x"] if code in (0, 3) else [])
+
+
+# Runs the command through the plan's entry, ``python -m prioradapt`` or the
+# installed script's ``run()``, with one fault planted in the reader or the
 # writer process; argv[1] is the plan, the rest the command line.
 _FAULT_RUNNER = """
 import json, os, runpy, sys
@@ -1351,7 +1413,11 @@ elif plan["fault"] == "writer":
         return real_rows(scores, policy)
     cli._reweight_rows = _reweight_rows
 sys.argv = ["prioradapt", *sys.argv[2:]]
-runpy.run_module("prioradapt", run_name="__main__")
+if plan["entry"] == "module":
+    runpy.run_module("prioradapt", run_name="__main__")
+else:
+    from prioradapt.__main__ import run
+    sys.exit(run())
 """
 
 
@@ -1365,6 +1431,7 @@ def _fault_plans(draw):
         to_file=draw(st.booleans()),
         existing=draw(st.booleans()),
         buffered=draw(st.booleans()),
+        entry=draw(st.sampled_from(["module", "script"])),
         fault=fault,
         at=draw(st.integers(0, TestReweightFaultPlan.ROWS - 1)),
     )
@@ -1456,11 +1523,7 @@ class TestReweightFaultPlan:
                 if plan["existing"]:
                     with open(out_path, "w", encoding="utf-8") as fp:
                         fp.write("earlier\n")
-            env = src_env()
-            if plan["buffered"]:
-                env.pop("PYTHONUNBUFFERED", None)
-            else:
-                env["PYTHONUNBUFFERED"] = "1"
+            env = entry_env(plan["buffered"])
             stdout, stdout_fd = subprocess.PIPE, None
             if fault == "dev_full" and not plan["to_file"]:
                 stdout = open("/dev/full", "wb")
@@ -1551,6 +1614,49 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert proc.stdout.splitlines()[0] == "a,b"
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    def test_pipe_with_no_reader_exits_4_with_one_line(self, entry, buffered):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, *ENTRIES[entry], "reweight", data("fixture_scores.csv"),
+                 "--priors", data("fixture_priors.json")],
+                stdout=write_end, stderr=subprocess.PIPE, env=entry_env(buffered), timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert (proc.returncode, proc.stderr) == (4, b"error: [Errno 32] Broken pipe\n")
+
+    # The golden commands of acceptance criterion 10 that can write to stdout;
+    # simulate writes two files and needs --output.
+    GOLDENS = {
+        "normalize": (["normalize", data("fixture_confusion_raw.csv")], "golden_normalize.csv"),
+        "estimate": (
+            ["estimate", data("fixture_confusion3.csv"), data("fixture_decisions.txt"), "--method", "all"],
+            "golden_estimate.json",
+        ),
+        "reweight": (
+            ["reweight", data("fixture_scores.csv"), "--priors", data("fixture_priors.json")],
+            "golden_reweight.csv",
+        ),
+        "evaluate": (["evaluate", "--folds", "10"], "golden_evaluate.md"),
+    }
+
+    @pytest.mark.parametrize("buffered", [True, False], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("entry", sorted(ENTRIES))
+    @pytest.mark.parametrize("command", sorted(GOLDENS))
+    def test_goldens_through_a_pipe(self, command, entry, buffered):
+        # Both entries end in os._exit; no byte of a buffered stdout may be lost to it.
+        argv, golden = self.GOLDENS[command]
+        proc = subprocess.run(
+            [sys.executable, *ENTRIES[entry], "--quiet", *argv],
+            capture_output=True, env=entry_env(buffered), timeout=60,
+        )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == read_bytes(data(golden))
 
     def test_bench_tracer_runs_unchanged(self, tmp_path):
         # bench/traced.py wraps names bound in the package modules; a

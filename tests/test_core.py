@@ -346,10 +346,10 @@ class TestArrayIntake:
             ("true_priors",),
         ),
         (lambda a: DriftSegment(start=1, priors=a[0]), ("priors",)),
-        (lambda a: PrecisionRecallTable(*a), ("precision", "recall", "undefined")),
+        (lambda a: PrecisionRecallTable(*a), ("precision", "recall")),
     ], ids=["ScenarioSpec", "DriftSegment", "PrecisionRecallTable"])
     def test_callers_arrays_stay_writable_and_apart(self, build, attrs):
-        arrays = [np.array([0.75, 0.25, 0.0]), np.array([0.25, 0.75, 0.0]), np.array([True, False, False])]
+        arrays = [np.array([0.75, 0.25, 0.0]), np.array([0.25, 0.75, 0.0])]
         obj = build(arrays)
         for name, array in zip(attrs, arrays):
             before = array.copy()

@@ -32,19 +32,26 @@ class TestPrecisionRecall:
         table = precision_recall(conf_from(np.eye(3)))
         assert np.allclose(table.precision, 1.0)
         assert np.allclose(table.recall, 1.0)
-        assert not table.undefined.any()
 
     def test_two_class_column_sums(self):
         table = precision_recall(conf_from([[0.8, 0.2], [0.4, 0.6]]))
         assert np.allclose(table.recall, [0.8, 0.6])
         assert np.allclose(table.precision, [0.8 / 1.2, 0.6 / 0.8])
 
-    def test_zero_column_flagged(self):
+    def test_zero_column_has_zero_precision_and_recall(self):
         # Column 2 receives no decisions from any class.
         table = precision_recall(conf_from([[0.9, 0.1, 0.0], [0.2, 0.8, 0.0], [0.5, 0.5, 0.0]]))
-        assert table.undefined[2]
-        assert table.precision[2] == 0.0
-        assert not table.undefined[:2].any()
+        assert table.precision[2] == table.recall[2] == 0.0
+        assert (table.precision[:2] > 0.0).all() and (table.recall[:2] > 0.0).all()
+        # So the correction refuses the class once it has decisions.
+        with pytest.raises(DegenerateRecallError, match="class 2"):
+            estimate_precision_recall(DecisionHistogram(np.array([5, 5, 1])), table)
+
+    def test_shapes_must_match(self):
+        from prioradapt.estimators import PrecisionRecallTable
+
+        with pytest.raises(DimensionError, match="precision and recall must share a shape"):
+            PrecisionRecallTable(precision=np.ones(2), recall=np.ones(3))
 
 
 class TestEstimateNaive:
@@ -85,7 +92,6 @@ class TestEstimatePrecisionRecall:
         table = PrecisionRecallTable(
             precision=np.array([0.9, 0.5]),
             recall=np.array([0.6, 1.0]),
-            undefined=np.zeros(2, dtype=bool),
         )
         est = estimate_precision_recall(DecisionHistogram(np.array([20, 80])), table)
         # Raw corrected masses are proportional to (0.3, 0.4).
@@ -98,7 +104,6 @@ class TestEstimatePrecisionRecall:
         table = PrecisionRecallTable(
             precision=np.array([0.9, 0.5]),
             recall=np.array([0.0, 1.0]),
-            undefined=np.zeros(2, dtype=bool),
         )
         with pytest.raises(DegenerateRecallError):
             estimate_precision_recall(DecisionHistogram(np.array([20, 80])), table)
@@ -112,7 +117,6 @@ class TestEstimatePrecisionRecall:
         table = PrecisionRecallTable(
             precision=np.array([0.0, 0.0]),
             recall=np.array([0.5, 0.5]),
-            undefined=np.ones(2, dtype=bool),
         )
         with pytest.raises(InsufficientDataError):
             estimate_precision_recall(DecisionHistogram(np.array([10, 10])), table)
@@ -308,9 +312,7 @@ class TestCrossCuttingProperties:
             from prioradapt.estimators import PrecisionRecallTable
 
             shared = rng.uniform(0.1, 1.0, k)
-            table = PrecisionRecallTable(
-                precision=shared, recall=shared.copy(), undefined=np.zeros(k, dtype=bool)
-            )
+            table = PrecisionRecallTable(precision=shared, recall=shared.copy())
             est = estimate_precision_recall(hist, table)
             assert np.array_equal(est.values, estimate_naive(hist).values)
 
