@@ -14,7 +14,6 @@ import importlib
 #: The public names, by the submodule that defines them.
 _EXPORTS = {
     "core": (
-        "AdaptedPolicy",
         "ClassCatalog",
         "ConfusionMatrix",
         "DecisionHistogram",

@@ -75,7 +75,6 @@ finally:
 from . import fileio
 from .core import (
     METHODS,
-    AdaptedPolicy,
     PriorEstimate,
     reweight_batch,
 )
@@ -347,8 +346,8 @@ def _reweight_header(catalog) -> str:
     return f"baseline,adapted,{raw},{norm}\n"
 
 
-def _reweight_rows(scores, policy) -> str:
-    adapted, raw, norm = reweight_batch(scores, policy)
+def _reweight_rows(scores, priors) -> str:
+    adapted, raw, norm = reweight_batch(scores, priors)
     # Class indices are exact in float64, and %.17g prints them as integers.
     return fileio.format_rows(np.column_stack([scores.argmax(axis=1), adapted, raw, norm]))
 
@@ -397,12 +396,12 @@ def cmd_reweight(args) -> int:
         if args.priors is not None:
             method = _METHOD_BY_FLAG[args.method] if args.method else None
             values, tag = fileio.read_priors_json(args.priors, catalog, method)
-            policy = AdaptedPolicy.from_priors(PriorEstimate(values / values.sum(), method=tag))
+            priors = PriorEstimate(values / values.sum(), method=tag)
         elif conf.catalog != catalog:
             raise ValidationError("scores CSV classes do not match the confusion matrix classes")
         blocks = _blocks_of(ahead, args)
         if args.priors is not None:
-            parts = ((scores, policy) for scores in blocks)
+            parts = ((scores, priors) for scores in blocks)
         else:
             # Live mode: re-estimate from the running histogram every N records.
             parts = adapt(

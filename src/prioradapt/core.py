@@ -4,11 +4,16 @@ A classifier trained on balanced data implicitly assumes every class is
 equally likely.  When the deployment environment favors a subset of
 classes, multiplying each confidence score by an estimated class prior
 and taking the argmax recovers the Bayes-optimal decision under the new
-priors, without retraining.  This module holds the immutable value types
-the rest of the package is built on, plus the two decision rules.  The
-adapted rule and the re-weighting also have batch forms,
-:func:`decide_adapted_batch` and :func:`reweight_batch`, which handle
-every row of an (N, K) score array in one array operation.
+priors, without retraining.  The correction scales each score by the
+ratio of the new prior to the training prior; with balanced training the
+latter is 1/K for every class, so the ratio is the estimated prior times a
+constant, and the rules take the :class:`PriorEstimate` itself.
+
+This module holds the immutable value types the rest of the package is
+built on, plus the two decision rules.  The adapted rule and the
+re-weighting also have batch forms, :func:`decide_adapted_batch` and
+:func:`reweight_batch`, which handle every row of an (N, K) score array in
+one array operation.
 
 All types are frozen dataclasses wrapping read-only numpy arrays; every
 operation is a pure function, so everything here is safe to share across
@@ -271,38 +276,6 @@ class PriorEstimate:
         return self.values.size
 
 
-@dataclass(frozen=True)
-class AdaptedPolicy:
-    """Estimated priors plus the per-class decision weights they induce.
-
-    The weights are ``K * prior`` (the ratio of the estimated prior over the
-    balanced-training prior 1/K).  Decisions depend only on the argmax of
-    ``weight * score``, so any positive rescaling of the weights describes
-    the same policy.
-    """
-
-    priors: PriorEstimate
-    weights: np.ndarray
-
-    def __post_init__(self):
-        weights = readonly(self.weights)
-        if weights.shape != self.priors.values.shape:
-            raise DimensionError("weights and priors must have the same length")
-        if not np.all(np.isfinite(weights)) or np.any(weights < 0.0):
-            raise ValidationError("weights must be finite and nonnegative")
-        if not np.array_equal(weights == 0.0, self.priors.values == 0.0):
-            raise ValidationError("weights must vanish exactly where the priors do")
-        object.__setattr__(self, "weights", weights)
-
-    @classmethod
-    def from_priors(cls, priors: PriorEstimate) -> "AdaptedPolicy":
-        return cls(priors=priors, weights=priors.k * priors.values)
-
-    @property
-    def k(self) -> int:
-        return self.priors.k
-
-
 def uniform_estimate(k: int) -> PriorEstimate:
     """The balanced-training prior as an estimate (re-weighting no-op)."""
     return PriorEstimate(np.full(k, 1.0 / k), method="uniform")
@@ -316,7 +289,7 @@ def decide_baseline(record: ScoreRecord) -> int:
     return int(np.argmax(record.scores))
 
 
-def reweight(record: ScoreRecord, policy: AdaptedPolicy) -> np.ndarray:
+def reweight(record: ScoreRecord, priors: PriorEstimate) -> np.ndarray:
     """Per-class product of estimated prior and score.
 
     The result is deliberately not renormalized: the evidence term shared
@@ -324,18 +297,18 @@ def reweight(record: ScoreRecord, policy: AdaptedPolicy) -> np.ndarray:
     the positive-scaling invariance explicit.  Use
     :func:`reweight_normalized` for display.
     """
-    if record.k != policy.k:
-        raise DimensionError(f"record has {record.k} scores, expected {policy.k}")
-    return policy.priors.values * record.scores
+    if record.k != priors.k:
+        raise DimensionError(f"record has {record.k} scores, expected {priors.k}")
+    return priors.values * record.scores
 
 
-def reweight_normalized(record: ScoreRecord, policy: AdaptedPolicy) -> np.ndarray:
+def reweight_normalized(record: ScoreRecord, priors: PriorEstimate) -> np.ndarray:
     """Re-weighted products scaled to sum to 1 when their sum is positive.
 
     When every product is zero the raw zero vector is returned unchanged;
     there is no meaningful normalization in that case.
     """
-    products = reweight(record, policy)
+    products = reweight(record, priors)
     total = products.sum()
     if total > 0.0:
         return products / total
@@ -344,7 +317,7 @@ def reweight_normalized(record: ScoreRecord, policy: AdaptedPolicy) -> np.ndarra
 
 def decide_adapted(
     record: ScoreRecord,
-    policy: AdaptedPolicy,
+    priors: PriorEstimate,
     return_fallback: bool = False,
 ):
     """Prior-aware decision rule: argmax of prior times score.
@@ -354,7 +327,7 @@ def decide_adapted(
     pass ``return_fallback=True`` to also receive a flag telling whether
     that fallback fired.
     """
-    products = reweight(record, policy)
+    products = reweight(record, priors)
     fell_back = not np.any(products > 0.0)
     if fell_back:
         decision = decide_baseline(record)
@@ -365,10 +338,10 @@ def decide_adapted(
     return decision
 
 
-def _products(scores: np.ndarray, policy: AdaptedPolicy) -> np.ndarray:
-    if scores.ndim != 2 or scores.shape[1] != policy.k:
-        raise DimensionError(f"scores have shape {scores.shape}, expected (N, {policy.k})")
-    return scores * policy.priors.values
+def _products(scores: np.ndarray, priors: PriorEstimate) -> np.ndarray:
+    if scores.ndim != 2 or scores.shape[1] != priors.k:
+        raise DimensionError(f"scores have shape {scores.shape}, expected (N, {priors.k})")
+    return scores * priors.values
 
 
 def _adapted_decisions(scores: np.ndarray, products: np.ndarray) -> np.ndarray:
@@ -378,7 +351,7 @@ def _adapted_decisions(scores: np.ndarray, products: np.ndarray) -> np.ndarray:
     return decisions
 
 
-def decide_adapted_batch(scores: np.ndarray, policy: AdaptedPolicy) -> np.ndarray:
+def decide_adapted_batch(scores: np.ndarray, priors: PriorEstimate) -> np.ndarray:
     """:func:`decide_adapted` applied to each row of an (N, K) score array.
 
     The rule is the same row by row: argmax of prior times score, ties to
@@ -386,18 +359,18 @@ def decide_adapted_batch(scores: np.ndarray, policy: AdaptedPolicy) -> np.ndarra
     product is zero.  Rows are not validated; pass scores that
     :func:`check_probability_rows` accepts.
     """
-    return _adapted_decisions(scores, _products(scores, policy))
+    return _adapted_decisions(scores, _products(scores, priors))
 
 
 def reweight_batch(
-    scores: np.ndarray, policy: AdaptedPolicy
+    scores: np.ndarray, priors: PriorEstimate
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The adapted decisions, raw products and normalized products of (N, K) scores.
 
     Row by row these are :func:`decide_adapted`, :func:`reweight` and
     :func:`reweight_normalized`, from one product per entry.
     """
-    products = _products(scores, policy)
+    products = _products(scores, priors)
     totals = products.sum(axis=1, keepdims=True)
     normalized = np.divide(products, totals, out=products.copy(), where=totals > 0.0)
     return _adapted_decisions(scores, products), products, normalized

@@ -556,8 +556,9 @@ def read_priors_json(
     Accepts either the document written by the ``estimate`` command or a
     bare ``{label: probability}`` mapping.  With several methods present,
     ``method`` selects one (required unless only one exists).  Returns the
-    vector and the method tag; a bare mapping is tagged ``ground_truth``
-    since it represents externally known priors.  The entries must be
+    vector and the method tag; a bare mapping holds no methods to pick
+    from, so it refuses ``method``, and it is tagged ``ground_truth`` since
+    it represents externally known priors.  The entries must be
     nonnegative with positive mass; they need not sum to 1.
     """
     doc = read_json(path)
@@ -592,6 +593,8 @@ def read_priors_json(
         tag = method
         if not isinstance(mapping, dict):
             raise ParseError(f"priors of method {method!r} must be an object", path=path)
+    elif method is not None:
+        raise ParseError(f"priors JSON has no methods to pick {method!r} from", path=path)
     else:
         mapping = doc
 

@@ -31,7 +31,6 @@ import numpy as np
 from .core import (
     METHODS,
     PRIOR_SUM_TOL,
-    AdaptedPolicy,
     ClassCatalog,
     ConfusionMatrix,
     DecisionHistogram,
@@ -108,6 +107,10 @@ class ScenarioSpec:
 
         if self.transfer_size < 1 or self.test_size < 1:
             raise ValidationError("transfer_size and test_size must be >= 1")
+        if self.transfer_size + self.test_size > 2**53:
+            raise ValidationError(
+                "transfer_size + test_size must be at most 2**53, the largest count a float64 holds exactly"
+            )
         if self.drift is not None:
             segments = tuple(self.drift)
             starts = [s.start for s in segments]
@@ -292,30 +295,30 @@ def adapt(
     estimate: Callable[[DecisionHistogram], PriorEstimate],
     every: int,
     on_failure: Callable[[PriorAdaptError], object],
-) -> Iterator[tuple[np.ndarray, AdaptedPolicy]]:
-    """Yield ``(scores, policy)`` parts of (N, K) score blocks, re-estimating every ``every`` rows.
+) -> Iterator[tuple[np.ndarray, PriorEstimate]]:
+    """Yield ``(scores, priors)`` parts of (N, K) score blocks, re-estimating every ``every`` rows.
 
-    The policy starts uniform.  Parts are cut at multiples of ``every``
+    The priors start uniform.  Parts are cut at multiples of ``every``
     rows.  After a part is yielded its baseline decisions are counted in
     ``monitor``; before the row after every ``every``-th,
-    ``estimate(monitor.snapshot())`` becomes the policy, so each row is
-    decided under the policy in force before it is counted, and nothing is
+    ``estimate(monitor.snapshot())`` comes into force, so each row is
+    decided under the priors in force before it is counted, and nothing is
     estimated after the last row.  An estimate that raises
-    :class:`PriorAdaptError` leaves the policy in force and is passed to
+    :class:`PriorAdaptError` leaves the priors in force and is passed to
     ``on_failure``.
     """
-    policy = AdaptedPolicy.from_priors(uniform_estimate(monitor.catalog.k))
+    priors = uniform_estimate(monitor.catalog.k)
     for scores in blocks:
         start = 0
         while start < len(scores):
             seen = monitor.decisions_seen
             if seen and seen % every == 0:
                 try:
-                    policy = AdaptedPolicy.from_priors(estimate(monitor.snapshot()))
+                    priors = estimate(monitor.snapshot())
                 except PriorAdaptError as exc:
                     on_failure(exc)
             part = scores[start:start + every - seen % every]
-            yield part, policy
+            yield part, priors
             monitor.ingest_many(part.argmax(axis=1))
             start += len(part)
 
@@ -352,8 +355,7 @@ def _evaluate_split(
         except PriorAdaptError as exc:
             results[method.name] = describe(exc)
             continue
-        policy = AdaptedPolicy.from_priors(priors)
-        results[method.name] = outcome(decide_adapted_batch(scores, policy), priors)
+        results[method.name] = outcome(decide_adapted_batch(scores, priors), priors)
     return results
 
 
@@ -862,7 +864,7 @@ def run_drift_scenario(
 
     The stream's blocks run through :func:`adapt`, the loop live
     ``reweight`` runs, and only each row's true label, segment and two
-    decisions are kept: every record is decided with the policy in force
+    decisions are kept: every record is decided with the priors in force
     (uniform until the first estimate), then its baseline decision is
     counted in a windowed histogram, and the least-squares estimator
     re-runs every ``reestimate_every`` records.  Accuracy is reported per
@@ -890,9 +892,9 @@ def run_drift_scenario(
         StreamMonitor(spec.catalog, window=window),
         partial(estimator(conf), "quadratic_program"), reestimate_every, failures.append,
     )
-    for part, policy in parts:
+    for part, priors in parts:
         baseline.append(part.argmax(axis=1))
-        adapted.append(decide_adapted_batch(part, policy))
+        adapted.append(decide_adapted_batch(part, priors))
     segments = np.repeat(segments, [len(labels) for labels in truth])
     truth = np.concatenate(truth)
     hits = np.column_stack([np.concatenate(baseline) == truth, np.concatenate(adapted) == truth])

@@ -21,10 +21,10 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from prioradapt import ValidationError, cli, fileio, harness, solver
+from prioradapt import ValidationError, cli, fileio, harness, solver, uniform_estimate
 from prioradapt.errors import ConvergenceError, InsufficientDataError, ParseError, SingularMatrixError
 from prioradapt.cli import main, render_csv
 from prioradapt.harness import (
@@ -317,6 +317,14 @@ class TestReweight:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--window and --reestimate-every apply only with --confusion" in captured.err
+
+    def test_static_bare_priors_refuse_a_method(self, capsys):
+        priors = data("fixture_priors.json")
+        code = main(["reweight", data("fixture_scores.csv"), "--priors", priors, "--method", "inverse"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {priors}: priors JSON has no methods to pick 'matrix_inverse' from\n"
 
     def test_unknown_truth_label_names_line(self, tmp_path, capsys):
         scores = tmp_path / "s.csv"
@@ -657,6 +665,17 @@ class TestScoreReader:
         assert err.startswith("error: ") and "exit code 9" in err
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_live_golden_on_one_and_two_cpus(self, monkeypatch, capfd):
+        # A uniform first part, a QP re-estimate with a zero prior, and a
+        # last row whose decision moves from class 2 to class 0.
+        argv = [
+            "reweight", data("fixture_scores.csv"),
+            "--confusion", data("fixture_confusion3.csv"), "--reestimate-every", "2",
+        ]
+        golden = read_bytes(data("golden_reweight_live.csv")).decode()
+        for cpus, forks in ((1, 0), (2, 2)):
+            assert self._run(monkeypatch, capfd, cpus, argv) == (golden, "", 0, forks)
 
     def test_failing_fork_reads_in_process(self, tmp_path, monkeypatch, capsys):
         scores, conf = self._scores(tmp_path)
@@ -1227,6 +1246,31 @@ class TestEvaluate:
         assert captured.out == ""
         assert captured.err == f"error: {line}\n"
 
+    @pytest.mark.parametrize("transfer_size", [2**53 - 7, 2**60, 2**63 - 10, 10**30])
+    @pytest.mark.parametrize("command", ["evaluate", "simulate"])
+    def test_sizes_past_an_exact_count_exit_2(self, tmp_path, command, transfer_size):
+        # With test_size 8, each sum is past 2**53: the label counts would no
+        # longer be exact in float64, nor fit an array.
+        with open(data("fixture_scenario.json"), encoding="utf-8") as fp:
+            scenario = json.load(fp)
+        del scenario["drift"]
+        scenario["transfer_size"] = transfer_size
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(scenario), encoding="utf-8")
+        argv = {
+            "evaluate": ["evaluate", str(path), "--folds", "2"],
+            "simulate": ["--output", str(tmp_path / "sim"), "simulate", str(path)],
+        }[command]
+        proc = subprocess.run(
+            [sys.executable, "-m", "prioradapt", *argv], capture_output=True, env=src_env(), timeout=30,
+        )
+        assert (proc.returncode, proc.stdout) == (2, b"")
+        assert proc.stderr.decode() == (
+            f"error: {path}: scenario: transfer_size + test_size must be at most 2**53, "
+            "the largest count a float64 holds exactly\n"
+        )
+        assert os.listdir(tmp_path) == ["s.json"]
+
     def test_drift_scenario_reports_segments(self, tmp_path, capsys):
         code = main(["evaluate", data("fixture_scenario.json"), "--window", "8"])
         assert code == 0
@@ -1362,7 +1406,7 @@ class TestMainLeavesNothingOpen:
         return set(os.listdir("/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"))
 
     @staticmethod
-    def _io_failure(scores, policy):
+    def _io_failure(scores, priors):
         raise OSError(errno.EIO, "write failed")
 
     @pytest.mark.parametrize("cpus", [1, 2])
@@ -1387,11 +1431,13 @@ class TestMainLeavesNothingOpen:
 
 
 # Runs the command through the plan's entry, ``python -m prioradapt`` or the
-# installed script's ``run()``, with one fault planted in the reader or the
-# writer process; argv[1] is the plan, the rest the command line.
+# installed script's ``run()``, with one fault planted: in the reader or the
+# writer process, in the j-th call of os.fork or os.pipe, or in the j-th live
+# estimate; argv[1] is the plan, the rest the command line.
 _FAULT_RUNNER = """
-import json, os, runpy, sys
-from prioradapt import cli, fileio
+import errno, json, os, runpy, sys
+from prioradapt import cli, fileio, harness
+from prioradapt.errors import PriorAdaptError
 
 plan = json.loads(sys.argv[1])
 fileio._CSV_BLOCK_BYTES = fileio._LINE_BLOCK_BYTES = plan["block_bytes"]
@@ -1406,12 +1452,28 @@ if plan["fault"] == "reader":
     cli._score_items = _score_items
 elif plan["fault"] == "writer":
     real_rows, parts = cli._reweight_rows, []
-    def _reweight_rows(scores, policy):
+    def _reweight_rows(scores, priors):
         parts.append(1)
         if len(parts) == plan["at"] + 1 and os.getpid() != parent:
             os._exit(7)
-        return real_rows(scores, policy)
+        return real_rows(scores, priors)
     cli._reweight_rows = _reweight_rows
+elif plan["fault"] in ("fork", "pipe"):
+    real_call, calls = getattr(os, plan["fault"]), []
+    def failing():
+        calls.append(1)
+        if len(calls) == plan["at"] + 1:
+            raise OSError(errno.EAGAIN, "planted failure")
+        return real_call()
+    setattr(os, plan["fault"], failing)
+elif plan["fault"] == "estimate":
+    real_qp, calls = harness.estimate_qp, []
+    def estimate_qp(conf, hist):
+        calls.append(1)
+        if len(calls) == plan["at"] + 1:
+            raise PriorAdaptError("planted failure")
+        return real_qp(conf, hist)
+    harness.estimate_qp = estimate_qp
 sys.argv = ["prioradapt", *sys.argv[2:]]
 if plan["entry"] == "module":
     runpy.run_module("prioradapt", run_name="__main__")
@@ -1421,12 +1483,15 @@ else:
 """
 
 
+_FAULTS = ["none", "reader", "writer", "fork", "pipe", "estimate", "bad_row", "dev_full", "broken_pipe", "closed"]
+
+
 @st.composite
 def _fault_plans(draw):
-    fault = draw(st.sampled_from(["none", "reader", "writer", "bad_row", "dev_full", "broken_pipe", "closed"]))
+    fault = draw(st.sampled_from(_FAULTS))
     return dict(
         cpus=draw(st.sampled_from([1, 2])),
-        live=draw(st.booleans()),
+        live=draw(st.booleans()) or fault == "estimate",  # only a live run estimates
         lenient=draw(st.booleans()),
         to_file=draw(st.booleans()),
         existing=draw(st.booleans()),
@@ -1435,6 +1500,10 @@ def _fault_plans(draw):
         fault=fault,
         at=draw(st.integers(0, TestReweightFaultPlan.ROWS - 1)),
     )
+
+
+# The plan the pinned examples share: two CPUs, live, to stdout.
+_PLAN = dict(cpus=2, live=True, lenient=False, to_file=False, existing=False, buffered=True, entry="module")
 
 
 @pytest.mark.skipif(not hasattr(os, "fork") or not hasattr(os, "sched_setaffinity")
@@ -1473,12 +1542,27 @@ class TestReweightFaultPlan:
         return ["reweight", paths["s.csv"], *source, *["--lenient"] * lenient]
 
     @classmethod
-    def reference(cls, argv) -> str:
-        """The fault-free output of ``argv``, made in process on one CPU."""
+    def reference(cls, argv, repeat_at=None) -> str:
+        """The fault-free output of ``argv``, made in process on one CPU.
+
+        With ``repeat_at``, live estimate ``repeat_at`` returns the priors
+        then in force instead of solving: what keeping them after a failed
+        estimate must print, made without a failure.
+        """
+        real_qp, calls, in_force = harness.estimate_qp, [], [uniform_estimate(4)]
+
+        def estimate_qp(conf, hist):
+            calls.append(1)
+            if len(calls) != repeat_at + 1:
+                in_force[0] = real_qp(conf, hist)
+            return in_force[0]
+
         out, err = io.StringIO(), io.StringIO()
         with mock.patch.object(harness, "_cpu_count", lambda: 1), \
+                mock.patch.object(harness, "estimate_qp", real_qp if repeat_at is None else estimate_qp), \
                 contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             assert main(argv) == 0, err.getvalue()
+        assert err.getvalue() == ""
         return out.getvalue()
 
     @classmethod
@@ -1499,12 +1583,21 @@ class TestReweightFaultPlan:
 
     @settings(max_examples=30, deadline=None)
     @given(_fault_plans())
+    @example(dict(_PLAN, fault="estimate", at=5))
+    @example(dict(_PLAN, fault="fork", at=0))
+    @example(dict(_PLAN, fault="fork", at=1))
+    @example(dict(_PLAN, fault="pipe", at=1))
+    @example(dict(_PLAN, fault="pipe", at=2))
     def test_exit_code_output_and_no_child_left(self, plan):
         fault, at = plan["fault"], plan["at"]
         if fault == "reader":
             at %= 7  # of about 13 blocks
         elif fault == "writer":
             at %= 20 if plan["live"] else 3  # of at least 22 parts, or 13 blocks
+        elif fault in ("fork", "pipe"):
+            at %= 2 if fault == "fork" else 3  # the reader's, then the writer's (a pipe each way for it)
+        elif fault == "estimate":
+            at %= 21  # of 21 re-estimates, every 7 of 150 rows
         with tempfile.TemporaryDirectory() as tmp:
             if fault == "bad_row":
                 reference_paths = self.inputs(tmp, without=at) if plan["lenient"] else self.inputs(tmp)
@@ -1512,7 +1605,9 @@ class TestReweightFaultPlan:
                 paths = self.inputs(tmp, bad_row=at)
             else:
                 paths = self.inputs(tmp)
-                reference = self.reference(self.argv(paths, plan["live"], plan["lenient"]))
+                reference = self.reference(
+                    self.argv(paths, plan["live"], plan["lenient"]), repeat_at=at if fault == "estimate" else None
+                )
             code, output, prefix_only = self.expected(dict(plan, at=at), reference)
             if plan["to_file"] and code != 0:
                 output, prefix_only = "", False  # a failed command leaves no new file
@@ -1570,8 +1665,10 @@ class TestReweightFaultPlan:
             assert "Traceback" not in err and "Exception ignored" not in err, err
             errors = [line for line in err.splitlines() if line.startswith("error: ")]
             assert len(errors) == (code != 0), err
-            skipped = [line for line in err.splitlines() if line.startswith("warning: ")]
-            assert len(skipped) == (fault == "bad_row" and plan["lenient"]), err
+            warned = [line for line in err.splitlines() if line.startswith("warning: ")]
+            kept = [line for line in warned if line == "warning: keeping previous priors: planted failure"]
+            assert len(warned) == (fault == "estimate" or (fault == "bad_row" and plan["lenient"])), err
+            assert len(kept) == (fault == "estimate"), err
             if prefix_only:
                 assert output.startswith(got) and (got == "" or got.endswith("\n"))
             else:
@@ -1630,8 +1727,8 @@ class TestEntryPoint:
             os.close(write_end)
         assert (proc.returncode, proc.stderr) == (4, b"error: [Errno 32] Broken pipe\n")
 
-    # The golden commands of acceptance criterion 10 that can write to stdout;
-    # simulate writes two files and needs --output.
+    # The golden commands of acceptance criterion 10 that can write to stdout,
+    # and live reweight; simulate writes two files and needs --output.
     GOLDENS = {
         "normalize": (["normalize", data("fixture_confusion_raw.csv")], "golden_normalize.csv"),
         "estimate": (
@@ -1641,6 +1738,11 @@ class TestEntryPoint:
         "reweight": (
             ["reweight", data("fixture_scores.csv"), "--priors", data("fixture_priors.json")],
             "golden_reweight.csv",
+        ),
+        "reweight-live": (
+            ["reweight", data("fixture_scores.csv"), "--confusion", data("fixture_confusion3.csv"),
+             "--reestimate-every", "2"],
+            "golden_reweight_live.csv",
         ),
         "evaluate": (["evaluate", "--folds", "10"], "golden_evaluate.md"),
     }
@@ -1744,7 +1846,7 @@ class TestEntryPoint:
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
-        assert int(proc.stdout) == 49
+        assert int(proc.stdout) == 48
         with pytest.raises(AttributeError, match="no_such_name"):
             import prioradapt
             prioradapt.no_such_name

@@ -8,7 +8,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from prioradapt import (
-    AdaptedPolicy,
     ClassCatalog,
     ConfusionMatrix,
     DecisionHistogram,
@@ -167,44 +166,42 @@ class TestDecideBaseline:
         assert decide_baseline(ScoreRecord((1 / 3, 1 / 3, 1 / 3))) == 0
 
 
-def _policy(priors) -> AdaptedPolicy:
-    return AdaptedPolicy.from_priors(
-        PriorEstimate(np.asarray(priors, dtype=float), method="ground_truth")
-    )
+def _priors(values) -> PriorEstimate:
+    return PriorEstimate(np.asarray(values, dtype=float), method="ground_truth")
 
 
 class TestReweight:
     def test_elementwise_product(self):
-        out = reweight(ScoreRecord((0.4, 0.35, 0.25)), _policy((0.1, 0.6, 0.3)))
+        out = reweight(ScoreRecord((0.4, 0.35, 0.25)), _priors((0.1, 0.6, 0.3)))
         assert np.allclose(out, [0.04, 0.21, 0.075], atol=1e-15)
 
     def test_uniform_priors_preserve_ranking(self):
         scores = (0.5, 0.2, 0.3)
-        out = reweight(ScoreRecord(scores), _policy((1 / 3, 1 / 3, 1 / 3)))
+        out = reweight(ScoreRecord(scores), _priors((1 / 3, 1 / 3, 1 / 3)))
         assert np.allclose(out * 3, scores)
 
     def test_zero_prior_annihilates(self):
-        out = reweight(ScoreRecord((0.9, 0.1)), _policy((0.0, 1.0)))
+        out = reweight(ScoreRecord((0.9, 0.1)), _priors((0.0, 1.0)))
         assert np.allclose(out, [0.0, 0.1])
 
     def test_not_renormalized(self):
-        out = reweight(ScoreRecord((0.4, 0.35, 0.25)), _policy((0.1, 0.6, 0.3)))
+        out = reweight(ScoreRecord((0.4, 0.35, 0.25)), _priors((0.1, 0.6, 0.3)))
         assert out.sum() != pytest.approx(1.0)
 
     def test_normalized_variant(self):
         record = ScoreRecord((0.4, 0.35, 0.25))
-        out = reweight_normalized(record, _policy((0.1, 0.6, 0.3)))
+        out = reweight_normalized(record, _priors((0.1, 0.6, 0.3)))
         assert out.sum() == pytest.approx(1.0)
-        raw = reweight(record, _policy((0.1, 0.6, 0.3)))
+        raw = reweight(record, _priors((0.1, 0.6, 0.3)))
         assert np.allclose(out, raw / raw.sum())
 
     def test_normalized_keeps_all_zero(self):
-        out = reweight_normalized(ScoreRecord((1.0, 0.0)), _policy((0.0, 1.0)))
+        out = reweight_normalized(ScoreRecord((1.0, 0.0)), _priors((0.0, 1.0)))
         assert np.array_equal(out, [0.0, 0.0])
 
     def test_dimension_error(self):
         with pytest.raises(DimensionError):
-            reweight(ScoreRecord((0.5, 0.5)), _policy((0.2, 0.3, 0.5)))
+            reweight(ScoreRecord((0.5, 0.5)), _priors((0.2, 0.3, 0.5)))
 
     def test_monotone_per_class(self):
         # Raising one score (mass taken from another class) never lowers
@@ -212,39 +209,39 @@ class TestReweight:
         rng = np.random.default_rng(42)
         for _ in range(200):
             k = int(rng.integers(2, 10))
-            policy = _policy(rng.dirichlet(np.ones(k)))
+            priors = _priors(rng.dirichlet(np.ones(k)))
             s = rng.dirichlet(np.ones(k))
             i, j = rng.choice(k, size=2, replace=False)
             delta = s[j] * rng.uniform(0, 1)
             bumped = s.copy()
             bumped[i] += delta
             bumped[j] -= delta
-            before = reweight(ScoreRecord(s), policy)[i]
-            after = reweight(ScoreRecord(bumped), policy)[i]
+            before = reweight(ScoreRecord(s), priors)[i]
+            after = reweight(ScoreRecord(bumped), priors)[i]
             assert after >= before
 
 
 class TestDecideAdapted:
     def test_flips_decision(self):
-        assert decide_adapted(ScoreRecord((0.4, 0.35, 0.25)), _policy((0.1, 0.6, 0.3))) == 1
+        assert decide_adapted(ScoreRecord((0.4, 0.35, 0.25)), _priors((0.1, 0.6, 0.3))) == 1
 
     def test_uniform_equals_baseline(self):
         record = ScoreRecord((0.2, 0.5, 0.3))
-        policy = _policy((1 / 3, 1 / 3, 1 / 3))
-        assert decide_adapted(record, policy) == decide_baseline(record)
+        priors = _priors((1 / 3, 1 / 3, 1 / 3))
+        assert decide_adapted(record, priors) == decide_baseline(record)
 
     def test_only_positive_product_wins(self):
-        assert decide_adapted(ScoreRecord((0.9, 0.1)), _policy((0.0, 1.0))) == 1
+        assert decide_adapted(ScoreRecord((0.9, 0.1)), _priors((0.0, 1.0))) == 1
 
     def test_all_zero_falls_back_with_flag(self):
         record = ScoreRecord((1.0, 0.0))
-        decision, fell_back = decide_adapted(record, _policy((0.0, 1.0)), return_fallback=True)
+        decision, fell_back = decide_adapted(record, _priors((0.0, 1.0)), return_fallback=True)
         assert decision == decide_baseline(record) == 0
         assert fell_back
 
     def test_no_fallback_flag_normally(self):
         decision, fell_back = decide_adapted(
-            ScoreRecord((0.4, 0.6)), _policy((0.5, 0.5)), return_fallback=True
+            ScoreRecord((0.4, 0.6)), _priors((0.5, 0.5)), return_fallback=True
         )
         assert decision == 1
         assert not fell_back
@@ -254,32 +251,30 @@ class TestDecideAdapted:
         for _ in range(1000):
             k = int(rng.integers(2, 12))
             record = ScoreRecord(rng.dirichlet(np.ones(k)))
-            assert decide_adapted(record, _policy(np.full(k, 1 / k))) == decide_baseline(record)
+            assert decide_adapted(record, _priors(np.full(k, 1 / k))) == decide_baseline(record)
 
     def test_positive_scaling_invariance(self):
         rng = np.random.default_rng(8)
         for _ in range(500):
             k = int(rng.integers(2, 12))
             est = PriorEstimate(rng.dirichlet(np.ones(k)), method="ground_truth")
-            base = AdaptedPolicy.from_priors(est)
-            scale = float(rng.uniform(1e-6, 1e6))
-            scaled = AdaptedPolicy(priors=est, weights=base.weights * scale)
+            c = float(rng.uniform(1e-8, 1e8))
             record = ScoreRecord(rng.dirichlet(np.ones(k)))
-            assert decide_adapted(record, base) == decide_adapted(record, scaled)
+            expected = int(np.argmax((c * est.values) * record.scores))
+            assert decide_adapted(record, est) == expected
 
     def test_zero_prior_never_chosen_unless_fallback(self):
         rng = np.random.default_rng(9)
         for _ in range(500):
             k = int(rng.integers(3, 10))
-            priors = rng.dirichlet(np.ones(k))
+            values = rng.dirichlet(np.ones(k))
             dead = int(rng.integers(0, k))
-            priors[dead] = 0.0
-            priors /= priors.sum()
-            policy = _policy(priors)
+            values[dead] = 0.0
+            values /= values.sum()
             record = ScoreRecord(rng.dirichlet(np.ones(k)))
-            decision, fell_back = decide_adapted(record, policy, return_fallback=True)
+            decision, fell_back = decide_adapted(record, _priors(values), return_fallback=True)
             if not fell_back:
-                assert priors[decision] > 0.0
+                assert values[decision] > 0.0
 
 
 @st.composite
@@ -289,8 +284,8 @@ def _grid_batch(draw):
     n = draw(st.integers(1, 12))
     row = st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any)
     counts = np.array(draw(st.lists(row, min_size=n, max_size=n)), dtype=np.float64)
-    weights = np.array(draw(row), dtype=np.float64)
-    return counts / counts.sum(axis=1, keepdims=True), weights / weights.sum()
+    priors = np.array(draw(row), dtype=np.float64)
+    return counts / counts.sum(axis=1, keepdims=True), priors / priors.sum()
 
 
 class TestDecideAdaptedBatch:
@@ -298,34 +293,14 @@ class TestDecideAdaptedBatch:
     @example(batch=(np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]), np.array([0.0, 0.5, 0.5])))
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_rule_row_by_row(self, batch):
-        scores, priors = batch
-        policy = _policy(priors)
-        expected = [decide_adapted(ScoreRecord(row), policy) for row in scores]
-        assert decide_adapted_batch(scores, policy).tolist() == expected
+        scores, values = batch
+        priors = _priors(values)
+        expected = [decide_adapted(ScoreRecord(row), priors) for row in scores]
+        assert decide_adapted_batch(scores, priors).tolist() == expected
 
     def test_rejects_wrong_width(self):
         with pytest.raises(DimensionError):
-            decide_adapted_batch(np.full((2, 2), 0.5), _policy((0.2, 0.3, 0.5)))
-
-
-class TestAdaptedPolicy:
-    def test_weights_are_scaled_priors(self):
-        policy = _policy((0.1, 0.6, 0.3))
-        assert np.allclose(policy.weights, [0.3, 1.8, 0.9])
-
-    def test_zero_weight_iff_zero_prior(self):
-        policy = _policy((0.0, 1.0))
-        assert policy.weights[0] == 0.0 and policy.weights[1] > 0.0
-
-    def test_rejects_mismatched_zero_pattern(self):
-        est = PriorEstimate(np.array([0.0, 1.0]), method="ground_truth")
-        with pytest.raises(ValidationError):
-            AdaptedPolicy(priors=est, weights=np.array([0.5, 2.0]))
-
-    def test_rejects_negative_weights(self):
-        est = PriorEstimate(np.array([0.5, 0.5]), method="ground_truth")
-        with pytest.raises(ValidationError):
-            AdaptedPolicy(priors=est, weights=np.array([-1.0, 1.0]))
+            decide_adapted_batch(np.full((2, 2), 0.5), _priors((0.2, 0.3, 0.5)))
 
 
 def test_uniform_estimate():
@@ -390,8 +365,8 @@ def _edge_batch(draw):
         nudge = draw(st.sampled_from([0.0, 0.0, 9.9e-7, -9.9e-7]))
         top = int(scores[r].argmax())
         scores[r, top] = min(1.0, scores[r, top] + nudge)
-    weights = np.array(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any)), float)
-    return scores, weights / weights.sum()
+    priors = np.array(draw(st.lists(st.integers(0, 3), min_size=k, max_size=k).filter(any)), float)
+    return scores, priors / priors.sum()
 
 
 class TestReweightBatch:
@@ -399,20 +374,20 @@ class TestReweightBatch:
     @example(batch=(np.array([[1.0, 0.0, 0.0], [0.0, 0.5, 0.5]]), np.array([0.0, 0.5, 0.5])))
     @settings(max_examples=300, deadline=None)
     def test_matches_scalar_rules_row_by_row(self, batch):
-        scores, priors = batch
-        policy = _policy(priors)
+        scores, values = batch
+        priors = _priors(values)
         records = [ScoreRecord(row) for row in scores]  # every row is a valid score vector
-        decisions, products, normalized = reweight_batch(scores, policy)
-        assert decisions.tolist() == [decide_adapted(r, policy) for r in records]
-        assert products.tobytes() == np.stack([reweight(r, policy) for r in records]).tobytes()
+        decisions, products, normalized = reweight_batch(scores, priors)
+        assert decisions.tolist() == [decide_adapted(r, priors) for r in records]
+        assert products.tobytes() == np.stack([reweight(r, priors) for r in records]).tobytes()
         assert normalized.tobytes() == np.stack(
-            [reweight_normalized(r, policy) for r in records]
+            [reweight_normalized(r, priors) for r in records]
         ).tobytes()
-        assert np.array_equal(decide_adapted_batch(scores, policy), decisions)
+        assert np.array_equal(decide_adapted_batch(scores, priors), decisions)
 
     def test_rejects_wrong_width(self):
         with pytest.raises(DimensionError):
-            reweight_batch(np.full((2, 2), 0.5), _policy((0.2, 0.3, 0.5)))
+            reweight_batch(np.full((2, 2), 0.5), _priors((0.2, 0.3, 0.5)))
 
 
 _ENTRIES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 0.5 + 1e-6, -0.25, 1.5, 1e308, np.nan, np.inf])

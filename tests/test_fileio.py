@@ -616,6 +616,12 @@ class TestPriorsJson:
         assert tag == "ground_truth"
         assert np.allclose(values, [0.25, 0.75])
 
+    def test_bare_mapping_refuses_a_method(self, tmp_path):
+        path = write(tmp_path, "p.json", '{"x00": 0.25, "x01": 0.75}')
+        with pytest.raises(ParseError) as info:
+            read_priors_json(path, make_catalog(2), method="matrix_inverse")
+        assert str(info.value) == f"{path}: priors JSON has no methods to pick 'matrix_inverse' from"
+
     def test_multiple_methods_need_choice(self, tmp_path):
         catalog = make_catalog(2)
         doc = {

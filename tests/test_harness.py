@@ -242,6 +242,12 @@ class TestScenarioSpec:
                 ),
             )
 
+    def test_sizes_hold_an_exact_float64_count(self):
+        catalog = make_catalog(2)
+        assert uniform_scenario(catalog, (0, 1), transfer_size=2**53 - 1, test_size=1)
+        with pytest.raises(ValidationError, match=r"at most 2\*\*53"):
+            uniform_scenario(catalog, (0, 1), transfer_size=2**53, test_size=1)
+
 
 class TestRunScenario:
     """One scenario evaluated end to end with two-fold cross-validation."""

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from prioradapt import (
-    AdaptedPolicy,
     DimensionError,
     InsufficientDataError,
     PriorEstimate,
@@ -129,16 +128,14 @@ class TestIngestScored:
 
     def test_counts_baseline_even_with_policy(self):
         monitor = StreamMonitor(make_catalog(2))
-        policy = AdaptedPolicy.from_priors(
-            PriorEstimate(np.array([0.0, 1.0]), method="ground_truth")
-        )
+        priors = PriorEstimate(np.array([0.0, 1.0]), method="ground_truth")
         record = ScoreRecord((0.9, 0.1))
-        assert decide_adapted(record, policy) == 1
+        assert decide_adapted(record, priors) == 1
         decision = monitor.ingest_scored(record)
         assert decision == 0  # baseline, not adapted
         assert np.array_equal(monitor.snapshot().counts, [1, 0])
         with pytest.raises(TypeError):
-            monitor.ingest_scored(record, policy)  # no closed-loop mode
+            monitor.ingest_scored(record, priors)  # no closed-loop mode
 
 
 class TestStreamProperties:
