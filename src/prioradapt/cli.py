@@ -384,17 +384,17 @@ def cmd_reweight(args) -> int:
     with contextlib.closing(_score_items(args.scores, args.lenient)) as items, read_ahead(items) as ahead:
         if args.confusion is not None:
             conf = fileio.read_confusion_csv(args.confusion)
+        method = _METHOD_BY_FLAG[args.method] if args.method else None
         catalog = next(ahead, None)
         if catalog is None:
             # An empty stream re-weights to an empty stream.  With no header the
-            # priors' class labels cannot be checked, but the file must be JSON.
+            # priors' class labels cannot be checked, but the rest of the file can.
             if args.priors is not None:
-                fileio.read_json(args.priors)
+                fileio.read_priors_mapping(args.priors, method)
             with _open_output(args.output) as fp:
                 pass
             return EXIT_OK
         if args.priors is not None:
-            method = _METHOD_BY_FLAG[args.method] if args.method else None
             values, tag = fileio.read_priors_json(args.priors, catalog, method)
             priors = PriorEstimate(values / values.sum(), method=tag)
         elif conf.catalog != catalog:
@@ -406,7 +406,7 @@ def cmd_reweight(args) -> int:
             # Live mode: re-estimate from the running histogram every N records.
             parts = adapt(
                 blocks, StreamMonitor(catalog, window=args.window),
-                partial(estimator(conf), _METHOD_BY_FLAG[args.method or "qp"]), args.reestimate_every,
+                partial(estimator(conf), method or _METHOD_BY_FLAG["qp"]), args.reestimate_every,
                 lambda exc: _note(args, f"warning: keeping previous priors: {exc}"),
             )
         with _open_output(args.output) as fp:

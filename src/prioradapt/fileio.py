@@ -157,33 +157,72 @@ class TextInput:
             pos += 1
         return None
 
-    def _fill(self, size: int) -> bool:
-        """Append the next block's lines to those not handed out; False at the end of the input.
+    def raw_block(self, size: int) -> bytes:
+        """The lines not yet handed out as UTF-8 bytes, reading a block of about ``size`` bytes if none are left.
 
-        A block holding undecodable bytes gives the lines before the first
-        bad one; the next call raises the error that names its line.
+        Like :meth:`block`, but the lines are handed out undecoded, and
+        ``line_no`` counts them as iterating would split them.  The bytes end
+        at ``\\n`` or at the end of the input; empty bytes mean the input is
+        exhausted.  Bytes that are not UTF-8 are handed out as they are:
+        :meth:`lines` finds them.
         """
-        if self._error is not None:
-            raise self._error
-        data = self._fp.read(size)
-        if data and not data.endswith(b"\n"):
-            data += self._fp.readline()
-        if not data:
-            return False
+        if self._pos < len(self._lines):
+            lines = self._lines[self._pos:]
+            self._lines, self._pos = [], 0
+            self.line_no += len(lines)
+            return "".join(lines).encode("utf-8")
+        before = self._raw_lines
+        data = self._read(size)
+        self.line_no += self._raw_lines - before
+        if b"\r" in data:
+            # A bare \r ends a line too.  A block ends at \n or at the end of
+            # the input, so no \r\n is cut in two.
+            self.line_no += data.count(b"\r") - data.count(b"\r\n")
+        if data and not data.endswith((b"\n", b"\r")):
+            self.line_no += 1
+        return data
+
+    def lines(self, data: bytes) -> list[str]:
+        """The lines of ``data``, the bytes :meth:`raw_block` handed out last.
+
+        If ``data`` holds undecodable bytes, only the lines before the first
+        bad one are returned, and the next read raises the error that names
+        its line; it raises here if there are none.
+        """
         try:
             text = data.decode("utf-8")
         except UnicodeDecodeError as exc:
             # A line break never occurs inside a multi-byte UTF-8 sequence,
             # so the first bad byte lies on the first line that fails alone.
             good = data.rfind(b"\n", 0, exc.start) + 1
-            line = self._raw_lines + data.count(b"\n", 0, good) + 1
+            line = self._raw_lines - data.count(b"\n", good) + 1
             self._error = ParseError("not valid UTF-8", path=self.path, line=line)
             if not good:
                 raise self._error from None
-            data = data[:good]
-            text = data.decode("utf-8")
-        self._raw_lines += data.count(b"\n")
-        lines = io.StringIO(text, newline="").readlines()
+            text = data[:good].decode("utf-8")
+        return io.StringIO(text, newline="").readlines()
+
+    def _read(self, size: int) -> bytes:
+        """The next block of about ``size`` bytes, extended to the next ``\\n``; empty at the end of the input."""
+        if self._error is not None:
+            raise self._error
+        data = self._fp.read(size)
+        if data and not data.endswith(b"\n"):
+            data += self._fp.readline()
+        # numpy counts a frequent byte many times faster than bytes.count.
+        self._raw_lines += int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")))
+        return data
+
+    def _fill(self, size: int) -> bool:
+        """Append the next block's lines to those not handed out; False at the end of the input.
+
+        A block holding undecodable bytes gives the lines before the first
+        bad one; the next call raises the error that names its line.
+        """
+        data = self._read(size)
+        if not data:
+            return False
+        lines = self.lines(data)
         if self._pos == len(self._lines):
             self._lines, self._pos = lines, 0
         else:
@@ -193,7 +232,9 @@ class TextInput:
 
 #: Bytes per block of a CSV body.
 _CSV_BLOCK_BYTES = 1 << 16
-#: Bytes per block of a decision stream, and per read of lines one at a time.
+#: Bytes per block of a decision stream.
+_RAW_BLOCK_BYTES = 1 << 16
+#: Bytes per read of lines one at a time.
 _LINE_BLOCK_BYTES = 1 << 14
 #: Rows the csv rule gathers before it yields them as a block.
 _CSV_BLOCK_ROWS = 1024
@@ -473,14 +514,53 @@ def stream_kind(stream: TextInput) -> str:
 def read_decision_stream(stream: TextInput, k: int) -> Iterator[np.ndarray]:
     """Yield a decision stream's class indices, one int64 array per block of lines.
 
-    ``stream`` is an open :class:`TextInput`.  Each block of about 16 KiB
-    is parsed in one ``loadtxt`` call.  A block it refuses, or one holding
-    an index outside [0, k), is read again line by line with
-    :func:`_decision`, which raises the :class:`ParseError` naming the bad
-    line.
+    ``stream`` is an open :class:`TextInput`, read in blocks of about
+    ``_RAW_BLOCK_BYTES``.  A block in the canonical spelling (see
+    :func:`_canonical_block`) is parsed from its bytes in one step.  Any
+    other block is decoded and parsed in one ``loadtxt`` call; a block it
+    refuses, or one holding an index outside [0, k), is read again line by
+    line with :func:`_decision`, which raises the :class:`ParseError`
+    naming the bad line.
     """
-    while lines := stream.block(_LINE_BLOCK_BYTES):
-        yield _decision_block(lines, k, stream.path, stream.line_no - len(lines) + 1)
+    width = len(str(k - 1))
+    while True:
+        first = stream.line_no + 1
+        data = stream.raw_block(_RAW_BLOCK_BYTES)
+        if not data:
+            return
+        values = _canonical_block(data, k, width)
+        yield values if values is not None else _decision_block(stream.lines(data), k, stream.path, first)
+
+
+def _canonical_block(data: bytes, k: int, width: int) -> Optional[np.ndarray]:
+    """The indices of a block of canonical lines, or None if a line is not canonical.
+
+    A canonical line is 1 to ``width`` ASCII digits, ``width`` being the
+    number of digits of ``k - 1``, then ``\\n``, and its value is below
+    ``k``.  The line rule reads such a line to the same value, and no value
+    can overflow.
+    """
+    if not data.endswith(b"\n"):
+        return None
+    raw = np.frombuffer(data, dtype=np.uint8)
+    digits = raw - np.uint8(ord("0"))  # wraps every byte that is not a digit to 10 or more
+    ends = np.flatnonzero(raw == ord("\n"))
+    if np.count_nonzero(digits < 10) != len(raw) - len(ends):
+        return None
+    sizes = np.diff(ends, prepend=-1)
+    sizes -= 1
+    if sizes.min() < 1 or sizes.max() > width:
+        return None
+    # Right-aligned: the j-th digit from each line's end is worth 10**j.
+    values = digits[ends - 1].astype(np.int64)
+    for j in range(1, width):
+        # A line of j digits or fewer has no j-th digit; "clip" keeps the
+        # first line's index in range.
+        place = digits.take(ends - 1 - j, mode="clip").astype(np.int64)
+        place *= sizes > j
+        place *= 10**j
+        values += place
+    return values if values.max() < k else None
 
 
 def _decision_block(lines: list[str], k: int, path: str, line_no: int) -> np.ndarray:
@@ -546,6 +626,49 @@ def write_json(doc: dict, fp: IO[str]) -> None:
     fp.write("\n")
 
 
+def read_priors_mapping(path: str, method: Optional[str] = None) -> tuple[dict, str]:
+    """The ``{label: prior}`` mapping a priors JSON holds, and its method tag; no label is checked.
+
+    Accepts either the document written by the ``estimate`` command or a
+    bare ``{label: probability}`` mapping.  With several methods present,
+    ``method`` selects one (required unless only one exists).  A bare
+    mapping holds no methods to pick from, so it refuses ``method``, and it
+    is tagged ``ground_truth`` since it represents externally known priors.
+    """
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError("priors JSON must be an object", path=path)
+    if "methods" not in doc:
+        if method is not None:
+            raise ParseError(f"priors JSON has no methods to pick {method!r} from", path=path)
+        return doc, "ground_truth"
+    if not isinstance(doc["methods"], dict):
+        raise ParseError("priors JSON methods must be an object", path=path)
+    methods = {
+        name: entry["priors"]
+        for name, entry in doc["methods"].items()
+        if isinstance(entry, dict) and "priors" in entry
+    }
+    if not methods:
+        raise ParseError("no successful method entries in priors JSON", path=path)
+    if method is None:
+        if len(methods) == 1:
+            method = next(iter(methods))
+        else:
+            raise ParseError(
+                f"priors JSON holds several methods ({', '.join(sorted(methods))}); "
+                "pick one with --method",
+                path=path,
+            )
+    if method not in methods:
+        raise ParseError(f"method {method!r} not present in priors JSON", path=path)
+    if method not in {m.name for m in METHODS}:
+        raise ParseError(f"unknown estimation method {method!r}", path=path)
+    if not isinstance(methods[method], dict):
+        raise ParseError(f"priors of method {method!r} must be an object", path=path)
+    return methods[method], method
+
+
 def read_priors_json(
     path: str,
     catalog: ClassCatalog,
@@ -553,51 +676,11 @@ def read_priors_json(
 ) -> tuple[np.ndarray, str]:
     """Extract one prior vector, aligned to ``catalog``, from a priors JSON.
 
-    Accepts either the document written by the ``estimate`` command or a
-    bare ``{label: probability}`` mapping.  With several methods present,
-    ``method`` selects one (required unless only one exists).  Returns the
-    vector and the method tag; a bare mapping holds no methods to pick
-    from, so it refuses ``method``, and it is tagged ``ground_truth`` since
-    it represents externally known priors.  The entries must be
-    nonnegative with positive mass; they need not sum to 1.
+    The mapping and its tag are chosen by :func:`read_priors_mapping`.
+    Returns the vector and the tag.  The entries must be nonnegative with
+    positive mass; they need not sum to 1.
     """
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError("priors JSON must be an object", path=path)
-
-    tag = "ground_truth"
-    if "methods" in doc:
-        if not isinstance(doc["methods"], dict):
-            raise ParseError("priors JSON methods must be an object", path=path)
-        methods = {
-            name: entry["priors"]
-            for name, entry in doc["methods"].items()
-            if isinstance(entry, dict) and "priors" in entry
-        }
-        if not methods:
-            raise ParseError("no successful method entries in priors JSON", path=path)
-        if method is None:
-            if len(methods) == 1:
-                method = next(iter(methods))
-            else:
-                raise ParseError(
-                    f"priors JSON holds several methods ({', '.join(sorted(methods))}); "
-                    "pick one with --method",
-                    path=path,
-                )
-        if method not in methods:
-            raise ParseError(f"method {method!r} not present in priors JSON", path=path)
-        if method not in {m.name for m in METHODS}:
-            raise ParseError(f"unknown estimation method {method!r}", path=path)
-        mapping = methods[method]
-        tag = method
-        if not isinstance(mapping, dict):
-            raise ParseError(f"priors of method {method!r} must be an object", path=path)
-    elif method is not None:
-        raise ParseError(f"priors JSON has no methods to pick {method!r} from", path=path)
-    else:
-        mapping = doc
-
+    mapping, tag = read_priors_mapping(path, method)
     values = np.zeros(catalog.k)
     for label, value in mapping.items():
         if label not in catalog.labels:

@@ -22,6 +22,7 @@ import contextlib
 import itertools
 import os
 import pickle
+import signal
 from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
@@ -607,7 +608,8 @@ def _fork(items: Iterable) -> Optional[tuple[int, int]]:
     allows) plus ``_AHEAD_BYTES`` of held messages.  A message that cannot
     be pickled ends the stream there, without its marker.  The child leaves
     through ``os._exit``, so it runs no exit handler and flushes no
-    inherited buffer.  None means no child could be started; ``items`` is
+    inherited buffer; SIGTERM ends it at once, whatever handler the parent
+    runs.  None means no child could be started; ``items`` is
     then untouched.
 
     A bare fork, not ``multiprocessing``: importing that costs about a tenth
@@ -631,6 +633,7 @@ def _fork(items: Iterable) -> Optional[tuple[int, int]]:
         return pid, read_fd
     status = 1
     try:
+        signal.signal(signal.SIGTERM, signal.SIG_DFL)
         os.close(read_fd)
         _send(write_fd, _messages(items))
         status = 0
@@ -666,8 +669,6 @@ def read_ahead(items: Iterable) -> Iterator[Iterable]:
         if exit_code is None:
             pipe.close()
             if kill:
-                import signal  # only this path needs it, and every command imports this module
-
                 os.kill(pid, signal.SIGKILL)
             exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
         return exit_code

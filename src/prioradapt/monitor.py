@@ -73,24 +73,34 @@ class StreamMonitor:
             raise ValidationError(
                 f"decision index {batch[bad.argmax()]} out of range for {self.catalog.k} classes"
             )
-        counted = batch
-        if self._ring is not None:
+        k = self.catalog.k
+        if self._ring is None:
+            self._counts += np.bincount(batch, minlength=k)
+        else:
             # Only the last `window` decisions of the batch enter the ring;
             # the ones before them would be evicted within the batch.
             window = self.window
             counted = batch[-window:]
             filled = min(self._seen, window)
-            oldest = self._seen - filled
             evicted = max(0, filled + len(counted) - window)
-            self._counts -= np.bincount(
-                self._ring[np.arange(oldest, oldest + evicted) % window],
-                minlength=self.catalog.k,
-            )
+            for slots in self._slots(self._seen - filled, evicted):
+                self._counts -= np.bincount(self._ring[slots], minlength=k)
             start = self._seen + len(batch) - len(counted)
             self._reserve(min(start + len(counted), window))
-            self._ring[np.arange(start, start + len(counted)) % window] = counted
-        self._counts += np.bincount(counted, minlength=self.catalog.k)
+            for slots in self._slots(start, len(counted)):
+                size = slots.stop - slots.start
+                self._ring[slots] = counted[:size]
+                counted = counted[size:]
+                self._counts += np.bincount(self._ring[slots], minlength=k)
         self._seen += len(batch)
+
+    def _slots(self, first: int, n: int) -> list[slice]:
+        """The ring slots of decisions ``first`` to ``first + n - 1``, ``n`` at most the window: at most two slices, split at the wrap point."""
+        start = first % self.window
+        stop = start + n
+        if stop <= self.window:
+            return [slice(start, stop)] if n else []
+        return [slice(start, self.window), slice(0, stop - self.window)]
 
     def _reserve(self, n: int) -> None:
         """Grow the ring to hold at least ``n`` slots, doubling up to the window length."""

@@ -11,11 +11,13 @@ import os
 import re
 import select
 import shutil
+import signal
 import stat
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import warnings
 from unittest import mock
 
@@ -404,6 +406,24 @@ class TestReweight:
         priors.write_text("{not json", encoding="utf-8")
         assert main(["reweight", self._empty(tmp_path), "--priors", str(priors)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {priors}: invalid JSON")
+
+    @pytest.mark.parametrize("doc, method, message", [
+        ({"a": 0.1, "b": 0.9}, "inverse", "no methods to pick 'matrix_inverse' from"),
+        ({"methods": {"naive": {"priors": {"a": 1.0}}, "matrix_inverse": {"priors": {"a": 1.0}}}},
+         None, "holds several methods"),
+        ({"methods": {}}, None, "no successful method entries"),
+    ])
+    def test_empty_stream_checks_priors_choice(self, tmp_path, capsys, doc, method, message):
+        # The same file is refused with the same message for a stream with rows.
+        priors = tmp_path / "p.json"
+        priors.write_text(json.dumps(doc), encoding="utf-8")
+        flags = ["--method", method] if method else []
+        for scores in (self._empty(tmp_path), data("fixture_scores.csv")):
+            code, out = run(["reweight", scores, "--priors", str(priors), *flags], tmp_path)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {priors}: ") and message in err
+            assert not os.path.exists(out)
 
     def test_empty_stream_live_needs_cadence(self, tmp_path):
         argv = ["reweight", self._empty(tmp_path), "--confusion", data("fixture_confusion3.csv")]
@@ -1091,6 +1111,57 @@ class TestOutputFile:
         code = main(["--quiet", "--output", str(tmp_path / "sim"), "simulate", data("fixture_scenario.json")])
         assert code == 2
         assert os.listdir(tmp_path) == []
+
+    @staticmethod
+    def _children(pid: int) -> set[int]:
+        """The processes whose parent is ``pid``, read from /proc."""
+        found = set()
+        for entry in os.listdir("/proc"):
+            with contextlib.suppress(OSError):
+                with open(f"/proc/{entry}/stat", encoding="utf-8") as fp:
+                    if int(fp.read().rpartition(")")[2].split()[1]) == pid:
+                        found.add(int(entry))
+        return found
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads child processes from /proc")
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("group", [False, True], ids=["process", "group"])
+    def test_sigterm_leaves_no_temporary_file(self, tmp_path, entry, group):
+        # Live re-weighting every row takes seconds, in a reader, a solver
+        # and a writer process where two CPUs are free.  The signal goes to
+        # the command alone, or, as from `timeout`, to its process group.
+        rng = np.random.default_rng(0)
+        scores = tmp_path / "s.csv"
+        with open(scores, "w", encoding="utf-8") as fp:
+            fp.write("s_a,s_b,s_c\n")
+            np.savetxt(fp, rng.dirichlet(np.ones(3), 20_000), fmt="%.17g", delimiter=",")
+        out = tmp_path / "out.csv"
+        out.write_bytes(b"earlier output\n")
+        argv = ["--output", str(out), "reweight", str(scores), "--confusion", data("fixture_confusion3.csv"),
+                "--reestimate-every", "1"]
+        proc = subprocess.Popen(
+            [sys.executable, *ENTRIES[entry], *argv], env=src_env(), stderr=subprocess.PIPE, start_new_session=group
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            time.sleep(0.3)  # past the writer's fork
+            children = self._children(proc.pid)
+            if group:
+                os.killpg(proc.pid, signal.SIGTERM)
+            else:
+                proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signal.SIGTERM, err
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "s.csv"]
+        assert read_bytes(str(out)) == b"earlier output\n"
+        assert len(children) == (2 if harness._cpu_count() > 1 else 0)  # the reader and the writer
+        assert not [pid for pid in children if os.path.exists(f"/proc/{pid}")]
 
 
 _NUMPY_ALLOCATION_ERROR = (

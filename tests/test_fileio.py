@@ -426,6 +426,46 @@ def with_bad_bytes(draw, texts):
     return data
 
 
+#: Spellings a canonical block must not hold; the line rule reads each.
+_DECISION_DEFECTS = [
+    "blank line", "cr", "space", "sign", "non-ascii digit", "wide leading zeros", "index >= k",
+    "no final newline", "bad utf-8",
+]
+
+
+@st.composite
+def canonical_decisions(draw):
+    """``(k, bytes)``: 1 to 400 canonical index lines for 1 <= k <= 1200, with at most one defect planted."""
+    k = draw(st.integers(1, 1200))
+    width = len(str(k - 1))
+    # Indices of every width up to k's, each about as often.
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = (10 ** rng.uniform(0, np.log10(k), draw(st.integers(1, 400)))).astype(int) - 1
+    lines = [f"{v}\n".encode() for v in values.tolist()]
+    at = draw(st.integers(0, len(lines) - 1))
+    defect = draw(st.sampled_from([None, *_DECISION_DEFECTS]))
+    if defect == "blank line":
+        lines.insert(at, draw(st.sampled_from([b"\n", b"\n", b"\r\n", b" \n"])))
+    elif defect == "cr":
+        lines[at] = lines[at][:-1] + draw(st.sampled_from([b"\r\n", b"\r"]))
+    elif defect == "space":
+        lines[at] = draw(st.sampled_from([b" " + lines[at], lines[at][:-1] + b" \n", b"\t" + lines[at]]))
+    elif defect == "sign":
+        lines[at] = draw(st.sampled_from([b"+", b"-"])) + lines[at]
+    elif defect == "non-ascii digit":
+        lines[at] = draw(st.sampled_from(["٣\n", "１\n", "1٠\n"])).encode()
+    elif defect == "wide leading zeros":
+        lines[at] = b"0" * (width + 1 - len(lines[at]) + 1 + draw(st.integers(0, 2))) + lines[at]
+    elif defect == "index >= k":
+        too_large = st.integers(k, 10 ** width + 10) | st.integers(10 ** width, 10 ** (width + 1))
+        lines[at] = f"{draw(too_large)}\n".encode()
+    elif defect == "no final newline":
+        lines[-1] = lines[-1][:-1]
+    elif defect == "bad utf-8":
+        lines[at] = draw(st.sampled_from(_BAD_BYTES)) + lines[at]
+    return k, b"".join(lines)
+
+
 #: Block sizes in bytes: a line per block, a few lines, and the default.
 _block_bytes = st.sampled_from([1, 30, 100, 1 << 16])
 
@@ -458,6 +498,26 @@ class TestBlockReadersMatchLineReaders:
     def test_decision_stream(self, content, k, block_bytes):
         def blocks(path):
             with TextInput(path) as stream:
+                return np.concatenate([np.empty(0, np.int64), *read_decision_stream(stream, k)]).tolist()
+
+        def lines(path):
+            return list(reference_decision_stream(path, k))
+
+        with small_blocks(block_bytes):
+            got = outcome(blocks, content)
+        assert got == outcome(lines, content)
+
+    @given(canonical_decisions(), st.sampled_from([1, 8, 30, 100, 1 << 16]), st.booleans())
+    @settings(max_examples=1000, deadline=None)
+    def test_canonical_decision_stream(self, drawn, block_bytes, peek):
+        # Canonical blocks are parsed from their bytes; a planted defect
+        # sends its block to the line rule, which must see the same lines.
+        k, content = drawn
+
+        def blocks(path):
+            with TextInput(path) as stream:
+                if peek:
+                    stream.first_line()  # as stream_kind does
                 return np.concatenate([np.empty(0, np.int64), *read_decision_stream(stream, k)]).tolist()
 
         def lines(path):

@@ -151,6 +151,21 @@ class TestStreamProperties:
             shuffled.ingest(int(d))
         assert np.array_equal(forward.snapshot().counts, shuffled.snapshot().counts)
 
+    @pytest.mark.parametrize("window", [1, 2, 3, 7, 20])
+    def test_batches_across_the_wrap_point(self, window):
+        # Batches shorter than, as long as and longer than the window start
+        # at every slot, so writes and evictions cross the ring's end.
+        rng = np.random.default_rng(window)
+        monitor = StreamMonitor(make_catalog(4), window=window)
+        decisions = []
+        for size in rng.integers(0, 2 * window + 2, 200):
+            batch = rng.integers(0, 4, size)
+            monitor.ingest_many(batch)
+            decisions += batch.tolist()
+            if decisions:
+                expected = np.bincount(decisions[-window:], minlength=4)
+                assert np.array_equal(monitor.snapshot().counts, expected)
+
     @given(
         st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=300),
         st.none() | st.integers(min_value=1, max_value=20),
