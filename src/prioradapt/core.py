@@ -60,7 +60,12 @@ _PRIOR_TAGS = frozenset(m.name for m in METHODS) | {"uniform"}
 
 
 def readonly(a, dtype=np.float64) -> np.ndarray:
-    """A read-only copy of ``a`` as ``dtype``: how every value type stores an array."""
+    """A read-only copy of ``a`` as ``dtype``: how every value type stores a caller's array.
+
+    A value type that computes a new array from its input, as
+    :class:`ConfusionMatrix` does, stores that array read-only instead of
+    a copy of it.
+    """
     out = np.array(a, dtype=dtype, copy=True)
     out.setflags(write=False)
     return out
@@ -184,7 +189,9 @@ class ConfusionMatrix:
             raise ValidationError(
                 f"confusion row {self.catalog.labels[bad[0]]!r} {why} and cannot be normalized"
             )
-        object.__setattr__(self, "rows", readonly(rows / sums[:, None]))
+        rows = rows / sums[:, None]  # a new array: the caller's stays writable and apart
+        rows.setflags(write=False)
+        object.__setattr__(self, "rows", rows)
 
     @property
     def k(self) -> int:

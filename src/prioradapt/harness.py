@@ -731,7 +731,9 @@ def write_behind(out: IO, write: Callable[[object], object]) -> Iterator[Callabl
     it was sent, and it is reaped.  An exception ``write`` raised is raised
     here, also over one the block raised later, since it belongs to an
     earlier item; so is one that breaks the pipe under ``send``.  A child
-    that ends before its last message raises :class:`WorkerLost`.
+    that ends before its last message raises :class:`WorkerLost`.  A block
+    left by an exception that is not an ``Exception``, such as a signal's,
+    keeps that exception: the child is reaped without raising its own.
     """
     fds = None
     if _cpu_count() > 1 and _has_descriptor(out):
@@ -760,13 +762,22 @@ def write_behind(out: IO, write: Callable[[object], object]) -> Iterator[Callabl
                     pass
                 raise
 
-        try:
-            yield send
-        finally:
+        def finish() -> None:
             with contextlib.suppress(BrokenPipeError):
                 sent.close()
             for _ in done:
                 pass
+
+        try:
+            yield send
+        except Exception:
+            finish()
+            raise
+        except BaseException:  # SIGTERM or Ctrl-C, which the child may have died of as well
+            with contextlib.suppress(Exception):
+                finish()
+            raise
+        finish()
 
 
 def _has_descriptor(out: IO) -> bool:

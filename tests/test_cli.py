@@ -1158,6 +1158,7 @@ class TestOutputFile:
             proc.kill()
             proc.wait()
         assert proc.returncode == -signal.SIGTERM, err
+        assert err == b""  # a writer that died of the same signal is no error
         assert sorted(os.listdir(tmp_path)) == ["out.csv", "s.csv"]
         assert read_bytes(str(out)) == b"earlier output\n"
         assert len(children) == (2 if harness._cpu_count() > 1 else 0)  # the reader and the writer

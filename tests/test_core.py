@@ -1,6 +1,7 @@
 """Domain types and the two decision rules."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -332,6 +333,34 @@ class TestArrayIntake:
             stored = getattr(obj, name)
             assert np.array_equal(stored, before)
             assert not stored.flags.writeable
+
+    @pytest.mark.parametrize("scale", [1.0, 40.0], ids=["rows", "counts"])
+    def test_confusion_rows_are_a_new_read_only_array(self, scale):
+        # Rows that already sum to 1 are divided all the same: the quotient
+        # is what is stored, never the caller's array.
+        array = scale * np.array([[0.75, 0.25, 0.0], [0.25, 0.75, 0.0], [0.0, 0.5, 0.5]])
+        conf = ConfusionMatrix(make_catalog(3), array)
+        before = conf.rows.copy()
+        array[0] = array[2]  # raises if the matrix froze the caller's array
+        assert not np.shares_memory(conf.rows, array)
+        assert np.array_equal(conf.rows, before)
+        assert np.array_equal(before, np.array([[0.75, 0.25, 0.0], [0.25, 0.75, 0.0], [0.0, 0.5, 0.5]]))
+        assert not conf.rows.flags.writeable
+
+    def test_confusion_matrix_holds_its_rows_once(self):
+        # From a float64 array the only K x K array made is the normalized
+        # rows it keeps; the checks' boolean temporaries are an eighth each.
+        k = 500
+        catalog = make_catalog(k)
+        array = np.random.default_rng(0).random((k, k))
+        tracemalloc.start()
+        try:
+            conf = ConfusionMatrix(catalog, array)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert conf.k == k
+        assert peak < 1.25 * array.nbytes, f"peak {peak / array.nbytes:.2f} K x K arrays"
 
     @pytest.mark.parametrize("build, tol", [
         (ScoreRecord, SCORE_SUM_TOL),

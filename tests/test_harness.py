@@ -809,6 +809,26 @@ class TestWriteBehindProperties:
         assert_no_children()
         assert "Traceback" not in stderr[0] and "Exception ignored" not in stderr[0]
 
+    @pytest.mark.parametrize("stop, raised", [
+        (KeyboardInterrupt, KeyboardInterrupt),
+        (ValueError, harness.WorkerLost),
+    ], ids=["signal", "error"])
+    def test_a_signal_is_not_reported_as_a_lost_child(self, stop, raised):
+        # As when SIGTERM or Ctrl-C reaches the process group: the child dies
+        # too, and the block ends by the signal's exception, not by WorkerLost.
+        parent = os.getpid()
+
+        def write(item):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+
+        with tempfile.TemporaryFile("w") as out, mock.patch.object(harness, "_cpu_count", lambda: 2):
+            with pytest.raises(raised):
+                with harness.write_behind(out, write) as send:
+                    send(0)
+                    raise stop
+        assert_no_children()
+
     def test_no_descriptor_writes_in_process(self):
         out, forks = io.StringIO(), []
         with mock.patch.object(harness, "_cpu_count", lambda: 2), \

@@ -1,5 +1,6 @@
 """Linear solve, simplex projection, and the simplex least-squares solver."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -236,6 +237,40 @@ class TestProjectSimplex:
             x = project_simplex(np.array(y))
             assert np.all(x >= 0.0)
             assert abs(x.sum() - 1.0) <= 1e-12
+
+
+class TestGram:
+    @pytest.mark.parametrize("scale", [1e-200, 1.0, 1e150, 1e153, 1e160])
+    @pytest.mark.parametrize("k", [
+        1, solver._BOUND_BLOCK_ROWS - 1, solver._BOUND_BLOCK_ROWS, solver._BOUND_BLOCK_ROWS + 1,
+        2 * solver._BOUND_BLOCK_ROWS + 1, 1000,
+    ])
+    def test_bound_is_the_whole_row_sum_maximum(self, k, scale):
+        # Blocks of rows give the bound bit for bit, also where the sums
+        # overflow to inf (1e153) or G itself does, to inf and NaN (1e160).
+        h = scale * np.random.default_rng(k).standard_normal((k, k))
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = float(np.abs(h.T @ h).sum(axis=1).max())
+            bound = Gram.of(h).bound
+        assert bound == expected or (np.isnan(bound) and np.isnan(expected))
+
+    def test_empty_matrix_has_no_bound(self):
+        with pytest.raises(ValueError, match="zero-size array"):
+            Gram.of(np.zeros((0, 0)))
+
+    def test_holds_g_once(self):
+        # G is the one K x K array made; the bound's |G| is taken in blocks
+        # of rows, and H, here the rows of a confusion matrix, is not copied.
+        k = 500
+        h = random_confusion_rows(k, np.random.default_rng(3)).T
+        tracemalloc.start()
+        try:
+            gram = Gram.of(h)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.shares_memory(gram.h, h)
+        assert peak < 1.25 * h.nbytes, f"peak {peak / h.nbytes:.2f} K x K arrays"
 
 
 class TestSolveSimplexLsq:
