@@ -102,8 +102,9 @@ class TextInput:
     ``\\r\\n`` or a bare ``\\r``, and each line keeps its ending.  Bytes that
     are not UTF-8 raise :class:`ParseError` naming their line, counted at
     ``\\n`` bytes, once the lines before it have been handed out.
-    Iterating yields single lines; :meth:`block` hands out the rest of the
-    current block at once.  ``line_no`` counts the lines handed out so far.
+    Iterating yields single lines; :meth:`raw_block` hands out the rest of
+    the current block at once as bytes, which :meth:`lines` splits.
+    ``line_no`` counts the lines handed out so far.
     """
 
     def __init__(self, path: str):
@@ -125,46 +126,33 @@ class TextInput:
         return self
 
     def __next__(self) -> str:
-        if self._pos == len(self._lines) and not self._fill(_LINE_BLOCK_BYTES):
+        if self._pos == len(self._lines) and not self._fill():
             raise StopIteration
         line = self._lines[self._pos]
         self._pos += 1
         self.line_no += 1
         return line
 
-    def block(self, size: int) -> list[str]:
-        """The lines not yet handed out, reading a block of about ``size`` bytes if none are left.
-
-        An empty list means the input is exhausted.
-        """
-        if self._pos == len(self._lines):
-            self._fill(size)
-        block = self._lines[self._pos:] if self._pos else self._lines
-        self._lines, self._pos = [], 0
-        self.line_no += len(block)
-        return block
-
     def empty(self) -> bool:
         """Whether the input holds no bytes at all."""
-        return self._pos == len(self._lines) and not self._fill(_LINE_BLOCK_BYTES)
+        return self._pos == len(self._lines) and not self._fill()
 
     def first_line(self) -> Optional[str]:
         """The first line that is not blank, or None; nothing is handed out."""
         pos = self._pos
-        while pos < len(self._lines) or self._fill(_LINE_BLOCK_BYTES):
+        while pos < len(self._lines) or self._fill():
             if self._lines[pos].strip():
                 return self._lines[pos]
             pos += 1
         return None
 
-    def raw_block(self, size: int) -> bytes:
-        """The lines not yet handed out as UTF-8 bytes, reading a block of about ``size`` bytes if none are left.
+    def raw_block(self) -> bytes:
+        """The lines not yet handed out as UTF-8 bytes, reading a block of about ``_BLOCK_BYTES`` if none are left.
 
-        Like :meth:`block`, but the lines are handed out undecoded, and
-        ``line_no`` counts them as iterating would split them.  The bytes end
-        at ``\\n`` or at the end of the input; empty bytes mean the input is
-        exhausted.  Bytes that are not UTF-8 are handed out as they are:
-        :meth:`lines` finds them.
+        ``line_no`` counts the lines as iterating would split them.  The
+        bytes end at ``\\n`` or at the end of the input; empty bytes mean the
+        input is exhausted.  Bytes that are not UTF-8 are handed out as they
+        are: :meth:`lines` finds them.
         """
         if self._pos < len(self._lines):
             lines = self._lines[self._pos:]
@@ -172,7 +160,7 @@ class TextInput:
             self.line_no += len(lines)
             return "".join(lines).encode("utf-8")
         before = self._raw_lines
-        data = self._read(size)
+        data = self._read()
         self.line_no += self._raw_lines - before
         if b"\r" in data:
             # A bare \r ends a line too.  A block ends at \n or at the end of
@@ -202,24 +190,24 @@ class TextInput:
             text = data[:good].decode("utf-8")
         return io.StringIO(text, newline="").readlines()
 
-    def _read(self, size: int) -> bytes:
-        """The next block of about ``size`` bytes, extended to the next ``\\n``; empty at the end of the input."""
+    def _read(self) -> bytes:
+        """The next block of about ``_BLOCK_BYTES``, extended to the next ``\\n``; empty at the end of the input."""
         if self._error is not None:
             raise self._error
-        data = self._fp.read(size)
+        data = self._fp.read(_BLOCK_BYTES)
         if data and not data.endswith(b"\n"):
             data += self._fp.readline()
         # numpy counts a frequent byte many times faster than bytes.count.
         self._raw_lines += int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")))
         return data
 
-    def _fill(self, size: int) -> bool:
+    def _fill(self) -> bool:
         """Append the next block's lines to those not handed out; False at the end of the input.
 
         A block holding undecodable bytes gives the lines before the first
         bad one; the next call raises the error that names its line.
         """
-        data = self._read(size)
+        data = self._read()
         if not data:
             return False
         lines = self.lines(data)
@@ -230,12 +218,8 @@ class TextInput:
         return True
 
 
-#: Bytes per block of a CSV body.
-_CSV_BLOCK_BYTES = 1 << 16
-#: Bytes per block of a decision stream.
-_RAW_BLOCK_BYTES = 1 << 16
-#: Bytes per read of lines one at a time.
-_LINE_BLOCK_BYTES = 1 << 14
+#: Bytes per block read from a text input.
+_BLOCK_BYTES = 1 << 16
 #: Rows the csv rule gathers before it yields them as a block.
 _CSV_BLOCK_ROWS = 1024
 
@@ -269,8 +253,11 @@ def _csv_body(stream: TextInput, fast, parse, lenient: bool = False) -> Iterator
     goes to csv, because a quoted cell may hold a line break.
     """
     rows = partial(_csv_rows, parse=parse, path=stream.path, lenient=lenient)
-    while lines := stream.block(_CSV_BLOCK_BYTES):
-        first = stream.line_no - len(lines) + 1
+    while True:
+        first = stream.line_no + 1
+        lines = stream.lines(stream.raw_block())
+        if not lines:
+            return
         if any('"' in line for line in lines):
             yield from rows(itertools.chain(lines, stream), first)
             return
@@ -322,28 +309,21 @@ def _csv_rows(lines, first: int, parse, path: str, lenient: bool) -> Iterator:
         yield np.array(parsed)
 
 
-def _loadtxt(source, **options) -> Optional[np.ndarray]:
-    """``np.loadtxt`` into a 2-D array, or None for input it refuses or warns about.
+def _float_block(lines, k: int) -> Optional[np.ndarray]:
+    """Lines of ``k`` comma-separated numbers as an (n, k) array; None if ``loadtxt`` refuses one or warns.
 
-    It warns, for one, that a block of blank lines "contained no data".
+    ``loadtxt`` refuses, among others, empty cells and the spellings only
+    ``float`` accepts (``1_0``, non-ASCII digits), and warns that blank
+    lines "contained no data"; the csv rule then reads the lines and names
+    the line of a real error.
     """
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            return np.loadtxt(source, comments=None, ndmin=2, **options)
+            values = np.loadtxt(lines, dtype=np.float64, delimiter=",", comments=None, ndmin=2)
     except (ValueError, Warning):
         return None
-
-
-def _float_block(lines, k: int) -> Optional[np.ndarray]:
-    """Lines of ``k`` comma-separated numbers as an (n, k) array; None if ``loadtxt`` refuses one.
-
-    ``loadtxt`` refuses, among others, empty cells and the spellings only
-    ``float`` accepts (``1_0``, non-ASCII digits); the csv rule then reads
-    the lines and names the line of a real error.
-    """
-    values = _loadtxt(lines, dtype=np.float64, delimiter=",")
-    return values if values is not None and values.shape == (len(lines), k) else None
+    return values if values.shape == (len(lines), k) else None
 
 
 # ---------------------------------------------------------------------------
@@ -515,20 +495,21 @@ def read_decision_stream(stream: TextInput, k: int) -> Iterator[np.ndarray]:
     """Yield a decision stream's class indices, one int64 array per block of lines.
 
     ``stream`` is an open :class:`TextInput`, read in blocks of about
-    ``_RAW_BLOCK_BYTES``.  A block in the canonical spelling (see
-    :func:`_canonical_block`) is parsed from its bytes in one step.  Any
-    other block is decoded and parsed in one ``loadtxt`` call; a block it
-    refuses, or one holding an index outside [0, k), is read again line by
-    line with :func:`_decision`, which raises the :class:`ParseError`
+    ``_BLOCK_BYTES``.  A block in the canonical spelling (see
+    :func:`_canonical_block`), with ``\\n`` or ``\\r\\n`` line ends, is parsed
+    from its bytes in one step.  Any other block is decoded and read line
+    by line with :func:`_decision`, which raises the :class:`ParseError`
     naming the bad line.
     """
     width = len(str(k - 1))
     while True:
         first = stream.line_no + 1
-        data = stream.raw_block(_RAW_BLOCK_BYTES)
+        data = stream.raw_block()
         if not data:
             return
-        values = _canonical_block(data, k, width)
+        # The byte step names no line, so dropping the \r of each \r\n moves
+        # no line number; bytes.replace copies even a block with no \r.
+        values = _canonical_block(data.replace(b"\r\n", b"\n") if b"\r" in data else data, k, width)
         yield values if values is not None else _decision_block(stream.lines(data), k, stream.path, first)
 
 
@@ -564,9 +545,6 @@ def _canonical_block(data: bytes, k: int, width: int) -> Optional[np.ndarray]:
 
 
 def _decision_block(lines: list[str], k: int, path: str, line_no: int) -> np.ndarray:
-    values = _loadtxt(lines, dtype=np.int64)
-    if values is not None and values.shape[1] == 1 and values.min() >= 0 and values.max() < k:
-        return values[:, 0]
     decisions = (_decision(line, k, path, n) for n, line in enumerate(lines, start=line_no))
     return np.array([d for d in decisions if d is not None], dtype=np.int64)
 

@@ -599,6 +599,11 @@ def _send(fd: int, messages: Iterable) -> None:
         write_held(0)
 
 
+#: The signals that end a command, cleaning up, as SIGTERM does (see
+#: ``prioradapt.__main__.run``); SIGHUP is POSIX only.
+ENDING_SIGNALS = tuple(getattr(signal, name) for name in ("SIGTERM", "SIGINT", "SIGHUP") if hasattr(signal, name))
+
+
 def _fork(items: Iterable) -> Optional[tuple[int, int]]:
     """Iterate ``items`` in a forked child; return its pid and the read end of its pipe, or None.
 
@@ -608,9 +613,9 @@ def _fork(items: Iterable) -> Optional[tuple[int, int]]:
     allows) plus ``_AHEAD_BYTES`` of held messages.  A message that cannot
     be pickled ends the stream there, without its marker.  The child leaves
     through ``os._exit``, so it runs no exit handler and flushes no
-    inherited buffer; SIGTERM ends it at once, whatever handler the parent
-    runs.  None means no child could be started; ``items`` is
-    then untouched.
+    inherited buffer; SIGTERM, SIGINT and SIGHUP end it at once, whatever
+    handler the parent runs, unless the parent ignores them.  None means no
+    child could be started; ``items`` is then untouched.
 
     A bare fork, not ``multiprocessing``: importing that costs about a tenth
     of what the suite's workers save, and a spawned child would import
@@ -633,7 +638,9 @@ def _fork(items: Iterable) -> Optional[tuple[int, int]]:
         return pid, read_fd
     status = 1
     try:
-        signal.signal(signal.SIGTERM, signal.SIG_DFL)
+        for signum in ENDING_SIGNALS:
+            if signal.getsignal(signum) is not signal.SIG_IGN:
+                signal.signal(signum, signal.SIG_DFL)
         os.close(read_fd)
         _send(write_fd, _messages(items))
         status = 0

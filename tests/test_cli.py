@@ -1123,24 +1123,28 @@ class TestOutputFile:
                         found.add(int(entry))
         return found
 
-    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads child processes from /proc")
-    @pytest.mark.parametrize("entry", ENTRIES)
-    @pytest.mark.parametrize("group", [False, True], ids=["process", "group"])
-    def test_sigterm_leaves_no_temporary_file(self, tmp_path, entry, group):
-        # Live re-weighting every row takes seconds, in a reader, a solver
-        # and a writer process where two CPUs are free.  The signal goes to
-        # the command alone, or, as from `timeout`, to its process group.
+    def _interrupted(self, tmp_path, entry: str, group: bool, signum: int, ignored: bool = False, rows: int = 20_000):
+        """Start a live `reweight --output` over an earlier output, send ``signum`` mid-run and wait for the end.
+
+        Live re-weighting every row takes seconds, in a reader, a solver and
+        a writer process where two CPUs are free.  The signal goes to the
+        command alone, or, as from `timeout` or a hang-up, to its process
+        group.  With ``ignored``, the command starts with ``signum`` ignored,
+        as under `nohup`.  Returns the process, its stderr, the output path
+        and the children it had when the signal was sent.
+        """
         rng = np.random.default_rng(0)
         scores = tmp_path / "s.csv"
         with open(scores, "w", encoding="utf-8") as fp:
             fp.write("s_a,s_b,s_c\n")
-            np.savetxt(fp, rng.dirichlet(np.ones(3), 20_000), fmt="%.17g", delimiter=",")
+            np.savetxt(fp, rng.dirichlet(np.ones(3), rows), fmt="%.17g", delimiter=",")
         out = tmp_path / "out.csv"
         out.write_bytes(b"earlier output\n")
         argv = ["--output", str(out), "reweight", str(scores), "--confusion", data("fixture_confusion3.csv"),
                 "--reestimate-every", "1"]
         proc = subprocess.Popen(
-            [sys.executable, *ENTRIES[entry], *argv], env=src_env(), stderr=subprocess.PIPE, start_new_session=group
+            [sys.executable, *ENTRIES[entry], *argv], env=src_env(), stderr=subprocess.PIPE, start_new_session=group,
+            preexec_fn=(lambda: signal.signal(signum, signal.SIG_IGN)) if ignored else None,
         )
         try:
             deadline = time.monotonic() + 30
@@ -1150,19 +1154,46 @@ class TestOutputFile:
             time.sleep(0.3)  # past the writer's fork
             children = self._children(proc.pid)
             if group:
-                os.killpg(proc.pid, signal.SIGTERM)
+                os.killpg(proc.pid, signum)
             else:
-                proc.send_signal(signal.SIGTERM)
+                proc.send_signal(signum)
             _, err = proc.communicate(timeout=30)
         finally:
             proc.kill()
             proc.wait()
-        assert proc.returncode == -signal.SIGTERM, err
+        return proc, err, out, children
+
+    def _assert_ended_by(self, signum: int, tmp_path, entry: str, group: bool) -> None:
+        proc, err, out, children = self._interrupted(tmp_path, entry, group, signum)
+        assert proc.returncode == -signum, err
         assert err == b""  # a writer that died of the same signal is no error
         assert sorted(os.listdir(tmp_path)) == ["out.csv", "s.csv"]
         assert read_bytes(str(out)) == b"earlier output\n"
         assert len(children) == (2 if harness._cpu_count() > 1 else 0)  # the reader and the writer
         assert not [pid for pid in children if os.path.exists(f"/proc/{pid}")]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads child processes from /proc")
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("group", [False, True], ids=["process", "group"])
+    def test_sigterm_leaves_no_temporary_file(self, tmp_path, entry, group):
+        self._assert_ended_by(signal.SIGTERM, tmp_path, entry, group)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads child processes from /proc")
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("group", [False, True], ids=["process", "group"])
+    @pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGHUP], ids=["SIGINT", "SIGHUP"])
+    def test_sigint_and_sighup_end_it_as_sigterm_does(self, tmp_path, entry, group, signum):
+        # Ctrl-C prints no KeyboardInterrupt traceback; a hang-up leaves no .tmp.
+        self._assert_ended_by(signum, tmp_path, entry, group)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads child processes from /proc")
+    def test_ignored_sighup_lets_the_command_finish(self, tmp_path):
+        # Sent to the group, so the reader and the writer ignore it as well.
+        proc, err, out, _ = self._interrupted(tmp_path, "script", True, signal.SIGHUP, ignored=True, rows=2_000)
+        assert proc.returncode == 0, err
+        assert err == b""
+        assert sorted(os.listdir(tmp_path)) == ["out.csv", "s.csv"]
+        assert read_bytes(str(out)).count(b"\n") == 1 + 2_000
 
 
 _NUMPY_ALLOCATION_ERROR = (
@@ -1512,7 +1543,7 @@ from prioradapt import cli, fileio, harness
 from prioradapt.errors import PriorAdaptError
 
 plan = json.loads(sys.argv[1])
-fileio._CSV_BLOCK_BYTES = fileio._LINE_BLOCK_BYTES = plan["block_bytes"]
+fileio._BLOCK_BYTES = plan["block_bytes"]
 parent = os.getpid()
 if plan["fault"] == "reader":
     real_items = cli._score_items

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prioradapt import ClassCatalog, ConfusionMatrix, ParseError, PriorAdaptError, ScoreRecord
+from prioradapt import ClassCatalog, ConfusionMatrix, ParseError, PriorAdaptError, ScoreRecord, fileio
 from prioradapt.estimators import estimate_naive
 from prioradapt.core import DecisionHistogram
 from prioradapt.fileio import (
@@ -435,7 +435,11 @@ _DECISION_DEFECTS = [
 
 @st.composite
 def canonical_decisions(draw):
-    """``(k, bytes)``: 1 to 400 canonical index lines for 1 <= k <= 1200, with at most one defect planted."""
+    """``(k, bytes)``: 1 to 400 canonical index lines for 1 <= k <= 1200, with at most one defect planted.
+
+    The lines end in ``\\n``, or all in ``\\r\\n``; a planted ``\\r`` then
+    comes before the ``\\r\\n`` and stays a defect.
+    """
     k = draw(st.integers(1, 1200))
     width = len(str(k - 1))
     # Indices of every width up to k's, each about as often.
@@ -463,7 +467,8 @@ def canonical_decisions(draw):
         lines[-1] = lines[-1][:-1]
     elif defect == "bad utf-8":
         lines[at] = draw(st.sampled_from(_BAD_BYTES)) + lines[at]
-    return k, b"".join(lines)
+    data = b"".join(lines)
+    return k, data.replace(b"\n", b"\r\n") if draw(st.booleans()) else data
 
 
 #: Block sizes in bytes: a line per block, a few lines, and the default.
@@ -526,6 +531,20 @@ class TestBlockReadersMatchLineReaders:
         with small_blocks(block_bytes):
             got = outcome(blocks, content)
         assert got == outcome(lines, content)
+
+    def test_canonical_crlf_takes_the_byte_step(self, tmp_path, monkeypatch):
+        def line_rule(*args):
+            raise AssertionError("a canonical CRLF block went to the line rule")
+
+        monkeypatch.setattr(fileio, "_decision_block", line_rule)
+        values = np.random.default_rng(4).integers(0, 200, 50_000)
+        path = tmp_path / "d.txt"
+        path.write_bytes("".join(f"{v}\r\n" for v in values).encode())
+        with TextInput(str(path)) as stream:
+            assert stream_kind(stream) == "decisions"  # peeks the first block, as estimate does
+            blocks = list(read_decision_stream(stream, 200))
+        assert len(blocks) > 1
+        assert np.concatenate(blocks).tolist() == values.tolist()
 
     def test_decision_stream_across_blocks(self, tmp_path):
         rng = np.random.default_rng(3)
