@@ -106,6 +106,7 @@ from .harness import (
     estimator,
     evaluate_suite,
     read_ahead,
+    read_scenario_json,
     run_drift_scenario,
     simulate_stream,
     write_behind,
@@ -422,7 +423,7 @@ def cmd_reweight(args) -> int:
 def cmd_simulate(args) -> int:
     if args.output is None:
         raise ValidationError("simulate requires --output PREFIX for its two files")
-    spec, clf = fileio.read_scenario_json(args.scenario, seed_override=args.seed)
+    spec, clf = read_scenario_json(args.scenario, seed_override=args.seed)
     if clf is None:
         raise ValidationError("scenario JSON needs a classifier section to simulate")
 
@@ -430,11 +431,10 @@ def cmd_simulate(args) -> int:
     truth_path = args.output + ".truth.csv"
     labels = spec.catalog.labels
 
-    segments = [(0, spec.true_priors)] + [(d.start, d.priors) for d in (spec.drift or ())]
     with _open_output(scores_path) as scores_fp, _open_output(truth_path) as truth_fp:
         scores_fp.write(",".join(f"s_{l}" for l in labels) + "\n")
         truth_fp.write("# true priors per segment; each segment begins at the named row index\n")
-        for seg_no, (start, priors) in enumerate(segments):
+        for seg_no, (start, priors) in enumerate(spec.segments):
             nonzero = {labels[i]: float(p) for i, p in enumerate(priors) if p > 0.0}
             truth_fp.write(f"# segment {seg_no} from row {start}: {json.dumps(nonzero)}\n")
         truth_fp.write("index,label,segment\n")
@@ -549,7 +549,7 @@ def render_json(rows: list[EvaluationRow]) -> str:
 def cmd_evaluate(args) -> int:
     spec = None
     if args.scenario is not None:
-        spec, clf = fileio.read_scenario_json(args.scenario, seed_override=args.seed)
+        spec, clf = read_scenario_json(args.scenario, seed_override=args.seed)
         if clf is None:
             raise ValidationError("scenario JSON needs a classifier section to evaluate")
     if spec is not None and spec.drift:

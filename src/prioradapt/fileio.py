@@ -11,8 +11,6 @@ JSON relies on Python's shortest-round-trip float repr.
 * decision stream — one class index per line.
 * priors JSON — keyed by method, then by class label, with per-method
   diagnostics alongside.
-* scenario JSON — a deployment context plus the synthetic classifier to
-  drive it.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ import io
 import itertools
 import json
 import math
-import os
 import sys
 import warnings
 from functools import partial
@@ -41,13 +38,6 @@ from .core import (
     probability_vector,
 )
 from .errors import ParseError, PriorAdaptError, ValidationError
-from .harness import (
-    DEFAULT_SHARPNESS,
-    DriftSegment,
-    ScenarioSpec,
-    SyntheticClassifier,
-    diagonal_confusion_rows,
-)
 
 
 def format_float(x: float) -> str:
@@ -73,11 +63,6 @@ def _is_number(value) -> bool:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         return False
     return isinstance(value, float) or abs(value) <= sys.float_info.max
-
-
-def _is_seed(value) -> bool:
-    """A JSON integer that ``np.random.default_rng`` accepts."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
 def read_json(path: str):
@@ -678,166 +663,3 @@ def read_priors_json(
     if not mass > 0.0:
         raise ParseError("priors JSON has no positive mass", path=path)
     return values, tag
-
-
-# ---------------------------------------------------------------------------
-# scenario JSON
-# ---------------------------------------------------------------------------
-
-def _require(doc: dict, key: str, kind, where: str, path: str):
-    if key not in doc:
-        raise ParseError(f"{where}.{key} is required", path=path)
-    value = doc[key]
-    if kind is int and isinstance(value, bool):
-        raise ParseError(f"{where}.{key} must be an integer", path=path)
-    if not isinstance(value, kind):
-        raise ParseError(f"{where}.{key} must be of type {kind.__name__}", path=path)
-    return value
-
-
-def _priors_from_mapping(
-    mapping, catalog: ClassCatalog, where: str, path: str
-) -> np.ndarray:
-    if not isinstance(mapping, dict):
-        raise ParseError(f"{where} must map class labels to probabilities", path=path)
-    priors = np.zeros(catalog.k)
-    for label, value in mapping.items():
-        if label not in catalog.labels:
-            raise ParseError(f"{where}: unknown class {label!r}", path=path)
-        if not _is_number(value):
-            raise ParseError(f"{where}.{label} must be a number", path=path)
-        priors[catalog.index_of(label)] = float(value)
-    return priors
-
-
-def read_scenario_json(
-    path: str,
-    seed_override: Optional[int] = None,
-) -> tuple[ScenarioSpec, Optional[SyntheticClassifier]]:
-    """Parse a scenario file; validation failures name the offending field."""
-    doc = read_json(path)
-    if not isinstance(doc, dict):
-        raise ParseError("scenario JSON must be an object", path=path)
-
-    labels = _require(doc, "labels", list, "scenario", path)
-    if not all(isinstance(l, str) for l in labels):
-        raise ParseError("scenario.labels must be strings", path=path)
-    try:
-        catalog = ClassCatalog(tuple(labels))
-    except PriorAdaptError as exc:
-        raise ParseError(f"scenario.labels: {exc}", path=path) from exc
-
-    active_labels = _require(doc, "active_classes", list, "scenario", path)
-    active = []
-    for label in active_labels:
-        if label not in catalog.labels:
-            raise ParseError(f"scenario.active_classes: unknown class {label!r}", path=path)
-        active.append(catalog.index_of(label))
-
-    priors = _priors_from_mapping(
-        _require(doc, "true_priors", dict, "scenario", path),
-        catalog, "scenario.true_priors", path,
-    )
-
-    drift = None
-    if "drift" in doc and doc["drift"] is not None:
-        if not isinstance(doc["drift"], list):
-            raise ParseError("scenario.drift must be a list", path=path)
-        segments = []
-        for i, entry in enumerate(doc["drift"]):
-            where = f"scenario.drift[{i}]"
-            if not isinstance(entry, dict):
-                raise ParseError(f"{where} must be an object", path=path)
-            start = _require(entry, "start", int, where, path)
-            seg_priors = _priors_from_mapping(
-                _require(entry, "priors", dict, where, path),
-                catalog, f"{where}.priors", path,
-            )
-            try:
-                segments.append(DriftSegment(start=start, priors=seg_priors))
-            except PriorAdaptError as exc:
-                raise ParseError(f"{where}: {exc}", path=path) from exc
-        drift = tuple(segments)
-
-    seed = doc.get("seed", 0)
-    if not _is_seed(seed):
-        raise ParseError("scenario.seed must be a non-negative integer", path=path)
-    if seed_override is not None:
-        seed = seed_override
-    sharpness = _sharpness(doc.get("sharpness", DEFAULT_SHARPNESS), "scenario", path)
-    transfer_size = _require(doc, "transfer_size", int, "scenario", path)
-    test_size = _require(doc, "test_size", int, "scenario", path)
-    try:
-        spec = ScenarioSpec(
-            catalog=catalog,
-            active_classes=tuple(active),
-            true_priors=priors,
-            transfer_size=transfer_size,
-            test_size=test_size,
-            drift=drift,
-            seed=int(seed),
-            name=str(doc.get("name", os.path.splitext(os.path.basename(path))[0])),
-        )
-    except PriorAdaptError as exc:
-        raise ParseError(f"scenario: {exc}", path=path) from exc
-
-    classifier = None
-    if "classifier" in doc and doc["classifier"] is not None:
-        classifier = _build_classifier(doc["classifier"], catalog, sharpness, path)
-    return spec, classifier
-
-
-def _sharpness(value, where: str, path: str) -> float:
-    if not _is_number(value) or not 0 < value < math.inf:
-        raise ParseError(f"{where}.sharpness must be a positive finite number", path=path)
-    return float(value)
-
-
-def _build_classifier(
-    section, catalog: ClassCatalog, default_sharpness: float, path: str
-) -> SyntheticClassifier:
-    """The synthetic classifier; its sharpness defaults to the scenario's."""
-    where = "scenario.classifier"
-    if not isinstance(section, dict):
-        raise ParseError(f"{where} must be an object", path=path)
-    sharpness = _sharpness(section.get("sharpness", default_sharpness), where, path)
-    if "confusion_csv" in section:
-        csv_path = section["confusion_csv"]
-        if not isinstance(csv_path, str):
-            raise ParseError(f"{where}.confusion_csv must be a path", path=path)
-        if not os.path.isabs(csv_path):
-            csv_path = os.path.join(os.path.dirname(os.path.abspath(path)), csv_path)
-        conf = read_confusion_csv(csv_path)
-        if conf.catalog != catalog:
-            raise ParseError(
-                f"{where}.confusion_csv labels do not match scenario.labels", path=path
-            )
-        return SyntheticClassifier(conf, sharpness=sharpness)
-    if "diagonal" in section:
-        diagonal = section["diagonal"]
-        conf_seed = section.get("confusion_seed", 0)
-        if not _is_seed(conf_seed):
-            raise ParseError(f"{where}.confusion_seed must be a non-negative integer", path=path)
-        rng = np.random.default_rng(conf_seed)
-        if _is_number(diagonal):
-            diag = np.full(catalog.k, float(diagonal))
-        elif (
-            isinstance(diagonal, list) and len(diagonal) == catalog.k
-            and all(_is_number(d) for d in diagonal)
-        ):
-            diag = np.array([float(d) for d in diagonal])
-        else:
-            raise ParseError(
-                f"{where}.diagonal must be a number or a list of {catalog.k} numbers",
-                path=path,
-            )
-        if np.any(diag <= 0.0) or np.any(diag > 1.0):
-            raise ParseError(f"{where}.diagonal entries must lie in (0, 1]", path=path)
-        rows = diagonal_confusion_rows(diag, rng)
-        try:
-            return SyntheticClassifier(ConfusionMatrix(catalog, rows), sharpness=sharpness)
-        except PriorAdaptError as exc:
-            raise ParseError(f"{where}: {exc}", path=path) from exc
-    raise ParseError(
-        f"{where} needs either confusion_csv or diagonal", path=path
-    )

@@ -13,6 +13,9 @@ intended decision, so its long-run decision frequencies match the
 confusion row by construction.  The adaptation gain under skewed priors
 does not depend on where the scores come from, which is what makes this
 a faithful small-scale reproduction.
+
+A scenario JSON, read by :func:`read_scenario_json`, holds a deployment
+context plus the synthetic classifier to drive it.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
+from . import fileio
 from .core import (
     METHODS,
     PRIOR_SUM_TOL,
@@ -43,7 +47,7 @@ from .core import (
     probability_vector,
     uniform_estimate,
 )
-from .errors import PriorAdaptError, ValidationError, describe
+from .errors import ParseError, PriorAdaptError, ValidationError, describe
 from .estimators import (
     estimate_ground_truth,
     estimate_matrix_inverse,
@@ -52,6 +56,7 @@ from .estimators import (
     estimate_qp,
     precision_recall,
 )
+from .fileio import _is_number, read_json
 from .monitor import StreamMonitor
 
 DEFAULT_SHARPNESS = 25.0
@@ -127,6 +132,11 @@ class ScenarioSpec:
                     raise ValidationError("drift priors must match the catalog size")
             object.__setattr__(self, "drift", segments)
 
+    @property
+    def segments(self) -> list[tuple[int, np.ndarray]]:
+        """``(start, priors)`` of each prior segment in stream order; segment 0 starts at 0 with ``true_priors``."""
+        return [(0, self.true_priors), *((seg.start, seg.priors) for seg in self.drift or ())]
+
 
 @dataclass(frozen=True)
 class SyntheticClassifier:
@@ -136,8 +146,8 @@ class SyntheticClassifier:
     sharpness: float = DEFAULT_SHARPNESS
 
     def __post_init__(self):
-        if not self.sharpness > 0.0:
-            raise ValidationError("sharpness must be > 0")
+        if not 0.0 < self.sharpness < np.inf:
+            raise ValidationError("sharpness must be a positive finite number")
 
     @property
     def catalog(self) -> ClassCatalog:
@@ -150,6 +160,170 @@ class SyntheticClassifier:
         cdf /= cdf[:, -1:]
         cdf.setflags(write=False)
         return cdf
+
+
+def _is_seed(value) -> bool:
+    """A JSON integer that ``np.random.default_rng`` accepts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _require(doc: dict, key: str, kind, where: str, path: str):
+    if key not in doc:
+        raise ParseError(f"{where}.{key} is required", path=path)
+    value = doc[key]
+    if kind is int and isinstance(value, bool):
+        raise ParseError(f"{where}.{key} must be an integer", path=path)
+    if not isinstance(value, kind):
+        raise ParseError(f"{where}.{key} must be of type {kind.__name__}", path=path)
+    return value
+
+
+def _priors_from_mapping(
+    mapping, catalog: ClassCatalog, where: str, path: str
+) -> np.ndarray:
+    if not isinstance(mapping, dict):
+        raise ParseError(f"{where} must map class labels to probabilities", path=path)
+    priors = np.zeros(catalog.k)
+    for label, value in mapping.items():
+        if label not in catalog.labels:
+            raise ParseError(f"{where}: unknown class {label!r}", path=path)
+        if not _is_number(value):
+            raise ParseError(f"{where}.{label} must be a number", path=path)
+        priors[catalog.index_of(label)] = float(value)
+    return priors
+
+
+def read_scenario_json(
+    path: str,
+    seed_override: Optional[int] = None,
+) -> tuple[ScenarioSpec, Optional[SyntheticClassifier]]:
+    """Parse a scenario file; validation failures name the offending field."""
+    doc = read_json(path)
+    if not isinstance(doc, dict):
+        raise ParseError("scenario JSON must be an object", path=path)
+
+    labels = _require(doc, "labels", list, "scenario", path)
+    if not all(isinstance(l, str) for l in labels):
+        raise ParseError("scenario.labels must be strings", path=path)
+    try:
+        catalog = ClassCatalog(tuple(labels))
+    except PriorAdaptError as exc:
+        raise ParseError(f"scenario.labels: {exc}", path=path) from exc
+
+    active_labels = _require(doc, "active_classes", list, "scenario", path)
+    active = []
+    for label in active_labels:
+        if label not in catalog.labels:
+            raise ParseError(f"scenario.active_classes: unknown class {label!r}", path=path)
+        active.append(catalog.index_of(label))
+
+    priors = _priors_from_mapping(
+        _require(doc, "true_priors", dict, "scenario", path),
+        catalog, "scenario.true_priors", path,
+    )
+
+    drift = None
+    if "drift" in doc and doc["drift"] is not None:
+        if not isinstance(doc["drift"], list):
+            raise ParseError("scenario.drift must be a list", path=path)
+        segments = []
+        for i, entry in enumerate(doc["drift"]):
+            where = f"scenario.drift[{i}]"
+            if not isinstance(entry, dict):
+                raise ParseError(f"{where} must be an object", path=path)
+            start = _require(entry, "start", int, where, path)
+            seg_priors = _priors_from_mapping(
+                _require(entry, "priors", dict, where, path),
+                catalog, f"{where}.priors", path,
+            )
+            try:
+                segments.append(DriftSegment(start=start, priors=seg_priors))
+            except PriorAdaptError as exc:
+                raise ParseError(f"{where}: {exc}", path=path) from exc
+        drift = tuple(segments)
+
+    seed = doc.get("seed", 0)
+    if not _is_seed(seed):
+        raise ParseError("scenario.seed must be a non-negative integer", path=path)
+    if seed_override is not None:
+        seed = seed_override
+    sharpness = _sharpness(doc.get("sharpness", DEFAULT_SHARPNESS), "scenario", path)
+    transfer_size = _require(doc, "transfer_size", int, "scenario", path)
+    test_size = _require(doc, "test_size", int, "scenario", path)
+    try:
+        spec = ScenarioSpec(
+            catalog=catalog,
+            active_classes=tuple(active),
+            true_priors=priors,
+            transfer_size=transfer_size,
+            test_size=test_size,
+            drift=drift,
+            seed=int(seed),
+            name=str(doc.get("name", os.path.splitext(os.path.basename(path))[0])),
+        )
+    except PriorAdaptError as exc:
+        raise ParseError(f"scenario: {exc}", path=path) from exc
+
+    classifier = None
+    if "classifier" in doc and doc["classifier"] is not None:
+        classifier = _build_classifier(doc["classifier"], catalog, sharpness, path)
+    return spec, classifier
+
+
+def _sharpness(value, where: str, path: str) -> float:
+    if not _is_number(value) or not 0 < value < np.inf:
+        raise ParseError(f"{where}.sharpness must be a positive finite number", path=path)
+    return float(value)
+
+
+def _build_classifier(
+    section, catalog: ClassCatalog, default_sharpness: float, path: str
+) -> SyntheticClassifier:
+    """The synthetic classifier; its sharpness defaults to the scenario's."""
+    where = "scenario.classifier"
+    if not isinstance(section, dict):
+        raise ParseError(f"{where} must be an object", path=path)
+    sharpness = _sharpness(section.get("sharpness", default_sharpness), where, path)
+    if "confusion_csv" in section:
+        csv_path = section["confusion_csv"]
+        if not isinstance(csv_path, str):
+            raise ParseError(f"{where}.confusion_csv must be a path", path=path)
+        if not os.path.isabs(csv_path):
+            csv_path = os.path.join(os.path.dirname(os.path.abspath(path)), csv_path)
+        conf = fileio.read_confusion_csv(csv_path)  # through the module: bench/traced.py wraps it there
+        if conf.catalog != catalog:
+            raise ParseError(
+                f"{where}.confusion_csv labels do not match scenario.labels", path=path
+            )
+        return SyntheticClassifier(conf, sharpness=sharpness)
+    if "diagonal" in section:
+        diagonal = section["diagonal"]
+        conf_seed = section.get("confusion_seed", 0)
+        if not _is_seed(conf_seed):
+            raise ParseError(f"{where}.confusion_seed must be a non-negative integer", path=path)
+        rng = np.random.default_rng(conf_seed)
+        if _is_number(diagonal):
+            diag = np.full(catalog.k, float(diagonal))
+        elif (
+            isinstance(diagonal, list) and len(diagonal) == catalog.k
+            and all(_is_number(d) for d in diagonal)
+        ):
+            diag = np.array([float(d) for d in diagonal])
+        else:
+            raise ParseError(
+                f"{where}.diagonal must be a number or a list of {catalog.k} numbers",
+                path=path,
+            )
+        if np.any(diag <= 0.0) or np.any(diag > 1.0):
+            raise ParseError(f"{where}.diagonal entries must lie in (0, 1]", path=path)
+        rows = diagonal_confusion_rows(diag, rng)
+        try:
+            return SyntheticClassifier(ConfusionMatrix(catalog, rows), sharpness=sharpness)
+        except PriorAdaptError as exc:
+            raise ParseError(f"{where}: {exc}", path=path) from exc
+    raise ParseError(
+        f"{where} needs either confusion_csv or diagonal", path=path
+    )
 
 
 @dataclass(frozen=True)
@@ -861,7 +1035,7 @@ def simulate_stream(
     """
     if rng is None:
         rng = np.random.default_rng(spec.seed)
-    segments = [(0, spec.true_priors), *((seg.start, seg.priors) for seg in spec.drift or ())]
+    segments = spec.segments
     ends = [start for start, _ in segments[1:]] + [spec.transfer_size + spec.test_size]
     for segment, ((start, priors), end) in enumerate(zip(segments, ends)):
         cdf = priors.cumsum()

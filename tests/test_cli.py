@@ -214,6 +214,16 @@ class TestEstimate:
         doc = json.loads(capsys.readouterr().out)
         assert "error" in doc["methods"]["matrix_inverse"]
 
+    def test_scores_classes_differ_from_confusion_exit_2(self, tmp_path, capsys):
+        conf = tmp_path / "c.csv"
+        conf.write_text("a,b\n1,0\n0,1\n", encoding="utf-8")
+        scores = tmp_path / "s.csv"
+        scores.write_text("s_a,s_c\n0.9,0.1\n", encoding="utf-8")
+        assert main(["estimate", str(conf), str(scores)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: scores CSV classes do not match the confusion matrix classes\n"
+        )
+
     def test_header_only_scores_name_the_file(self, tmp_path, capsys):
         (tmp_path / "c.csv").write_text("a,b\n0.8,0.2\n0.3,0.7\n", encoding="utf-8")
         scores = tmp_path / "h.csv"
@@ -946,7 +956,7 @@ class TestLiveReweightMatchesDriftReplay:
             doc["drift"][0]["start"] = transfer
             scenario = tmp_path / "scenario.json"
             scenario.write_text(json.dumps(doc), encoding="utf-8")
-        spec, clf = fileio.read_scenario_json(str(scenario))
+        spec, clf = harness.read_scenario_json(str(scenario))
         rows = run_drift_scenario(spec, clf, window=window, reestimate_every=every)
         # The replay's confusion matrix and stream, from the same seeds.
         stream_ss, h_ss = np.random.SeedSequence(spec.seed).spawn(2)
@@ -1929,6 +1939,16 @@ class TestEntryPoint:
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         )
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+    def test_fileio_loads_no_simulation(self):
+        script = (
+            "import sys\n"
+            "import prioradapt.fileio\n"
+            "print([m for m in ('harness', 'estimators', 'monitor') if f'prioradapt.{m}' in sys.modules])\n"
+        )
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=src_env())
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
 

@@ -26,12 +26,12 @@ from prioradapt.fileio import (
     read_confusion_csv,
     read_decision_stream,
     read_priors_json,
-    read_scenario_json,
     read_score_records,
     stream_kind,
     write_confusion_csv,
     write_json,
 )
+from prioradapt.harness import read_scenario_json
 
 from conftest import make_catalog, random_confusion, small_blocks
 

@@ -38,8 +38,7 @@ from prioradapt import (
 from prioradapt import harness
 from prioradapt.core import METHODS
 from prioradapt.errors import ConvergenceError
-from prioradapt.fileio import read_scenario_json
-from prioradapt.harness import _fold_partitions, _mixture_counts
+from prioradapt.harness import _fold_partitions, _mixture_counts, read_scenario_json
 
 from conftest import make_catalog, random_confusion_rows
 
@@ -95,6 +94,12 @@ class TestGenerateRecord:
         soft = np.mean([generate_record(clf_soft, 0, rng1).scores[0] for _ in range(300)])
         sharp = np.mean([generate_record(clf_sharp, 0, rng2).scores[0] for _ in range(300)])
         assert sharp > soft
+
+    @pytest.mark.parametrize("sharpness", [0.0, -1.0, float("inf"), float("nan")])
+    def test_sharpness_must_be_positive_and_finite(self, sharpness):
+        # An infinite boost would normalize every score row to nan.
+        with pytest.raises(ValidationError, match="sharpness must be a positive finite number"):
+            make_classifier(np.eye(3), sharpness=sharpness)
 
     def test_bad_class_index(self):
         clf = make_classifier(np.eye(3))
