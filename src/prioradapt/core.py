@@ -11,9 +11,10 @@ constant, and the rules take the :class:`PriorEstimate` itself.
 
 This module holds the immutable value types the rest of the package is
 built on, plus the two decision rules.  The adapted rule and the
-re-weighting also have batch forms, :func:`decide_adapted_batch` and
-:func:`reweight_batch`, which handle every row of an (N, K) score array in
-one array operation.
+re-weighting are written once, as kernels over every row of an (N, K)
+score array (:func:`decide_adapted_batch` and :func:`reweight_batch`);
+:func:`decide_adapted`, :func:`reweight` and :func:`reweight_normalized`
+are one-row calls of them.
 
 All types are frozen dataclasses wrapping read-only numpy arrays; every
 operation is a pure function, so everything here is safe to share across
@@ -297,7 +298,7 @@ def decide_baseline(record: ScoreRecord) -> int:
 
 
 def reweight(record: ScoreRecord, priors: PriorEstimate) -> np.ndarray:
-    """Per-class product of estimated prior and score.
+    """Per-class product of estimated prior and score, as one row of :func:`reweight_batch`.
 
     The result is deliberately not renormalized: the evidence term shared
     by all classes cannot change the argmax, and keeping raw products makes
@@ -306,43 +307,32 @@ def reweight(record: ScoreRecord, priors: PriorEstimate) -> np.ndarray:
     """
     if record.k != priors.k:
         raise DimensionError(f"record has {record.k} scores, expected {priors.k}")
-    return priors.values * record.scores
+    return _products(record.scores[np.newaxis], priors)[0]
 
 
 def reweight_normalized(record: ScoreRecord, priors: PriorEstimate) -> np.ndarray:
     """Re-weighted products scaled to sum to 1 when their sum is positive.
 
     When every product is zero the raw zero vector is returned unchanged;
-    there is no meaningful normalization in that case.
+    there is no meaningful normalization in that case.  This is one row of
+    :func:`reweight_batch`'s normalized products.
     """
-    products = reweight(record, priors)
-    total = products.sum()
-    if total > 0.0:
-        return products / total
-    return products
+    return _normalized(reweight(record, priors)[np.newaxis])[0]
 
 
-def decide_adapted(
-    record: ScoreRecord,
-    priors: PriorEstimate,
-    return_fallback: bool = False,
-):
-    """Prior-aware decision rule: argmax of prior times score.
+def decide_adapted(record: ScoreRecord, priors: PriorEstimate, return_fallback: bool = False):
+    """Prior-aware decision rule: argmax of prior times score, as one row of :func:`decide_adapted_batch`.
 
     Ties break toward the lowest class index.  If every product is zero
     (the rule is undefined there) the baseline decision is used instead;
     pass ``return_fallback=True`` to also receive a flag telling whether
     that fallback fired.
     """
-    products = reweight(record, priors)
-    fell_back = not np.any(products > 0.0)
-    if fell_back:
-        decision = decide_baseline(record)
-    else:
-        decision = int(np.argmax(products))
+    products = reweight(record, priors)[np.newaxis]
+    decisions, fell_back = _adapted_decisions(record.scores[np.newaxis], products)
     if return_fallback:
-        return decision, fell_back
-    return decision
+        return int(decisions[0]), bool(fell_back[0])
+    return int(decisions[0])
 
 
 def _products(scores: np.ndarray, priors: PriorEstimate) -> np.ndarray:
@@ -351,33 +341,37 @@ def _products(scores: np.ndarray, priors: PriorEstimate) -> np.ndarray:
     return scores * priors.values
 
 
-def _adapted_decisions(scores: np.ndarray, products: np.ndarray) -> np.ndarray:
+def _normalized(products: np.ndarray) -> np.ndarray:
+    """Each row of ``products`` divided by its sum where that sum is positive, else as it is."""
+    totals = products.sum(axis=1, keepdims=True)
+    return np.divide(products, totals, out=products.copy(), where=totals > 0.0)
+
+
+def _adapted_decisions(scores: np.ndarray, products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's argmax of ``products``, or of ``scores`` where no product is positive; and where it fell back."""
     decisions = products.argmax(axis=1)
-    fell_back = ~np.any(products > 0.0, axis=1)
-    decisions[fell_back] = scores[fell_back].argmax(axis=1)
-    return decisions
+    fell_back = ~(products > 0.0).any(axis=1)
+    if fell_back.any():
+        decisions[fell_back] = scores[fell_back].argmax(axis=1)
+    return decisions, fell_back
 
 
 def decide_adapted_batch(scores: np.ndarray, priors: PriorEstimate) -> np.ndarray:
-    """:func:`decide_adapted` applied to each row of an (N, K) score array.
+    """The adapted rule applied to each row of an (N, K) score array.
 
-    The rule is the same row by row: argmax of prior times score, ties to
-    the lowest class index, and the row's baseline argmax where every
-    product is zero.  Rows are not validated; pass scores that
-    :func:`check_probability_rows` accepts.
+    The rule is argmax of prior times score, ties to the lowest class
+    index, and the row's baseline argmax where every product is zero.
+    Rows are not validated; pass scores that :func:`check_probability_rows`
+    accepts.
     """
-    return _adapted_decisions(scores, _products(scores, priors))
+    return _adapted_decisions(scores, _products(scores, priors))[0]
 
 
-def reweight_batch(
-    scores: np.ndarray, priors: PriorEstimate
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def reweight_batch(scores: np.ndarray, priors: PriorEstimate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The adapted decisions, raw products and normalized products of (N, K) scores.
 
     Row by row these are :func:`decide_adapted`, :func:`reweight` and
     :func:`reweight_normalized`, from one product per entry.
     """
     products = _products(scores, priors)
-    totals = products.sum(axis=1, keepdims=True)
-    normalized = np.divide(products, totals, out=products.copy(), where=totals > 0.0)
-    return _adapted_decisions(scores, products), products, normalized
+    return _adapted_decisions(scores, products)[0], products, _normalized(products)

@@ -111,7 +111,7 @@ class TextInput:
         return self
 
     def __next__(self) -> str:
-        if self._pos == len(self._lines) and not self._fill():
+        if self._pos == len(self._lines) and not self._fill(_BLOCK_BYTES):
             raise StopIteration
         line = self._lines[self._pos]
         self._pos += 1
@@ -119,13 +119,13 @@ class TextInput:
         return line
 
     def empty(self) -> bool:
-        """Whether the input holds no bytes at all."""
-        return self._pos == len(self._lines) and not self._fill()
+        """Whether the input holds no bytes at all; at most one line is read to tell."""
+        return self._pos == len(self._lines) and not self._fill(0)
 
     def first_line(self) -> Optional[str]:
-        """The first line that is not blank, or None; nothing is handed out."""
+        """The first line that is not blank, or None, read a line at a time; nothing is handed out."""
         pos = self._pos
-        while pos < len(self._lines) or self._fill():
+        while pos < len(self._lines) or self._fill(0):
             if self._lines[pos].strip():
                 return self._lines[pos]
             pos += 1
@@ -145,7 +145,7 @@ class TextInput:
             self.line_no += len(lines)
             return "".join(lines).encode("utf-8")
         before = self._raw_lines
-        data = self._read()
+        data = self._read(_BLOCK_BYTES)
         self.line_no += self._raw_lines - before
         if b"\r" in data:
             # A bare \r ends a line too.  A block ends at \n or at the end of
@@ -175,24 +175,24 @@ class TextInput:
             text = data[:good].decode("utf-8")
         return io.StringIO(text, newline="").readlines()
 
-    def _read(self) -> bytes:
-        """The next block of about ``_BLOCK_BYTES``, extended to the next ``\\n``; empty at the end of the input."""
+    def _read(self, size: int) -> bytes:
+        """The next ``size`` bytes, or one line if it is 0, extended to the next ``\\n``; empty at the end."""
         if self._error is not None:
             raise self._error
-        data = self._fp.read(_BLOCK_BYTES)
+        data = self._fp.read(size) if size else self._fp.readline()
         if data and not data.endswith(b"\n"):
             data += self._fp.readline()
         # numpy counts a frequent byte many times faster than bytes.count.
         self._raw_lines += int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")))
         return data
 
-    def _fill(self) -> bool:
-        """Append the next block's lines to those not handed out; False at the end of the input.
+    def _fill(self, size: int) -> bool:
+        """Append the lines of ``_read(size)`` to those not handed out; False at the end of the input.
 
-        A block holding undecodable bytes gives the lines before the first
-        bad one; the next call raises the error that names its line.
+        Bytes holding undecodable ones give the lines before the first bad
+        one; the next call raises the error that names its line.
         """
-        data = self._read()
+        data = self._read(size)
         if not data:
             return False
         lines = self.lines(data)

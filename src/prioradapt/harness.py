@@ -449,6 +449,7 @@ def estimator(conf: ConfusionMatrix) -> Callable[[str, DecisionHistogram], Prior
     """Return ``estimate(method, hist) -> PriorEstimate`` for the four data-driven methods.
 
     The precision/recall table is read off ``conf`` once, not per estimate.
+    Any other method name raises :class:`ValidationError`.
     """
     table = precision_recall(conf)
 
@@ -459,7 +460,9 @@ def estimator(conf: ConfusionMatrix) -> Callable[[str, DecisionHistogram], Prior
             return estimate_precision_recall(hist, table)
         if method == "matrix_inverse":
             return estimate_matrix_inverse(conf, hist)
-        return estimate_qp(conf, hist)
+        if method == "quadratic_program":
+            return estimate_qp(conf, hist)
+        raise ValidationError(f"unknown estimation method {method!r}")
 
     return estimate
 

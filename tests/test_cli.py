@@ -1197,6 +1197,43 @@ class TestOutputFile:
         self._assert_ended_by(signum, tmp_path, entry, group)
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads child processes from /proc")
+    @pytest.mark.parametrize("entry, group, signum", [
+        ("module", False, signal.SIGTERM),
+        ("script", True, signal.SIGTERM),
+        ("script", True, signal.SIGINT),
+        ("script", True, signal.SIGHUP),
+    ], ids=["module-process-SIGTERM", "script-group-SIGTERM", "script-group-SIGINT", "script-group-SIGHUP"])
+    def test_evaluate_ends_by_the_signal_while_its_workers_run(self, tmp_path, entry, group, signum):
+        # The built-in suite forks a worker per further CPU; the signal is
+        # sent once one is listed, long before the 150 folds are done.
+        if harness._cpu_count() < 2:
+            pytest.skip("the suite forks no worker on one CPU")
+        out = tmp_path / "out.md"
+        out.write_bytes(b"earlier output\n")
+        argv = ["--output", str(out), "evaluate", "--folds", "150"]
+        proc = subprocess.Popen(
+            [sys.executable, *ENTRIES[entry], *argv], env=src_env(), stderr=subprocess.PIPE, start_new_session=group,
+        )
+        try:
+            deadline = time.monotonic() + 30
+            while not (children := self._children(proc.pid)):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            if group:
+                os.killpg(proc.pid, signum)
+            else:
+                proc.send_signal(signum)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            proc.kill()
+            proc.wait()
+        assert proc.returncode == -signum, err
+        assert err == b""
+        assert os.listdir(tmp_path) == ["out.md"]
+        assert read_bytes(str(out)) == b"earlier output\n"
+        assert not [pid for pid in children if os.path.exists(f"/proc/{pid}")]
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads child processes from /proc")
     def test_ignored_sighup_lets_the_command_finish(self, tmp_path):
         # Sent to the group, so the reader and the writer ignore it as well.
         proc, err, out, _ = self._interrupted(tmp_path, "script", True, signal.SIGHUP, ignored=True, rows=2_000)

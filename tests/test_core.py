@@ -171,6 +171,36 @@ def _priors(values) -> PriorEstimate:
     return PriorEstimate(np.asarray(values, dtype=float), method="ground_truth")
 
 
+# The adapted rule and the re-weighting written row by row, apart from the
+# batch kernels that the scalar names call: the reference the kernels are
+# compared with.
+
+def reference_reweight(record: ScoreRecord, priors: PriorEstimate) -> np.ndarray:
+    if record.k != priors.k:
+        raise DimensionError(f"record has {record.k} scores, expected {priors.k}")
+    return priors.values * record.scores
+
+
+def reference_reweight_normalized(record: ScoreRecord, priors: PriorEstimate) -> np.ndarray:
+    products = reference_reweight(record, priors)
+    total = products.sum()
+    if total > 0.0:
+        return products / total
+    return products
+
+
+def reference_decide_adapted(record: ScoreRecord, priors: PriorEstimate, return_fallback: bool = False):
+    products = reference_reweight(record, priors)
+    fell_back = not np.any(products > 0.0)
+    if fell_back:
+        decision = decide_baseline(record)
+    else:
+        decision = int(np.argmax(products))
+    if return_fallback:
+        return decision, fell_back
+    return decision
+
+
 class TestReweight:
     def test_elementwise_product(self):
         out = reweight(ScoreRecord((0.4, 0.35, 0.25)), _priors((0.1, 0.6, 0.3)))
@@ -296,7 +326,7 @@ class TestDecideAdaptedBatch:
     def test_matches_scalar_rule_row_by_row(self, batch):
         scores, values = batch
         priors = _priors(values)
-        expected = [decide_adapted(ScoreRecord(row), priors) for row in scores]
+        expected = [reference_decide_adapted(ScoreRecord(row), priors) for row in scores]
         assert decide_adapted_batch(scores, priors).tolist() == expected
 
     def test_rejects_wrong_width(self):
@@ -407,16 +437,51 @@ class TestReweightBatch:
         priors = _priors(values)
         records = [ScoreRecord(row) for row in scores]  # every row is a valid score vector
         decisions, products, normalized = reweight_batch(scores, priors)
-        assert decisions.tolist() == [decide_adapted(r, priors) for r in records]
-        assert products.tobytes() == np.stack([reweight(r, priors) for r in records]).tobytes()
+        assert decisions.tolist() == [reference_decide_adapted(r, priors) for r in records]
+        assert products.tobytes() == np.stack([reference_reweight(r, priors) for r in records]).tobytes()
         assert normalized.tobytes() == np.stack(
-            [reweight_normalized(r, priors) for r in records]
+            [reference_reweight_normalized(r, priors) for r in records]
         ).tobytes()
         assert np.array_equal(decide_adapted_batch(scores, priors), decisions)
 
     def test_rejects_wrong_width(self):
         with pytest.raises(DimensionError):
             reweight_batch(np.full((2, 2), 0.5), _priors((0.2, 0.3, 0.5)))
+
+
+@st.composite
+def _wide_record(draw):
+    """A score vector and priors of up to 300 classes, some priors zero, so row sums take numpy's pairwise steps."""
+    k = draw(st.integers(2, 300))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.dirichlet(np.ones(k))
+    values[rng.random(k) < draw(st.sampled_from([0.0, 0.5, 1.0]))] = 0.0
+    if not values.any():
+        values[rng.integers(k)] = 1.0
+    return ScoreRecord(rng.dirichlet(np.ones(k))), _priors(values / values.sum())
+
+
+class TestScalarNamesAreOneRowCalls:
+    @given(drawn=st.one_of(_wide_record(), _edge_batch().map(
+        lambda batch: (ScoreRecord(batch[0][0]), _priors(batch[1]))
+    )))
+    @example(drawn=(ScoreRecord((1.0, 0.0, 0.0)), _priors((0.0, 0.5, 0.5))))
+    @settings(max_examples=300, deadline=None)
+    def test_match_the_row_by_row_reference(self, drawn):
+        record, priors = drawn
+        got = decide_adapted(record, priors, return_fallback=True)
+        assert got == reference_decide_adapted(record, priors, return_fallback=True)
+        assert [type(v) for v in got] == [int, bool]
+        assert type(decide_adapted(record, priors)) is int
+        assert reweight(record, priors).tobytes() == reference_reweight(record, priors).tobytes()
+        normalized = reweight_normalized(record, priors)
+        assert normalized.shape == (record.k,)
+        assert normalized.tobytes() == reference_reweight_normalized(record, priors).tobytes()
+
+    @pytest.mark.parametrize("rule", [reweight, reweight_normalized, decide_adapted])
+    def test_wrong_width_names_the_record(self, rule):
+        with pytest.raises(DimensionError, match=r"^record has 2 scores, expected 3$"):
+            rule(ScoreRecord((0.5, 0.5)), _priors((0.2, 0.3, 0.5)))
 
 
 _ENTRIES = st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 0.5 + 1e-6, -0.25, 1.5, 1e308, np.nan, np.inf])

@@ -269,6 +269,29 @@ class TestDecisionStream:
         with TextInput(empty) as stream, pytest.raises(ParseError):
             stream_kind(stream)
 
+    @pytest.mark.parametrize("peek, decoded", [
+        (stream_kind, [b"\n", b" \n", b"7\n"]),
+        (TextInput.empty, [b"\n"]),
+    ], ids=["stream_kind", "empty"])
+    def test_a_peek_decodes_only_the_lines_it_needs(self, tmp_path, monkeypatch, peek, decoded):
+        # Not the first block: 50 000 lines are about 200 KiB.
+        values = [7, *np.random.default_rng(6).integers(0, 200, 50_000).tolist()]
+        path = write(tmp_path, "d.txt", "\n \n" + "".join(f"{v}\n" for v in values))
+        seen = []
+        lines = TextInput.lines
+
+        def spy(stream, data):
+            seen.append(data)
+            return lines(stream, data)
+
+        monkeypatch.setattr(TextInput, "lines", spy)
+        with TextInput(path) as stream:
+            peek(stream)
+            assert seen == decoded
+            blocks = list(read_decision_stream(stream, 200))
+        assert len(blocks) > 2
+        assert np.concatenate(blocks).tolist() == values
+
 
 # Line-at-a-time readers, kept as the references for the block readers.
 

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from prioradapt import (
     ClassCatalog,
     ConfusionMatrix,
+    DecisionHistogram,
     DriftSegment,
     IllConditionedError,
     ScenarioSpec,
@@ -1020,3 +1021,17 @@ def test_convergence_failure_names_its_best_iterate(monkeypatch):
     monkeypatch.setattr(harness, "cross_validate", lambda *args, **kwargs: capped(None, None))
     conf = estimate_confusion(clf, 10, np.random.default_rng(0))
     assert {r.error for r in harness._cross_validate_all([spec], clf, 2, conf)} == {text}
+
+
+def test_estimator_names_each_method_and_refuses_any_other(monkeypatch):
+    conf = ConfusionMatrix(make_catalog(3), np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
+    hist = DecisionHistogram(np.array([30, 20, 10]))
+    estimate = harness.estimator(conf)
+    for method in (m.name for m in METHODS if m.flag is not None):
+        assert estimate(method, hist).method == method
+    # Resolved through harness at call time, so a patched estimator is the one called.
+    monkeypatch.setattr(harness, "estimate_qp", lambda conf, hist: "patched")
+    assert estimate("quadratic_program", hist) == "patched"
+    for typo in ("matrix-inverse", "qp", "", "ground_truth"):
+        with pytest.raises(ValidationError, match=rf"^unknown estimation method {typo!r}$"):
+            estimate(typo, hist)
