@@ -99,6 +99,7 @@ from .estimators import (
     precision_recall,
 )
 from .harness import (
+    DEFAULT_FOLDS,
     EvaluationRow,
     adapt,
     cross_validate,
@@ -121,8 +122,6 @@ EXIT_IO = 4
 _SOLVER_ERRORS = (ConvergenceError, IllConditionedError, SingularMatrixError)
 
 _METHOD_BY_FLAG = {m.flag: m.name for m in METHODS if m.flag is not None}
-
-DEFAULT_FOLDS = 10
 
 
 def _add_global_options(parser: argparse.ArgumentParser, for_subcommand: bool) -> None:
@@ -342,9 +341,8 @@ def cmd_estimate(args) -> int:
 
 
 def _reweight_header(catalog) -> str:
-    raw = ",".join(f"raw_{l}" for l in catalog.labels)
-    norm = ",".join(f"norm_{l}" for l in catalog.labels)
-    return f"baseline,adapted,{raw},{norm}\n"
+    columns = [f"{kind}_{l}" for kind in ("raw", "norm") for l in catalog.labels]
+    return fileio.csv_line(["baseline", "adapted", *columns])
 
 
 def _reweight_rows(scores, priors) -> str:
@@ -432,16 +430,17 @@ def cmd_simulate(args) -> int:
     labels = spec.catalog.labels
 
     with _open_output(scores_path) as scores_fp, _open_output(truth_path) as truth_fp:
-        scores_fp.write(",".join(f"s_{l}" for l in labels) + "\n")
+        scores_fp.write(fileio.csv_line(f"s_{l}" for l in labels))
         truth_fp.write("# true priors per segment; each segment begins at the named row index\n")
         for seg_no, (start, priors) in enumerate(spec.segments):
             nonzero = {labels[i]: float(p) for i, p in enumerate(priors) if p > 0.0}
             truth_fp.write(f"# segment {seg_no} from row {start}: {json.dumps(nonzero)}\n")
         truth_fp.write("index,label,segment\n")
+        label_cells = [fileio.csv_cell(l) for l in labels]
         index = 0
         for scores, truth, segment in simulate_stream(spec, clf):
             scores_fp.write(fileio.format_rows(scores))
-            truth_fp.write("".join(f"{i},{labels[t]},{segment}\n" for i, t in enumerate(truth, index)))
+            truth_fp.write("".join(f"{i},{label_cells[t]},{segment}\n" for i, t in enumerate(truth, index)))
             index += len(truth)
     _note(args, f"wrote {scores_path} and {truth_path}")
     return EXIT_OK
@@ -477,12 +476,18 @@ def _cell(row: EvaluationRow) -> str:
     return text
 
 
+def _markdown_cell(text: str) -> str:
+    """``text`` as one table cell: each pipe escaped, each line break a ``<br>``."""
+    return text.replace("|", r"\|").replace("\r\n", "\n").replace("\r", "\n").replace("\n", "<br>")
+
+
 def render_markdown(rows: list[EvaluationRow]) -> str:
     scenarios = _scenario_order(rows)
     best = _best_by_scenario(rows)
     by = {(r.scenario, r.method): r for r in rows}
     methods = [m for m in METHODS if any((s, m.name) in by for s in scenarios)]
-    lines = ["| Method | " + " | ".join(scenarios) + " |", "| --- |" + " --- |" * len(scenarios)]
+    header = " | ".join(map(_markdown_cell, scenarios))
+    lines = [f"| Method | {header} |", "| --- |" + " --- |" * len(scenarios)]
     for method in methods:
         cells = []
         for scenario in scenarios:
@@ -500,13 +505,6 @@ def render_markdown(rows: list[EvaluationRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _csv_cell(text: str) -> str:
-    """Quote a cell holding a comma, a quote or a line break, bare ``\\r`` included."""
-    if any(c in text for c in ',"\n\r'):
-        return '"' + text.replace('"', '""') + '"'
-    return text
-
-
 def render_csv(rows: list[EvaluationRow]) -> str:
     best = _best_by_scenario(rows)
     lines = ["scenario,method,accuracy_mean,accuracy_std,folds,prior_l1_error,best,error\n"]
@@ -521,7 +519,7 @@ def render_csv(rows: list[EvaluationRow]) -> str:
             "1" if best.get(r.scenario) == r.method else "0",
             r.error or "",
         ]
-        lines.append(",".join(_csv_cell(c) for c in cells) + "\n")
+        lines.append(fileio.csv_line(cells))
     return "".join(lines)
 
 

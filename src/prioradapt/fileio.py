@@ -58,6 +58,18 @@ def format_rows(rows: np.ndarray) -> str:
     return (line * n) % tuple(rows[:, live].ravel().tolist())
 
 
+def csv_cell(text: str) -> str:
+    """Quote a cell holding a comma, a quote or a line break, bare ``\\r`` included."""
+    if any(c in text for c in ',"\n\r'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def csv_line(cells) -> str:
+    """The cells as one CSV line, each through :func:`csv_cell`, ending in ``\\n``."""
+    return ",".join(map(csv_cell, cells)) + "\n"
+
+
 def _is_number(value) -> bool:
     """Whether a parsed JSON value is a number that fits a float (bools are not)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -346,7 +358,7 @@ def _confusion_row(row: list[str], line_no: int, k: int, path: str) -> list[floa
 
 
 def write_confusion_csv(conf: ConfusionMatrix, fp: IO[str]) -> None:
-    fp.write(",".join(conf.catalog.labels) + "\n")
+    fp.write(csv_line(conf.catalog.labels))
     fp.write(format_rows(conf.rows))
 
 

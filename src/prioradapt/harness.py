@@ -61,6 +61,7 @@ from .monitor import StreamMonitor
 
 DEFAULT_SHARPNESS = 25.0
 DEFAULT_H_SAMPLES_PER_CLASS = 50
+DEFAULT_FOLDS = 10
 
 
 @dataclass(frozen=True)
@@ -579,7 +580,7 @@ def _fold_partitions(
 def cross_validate(
     spec: ScenarioSpec,
     clf: SyntheticClassifier,
-    folds: int = 10,
+    folds: int = DEFAULT_FOLDS,
     confusion: Optional[ConfusionMatrix] = None,
 ) -> list[EvaluationRow]:
     """K-fold evaluation over a fixed sample pool.
@@ -975,7 +976,7 @@ def _has_descriptor(out: IO) -> bool:
 
 def evaluate_suite(
     suite: Suite,
-    folds: int = 10,
+    folds: int = DEFAULT_FOLDS,
 ) -> list[EvaluationRow]:
     """Cross-validate every scenario of a suite against its shared classifier.
 

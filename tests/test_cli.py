@@ -99,6 +99,17 @@ class TestNormalize:
         assert code == 0
         assert read_bytes(once) == read_bytes(twice)
 
+    def test_idempotent_on_quoted_labels(self, tmp_path):
+        raw = tmp_path / "raw.csv"
+        raw.write_text('"a,b","c""d"\n1,2\n3,4\n', encoding="utf-8")
+        code, once = run(["normalize", str(raw)], tmp_path, "once")
+        assert code == 0
+        code, twice = run(["normalize", once], tmp_path, "twice")
+        assert code == 0
+        assert read_bytes(once) == read_bytes(twice)
+        with open(once, encoding="utf-8", newline="") as fp:
+            assert next(csv.reader(fp)) == ["a,b", 'c"d']
+
     def test_zero_row_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("a,b\n1,0\n0,0\n", encoding="utf-8")
@@ -1014,6 +1025,35 @@ class TestSimulate:
         rows = [l for l in truth.splitlines() if l and not l.startswith("#")][1:]
         assert all(row.split(",")[1] == "a" for row in rows)
 
+    def test_quoted_labels_round_trip_through_reweight(self, tmp_path, capsys):
+        labels = ["a,b", 'c"d', "e"]
+        doc = {
+            "labels": labels,
+            "active_classes": labels[:2],
+            "true_priors": {labels[0]: 0.5, labels[1]: 0.5},
+            "transfer_size": 10,
+            "test_size": 10,
+            "seed": 1,
+            "classifier": {"diagonal": 0.8, "confusion_seed": 2},
+        }
+        scen = tmp_path / "scen.json"
+        scen.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["--quiet", "--output", str(tmp_path / "sim"), "simulate", str(scen)]) == 0
+        with open(tmp_path / "sim.truth.csv", encoding="utf-8", newline="") as fp:
+            rows = list(csv.reader(line for line in fp if not line.startswith("#")))
+        assert rows[0] == ["index", "label", "segment"]
+        assert len(rows) == 21 and all(len(row) == 3 and row[1] in labels for row in rows[1:])
+        priors = tmp_path / "priors.json"
+        priors.write_text(json.dumps(dict(zip(labels, (0.4, 0.4, 0.2)))), encoding="utf-8")
+        conf = tmp_path / "conf.csv"
+        conf.write_text('"a,b","c""d",e\n8,1,1\n1,8,1\n1,1,8\n', encoding="utf-8")
+        header = ["baseline", "adapted", *(f"{kind}_{l}" for kind in ("raw", "norm") for l in labels)]
+        for source in (["--priors", str(priors)], ["--confusion", str(conf), "--reestimate-every", "4"]):
+            assert main(["reweight", str(tmp_path / "sim.scores.csv"), *source]) == 0
+            out = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+            assert out[0] == header
+            assert len(out) == 21 and all(len(row) == 2 * len(labels) + 2 for row in out)
+
     def test_drift_boundary_marked(self, tmp_path):
         code = main(["--quiet", "--output", str(tmp_path / "sim"), "simulate", data("fixture_scenario.json")])
         assert code == 0
@@ -1269,6 +1309,29 @@ class TestEvaluate:
         for row in out["rows"]:
             assert row["accuracy_mean"] == 1.0
 
+    @pytest.mark.parametrize("name, file_name", [
+        ("north|south\r\nand\reast\nwest", "scen.json"), (None, "north|south.json"),
+    ], ids=["name", "file-name"])
+    def test_markdown_escapes_the_scenario_name(self, tmp_path, capsys, name, file_name):
+        doc = {
+            "labels": ["a", "b"],
+            "active_classes": ["a", "b"],
+            "true_priors": {"a": 0.5, "b": 0.5},
+            "transfer_size": 10,
+            "test_size": 10,
+            "seed": 5,
+            "classifier": {"diagonal": 0.8, "confusion_seed": 2},
+        }
+        if name is not None:
+            doc["name"] = name
+        scen = tmp_path / file_name
+        scen.write_text(json.dumps(doc), encoding="utf-8")
+        assert main(["evaluate", str(scen), "--folds", "2"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "| Method | north\\|south" + ("<br>and<br>east<br>west" if name else "") + " |"
+        assert len(lines) == 8  # header, separator and six methods
+        assert {len(re.split(r"(?<!\\)\|", line)) for line in lines} == {4}
+
     def test_rejects_single_fold(self, tmp_path):
         assert main(["evaluate", data("fixture_scenario.json"), "--folds", "1"]) == 2
 
@@ -1486,20 +1549,31 @@ def test_each_failure_has_one_exit_code_and_message(monkeypatch, capsys, exc, co
     assert capsys.readouterr() == ("", err)
 
 
-@pytest.mark.parametrize("command", [
-    ["estimate", data("fixture_confusion3.csv"), data("fixture_decisions.txt")],
-    ["reweight", data("fixture_scores.csv"), "--confusion", data("fixture_confusion3.csv"),
-     "--reestimate-every", "2"],
-    ["evaluate", data("fixture_scenario.json")],
-], ids=["estimate", "reweight", "evaluate"])
-def test_window_past_int64_exits_2(command):
-    # In a child process, so that the stderr of a forked reader is caught too.
+@pytest.mark.parametrize("command, golden", [
+    (["estimate", data("fixture_confusion3.csv"), data("fixture_decisions.txt"), "--method", "all"],
+     "golden_estimate.json"),
+    (["reweight", data("fixture_scores.csv"), "--confusion", data("fixture_confusion3.csv"),
+      "--reestimate-every", "2"], "golden_reweight_live.csv"),
+], ids=["estimate", "reweight"])
+def test_window_past_int64_counts_every_decision(command, golden):
+    # In a child process, so that a forked reader runs too.  The goldens are
+    # made with no window; a window past the stream must count as none does.
     proc = subprocess.run(
         [sys.executable, "-m", "prioradapt", *command, "--window", str(2**63)],
         capture_output=True, env=src_env(), timeout=60,
     )
-    assert (proc.returncode, proc.stdout) == (2, b"")
-    assert proc.stderr.decode() == f"error: window length must be <= 2**63 - 1, got {2**63}\n"
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == read_bytes(data(golden))
+
+
+def test_drift_window_past_int64_is_the_whole_stream(capsys):
+    # The fixture's stream is 20 records long; a shorter window changes the rows.
+    def rows(window):
+        argv = ["--format", "json", "evaluate", data("fixture_scenario.json"), "--reestimate-every", "2"]
+        assert main([*argv, "--window", str(window)]) == 0
+        return capsys.readouterr().out
+
+    assert rows(2**63) == rows(20) != rows(3)
 
 
 class TestClosedStreams:

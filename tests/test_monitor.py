@@ -1,5 +1,7 @@
 """Decision stream accumulation, windowed and cumulative."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -70,14 +72,46 @@ class TestIngest:
         with pytest.raises(ValidationError):
             StreamMonitor(make_catalog(2), window=0)
 
-    def test_window_past_int64_is_refused(self):
-        # Ring slots are numbered in int64, so the longest window is 2**63 - 1.
-        with pytest.raises(ValidationError, match=r"^window length must be <= 2\*\*63 - 1, got 9223372036854775808$"):
-            StreamMonitor(make_catalog(3), window=2**63)
-        monitor = StreamMonitor(make_catalog(3), window=2**63 - 1)
-        monitor.ingest_many([0, 1, 1])
-        monitor.ingest(2)
-        assert np.array_equal(monitor.snapshot().counts, [1, 2, 1])
+    @pytest.mark.parametrize("window", [2**63, 10**30])
+    def test_window_past_int64_counts_like_no_window(self, window):
+        # No decision is numbered in int64, so a window past 2**63 - 1 is
+        # only a window longer than the stream.
+        rng = np.random.default_rng(0)
+        windowed = StreamMonitor(make_catalog(3), window=window)
+        unbounded = StreamMonitor(make_catalog(3))
+        for size in (0, 5, 1, 40):
+            batch = rng.integers(0, 3, size)
+            windowed.ingest_many(batch)
+            unbounded.ingest_many(batch)
+        windowed.ingest(2)
+        unbounded.ingest(2)
+        assert windowed.decisions_seen == unbounded.decisions_seen == 47
+        assert np.array_equal(windowed.snapshot().counts, unbounded.snapshot().counts)
+
+    @pytest.mark.parametrize("window, expected", [(3, [0, 0, 3]), (4, [1, 0, 3])])
+    def test_held_batch_is_a_copy(self, window, expected):
+        # The caller rewrites its array after the ingest.  Evicting from a
+        # view of it would subtract decisions that were never counted.
+        monitor = StreamMonitor(make_catalog(3), window=window)
+        a = np.zeros(3, dtype=np.int64)
+        monitor.ingest_many(a)
+        a[:] = 1
+        monitor.ingest_many(np.full(3, 2, dtype=np.int64))
+        assert np.array_equal(monitor.snapshot().counts, expected)
+
+    def test_holds_at_most_the_window(self):
+        # A view of the batch's tail would keep the whole 8 MB batch alive.
+        monitor = StreamMonitor(make_catalog(3), window=1000)
+        tracemalloc.start()
+        try:
+            batch = np.zeros(1_000_000, dtype=np.int64)
+            monitor.ingest_many(batch)
+            del batch
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 100_000
+        assert monitor.snapshot().total == 1000
 
 
 class TestSnapshot:
@@ -153,8 +187,8 @@ class TestStreamProperties:
 
     @pytest.mark.parametrize("window", [1, 2, 3, 7, 20])
     def test_batches_across_the_wrap_point(self, window):
-        # Batches shorter than, as long as and longer than the window start
-        # at every slot, so writes and evictions cross the ring's end.
+        # Batches shorter than, as long as and longer than the window, so
+        # evictions take whole held batches, parts of one, and several at once.
         rng = np.random.default_rng(window)
         monitor = StreamMonitor(make_catalog(4), window=window)
         decisions = []
