@@ -423,7 +423,7 @@ def cmd_simulate(args) -> int:
         raise ValidationError("simulate requires --output PREFIX for its two files")
     spec, clf = read_scenario_json(args.scenario, seed_override=args.seed)
     if clf is None:
-        raise ValidationError("scenario JSON needs a classifier section to simulate")
+        raise ParseError("scenario JSON needs a classifier section to simulate", path=args.scenario)
 
     scores_path = args.output + ".scores.csv"
     truth_path = args.output + ".truth.csv"
@@ -549,7 +549,7 @@ def cmd_evaluate(args) -> int:
     if args.scenario is not None:
         spec, clf = read_scenario_json(args.scenario, seed_override=args.seed)
         if clf is None:
-            raise ValidationError("scenario JSON needs a classifier section to evaluate")
+            raise ParseError("scenario JSON needs a classifier section to evaluate", path=args.scenario)
     if spec is not None and spec.drift:
         if args.folds is not None:
             raise ValidationError("--folds applies only to cross-validation, not to drift scenarios")

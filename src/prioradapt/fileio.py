@@ -529,15 +529,22 @@ def _canonical_block(data: bytes, k: int, width: int) -> Optional[np.ndarray]:
     sizes -= 1
     if sizes.min() < 1 or sizes.max() > width:
         return None
-    # Right-aligned: the j-th digit from each line's end is worth 10**j.
-    values = digits[ends - 1].astype(np.int64)
-    for j in range(1, width):
-        # A line of j digits or fewer has no j-th digit; "clip" keeps the
-        # first line's index in range.
-        place = digits.take(ends - 1 - j, mode="clip").astype(np.int64)
-        place *= sizes > j
-        place *= 10**j
-        values += place
+    sizes = sizes.astype(np.uint8)  # 1 to width; the intp array is freed
+    # Horner's rule over the j-th digit from each line's end, j = width - 1
+    # down to 0.  A line of j digits or fewer has no j-th digit and adds 0;
+    # "clip" keeps the first line's positions in range.  The positions move
+    # in place and the digit buffer is reused, so a block allocates only a
+    # few arrays of its line count.
+    at = ends
+    at -= width
+    values = np.zeros(len(at), np.int64)
+    digit = np.empty(len(at), np.uint8)
+    for j in range(width - 1, -1, -1):
+        digits.take(at, mode="clip", out=digit)
+        digit *= sizes > j
+        values *= 10
+        values += digit
+        at += 1
     return values if values.max() < k else None
 
 
@@ -572,8 +579,8 @@ def _decision(line: str, k: int, path: str, line_no: int) -> Optional[int]:
 def priors_document(
     catalog: ClassCatalog,
     estimates: dict[str, PriorEstimate],
-    failures: Optional[dict[str, str]] = None,
-    total_decisions: Optional[int] = None,
+    failures: dict[str, str],
+    total_decisions: int,
 ) -> dict:
     methods: dict[str, dict] = {}
     for name, estimate in estimates.items():
@@ -588,12 +595,9 @@ def priors_document(
                 "clipped_mass": d.clipped_mass,
             },
         }
-    for name, message in (failures or {}).items():
+    for name, message in failures.items():
         methods[name] = {"error": message}
-    doc = {"labels": list(catalog.labels), "methods": methods}
-    if total_decisions is not None:
-        doc["total_decisions"] = total_decisions
-    return doc
+    return {"labels": list(catalog.labels), "methods": methods, "total_decisions": total_decisions}
 
 
 def write_json(doc: dict, fp: IO[str]) -> None:

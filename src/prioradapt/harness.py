@@ -180,10 +180,8 @@ def _require(doc: dict, key: str, kind, where: str, path: str):
 
 
 def _priors_from_mapping(
-    mapping, catalog: ClassCatalog, where: str, path: str
+    mapping: dict, catalog: ClassCatalog, where: str, path: str
 ) -> np.ndarray:
-    if not isinstance(mapping, dict):
-        raise ParseError(f"{where} must map class labels to probabilities", path=path)
     priors = np.zeros(catalog.k)
     for label, value in mapping.items():
         if label not in catalog.labels:
@@ -317,11 +315,9 @@ def _build_classifier(
             )
         if np.any(diag <= 0.0) or np.any(diag > 1.0):
             raise ParseError(f"{where}.diagonal entries must lie in (0, 1]", path=path)
+        # Rows with a diagonal in (0, 1] are finite, nonnegative and never all zero.
         rows = diagonal_confusion_rows(diag, rng)
-        try:
-            return SyntheticClassifier(ConfusionMatrix(catalog, rows), sharpness=sharpness)
-        except PriorAdaptError as exc:
-            raise ParseError(f"{where}: {exc}", path=path) from exc
+        return SyntheticClassifier(ConfusionMatrix(catalog, rows), sharpness=sharpness)
     raise ParseError(
         f"{where} needs either confusion_csv or diagonal", path=path
     )
@@ -629,41 +625,35 @@ def diagonal_confusion_rows(diagonal: np.ndarray, rng: np.random.Generator) -> n
     return rows
 
 
-def default_suite(
-    seed: int = 20240,
-    catalog_size: int = 36,
-    n_scenarios: int = 12,
-    active_per_scenario: int = 3,
-) -> Suite:
+def default_suite(seed: int = 20240) -> Suite:
     """The default comparison suite: one classifier, twelve disjoint contexts.
 
-    A ``catalog_size``-class synthetic classifier with per-class diagonal
-    accuracy drawn uniformly from [0.65, 0.85] and the default sharpness
-    (``DEFAULT_SHARPNESS``) is shared by all scenarios; each scenario
-    activates a disjoint block of classes with a uniform mixture over
-    them, and has 20 transfer and 30 test records per active class.
+    A 36-class synthetic classifier with per-class diagonal accuracy drawn
+    uniformly from [0.65, 0.85] and the default sharpness
+    (``DEFAULT_SHARPNESS``) is shared by all scenarios.  The twelve
+    contexts each activate a disjoint block of three classes with a
+    uniform mixture over them, and have 20 transfer and 30 test records
+    per active class.
     """
-    if active_per_scenario * n_scenarios > catalog_size:
-        raise ValidationError("not enough catalog classes for disjoint scenario blocks")
-    catalog = ClassCatalog(tuple(f"c{i:02d}" for i in range(catalog_size)))
+    catalog = ClassCatalog(tuple(f"c{i:02d}" for i in range(36)))
     rng = np.random.default_rng(seed)
-    rows = diagonal_confusion_rows(rng.uniform(0.65, 0.85, catalog_size), rng)
+    rows = diagonal_confusion_rows(rng.uniform(0.65, 0.85, 36), rng)
     clf = SyntheticClassifier(ConfusionMatrix(catalog, rows))
 
-    scenario_seeds = rng.integers(0, 2**31 - 1, size=n_scenarios)
+    scenario_seeds = rng.integers(0, 2**31 - 1, size=12)
     h_seed = int(rng.integers(0, 2**31 - 1))
     scenarios = []
-    for s in range(n_scenarios):
-        active = tuple(range(s * active_per_scenario, (s + 1) * active_per_scenario))
-        priors = np.zeros(catalog_size)
-        priors[list(active)] = 1.0 / active_per_scenario
+    for s in range(12):
+        active = (3 * s, 3 * s + 1, 3 * s + 2)
+        priors = np.zeros(36)
+        priors[list(active)] = 1.0 / 3
         scenarios.append(
             ScenarioSpec(
                 catalog=catalog,
                 active_classes=active,
                 true_priors=priors,
-                transfer_size=20 * active_per_scenario,
-                test_size=30 * active_per_scenario,
+                transfer_size=60,
+                test_size=90,
                 seed=int(scenario_seeds[s]),
                 name=f"context-{s:02d}",
             )

@@ -322,3 +322,12 @@ def test_criterion_10_cli_golden_files(tmp_path):
                 assert fp.read() == _golden(f"golden_simulate.{suffix}.csv")
 
         assert run("eval.md", ["evaluate", "--folds", "10"]) == _golden("golden_evaluate.md")
+        # The drift replay; with these settings segment 1's QP row (0.5)
+        # differs from its baseline (0.625).
+        assert run(
+            "drift.csv",
+            [
+                "--format", "csv", "evaluate", fixture("fixture_scenario.json"),
+                "--window", "6", "--reestimate-every", "2",
+            ],
+        ) == _golden("golden_evaluate_drift.csv")

@@ -1504,6 +1504,47 @@ _SCENARIO = {
 }
 
 
+#: ``(patch, message)``: ``_SCENARIO`` updated by ``patch`` (a list replaces it) is
+#: refused with ``error: PATH: message``; ``{command}`` stands for the command run.
+_MALFORMED_SCENARIOS = [
+    ([1], "scenario JSON must be an object"),
+    ({"transfer_size": True}, "scenario.transfer_size must be an integer"),
+    ({"labels": ["a", 1, "c"]}, "scenario.labels must be strings"),
+    ({"labels": ["a", "a", "c"]}, "scenario.labels: catalog labels must be unique"),
+    ({"true_priors": {"z": 1.0}}, "scenario.true_priors: unknown class 'z'"),
+    ({"active_classes": []}, "scenario: a scenario needs at least one active class"),
+    ({"active_classes": ["a", "a"]}, "scenario: active_classes contains duplicates"),
+    ({"test_size": 0}, "scenario: transfer_size and test_size must be >= 1"),
+    ({"drift": {"start": 3}}, "scenario.drift must be a list"),
+    ({"drift": [3]}, "scenario.drift[0] must be an object"),
+    ({"drift": [{"start": 0, "priors": {"a": 1.0}}]},
+     "scenario.drift[0]: drift segment must start at index >= 1"),
+    ({"drift": [{"start": 60, "priors": {"a": 1.0}}]}, "scenario: drift start 60 beyond stream length 60"),
+    ({"classifier": [1]}, "scenario.classifier must be an object"),
+    ({"classifier": {"confusion_csv": 3}}, "scenario.classifier.confusion_csv must be a path"),
+    ({"classifier": {"diagonal": "high"}},
+     "scenario.classifier.diagonal must be a number or a list of 3 numbers"),
+    ({"classifier": {"diagonal": [0.7, 0.7]}},
+     "scenario.classifier.diagonal must be a number or a list of 3 numbers"),
+    ({"classifier": {"diagonal": [0.7, 0.0, 0.7]}}, "scenario.classifier.diagonal entries must lie in (0, 1]"),
+    ({"classifier": None}, "scenario JSON needs a classifier section to {command}"),
+]
+
+
+@pytest.mark.parametrize("patch, message", _MALFORMED_SCENARIOS)
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, command, patch, message):
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(patch if isinstance(patch, list) else {**_SCENARIO, **patch}), encoding="utf-8")
+    argv = {
+        "evaluate": ["evaluate", str(path)],
+        "simulate": ["--output", str(tmp_path / "sim"), "simulate", str(path)],
+    }[command]
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", f"error: {path}: {message.format(command=command)}\n")
+    assert os.listdir(tmp_path) == ["scen.json"]
+
+
 class TestNegativeSeed:
     """A negative seed is refused with exit 2 and the field's name, not a traceback."""
 

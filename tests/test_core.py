@@ -145,6 +145,12 @@ class TestDecisionHistogram:
         with pytest.raises(InsufficientDataError):
             DecisionHistogram(np.array([0, 0])).normalized()
 
+    @pytest.mark.parametrize("counts", [[3], [[1, 2], [3, 4]]], ids=["one class", "matrix"])
+    def test_rejects_what_is_not_a_vector_of_two_or_more(self, counts):
+        shape = np.shape(counts)
+        with pytest.raises(ValidationError, match=rf"^counts must be a vector of K >= 2 entries, got shape {re.escape(str(shape))}$"):
+            DecisionHistogram(np.array(counts))
+
 
 class TestPriorEstimate:
     def test_simplex_enforced(self):
@@ -520,3 +526,9 @@ class TestCheckProbabilityRows:
             else:
                 with pytest.raises(ValidationError, match=re.escape(fault)):
                     probability_vector(row, "scores", SCORE_SUM_TOL)
+
+    @pytest.mark.parametrize("values", [[1.0], [[0.5, 0.5]], 1.0], ids=["one entry", "matrix", "scalar"])
+    def test_probability_vector_needs_a_vector_of_two_or_more(self, values):
+        shape = np.shape(values)
+        with pytest.raises(ValidationError, match=rf"^priors must be a vector of K >= 2 entries, got shape {re.escape(str(shape))}$"):
+            probability_vector(values, "priors", PRIOR_SUM_TOL)

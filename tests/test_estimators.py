@@ -122,6 +122,48 @@ class TestEstimatePrecisionRecall:
             estimate_precision_recall(DecisionHistogram(np.array([10, 10])), table)
 
 
+    def test_observation_vector_agrees_with_histogram(self):
+        # The histogram route scales counts and the vector route frequencies,
+        # so the two differ only in rounding.
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            k = int(rng.integers(2, 12))
+            table = precision_recall(random_confusion(k, rng))
+            counts = rng.integers(0, 1000, k) * (rng.random(k) < 0.8)
+            counts[0] += 1
+            by_counts = estimate_precision_recall(DecisionHistogram(counts), table)
+            by_vector = estimate_precision_recall(counts / counts.sum(), table)
+            np.testing.assert_allclose(by_vector.values, by_counts.values, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name, precision, recall", [
+        ("precision", [0.5, 1.5], [0.5, 0.5]),
+        ("recall", [0.5, 0.5], [-0.25, 0.5]),
+    ])
+    def test_table_entries_outside_the_unit_interval(self, name, precision, recall):
+        from prioradapt.estimators import PrecisionRecallTable
+
+        with pytest.raises(ValidationError, match=rf"^{name} entries must lie in \[0, 1\]$"):
+            PrecisionRecallTable(precision=np.array(precision), recall=np.array(recall))
+
+
+class TestRefusedObservations:
+    TABLE = precision_recall(conf_from(np.eye(3)))
+
+    def test_histogram_of_another_size(self):
+        with pytest.raises(DimensionError, match="^histogram dimension does not match the precision/recall table$"):
+            estimate_precision_recall(DecisionHistogram(np.array([1, 2])), self.TABLE)
+        with pytest.raises(DimensionError, match="^histogram has 2 classes, expected 3$"):
+            estimate_matrix_inverse(conf_from(np.eye(3)), DecisionHistogram(np.array([1, 2])))
+
+    def test_vector_of_another_size(self):
+        with pytest.raises(DimensionError, match=r"^observation vector must have length 3, got shape \(2,\)$"):
+            estimate_precision_recall(np.array([0.5, 0.5]), self.TABLE)
+
+    def test_vector_with_no_mass(self):
+        with pytest.raises(InsufficientDataError, match="^observation vector has no mass$"):
+            estimate_precision_recall(np.zeros(3), self.TABLE)
+
+
 class TestEstimateMatrixInverse:
     def test_identity_mixing(self):
         est = estimate_matrix_inverse(conf_from(np.eye(3)), np.array([0.5, 0.3, 0.2]))

@@ -458,12 +458,12 @@ _DECISION_DEFECTS = [
 
 @st.composite
 def canonical_decisions(draw):
-    """``(k, bytes)``: 1 to 400 canonical index lines for 1 <= k <= 1200, with at most one defect planted.
+    """``(k, bytes)``: 1 to 400 canonical index lines for 1 <= k <= 10**6, with at most one defect planted.
 
     The lines end in ``\\n``, or all in ``\\r\\n``; a planted ``\\r`` then
     comes before the ``\\r\\n`` and stays a defect.
     """
-    k = draw(st.integers(1, 1200))
+    k = draw(st.integers(1, 10**6))
     width = len(str(k - 1))
     # Indices of every width up to k's, each about as often.
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -568,6 +568,33 @@ class TestBlockReadersMatchLineReaders:
             blocks = list(read_decision_stream(stream, 200))
         assert len(blocks) > 1
         assert np.concatenate(blocks).tolist() == values.tolist()
+
+    def test_ten_digit_indices_take_the_byte_step(self, tmp_path, monkeypatch):
+        # With K = 10**9 + 1 an index line has up to 10 digits, too many for
+        # int32: "4294967301" would wrap to 5 there and pass as a class index.
+        k = 10**9 + 1
+        values = [0, 7, 4_294_967, 999_999_999, 10**9]
+        path = write(tmp_path, "d.txt", "".join(f"{v}\n" for v in values))
+        def line_rule(*args):
+            raise AssertionError("a canonical ten-digit block went to the line rule")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(fileio, "_decision_block", line_rule)
+            with TextInput(path) as stream:
+                (block,) = read_decision_stream(stream, k)
+        assert block.dtype == np.int64 and block.tolist() == values
+
+        def blocks(path):
+            with TextInput(path) as stream:
+                return np.concatenate(list(read_decision_stream(stream, k))).tolist()
+
+        def lines(path):
+            return list(reference_decision_stream(path, k))
+
+        for wide in (10**9 + 1, 4_294_967_301, 9_999_999_999):
+            content = "".join(f"{v}\n" for v in [*values, wide]).encode()
+            assert outcome(blocks, content) == outcome(lines, content)
+            assert outcome(blocks, content)[0] is ParseError
 
     def test_decision_stream_across_blocks(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -703,7 +730,7 @@ class TestPriorsJson:
     def test_document_round_trip(self, tmp_path):
         catalog = make_catalog(3)
         estimate = estimate_naive(DecisionHistogram(np.array([2, 1, 1])))
-        doc = priors_document(catalog, {"naive": estimate}, total_decisions=4)
+        doc = priors_document(catalog, {"naive": estimate}, {}, total_decisions=4)
         buf = io.StringIO()
         write_json(doc, buf)
         path = write(tmp_path, "p.json", buf.getvalue())
@@ -800,6 +827,13 @@ class TestScenarioJson:
         assert np.allclose(spec.true_priors, [0.7, 0.3, 0.0])
         assert clf is not None
         assert np.allclose(np.diag(clf.confusion.rows), 0.8)
+
+    def test_per_class_diagonal(self, tmp_path):
+        diagonal = [0.9, 0.55, 1.0]
+        doc = scenario_doc(classifier={"diagonal": diagonal, "confusion_seed": 4})
+        path = write(tmp_path, "scen.json", json.dumps(doc))
+        _, clf = read_scenario_json(path)
+        np.testing.assert_allclose(np.diag(clf.confusion.rows), diagonal, rtol=1e-15, atol=0)
 
     def test_seed_override(self, tmp_path):
         path = write(tmp_path, "scen.json", json.dumps(scenario_doc()))

@@ -248,6 +248,24 @@ class TestScenarioSpec:
                 ),
             )
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"active_classes": (0, 3)}, "active class index out of range for 3 classes"),
+        ({"active_classes": (-1, 0)}, "active class index out of range for 3 classes"),
+        ({"true_priors": np.array([0.5, 0.5])}, "true_priors must have length 3"),
+        ({"drift": (DriftSegment(start=4, priors=np.array([0.5, 0.5])),)},
+         "drift priors must match the catalog size"),
+    ])
+    def test_refuses_what_no_scenario_file_can_spell(self, fields, message):
+        # The JSON reader builds indices and vectors from the labels, so only
+        # a direct caller can pass these.
+        spec = dict(
+            catalog=make_catalog(3), active_classes=(0, 1), true_priors=np.array([0.5, 0.5, 0.0]),
+            transfer_size=10, test_size=10,
+        )
+        with pytest.raises(ValidationError) as info:
+            ScenarioSpec(**{**spec, **fields})
+        assert str(info.value) == message
+
     def test_sizes_hold_an_exact_float64_count(self):
         catalog = make_catalog(2)
         assert uniform_scenario(catalog, (0, 1), transfer_size=2**53 - 1, test_size=1)
@@ -426,8 +444,8 @@ class TestDirectionalCoreClaim:
 
 def failing_suite():
     """A two-context suite whose first context cannot be cross-validated."""
-    suite = default_suite(catalog_size=6, n_scenarios=2, active_per_scenario=3)
-    broken = list(suite.scenarios)
+    suite = default_suite()
+    broken = list(suite.scenarios[:2])
     object.__setattr__(broken[0], "transfer_size", 1)
     object.__setattr__(broken[0], "test_size", 1)
     return type(suite)(suite.classifier, tuple(broken), suite.h_seed)

@@ -1,6 +1,7 @@
 """Linear solve, simplex projection, and the simplex least-squares solver."""
 
 import itertools
+import re
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -232,6 +233,11 @@ class TestProjectSimplex:
         with pytest.raises(ValidationError):
             project_simplex(np.array([np.inf, 0.0]))
 
+    @pytest.mark.parametrize("y", [np.empty(0), np.ones((2, 2)), np.float64(1.0)], ids=["empty", "matrix", "scalar"])
+    def test_rejects_what_is_not_a_vector(self, y):
+        with pytest.raises(ValidationError, match=rf"^expected a vector, got shape {re.escape(str(y.shape))}$"):
+            project_simplex(y)
+
     @given(
         hnp.arrays(
             np.float64,
@@ -370,6 +376,38 @@ class TestSolveSimplexLsq:
         assert abs(err.best_iterate.sum() - 1.0) <= 1e-12
         assert err.report.iterations == 1
         assert not err.report.converged
+
+    def test_budget_that_runs_out_adding_a_class(self, monkeypatch):
+        # On this draw one Heinz-Chang solve is positive and a class is left
+        # to add; a cap of 7 leaves no solve for it, so the budget runs out
+        # inside the Lawson-Hanson loop and the Heinz-Chang iterate is carried.
+        rng = np.random.default_rng(181)
+        h = random_confusion_rows(8, rng, 0.2, 0.5).T
+        c = random_simplex(8, rng, 0.3)
+        calls = []
+        support_solve, multipliers = solver._support_solve, solver._multipliers
+        monkeypatch.setattr(solver, "_support_solve", lambda *a: calls.append("solve") or support_solve(*a))
+        monkeypatch.setattr(solver, "_multipliers", lambda *a: calls.append("multipliers") or multipliers(*a))
+        monkeypatch.setattr(solver, "_MAX_ITERATIONS", 7)
+        with pytest.raises(ConvergenceError) as info:
+            solve_simplex_lsq(h, c)
+        assert calls == ["solve", "multipliers"]
+        err = info.value
+        assert np.all(err.best_iterate >= 0.0) and abs(err.best_iterate.sum() - 1.0) <= 1e-12
+        assert err.report.iterations == 7 and not err.report.converged
+
+    @pytest.mark.parametrize("h, c, message", [
+        (np.ones((2, 3)), [0.5, 0.5], r"expected a square matrix, got shape \(2, 3\)"),
+        (np.ones(2), [0.5, 0.5], r"expected a square matrix, got shape \(2,\)"),
+        ([[1.0, np.nan], [0.0, 1.0]], [0.5, 0.5], "matrix contains NaN or infinity"),
+        (np.eye(2), [0.2, 0.3, 0.5], r"expected a vector of length 2, got shape \(3,\)"),
+        (np.eye(2), [np.inf, 0.5], "vector contains NaN or infinity"),
+    ])
+    def test_refuses_shapes_and_values(self, h, c, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            solve_simplex_lsq(h, c)
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            kkt_violation(h, c, np.full(2, 0.5))
 
     def test_gram_of_another_shape(self):
         with pytest.raises(ValidationError, match=r"Gram matrix has shape \(3, 3\), expected \(2, 2\)"):
@@ -640,6 +678,10 @@ class TestKktViolation:
         h = np.eye(3)
         c = np.array([0.2, 0.3, 0.5])
         assert kkt_violation(h, c, c) <= 1e-15
+
+    def test_infinite_at_the_zero_vector(self):
+        # No class carries mass, so no multiplier pattern can hold.
+        assert kkt_violation(np.eye(3), [0.2, 0.3, 0.5], np.zeros(3)) == np.inf
 
     def test_positive_off_optimum(self):
         h = np.eye(3)
