@@ -323,13 +323,13 @@ def reweight_normalized(record: ScoreRecord, priors: PriorEstimate) -> np.ndarra
 def decide_adapted(record: ScoreRecord, priors: PriorEstimate, return_fallback: bool = False):
     """Prior-aware decision rule: argmax of prior times score, as one row of :func:`decide_adapted_batch`.
 
-    Ties break toward the lowest class index.  If every product is zero
-    (the rule is undefined there) the baseline decision is used instead;
-    pass ``return_fallback=True`` to also receive a flag telling whether
-    that fallback fired.
+    Ties break toward the lowest class index.  If no exact product is
+    positive (the rule is undefined there) the baseline decision is used
+    instead; pass ``return_fallback=True`` to also receive a flag telling
+    whether that fallback fired.
     """
     products = reweight(record, priors)[np.newaxis]
-    decisions, fell_back = _adapted_decisions(record.scores[np.newaxis], products)
+    decisions, fell_back = _adapted_decisions(record.scores[np.newaxis], priors, products)
     if return_fallback:
         return int(decisions[0]), bool(fell_back[0])
     return int(decisions[0])
@@ -347,24 +347,57 @@ def _normalized(products: np.ndarray) -> np.ndarray:
     return np.divide(products, totals, out=products.copy(), where=totals > 0.0)
 
 
-def _adapted_decisions(scores: np.ndarray, products: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's argmax of ``products``, or of ``scores`` where no product is positive; and where it fell back."""
+#: The smallest normal double; a product below it has lost mantissa bits.
+_TINY = np.finfo(np.float64).tiny
+
+
+def _adapted_decisions(
+    scores: np.ndarray, priors: PriorEstimate, products: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's argmax of ``products`` (of ``scores`` where no exact product is positive) and where it fell back.
+
+    A row whose largest product is at or below ``_TINY`` is decided again
+    on its products without exponent limits (:func:`_scaled_products`).
+    """
     decisions = products.argmax(axis=1)
-    fell_back = ~(products > 0.0).any(axis=1)
-    if fell_back.any():
+    fell_back = np.zeros(len(decisions), dtype=bool)
+    small = np.flatnonzero(products.max(axis=1) <= _TINY)
+    if small.size:
+        scaled = _scaled_products(scores[small], priors.values)
+        decisions[small] = scaled.argmax(axis=1)
+        fell_back[small] = ~(scaled > 0.0).any(axis=1)
         decisions[fell_back] = scores[fell_back].argmax(axis=1)
     return decisions, fell_back
+
+
+def _scaled_products(scores: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """The products ``scores * priors``, rounded once with no exponent limits, times a power of two per row.
+
+    Each product is the product of the two mantissas (``np.frexp``),
+    rounded once, times 2 to the sum of the exponents.  The power of two
+    puts a row's largest exponent sum at 0, so its largest product lies in
+    [0.5, 1), where ``np.ldexp`` is exact.  A product that it scales below
+    the normal range lies below 2**-1022 and is never the largest.
+    """
+    score_mant, score_exp = np.frexp(scores)
+    prior_mant, prior_exp = np.frexp(priors)
+    mant, exp = np.frexp(score_mant * prior_mant)
+    exp += score_exp + prior_exp
+    top = np.where(mant > 0.0, exp, exp.min()).max(axis=1, keepdims=True)
+    return np.ldexp(mant, exp - top)
 
 
 def decide_adapted_batch(scores: np.ndarray, priors: PriorEstimate) -> np.ndarray:
     """The adapted rule applied to each row of an (N, K) score array.
 
     The rule is argmax of prior times score, ties to the lowest class
-    index, and the row's baseline argmax where every product is zero.
+    index, and the row's baseline argmax where no exact product is
+    positive.  A product that underflows is compared as it would round
+    without exponent limits.
     Rows are not validated; pass scores that :func:`check_probability_rows`
     accepts.
     """
-    return _adapted_decisions(scores, _products(scores, priors))[0]
+    return _adapted_decisions(scores, priors, _products(scores, priors))[0]
 
 
 def reweight_batch(scores: np.ndarray, priors: PriorEstimate) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -374,4 +407,4 @@ def reweight_batch(scores: np.ndarray, priors: PriorEstimate) -> tuple[np.ndarra
     :func:`reweight_normalized`, from one product per entry.
     """
     products = _products(scores, priors)
-    return _adapted_decisions(scores, products)[0], products, _normalized(products)
+    return _adapted_decisions(scores, priors, products)[0], products, _normalized(products)

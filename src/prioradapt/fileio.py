@@ -15,13 +15,17 @@ JSON relies on Python's shortest-round-trip float repr.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
 import itertools
 import json
 import math
+import os
 import sys
+import tempfile
 import warnings
+from _blake2 import blake2b
 from functools import partial
 from typing import IO, Iterator, Optional
 
@@ -328,24 +332,80 @@ def _float_block(lines, k: int) -> Optional[np.ndarray]:
 # ---------------------------------------------------------------------------
 
 def read_confusion_csv(path: str) -> ConfusionMatrix:
-    """Read a confusion CSV and return the row-normalized matrix."""
+    """Read a confusion CSV and return the row-normalized matrix, its body cached by content (:func:`_cache_key`)."""
+    key = _cache_key(path)
     with TextInput(path) as stream:
         labels = [h.strip() for h in _csv_header(stream, "confusion")]
         k = len(labels)
-        rows = np.empty((k, k))
-        n = 0
-        for block in _csv_body(stream, partial(_float_block, k=k),
-                               partial(_confusion_row, k=k, path=path)):
-            if n + len(block) <= k:
-                rows[n:n + len(block)] = block
-            n += len(block)  # rows past the K-th are counted for the message
-    if n != k:
-        raise ParseError(f"confusion matrix must be square: {k} labels but {n} rows", path=path)
+        rows = None if key is None else _cached_body(key[0], k)
+        store = rows is None and key is not None
+        if rows is None:
+            rows = np.empty((k, k))
+            n = 0
+            for block in _csv_body(stream, partial(_float_block, k=k),
+                                   partial(_confusion_row, k=k, path=path)):
+                if n + len(block) <= k:
+                    rows[n:n + len(block)] = block
+                n += len(block)  # rows past the K-th are counted for the message
+            if n != k:
+                raise ParseError(f"confusion matrix must be square: {k} labels but {n} rows", path=path)
+            # Only a body parsed from the file as it was when hashed is stored.
+            store = store and key[1] == _identity(stream._fp)
     try:
-        catalog = ClassCatalog(tuple(labels))
-        return ConfusionMatrix(catalog, rows)
+        conf = ConfusionMatrix(ClassCatalog(tuple(labels)), rows)
     except PriorAdaptError as exc:
         raise ParseError(str(exc), path=path) from exc
+    if store:
+        _store_body(key[0], rows)
+    return conf
+
+
+def _cache_key(path: str) -> Optional[tuple[str, tuple]]:
+    """A regular file's cache entry, ``$XDG_CACHE_HOME/prioradapt/<blake2b>.npy``, and its identity when hashed."""
+    try:
+        if not os.path.isfile(path):
+            return None  # a pipe is read once, by the parse
+        with open(path, "rb") as fp:
+            # The tag names the entries' layout: a new layout takes a new tag.
+            identity, digest = _identity(fp), blake2b(b"prioradapt confusion body v1\n", digest_size=32)
+            for chunk in iter(partial(fp.read, 1 << 20), b""):
+                digest.update(chunk)
+    except OSError:
+        return None
+    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "prioradapt", digest.hexdigest() + ".npy"), identity
+
+
+def _identity(fp) -> tuple[int, int, int]:
+    """An open file's size, inode and modification time, which a rewrite or a new file at its path changes."""
+    st = os.fstat(fp.fileno())
+    return st.st_size, st.st_ino, st.st_mtime_ns
+
+
+def _cached_body(entry: str, k: int) -> Optional[np.ndarray]:
+    """The C-ordered K x K float64 array a cache entry holds, or None."""
+    try:
+        with open(entry, "rb") as fp:
+            rows = np.lib.format.read_array(fp, allow_pickle=False)
+    except (OSError, ValueError, EOFError):
+        return None
+    return rows if rows.dtype == np.float64 and rows.shape == (k, k) and rows.flags.c_contiguous else None
+
+
+def _store_body(entry: str, rows: np.ndarray) -> None:
+    """Write ``rows`` to a cache entry through a temp file beside it; a failure is ignored and leaves no file."""
+    try:
+        os.makedirs(os.path.dirname(entry), mode=0o700, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=os.path.dirname(entry))
+    except OSError:
+        return
+    try:
+        with open(fd, "wb") as fp:
+            np.save(fp, rows, allow_pickle=False)
+        os.replace(tmp, entry)
+    except (OSError, ValueError):
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
 
 
 def _confusion_row(row: list[str], line_no: int, k: int, path: str) -> list[float]:

@@ -11,6 +11,14 @@ import pytest
 from prioradapt import ClassCatalog, ConfusionMatrix, fileio
 
 
+@pytest.fixture(autouse=True, scope="session")
+def private_cache(tmp_path_factory):
+    """Keep the confusion cache of every test, and of every CLI a test starts, in a temp dir, not the user's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("xdg-cache")))
+        yield
+
+
 @pytest.fixture(autouse=True)
 def no_child_left():
     """Fail a test that leaves a child process: by then each one must have been reaped."""

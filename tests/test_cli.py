@@ -290,6 +290,16 @@ class TestReweight:
         first = lines[1].split(",")
         assert first[0] == "0" and first[1] == "1"  # baseline a, adapted b
 
+    def test_underflowed_products_decide_by_the_exact_products(self, tmp_path):
+        # The exact products are (1e-330, 0, 0); every double product is 0,
+        # and the raw and normalized columns print the double products.
+        scores, priors = tmp_path / "s.csv", tmp_path / "p.json"
+        scores.write_text("label,s_a,s_b,s_c\nb,1e-30,1,0\n", encoding="utf-8")
+        priors.write_text('{"a": 1e-300, "b": 0, "c": 1}', encoding="utf-8")
+        code, out = run(["reweight", str(scores), "--priors", str(priors)], tmp_path)
+        assert code == 0
+        assert read_bytes(out) == b"baseline,adapted,raw_a,raw_b,raw_c,norm_a,norm_b,norm_c\n1,0,0,0,0,0,0,0\n"
+
     def test_uniform_priors_match_baseline(self, tmp_path, capsys):
         priors = tmp_path / "u.json"
         priors.write_text(json.dumps({"a": 1 / 3, "b": 1 / 3, "c": 1 / 3}), encoding="utf-8")
@@ -1697,8 +1707,9 @@ class TestMainLeavesNothingOpen:
 
 # Runs the command through the plan's entry, ``python -m prioradapt`` or the
 # installed script's ``run()``, with one fault planted: in the reader or the
-# writer process, in the j-th call of os.fork or os.pipe, or in the j-th live
-# estimate; argv[1] is the plan, the rest the command line.
+# writer process, in the j-th call of os.fork or os.pipe, in the j-th live
+# estimate, or in the write of the confusion cache entry, which fills the disk
+# part way; argv[1] is the plan, the rest the command line.
 _FAULT_RUNNER = """
 import errno, json, os, runpy, sys
 from prioradapt import cli, fileio, harness
@@ -1739,6 +1750,11 @@ elif plan["fault"] == "estimate":
             raise PriorAdaptError("planted failure")
         return real_qp(conf, hist)
     harness.estimate_qp = estimate_qp
+elif plan["fault"] == "cache_write":
+    def save(fp, *args, **kwargs):
+        fp.write(b"NUMPY, part written")
+        raise OSError(errno.ENOSPC, "planted failure")
+    fileio.np.save = save
 sys.argv = ["prioradapt", *sys.argv[2:]]
 if plan["entry"] == "module":
     runpy.run_module("prioradapt", run_name="__main__")
@@ -1748,7 +1764,8 @@ else:
 """
 
 
-_FAULTS = ["none", "reader", "writer", "fork", "pipe", "estimate", "bad_row", "dev_full", "broken_pipe", "closed"]
+_FAULTS = ["none", "reader", "writer", "fork", "pipe", "estimate", "bad_row", "dev_full", "broken_pipe", "closed",
+           "cache_write"]
 
 
 @st.composite
@@ -1756,7 +1773,7 @@ def _fault_plans(draw):
     fault = draw(st.sampled_from(_FAULTS))
     return dict(
         cpus=draw(st.sampled_from([1, 2])),
-        live=draw(st.booleans()) or fault == "estimate",  # only a live run estimates
+        live=draw(st.booleans()) or fault in ("estimate", "cache_write"),  # only a live run estimates or reads a confusion CSV
         lenient=draw(st.booleans()),
         to_file=draw(st.booleans()),
         existing=draw(st.booleans()),
@@ -1853,6 +1870,7 @@ class TestReweightFaultPlan:
     @example(dict(_PLAN, fault="fork", at=1))
     @example(dict(_PLAN, fault="pipe", at=1))
     @example(dict(_PLAN, fault="pipe", at=2))
+    @example(dict(_PLAN, fault="cache_write", at=0))
     def test_exit_code_output_and_no_child_left(self, plan):
         fault, at = plan["fault"], plan["at"]
         if fault == "reader":
@@ -1884,6 +1902,8 @@ class TestReweightFaultPlan:
                     with open(out_path, "w", encoding="utf-8") as fp:
                         fp.write("earlier\n")
             env = entry_env(plan["buffered"])
+            cache = os.path.join(tmp, "xdg")  # a cold cache: every live run writes its entry
+            env["XDG_CACHE_HOME"] = cache
             stdout, stdout_fd = subprocess.PIPE, None
             if fault == "dev_full" and not plan["to_file"]:
                 stdout = open("/dev/full", "wb")
@@ -1938,6 +1958,11 @@ class TestReweightFaultPlan:
                 assert output.startswith(got) and (got == "" or got.endswith("\n"))
             else:
                 assert got == output
+            entries = os.listdir(os.path.join(cache, "prioradapt")) if os.path.exists(cache) else []
+            assert not [name for name in entries if not name.endswith(".npy")]  # no temp file left
+            assert len(entries) <= plan["live"]
+            if fault in ("none", "cache_write"):
+                assert len(entries) == (plan["live"] and fault == "none")
 
 
 class TestGlobalFlagPlacement:
@@ -2093,6 +2118,31 @@ class TestEntryPoint:
         proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "[]\n"
+
+    def test_confusion_cache_never_loads_hashlib(self, tmp_path):
+        # hashlib loads OpenSSL, some MB of resident memory; the cache key is
+        # taken with the blake2b that CPython builds in.
+        argvs = [
+            ["--output", str(tmp_path / "live.csv"), "reweight", data("fixture_scores.csv"),
+             "--confusion", data("fixture_confusion3.csv"), "--reestimate-every", "2"],
+            ["--output", str(tmp_path / "priors.json"), "estimate", data("fixture_confusion3.csv"),
+             data("fixture_decisions.txt"), "--method", "all"],
+        ]
+        script = (
+            "import os, sys\n"
+            "from prioradapt.cli import main\n"
+            f"for argv in {argvs!r} * 2:\n"
+            "    assert main(argv) == 0\n"
+            "print([m for m in ('hashlib', '_hashlib') if m in sys.modules])\n"
+        )
+        cache = tmp_path / "xdg"
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=src_env(XDG_CACHE_HOME=str(cache)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+        assert len(os.listdir(cache / "prioradapt")) == 1  # the runs after the first read the entry
+        assert read_bytes(str(tmp_path / "live.csv")) == read_bytes(data("golden_reweight_live.csv"))
+        assert read_bytes(str(tmp_path / "priors.json")) == read_bytes(data("golden_estimate.json"))
 
     def test_fileio_loads_no_simulation(self):
         script = (

@@ -2,6 +2,7 @@
 
 import re
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -338,6 +339,98 @@ class TestDecideAdaptedBatch:
     def test_rejects_wrong_width(self):
         with pytest.raises(DimensionError):
             decide_adapted_batch(np.full((2, 2), 0.5), _priors((0.2, 0.3, 0.5)))
+
+
+def _round53(q: Fraction) -> Fraction:
+    """``q`` rounded to 53 significant bits, ties to even, with no exponent limits."""
+    if q == 0:
+        return q
+    e = q.numerator.bit_length() - q.denominator.bit_length()
+    if q < Fraction(2) ** e:
+        e -= 1  # now 2**e <= q < 2**(e + 1)
+    unit = Fraction(2) ** (e - 52)
+    return round(q / unit) * unit
+
+
+def exact_decide_adapted(scores, priors) -> tuple[int, bool]:
+    """The adapted decision and fallback flag from the exact products of the doubles.
+
+    The decision is the lowest index whose exact product, rounded to a
+    double's 53 bits but not to its exponent range, is largest; it differs
+    from the exact argmax only where the top exact products round alike.
+    It falls back to the baseline only where no exact product is positive.
+    """
+    products = [Fraction(s) * Fraction(p) for s, p in zip(scores.tolist(), priors.tolist())]
+    if not any(products):
+        return int(np.argmax(scores)), True
+    rounded = [_round53(q) for q in products]
+    return rounded.index(max(rounded)), False
+
+
+#: Small entries: powers of two, so scaled duplicates tie exactly, the
+#: smallest normal double and subnormal ones, and zeros.
+_SMALL = st.one_of(
+    st.just(0.0),
+    st.sampled_from([2.0 ** -e for e in (40, 41, 60, 500, 1000, 1022, 1023, 1050, 1074)]),
+    st.sampled_from([1e-30, 1e-300, 3e-310, 5e-324, 2.2250738585072014e-308, 1e-12]),
+    st.floats(min_value=0.0, max_value=1e-300),
+    st.floats(min_value=1e-320, max_value=1e-10),
+)
+
+
+@st.composite
+def _tiny_product_batch(draw):
+    """Scores and priors whose large entries often sit apart, so every product of a row may be tiny."""
+    k = draw(st.integers(2, 6))
+
+    def vector(big):
+        weights = np.array([draw(st.integers(1, 3)) if i in big else 0 for i in range(k)], float)
+        small = np.array([0.0 if i in big else draw(_SMALL) for i in range(k)])
+        return weights / weights.sum() + small
+
+    positions = st.sets(st.integers(0, k - 1), min_size=1, max_size=k)
+    prior_big = draw(positions)
+    apart = draw(st.booleans()) and len(prior_big) < k
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        big = draw(positions.filter(lambda b: not (apart and b & prior_big)))
+        rows.append(vector(big))
+    return np.array(rows), vector(prior_big)
+
+
+class TestExactReference:
+    """The adapted rule against exact rational products of the same doubles."""
+
+    @given(batch=_tiny_product_batch())
+    @example(batch=(np.array([[1e-30, 1.0, 0.0]]), np.array([1e-300, 0.0, 1.0])))
+    @example(batch=(np.array([[2.0 ** -1000, 2.0 ** -1001, 0.0, 1.0]]), np.array([2.0 ** -60, 2.0 ** -59, 1.0, 0.0])))
+    @example(batch=(np.array([[5e-324, 0.0, 1.0], [0.0, 1.0, 0.0]]), np.array([1.0, 0.0, 0.0])))
+    @settings(max_examples=500, deadline=None)
+    def test_decisions_follow_the_exact_products(self, batch):
+        scores, values = batch
+        priors = _priors(values)
+        expected = [exact_decide_adapted(row, priors.values) for row in scores]
+        decisions, products, _ = reweight_batch(scores, priors)
+        assert decisions.tolist() == [d for d, _ in expected]
+        assert decide_adapted_batch(scores, priors).tolist() == [d for d, _ in expected]
+        exact = [[float(Fraction(s) * Fraction(p)) for s, p in zip(row.tolist(), priors.values.tolist())]
+                 for row in scores]
+        assert products.tolist() == exact  # one correctly rounded multiply each
+        for row, want in zip(scores, expected):
+            assert decide_adapted(ScoreRecord(row), priors, return_fallback=True) == want
+
+    def test_an_underflowed_product_still_decides(self):
+        # The exact products are (1e-330, 0, 0): every double product is 0.
+        record, priors = ScoreRecord((1e-30, 1.0, 0.0)), _priors((1e-300, 0.0, 1.0))
+        assert reweight(record, priors).tolist() == [0.0, 0.0, 0.0]
+        assert decide_adapted(record, priors, return_fallback=True) == (0, False)
+
+    def test_subnormal_products_that_round_alike_are_told_apart(self):
+        # 0.3 and 0.45 times 2**-1073 both round to 2**-1074.
+        record = ScoreRecord((2.0 ** -1073, 2.0 ** -1073, 0.0, 1.0))
+        priors = _priors((0.3, 0.45, 0.25, 0.0))
+        assert reweight(record, priors).tolist() == [5e-324, 5e-324, 0.0, 0.0]
+        assert decide_adapted(record, priors, return_fallback=True) == (1, False)
 
 
 def test_uniform_estimate():

@@ -5,8 +5,10 @@ import functools
 import io
 import json
 import os
+import stat
 import tempfile
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -137,6 +139,198 @@ class TestConfusionCsv:
         assert not writer.is_alive()
         plain = read_confusion_csv(write(tmp_path, "plain.csv", buf.getvalue()))
         assert again.rows.tobytes() == plain.rows.tobytes()
+
+
+class TestConfusionCache:
+    """A confusion CSV's raw body is kept under ``$XDG_CACHE_HOME/prioradapt``, keyed by the file's bytes."""
+
+    @pytest.fixture
+    def cache(self, tmp_path, monkeypatch):
+        """A fresh cache location; the entries live in its ``prioradapt`` directory."""
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "xdg"))
+        return tmp_path / "xdg" / "prioradapt"
+
+    @staticmethod
+    def counts_csv(tmp_path, name="c.csv", seed=3, k=7) -> str:
+        """Raw counts of several magnitudes, so that normalizing rounds."""
+        rng = np.random.default_rng(seed)
+        rows = rng.integers(1, 10**6, (k, k)) * 10.0 ** rng.integers(-5, 5, (k, k))
+        text = ",".join(f"c{i}" for i in range(k)) + "\n" + format_rows(rows)
+        return write(tmp_path, name, text)
+
+    @staticmethod
+    def entries(cache) -> list[str]:
+        return sorted(os.listdir(cache)) if cache.exists() else []
+
+    def test_warm_read_takes_the_body_from_the_entry_bit_for_bit(self, tmp_path, cache, monkeypatch):
+        path = self.counts_csv(tmp_path)
+        cold = read_confusion_csv(path)
+        [entry] = self.entries(cache)
+        assert entry.endswith(".npy") and len(entry) == 64 + 4
+        assert stat.S_IMODE(os.stat(cache).st_mode) == 0o700
+        raw = np.load(cache / entry)
+        assert raw.dtype == np.float64 and raw.shape == (7, 7)
+        monkeypatch.setattr(fileio, "_csv_body", None)  # a warm read parses no body
+        warm = read_confusion_csv(path)
+        assert warm.catalog == cold.catalog
+        assert warm.rows.tobytes() == cold.rows.tobytes()
+        assert not warm.rows.flags.writeable
+        # Another file holding the same bytes shares the entry.
+        twin = write(tmp_path, "twin.csv", Path(path).read_text(encoding="utf-8"))
+        assert read_confusion_csv(twin).rows.tobytes() == cold.rows.tobytes()
+        assert self.entries(cache) == [entry]
+
+    @pytest.mark.parametrize("argv", [
+        ["normalize", "{c}"],
+        ["estimate", "{c}", "{d}", "--method", "all"],
+    ])
+    def test_cold_and_warm_commands_print_the_same_bytes(self, tmp_path, cache, argv):
+        from prioradapt.cli import main
+
+        path = self.counts_csv(tmp_path)
+        rng = np.random.default_rng(4)
+        decisions = write(tmp_path, "d.txt", "".join(f"{d}\n" for d in rng.integers(0, 7, 300)))
+        argv = [a.format(c=path, d=decisions) for a in argv]
+        outputs = []
+        for n in range(2):
+            out = str(tmp_path / f"out{n}")
+            assert main(["--output", out, *argv]) == 0
+            outputs.append(Path(out).read_bytes())
+            assert len(self.entries(cache)) == 1
+        assert outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("spoil", ["truncated", "empty", "big_endian", "float32", "wrong_shape",
+                                       "flat", "fortran", "not_npy", "zip"])
+    def test_an_unfit_entry_is_ignored_and_rewritten(self, tmp_path, cache, monkeypatch, spoil):
+        path = self.counts_csv(tmp_path)
+        cold = read_confusion_csv(path)
+        [name] = self.entries(cache)
+        entry = cache / name
+        good = entry.read_bytes()
+        raw = np.load(entry)
+        if spoil == "truncated":
+            entry.write_bytes(good[:-8])
+        elif spoil == "empty":
+            entry.write_bytes(b"")
+        elif spoil in ("not_npy", "zip"):
+            entry.write_bytes(b"PK\x03\x04" + good if spoil == "zip" else b"x" * len(good))
+        else:
+            spoilt = {"big_endian": raw.astype(">f8"), "float32": raw.astype(np.float32),
+                      "wrong_shape": np.ones((8, 8)), "flat": raw.ravel(),
+                      "fortran": np.asfortranarray(raw)}[spoil]
+            np.save(entry, spoilt)
+        parsed = []
+        real_body = fileio._csv_body
+        monkeypatch.setattr(fileio, "_csv_body", lambda *a: parsed.append(1) or real_body(*a))
+        again = read_confusion_csv(path)
+        assert parsed == [1]
+        assert again.rows.tobytes() == cold.rows.tobytes()
+        assert self.entries(cache) == [name]
+        assert entry.read_bytes() == good
+
+    @pytest.mark.parametrize("where", ["regular_file", "read_only_dir"])
+    def test_an_unusable_location_changes_nothing(self, tmp_path, monkeypatch, capsys, where):
+        from prioradapt.cli import main
+
+        path = self.counts_csv(tmp_path)
+        expected = []
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "usable"))
+        for argv in (["normalize", path], ["normalize", str(tmp_path / "missing.csv")]):
+            expected.append((main(argv), capsys.readouterr()))
+        location = tmp_path / "xdg"
+        if where == "regular_file":
+            location.write_text("not a directory\n")
+        else:
+            (location / "prioradapt").mkdir(parents=True)
+            os.chmod(location / "prioradapt", 0o500)
+            if os.geteuid() == 0:  # root writes through the mode bits; fail as the kernel would for a user
+                def refused(*args, **kwargs):
+                    raise PermissionError(13, "Permission denied")
+                monkeypatch.setattr(fileio.tempfile, "mkstemp", refused)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(location))
+        try:
+            for _ in range(2):
+                got = []
+                for argv in (["normalize", path], ["normalize", str(tmp_path / "missing.csv")]):
+                    got.append((main(argv), capsys.readouterr()))
+                assert got == expected
+            if where == "regular_file":
+                assert location.read_text() == "not a directory\n"
+            else:
+                assert os.listdir(location / "prioradapt") == []
+        finally:
+            if where == "read_only_dir":
+                os.chmod(location / "prioradapt", 0o700)
+
+    def test_a_failed_write_leaves_no_temp_file(self, tmp_path, cache, monkeypatch):
+        path = self.counts_csv(tmp_path)
+
+        def disk_full(fp, *args, **kwargs):
+            fp.write(b"\x93NUMPY partial")
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(fileio.np, "save", disk_full)
+        first = read_confusion_csv(path)
+        assert self.entries(cache) == []
+        monkeypatch.undo()
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache.parent))
+        assert read_confusion_csv(path).rows.tobytes() == first.rows.tobytes()
+        assert len(self.entries(cache)) == 1
+
+    def test_a_pipe_writes_no_entry(self, tmp_path, cache):
+        text = Path(self.counts_csv(tmp_path)).read_text(encoding="utf-8")
+        fifo = tmp_path / "fifo.csv"
+        os.mkfifo(fifo)
+        for _ in range(2):
+            writer = threading.Thread(target=fifo.write_text, args=(text,), daemon=True)
+            writer.start()
+            try:
+                conf = read_confusion_csv(str(fifo))
+            finally:
+                writer.join(timeout=10)
+            assert not writer.is_alive()
+            assert conf.k == 7
+            assert self.entries(cache) == []
+
+    def test_a_file_rewritten_in_place_gives_the_new_matrix(self, tmp_path, cache):
+        path = write(tmp_path, "c.csv", "a,b\n8,2\n4,6\n")
+        assert read_confusion_csv(path).rows.tolist() == [[0.8, 0.2], [0.4, 0.6]]
+        with open(path, "r+", encoding="utf-8") as fp:  # same size, same inode
+            fp.write("a,b\n2,8\n6,4\n")
+        assert read_confusion_csv(path).rows.tolist() == [[0.2, 0.8], [0.6, 0.4]]
+        assert len(self.entries(cache)) == 2
+        os.replace(write(tmp_path, "new.csv", "a,b\n8,2\n4,6\n"), path)
+        assert read_confusion_csv(path).rows.tolist() == [[0.8, 0.2], [0.4, 0.6]]
+        assert len(self.entries(cache)) == 2
+
+    def test_a_file_changed_while_read_stores_nothing(self, tmp_path, cache, monkeypatch):
+        path = write(tmp_path, "c.csv", "a,b\n8,2\n4,6\n")
+        real_body = fileio._csv_body
+
+        def body_then_touch(*args):
+            yield from real_body(*args)
+            os.utime(path, ns=(0, 0))
+
+        monkeypatch.setattr(fileio, "_csv_body", body_then_touch)
+        assert read_confusion_csv(path).rows.tolist() == [[0.8, 0.2], [0.4, 0.6]]
+        assert self.entries(cache) == []
+
+    @pytest.mark.parametrize("content, message", [
+        (b"a,b\n1,0\n0,oops\n", r"c\.csv:3: could not convert string to float: 'oops'"),
+        (b'a,b\n1,0\n"0,1\n', r"c\.csv:3: expected 2 columns, got 1"),
+        (b"a,b\n1,0\n", r"c\.csv: confusion matrix must be square: 2 labels but 1 rows"),
+        (b"a,b\n1,-1\n0,1\n", r"c\.csv: confusion matrix entries must be nonnegative"),
+        (b"a,b\n1,0\n0,0\n", r"c\.csv: confusion row 'b' is all zeros"),
+        (b"a,a\n1,0\n0,1\n", r"c\.csv: catalog labels must be unique"),
+        (b"a,b\n1,0\n\xff,1\n", r"c\.csv:3: not valid UTF-8"),
+    ])
+    def test_a_bad_file_raises_as_before_and_stores_nothing(self, tmp_path, cache, content, message):
+        path = tmp_path / "c.csv"
+        path.write_bytes(content)
+        for _ in range(2):
+            with pytest.raises(ParseError, match=message):
+                read_confusion_csv(str(path))
+        assert self.entries(cache) == []
 
 
 def score_rows(records):
