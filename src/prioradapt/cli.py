@@ -24,17 +24,19 @@ after numpy has loaded keeps its own BLAS threads, and so does its
 in-process :func:`main`.
 
 ``reweight`` runs in up to three processes when the command may use more
-than one CPU.  A forked reader parses the scores file from the start,
-while this process reads the confusion CSV.  After every check, once the
-output is open and if it has a file descriptor, a forked writer
-re-weights and formats each part of the stream while this process counts
-decisions and solves.  Under ``--lenient`` the reader yields each skipped
-row's error in that row's place, so the warnings come out in file order
-between the blocks around them.  Every ``warning:`` and ``error:`` line
-is printed by this process; the bytes, the warnings and the exit codes
-are the same as in one process.  How stdout and stderr lines interleave
-when both go to one file is not promised; it already depends on stdout's
-buffering.
+than one CPU: a reader and, with ``--confusion``, a solver; this process
+writes every row and prints every warning and error.  A forked reader
+parses the scores file from the start, while this process reads the
+confusion CSV.  After every check, and before the output is opened, a
+forked solver takes over the reader's stream, counts decisions and
+re-estimates the priors; neither child holds a handle on the output.
+This process re-weights, formats and writes each part.  Under
+``--lenient`` the reader yields each skipped row's error in that row's
+place, and the solver passes it on beside its own failed re-estimates, so
+the warnings come out in file order between the parts around them.  The
+bytes, the warnings and the exit codes are the same as in one process.
+How stdout and stderr lines interleave when both go to one file is not
+promised; it already depends on stdout's buffering.
 
 ``evaluate`` without a scenario file cross-validates the built-in suite in
 up to one process per CPU the command may run on, and at most one per
@@ -110,7 +112,6 @@ from .harness import (
     read_scenario_json,
     run_drift_scenario,
     simulate_stream,
-    write_behind,
 )
 from .monitor import StreamMonitor
 
@@ -351,15 +352,6 @@ def _reweight_rows(scores, priors) -> str:
     return fileio.format_rows(np.column_stack([scores.argmax(axis=1), adapted, raw, norm]))
 
 
-def _blocks_of(items, args) -> Iterator[np.ndarray]:
-    """The score arrays of the reader's ``items``, noting each skipped row's error where it falls."""
-    for item in items:
-        if isinstance(item, ParseError):
-            _note(args, f"warning: {item}")
-        else:
-            yield item
-
-
 def _score_items(path: str, lenient: bool) -> Iterator:
     """Nothing for an empty scores file; else its catalog, then its blocks and skipped rows' errors."""
     with fileio.TextInput(path) as stream:
@@ -378,8 +370,7 @@ def cmd_reweight(args) -> int:
     if args.confusion is not None and (args.reestimate_every is None or args.reestimate_every < 1):
         raise ValidationError("--confusion requires --reestimate-every N (N >= 1)")
     # The scores are parsed ahead, in a second process where one can run,
-    # while this one reads the confusion CSV and then solves.  That process
-    # holds no handle on the output.
+    # while this one reads the confusion CSV.
     with contextlib.closing(_score_items(args.scores, args.lenient)) as items, read_ahead(items) as ahead:
         if args.confusion is not None:
             conf = fileio.read_confusion_csv(args.confusion)
@@ -396,25 +387,28 @@ def cmd_reweight(args) -> int:
         if args.priors is not None:
             values, tag = fileio.read_priors_json(args.priors, catalog, method)
             priors = PriorEstimate(values / values.sum(), method=tag)
-        elif conf.catalog != catalog:
-            raise ValidationError("scores CSV classes do not match the confusion matrix classes")
-        blocks = _blocks_of(ahead, args)
-        if args.priors is not None:
-            parts = ((scores, priors) for scores in blocks)
-        else:
-            # Live mode: re-estimate from the running histogram every N records.
-            parts = adapt(
-                blocks, StreamMonitor(catalog, window=args.window),
-                partial(estimator(conf), method or _METHOD_BY_FLAG["qp"]), args.reestimate_every,
-                lambda exc: _note(args, f"warning: keeping previous priors: {exc}"),
+            source = contextlib.nullcontext(
+                item if isinstance(item, ParseError) else (item, priors) for item in ahead
             )
-        with _open_output(args.output) as fp:
+        else:
+            if conf.catalog != catalog:
+                raise ValidationError("scores CSV classes do not match the confusion matrix classes")
+            # Live mode: re-estimate from the running histogram every N
+            # records, in a third process where one can run, which reads the
+            # scores from here on.  It holds no handle on the output.
+            source = read_ahead(adapt(
+                ahead, StreamMonitor(catalog, window=args.window),
+                partial(estimator(conf), method or _METHOD_BY_FLAG["qp"]), args.reestimate_every,
+            ))
+        with source as parts, _open_output(args.output) as fp:
             fp.write(_reweight_header(catalog))
-            # Each part is re-weighted and written behind, in a third process
-            # where one can run, while this one goes on to the next.
-            with write_behind(fp, lambda part: fp.write(_reweight_rows(*part))) as send:
-                for part in parts:
-                    send(part)
+            for item in parts:
+                if isinstance(item, ParseError):  # a row --lenient skipped
+                    _note(args, f"warning: {item}")
+                elif isinstance(item, PriorAdaptError):  # a re-estimate that failed
+                    _note(args, f"warning: keeping previous priors: {item}")
+                else:
+                    fp.write(_reweight_rows(*item))
     return EXIT_OK
 
 

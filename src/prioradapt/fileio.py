@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 import warnings
@@ -333,13 +334,15 @@ def _float_block(lines, k: int) -> Optional[np.ndarray]:
 
 def read_confusion_csv(path: str) -> ConfusionMatrix:
     """Read a confusion CSV and return the row-normalized matrix, its body cached by content (:func:`_cache_key`)."""
-    key = _cache_key(path)
     with TextInput(path) as stream:
+        key = _cache_key(stream._fp)
         labels = [h.strip() for h in _csv_header(stream, "confusion")]
         k = len(labels)
         rows = None if key is None else _cached_body(key[0], k)
-        store = rows is None and key is not None
-        if rows is None:
+        store = False
+        # A cached body is taken, and a parsed one stored, only for the file
+        # as it was when hashed.
+        if rows is None or key[1] != _identity(stream._fp):
             rows = np.empty((k, k))
             n = 0
             for block in _csv_body(stream, partial(_float_block, k=k),
@@ -349,8 +352,7 @@ def read_confusion_csv(path: str) -> ConfusionMatrix:
                 n += len(block)  # rows past the K-th are counted for the message
             if n != k:
                 raise ParseError(f"confusion matrix must be square: {k} labels but {n} rows", path=path)
-            # Only a body parsed from the file as it was when hashed is stored.
-            store = store and key[1] == _identity(stream._fp)
+            store = key is not None and key[1] == _identity(stream._fp)
     try:
         conf = ConfusionMatrix(ClassCatalog(tuple(labels)), rows)
     except PriorAdaptError as exc:
@@ -360,16 +362,23 @@ def read_confusion_csv(path: str) -> ConfusionMatrix:
     return conf
 
 
-def _cache_key(path: str) -> Optional[tuple[str, tuple]]:
-    """A regular file's cache entry, ``$XDG_CACHE_HOME/prioradapt/<blake2b>.npy``, and its identity when hashed."""
+def _cache_key(fp) -> Optional[tuple[str, tuple]]:
+    """The cache entry of the regular file open as ``fp``, ``$XDG_CACHE_HOME/prioradapt/<blake2b>.npy``, and its identity when hashed.
+
+    The bytes are read through ``fp``'s descriptor with ``os.pread``, which
+    leaves its position where it was, so the hash is of the file the parse
+    reads, whatever is renamed onto its path meanwhile.
+    """
+    fd = fp.fileno()
     try:
-        if not os.path.isfile(path):
+        if not stat.S_ISREG(os.fstat(fd).st_mode):
             return None  # a pipe is read once, by the parse
-        with open(path, "rb") as fp:
-            # The tag names the entries' layout: a new layout takes a new tag.
-            identity, digest = _identity(fp), blake2b(b"prioradapt confusion body v1\n", digest_size=32)
-            for chunk in iter(partial(fp.read, 1 << 20), b""):
-                digest.update(chunk)
+        # The tag names the entries' layout: a new layout takes a new tag.
+        identity, digest = _identity(fp), blake2b(b"prioradapt confusion body v1\n", digest_size=32)
+        offset = 0
+        while chunk := os.pread(fd, 1 << 20, offset):
+            digest.update(chunk)
+            offset += len(chunk)
     except OSError:
         return None
     base = os.environ.get("XDG_CACHE_HOME") or os.path.join(os.path.expanduser("~"), ".cache")

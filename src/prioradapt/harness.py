@@ -28,7 +28,7 @@ import pickle
 import signal
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import IO, Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -465,13 +465,12 @@ def estimator(conf: ConfusionMatrix) -> Callable[[str, DecisionHistogram], Prior
 
 
 def adapt(
-    blocks: Iterable[np.ndarray],
+    items: Iterable,
     monitor: StreamMonitor,
     estimate: Callable[[DecisionHistogram], PriorEstimate],
     every: int,
-    on_failure: Callable[[PriorAdaptError], object],
-) -> Iterator[tuple[np.ndarray, PriorEstimate]]:
-    """Yield ``(scores, priors)`` parts of (N, K) score blocks, re-estimating every ``every`` rows.
+) -> Iterator:
+    """Yield ``(scores, priors)`` parts of the (N, K) score blocks among ``items``, re-estimating every ``every`` rows.
 
     The priors start uniform.  Parts are cut at multiples of ``every``
     rows.  After a part is yielded its baseline decisions are counted in
@@ -479,11 +478,15 @@ def adapt(
     ``estimate(monitor.snapshot())`` comes into force, so each row is
     decided under the priors in force before it is counted, and nothing is
     estimated after the last row.  An estimate that raises
-    :class:`PriorAdaptError` leaves the priors in force and is passed to
-    ``on_failure``.
+    :class:`PriorAdaptError` leaves the priors in force, and the error is
+    yielded in its place.  An item that is not an array, such as a skipped
+    row's error, is yielded as it is, in its place.
     """
     priors = uniform_estimate(monitor.catalog.k)
-    for scores in blocks:
+    for scores in items:
+        if not isinstance(scores, np.ndarray):
+            yield scores
+            continue
         start = 0
         while start < len(scores):
             seen = monitor.decisions_seen
@@ -491,7 +494,7 @@ def adapt(
                 try:
                     priors = estimate(monitor.snapshot())
                 except PriorAdaptError as exc:
-                    on_failure(exc)
+                    yield exc
             part = scores[start:start + every - seen % every]
             yield part, priors
             monitor.ingest_many(part.argmax(axis=1))
@@ -694,7 +697,21 @@ def _chunks(items: Sequence, n: int) -> list[Sequence]:
 
 
 class WorkerLost(ChildProcessError):
-    """A worker process ended, or sent bytes that do not unpickle, before its end-of-stream marker."""
+    """A worker process ended, or sent bytes that do not unpickle, before its end-of-stream marker.
+
+    ``pid`` is the worker's.  Only the process that forked it can reap it,
+    so only there does the message name its exit code.
+    """
+
+    pid: Optional[int] = None
+
+
+def _lost(pid: int, exit_code: Optional[int]) -> WorkerLost:
+    """The :class:`WorkerLost` of worker ``pid``, naming its exit code if it was reaped."""
+    ended = "ended" if exit_code is None else f"ended with exit code {exit_code}"
+    lost = WorkerLost(f"worker process {pid} {ended} before its last message")
+    lost.pid = pid
+    return lost
 
 
 def _messages(items: Iterable) -> Iterator[tuple[bool, object]]:
@@ -830,7 +847,14 @@ def read_ahead(items: Iterable) -> Iterator[Iterable]:
     last message raises :class:`WorkerLost`, naming its exit code.  The
     child is reaped as soon as its last message arrives; on exit from the
     block, one that has not sent it is killed and reaped.
+
+    The yielded stream may be read on in a process forked from this one,
+    such as a second ``read_ahead``'s child.  That copy only closes the
+    pipe: it never kills or reaps a process it did not fork, so its
+    :class:`WorkerLost` names no exit code.  When that error reaches this
+    block, it is raised again naming the code.
     """
+    forker = os.getpid()
     child = _fork(items) if _cpu_count() > 1 else None
     if child is None:
         yield items
@@ -839,10 +863,11 @@ def read_ahead(items: Iterable) -> Iterator[Iterable]:
     pipe = open(read_fd, "rb")
     exit_code: Optional[int] = None
 
-    def reap(kill: bool) -> int:
+    def reap(kill: bool) -> Optional[int]:
+        """Close the pipe; in the forking process, kill the child if ``kill``, reap it once and return its exit code."""
         nonlocal exit_code
-        if exit_code is None:
-            pipe.close()
+        pipe.close()
+        if exit_code is None and os.getpid() == forker:
             if kill:
                 os.kill(pid, signal.SIGKILL)
             exit_code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -853,9 +878,7 @@ def read_ahead(items: Iterable) -> Iterator[Iterable]:
             try:
                 last, value = pickle.load(pipe)
             except Exception:  # the end of the pipe, a cut message, or one that cannot be rebuilt
-                raise WorkerLost(
-                    f"worker process {pid} ended with exit code {reap(kill=True)} before its last message"
-                ) from None
+                raise _lost(pid, reap(kill=True)) from None
             if last:
                 break
             yield value
@@ -865,103 +888,12 @@ def read_ahead(items: Iterable) -> Iterator[Iterable]:
 
     try:
         yield received()
+    except WorkerLost as exc:
+        if exc.pid != pid:
+            raise
+        raise _lost(pid, reap(kill=True)) from None
     finally:
         reap(kill=True)
-
-
-def _written(read_fd: int, write_fd: int, out: IO, write: Callable[[object], object]) -> Iterator:
-    """Run ``write`` on each item pickled into the pipe ``read_fd``, until its end; then flush ``out``.
-
-    Runs in :func:`write_behind`'s child, which first closes its copy of
-    the pipe's write end ``write_fd``, so that the pipe ends when the
-    sender closes it.  Yields nothing.
-    """
-    os.close(write_fd)
-    try:
-        with open(read_fd, "rb") as pipe:
-            while True:
-                try:
-                    item = pickle.load(pipe)
-                except EOFError:
-                    break
-                write(item)
-    finally:
-        out.flush()
-    yield from ()
-
-
-@contextlib.contextmanager
-def write_behind(out: IO, write: Callable[[object], object]) -> Iterator[Callable[[object], None]]:
-    """Yield ``send(item)``; ``write(item)`` runs for every item sent, in order, behind the caller.
-
-    :func:`read_ahead` in reverse.  ``write`` runs in a forked child when
-    this process may use more than one CPU, ``out`` has a file descriptor,
-    and a child can be started; otherwise ``send`` is ``write``, called
-    here.  ``out`` is flushed here before the fork, and by the child after
-    its last write, so that no byte is written twice.  The caller runs
-    ahead of the child by at most the capacity of the pipe that carries
-    the items; ``send`` waits while it is full.
-
-    On every exit from the block the pipe is closed, the child writes what
-    it was sent, and it is reaped.  An exception ``write`` raised is raised
-    here, also over one the block raised later, since it belongs to an
-    earlier item; so is one that breaks the pipe under ``send``.  A child
-    that ends before its last message raises :class:`WorkerLost`.  A block
-    left by an exception that is not an ``Exception``, such as a signal's,
-    keeps that exception: the child is reaped without raising its own.
-    """
-    fds = None
-    if _cpu_count() > 1 and _has_descriptor(out):
-        out.flush()
-        with contextlib.suppress(OSError):
-            fds = _pipe()
-    if fds is None:
-        yield write
-        return
-    read_fd, write_fd = fds
-    items = _written(read_fd, write_fd, out, write)
-    with read_ahead(items) as done:
-        os.close(read_fd)
-        if done is items:  # no child could be started
-            os.close(write_fd)
-            yield write
-            return
-        sent = open(write_fd, "wb")
-
-        def send(item) -> None:
-            try:
-                sent.write(pickle.dumps(item, pickle.HIGHEST_PROTOCOL))
-                sent.flush()
-            except BrokenPipeError:
-                for _ in done:  # the child stopped reading: raise its own error
-                    pass
-                raise
-
-        def finish() -> None:
-            with contextlib.suppress(BrokenPipeError):
-                sent.close()
-            for _ in done:
-                pass
-
-        try:
-            yield send
-        except Exception:
-            finish()
-            raise
-        except BaseException:  # SIGTERM or Ctrl-C, which the child may have died of as well
-            with contextlib.suppress(Exception):
-                finish()
-            raise
-        finish()
-
-
-def _has_descriptor(out: IO) -> bool:
-    """Whether ``out`` writes to a file descriptor, which a forked child can write to as well."""
-    try:
-        out.fileno()
-    except (AttributeError, OSError, ValueError):  # io.UnsupportedOperation is both
-        return False
-    return True
 
 
 def evaluate_suite(
@@ -1073,13 +1005,17 @@ def run_drift_scenario(
             segments.append(segment)
             yield scores
 
-    failures: list[PriorAdaptError] = []
+    failures = []
     parts = adapt(
         scores_of(simulate_stream(spec, clf, np.random.default_rng(stream_ss))),
         StreamMonitor(spec.catalog, window=window),
-        partial(estimator(conf), "quadratic_program"), reestimate_every, failures.append,
+        partial(estimator(conf), "quadratic_program"), reestimate_every,
     )
-    for part, priors in parts:
+    for item in parts:
+        if isinstance(item, PriorAdaptError):
+            failures.append(item)
+            continue
+        part, priors = item
         baseline.append(part.argmax(axis=1))
         adapted.append(decide_adapted_batch(part, priors))
     segments = np.repeat(segments, [len(labels) for labels in truth])

@@ -627,26 +627,28 @@ class TestScoreReader:
         return captured.out, captured.err, code, len(forks)
 
     def test_bytes_do_not_depend_on_the_reader(self, tmp_path, monkeypatch, capsys):
+        # On two CPUs static reweight forks a reader, and live a reader and a solver.
         scores, conf = self._scores(tmp_path)
-        for argv, lines in (
-            (["reweight", data("fixture_scores.csv"), "--priors", data("fixture_priors.json")], 5),
-            (["reweight", scores, "--confusion", conf, "--reestimate-every", "7", "--window", "50"], 401),
+        for argv, lines, forks in (
+            (["reweight", data("fixture_scores.csv"), "--priors", data("fixture_priors.json")], 5, 1),
+            (["reweight", scores, "--confusion", conf, "--reestimate-every", "7", "--window", "50"], 401, 2),
         ):
             serial = self._run(monkeypatch, capsys, 1, argv)
             forked = self._run(monkeypatch, capsys, 2, argv)
-            assert serial == (forked[0], "", 0, 0) and forked[1:] == ("", 0, 1)
+            assert serial == (forked[0], "", 0, 0) and forked[1:] == ("", 0, forks)
             assert serial[0].count("\n") == lines
 
     def test_bytes_do_not_depend_on_the_writer(self, tmp_path, monkeypatch, capfd):
-        # capfd's stdout has a descriptor, so on two CPUs the writer forks too.
+        # capfd's stdout has a descriptor, which no child holds: this process
+        # writes every row, so the forks are as in process-captured runs.
         scores, conf = self._scores(tmp_path)
-        for argv, lines in (
-            (["reweight", data("fixture_scores.csv"), "--priors", data("fixture_priors.json")], 5),
-            (["reweight", scores, "--confusion", conf, "--reestimate-every", "7", "--window", "50"], 401),
+        for argv, lines, forks in (
+            (["reweight", data("fixture_scores.csv"), "--priors", data("fixture_priors.json")], 5, 1),
+            (["reweight", scores, "--confusion", conf, "--reestimate-every", "7", "--window", "50"], 401, 2),
         ):
             serial = self._run(monkeypatch, capfd, 1, argv)
             forked = self._run(monkeypatch, capfd, 2, argv)
-            assert serial == (forked[0], "", 0, 0) and forked[1:] == ("", 0, 2)
+            assert serial == (forked[0], "", 0, 0) and forked[1:] == ("", 0, forks)
             assert serial[0].count("\n") == lines
 
     def test_warnings_keep_their_order(self, tmp_path, monkeypatch, capsys):
@@ -1186,8 +1188,8 @@ class TestOutputFile:
     def _interrupted(self, tmp_path, entry: str, group: bool, signum: int, ignored: bool = False, rows: int = 20_000):
         """Start a live `reweight --output` over an earlier output, send ``signum`` mid-run and wait for the end.
 
-        Live re-weighting every row takes seconds, in a reader, a solver and
-        a writer process where two CPUs are free.  The signal goes to the
+        Live re-weighting every row takes seconds, in this command's process,
+        a reader and a solver where two CPUs are free.  The signal goes to the
         command alone, or, as from `timeout` or a hang-up, to its process
         group.  With ``ignored``, the command starts with ``signum`` ignored,
         as under `nohup`.  Returns the process, its stderr, the output path
@@ -1211,8 +1213,16 @@ class TestOutputFile:
             while not [name for name in os.listdir(tmp_path) if name.endswith(".tmp")]:
                 assert proc.poll() is None and time.monotonic() < deadline
                 time.sleep(0.01)
-            time.sleep(0.3)  # past the writer's fork
+            time.sleep(0.3)  # mid-run
             children = self._children(proc.pid)
+            # Both children were forked before the output was opened: neither holds it.
+            for pid in children:
+                held = []
+                with contextlib.suppress(OSError):  # a child that has just ended
+                    for fd in os.listdir(f"/proc/{pid}/fd"):
+                        with contextlib.suppress(OSError):
+                            held.append(os.readlink(f"/proc/{pid}/fd/{fd}"))
+                assert not [path for path in held if path.endswith(".tmp")], held
             if group:
                 os.killpg(proc.pid, signum)
             else:
@@ -1226,10 +1236,10 @@ class TestOutputFile:
     def _assert_ended_by(self, signum: int, tmp_path, entry: str, group: bool) -> None:
         proc, err, out, children = self._interrupted(tmp_path, entry, group, signum)
         assert proc.returncode == -signum, err
-        assert err == b""  # a writer that died of the same signal is no error
+        assert err == b""  # a solver that died of the same signal is no error
         assert sorted(os.listdir(tmp_path)) == ["out.csv", "s.csv"]
         assert read_bytes(str(out)) == b"earlier output\n"
-        assert len(children) == (2 if harness._cpu_count() > 1 else 0)  # the reader and the writer
+        assert len(children) == (2 if harness._cpu_count() > 1 else 0)  # the reader and the solver
         assert not [pid for pid in children if os.path.exists(f"/proc/{pid}")]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads child processes from /proc")
@@ -1285,7 +1295,7 @@ class TestOutputFile:
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="reads child processes from /proc")
     def test_ignored_sighup_lets_the_command_finish(self, tmp_path):
-        # Sent to the group, so the reader and the writer ignore it as well.
+        # Sent to the group, so the reader and the solver ignore it as well.
         proc, err, out, _ = self._interrupted(tmp_path, "script", True, signal.SIGHUP, ignored=True, rows=2_000)
         assert proc.returncode == 0, err
         assert err == b""
@@ -1687,7 +1697,7 @@ class TestMainLeavesNothingOpen:
     @pytest.mark.parametrize("cpus", [1, 2])
     @pytest.mark.parametrize("case, code", [("ok", 0), ("bad_row", 2), ("solver", 3), ("io", 4)])
     def test_descriptors_and_temporaries(self, tmp_path, monkeypatch, capsys, case, code, cpus):
-        monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)  # on 2, reweight forks a reader and a writer
+        monkeypatch.setattr(harness, "_cpu_count", lambda: cpus)  # on 2, static reweight forks a reader
         out_dir = tmp_path / "out"
         out_dir.mkdir()
         argv = ["reweight", data("fixture_scores.csv"), "--priors", data("fixture_priors.json")]
@@ -1707,7 +1717,7 @@ class TestMainLeavesNothingOpen:
 
 # Runs the command through the plan's entry, ``python -m prioradapt`` or the
 # installed script's ``run()``, with one fault planted: in the reader or the
-# writer process, in the j-th call of os.fork or os.pipe, in the j-th live
+# solver process, in the j-th call of os.fork or os.pipe, in the j-th live
 # estimate, or in the write of the confusion cache entry, which fills the disk
 # part way; argv[1] is the plan, the rest the command line.
 _FAULT_RUNNER = """
@@ -1726,14 +1736,14 @@ if plan["fault"] == "reader":
                 os._exit(7)
             yield item
     cli._score_items = _score_items
-elif plan["fault"] == "writer":
-    real_rows, parts = cli._reweight_rows, []
-    def _reweight_rows(scores, priors):
-        parts.append(1)
-        if len(parts) == plan["at"] + 1 and os.getpid() != parent:
-            os._exit(7)
-        return real_rows(scores, priors)
-    cli._reweight_rows = _reweight_rows
+elif plan["fault"] == "solver":
+    real_adapt = cli.adapt
+    def adapt(*args):
+        for n, part in enumerate(real_adapt(*args)):
+            if n == plan["at"] and os.getpid() != parent:
+                os._exit(7)
+            yield part
+    cli.adapt = adapt
 elif plan["fault"] in ("fork", "pipe"):
     real_call, calls = getattr(os, plan["fault"]), []
     def failing():
@@ -1764,7 +1774,7 @@ else:
 """
 
 
-_FAULTS = ["none", "reader", "writer", "fork", "pipe", "estimate", "bad_row", "dev_full", "broken_pipe", "closed",
+_FAULTS = ["none", "reader", "solver", "fork", "pipe", "estimate", "bad_row", "dev_full", "broken_pipe", "closed",
            "cache_write"]
 
 
@@ -1773,7 +1783,8 @@ def _fault_plans(draw):
     fault = draw(st.sampled_from(_FAULTS))
     return dict(
         cpus=draw(st.sampled_from([1, 2])),
-        live=draw(st.booleans()) or fault in ("estimate", "cache_write"),  # only a live run estimates or reads a confusion CSV
+        # Only a live run has a solver, estimates or reads a confusion CSV.
+        live=draw(st.booleans()) or fault in ("solver", "estimate", "cache_write"),
         lenient=draw(st.booleans()),
         to_file=draw(st.booleans()),
         existing=draw(st.booleans()),
@@ -1859,7 +1870,7 @@ class TestReweightFaultPlan:
         if fault == "dev_full" or (fault in ("broken_pipe", "closed") and not plan["to_file"]):
             return 4, "", False
         forks = plan["cpus"] > 1 and len(os.sched_getaffinity(0)) > 1  # two CPUs keep the runner's own set
-        if forks and fault in ("reader", "writer"):
+        if forks and fault in ("reader", "solver"):
             return 4, reference, True
         return 0, reference, False
 
@@ -1868,17 +1879,19 @@ class TestReweightFaultPlan:
     @example(dict(_PLAN, fault="estimate", at=5))
     @example(dict(_PLAN, fault="fork", at=0))
     @example(dict(_PLAN, fault="fork", at=1))
+    @example(dict(_PLAN, fault="pipe", at=0))
     @example(dict(_PLAN, fault="pipe", at=1))
-    @example(dict(_PLAN, fault="pipe", at=2))
+    @example(dict(_PLAN, fault="reader", at=2))
+    @example(dict(_PLAN, fault="solver", at=3))
     @example(dict(_PLAN, fault="cache_write", at=0))
     def test_exit_code_output_and_no_child_left(self, plan):
         fault, at = plan["fault"], plan["at"]
         if fault == "reader":
             at %= 7  # of about 13 blocks
-        elif fault == "writer":
-            at %= 20 if plan["live"] else 3  # of at least 22 parts, or 13 blocks
+        elif fault == "solver":
+            at %= 20  # of at least 22 parts
         elif fault in ("fork", "pipe"):
-            at %= 2 if fault == "fork" else 3  # the reader's, then the writer's (a pipe each way for it)
+            at %= 2  # the reader's, then the solver's
         elif fault == "estimate":
             at %= 21  # of 21 re-estimates, every 7 of 150 rows
         with tempfile.TemporaryDirectory() as tmp:
@@ -1950,6 +1963,8 @@ class TestReweightFaultPlan:
             assert "Traceback" not in err and "Exception ignored" not in err, err
             errors = [line for line in err.splitlines() if line.startswith("error: ")]
             assert len(errors) == (code != 0), err
+            if prefix_only:  # a dead reader or solver, named by the process that reaped it
+                assert errors[0].endswith("ended with exit code 7 before its last message"), err
             warned = [line for line in err.splitlines() if line.startswith("warning: ")]
             kept = [line for line in warned if line == "warning: keeping previous priors: planted failure"]
             assert len(warned) == (fault == "estimate" or (fault == "bad_row" and plan["lenient"])), err
@@ -2077,20 +2092,27 @@ class TestEntryPoint:
         assert max(s["kkt"] for s in doc["solves"]) <= 1e-12
 
     def test_bench_tracer_counts_live_estimates(self, tmp_path):
-        # Live re-estimates run in harness.adapt; the tracer must still see
-        # every one through the estimator names bound in harness.
+        # Live re-estimates run in harness.adapt, in a solver process where two
+        # CPUs are free, which the tracer cannot see.  On one CPU they run in
+        # process, and the tracer must see every one through the estimator
+        # names bound in harness.
         root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
         env = dict(os.environ, PYTHONPATH=os.path.join(root, "src"))
         scores = data("fixture_scores.csv")
         argv = ["reweight", scores, "--confusion", data("fixture_confusion3.csv"),
                 "--reestimate-every", "2"]
         trace = str(tmp_path / "trace.json")
+
+        def one_cpu():
+            if hasattr(os, "sched_setaffinity"):
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
         traced = subprocess.run(
             [sys.executable, os.path.join(root, "bench", "traced.py"), trace, "--", *argv],
-            capture_output=True, env=env, cwd=root,
+            capture_output=True, env=env, cwd=root, preexec_fn=one_cpu,
         )
         plain = subprocess.run(
-            [sys.executable, "-m", "prioradapt", *argv], capture_output=True, env=env, cwd=root,
+            [sys.executable, "-m", "prioradapt", *argv], capture_output=True, env=env, cwd=root, preexec_fn=one_cpu,
         )
         assert traced.returncode == 0, traced.stderr
         assert plain.returncode == 0, plain.stderr

@@ -1,5 +1,6 @@
 """Domain types and the two decision rules."""
 
+import math
 import re
 import tracemalloc
 from fractions import Fraction
@@ -398,6 +399,23 @@ def _tiny_product_batch(draw):
     return np.array(rows), vector(prior_big)
 
 
+#: How many ulps a ``norm_*`` entry may lie from the exact quotient of its
+#: row's ``raw_*`` doubles.  Measured over 10 000 draws of
+#: :func:`_tiny_product_batch` (137 169 entries): median 5e-5, 99th
+#: percentile 1.18, largest 2.61; over 299 280 entries of Dirichlet(0.3)
+#: rows and priors at K = 2 to 1000, largest 3.30.
+NORM_ULPS = 8
+
+
+def exact_normalized_ulps(raw, normalized) -> list[float]:
+    """How many ulps each of ``normalized`` lies from its ``raw`` double over the row's exact sum."""
+    exact = [Fraction(p) for p in raw.tolist()]
+    total = sum(exact)
+    quotients = [p / total for p in exact] if total else exact
+    return [float(abs(Fraction(got) - q) / Fraction(math.ulp(float(q)))) if q else (0.0 if got == 0.0 else math.inf)
+            for got, q in zip(normalized.tolist(), quotients)]
+
+
 class TestExactReference:
     """The adapted rule against exact rational products of the same doubles."""
 
@@ -410,12 +428,14 @@ class TestExactReference:
         scores, values = batch
         priors = _priors(values)
         expected = [exact_decide_adapted(row, priors.values) for row in scores]
-        decisions, products, _ = reweight_batch(scores, priors)
+        decisions, products, normalized = reweight_batch(scores, priors)
         assert decisions.tolist() == [d for d, _ in expected]
         assert decide_adapted_batch(scores, priors).tolist() == [d for d, _ in expected]
         exact = [[float(Fraction(s) * Fraction(p)) for s, p in zip(row.tolist(), priors.values.tolist())]
                  for row in scores]
         assert products.tolist() == exact  # one correctly rounded multiply each
+        for raw, norm in zip(products, normalized):
+            assert max(exact_normalized_ulps(raw, norm)) <= NORM_ULPS
         for row, want in zip(scores, expected):
             assert decide_adapted(ScoreRecord(row), priors, return_fallback=True) == want
 

@@ -315,6 +315,35 @@ class TestConfusionCache:
         assert read_confusion_csv(path).rows.tolist() == [[0.8, 0.2], [0.4, 0.6]]
         assert self.entries(cache) == []
 
+    @pytest.mark.parametrize("swap", ["renamed_onto", "rewritten_in_place"])
+    def test_a_file_swapped_after_hashing_is_read_whole(self, tmp_path, cache, monkeypatch, swap):
+        # Labels and body come from one file: the one hashed, when another is
+        # renamed onto its path, or the new bytes, parsed, when it is rewritten.
+        path = write(tmp_path, "c.csv", "a,b\n3,1\n1,3\n")
+        hashed = read_confusion_csv(path)  # stores the entry of these bytes
+        other = write(tmp_path, "other.csv", "x,y\n1,1\n1,3\n")  # as long, so only the time tells
+        real_key = fileio._cache_key
+
+        def key_then_swap(*args):
+            key = real_key(*args)
+            if swap == "renamed_onto":
+                os.replace(other, path)
+            else:
+                with open(path, "r+", encoding="utf-8") as fp:
+                    fp.write(Path(other).read_text(encoding="utf-8"))
+                os.utime(path, ns=(0, 0))
+            return key
+
+        monkeypatch.setattr(fileio, "_cache_key", key_then_swap)
+        got = read_confusion_csv(path)
+        if swap == "renamed_onto":
+            assert got.catalog == hashed.catalog
+            assert got.rows.tobytes() == hashed.rows.tobytes()
+        else:
+            assert got.catalog.labels == ("x", "y")
+            assert got.rows.tolist() == [[0.5, 0.5], [0.25, 0.75]]
+        assert len(self.entries(cache)) == 1
+
     @pytest.mark.parametrize("content, message", [
         (b"a,b\n1,0\n0,oops\n", r"c\.csv:3: could not convert string to float: 'oops'"),
         (b'a,b\n1,0\n"0,1\n', r"c\.csv:3: expected 2 columns, got 1"),

@@ -2,9 +2,9 @@
 
 import contextlib
 import errno
-import io
 import itertools
 import os
+import re
 import select
 import signal
 import sys
@@ -24,6 +24,9 @@ from prioradapt import (
     DecisionHistogram,
     DriftSegment,
     IllConditionedError,
+    ParseError,
+    PriorAdaptError,
+    PriorEstimate,
     ScenarioSpec,
     SyntheticClassifier,
     ValidationError,
@@ -40,6 +43,7 @@ from prioradapt import harness
 from prioradapt.core import METHODS
 from prioradapt.errors import ConvergenceError
 from prioradapt.harness import _fold_partitions, _mixture_counts, read_scenario_json
+from prioradapt.monitor import StreamMonitor
 
 from conftest import make_catalog, random_confusion_rows
 
@@ -725,6 +729,59 @@ class TestReadAheadProperties:
         assert_no_children()
         assert "Traceback" not in stderr[0] and "Exception ignored" not in stderr[0]
 
+    @pytest.mark.parametrize("cut", [None, 0, 3, 7], ids=["end", "cut-0", "cut-3", "cut-7"])
+    def test_a_forked_copy_of_a_stream(self, cut):
+        # A second child reads the first one's stream, read to its end or cut
+        # off where the first child exits.  That copy reaps nothing, so no
+        # ECHILD comes back; this process reaps the first child and names its
+        # exit code.
+        parent, forks, real_fork = os.getpid(), [], os.fork
+
+        def items():
+            for i in range(8):
+                if i == cut and os.getpid() != parent:
+                    os._exit(5)
+                yield i
+
+        got, outcome = [], "end"
+        with captured_stderr() as stderr, mock.patch.object(harness, "_cpu_count", lambda: 2), \
+                mock.patch.object(os, "fork", lambda: forks.append(1) or real_fork()):
+            try:
+                with harness.read_ahead(items()) as ahead, harness.read_ahead(ahead) as copied:
+                    got.extend(copied)
+            except ChildProcessError as exc:
+                outcome = exc
+        assert len(forks) == 2
+        assert got == list(range(8 if cut is None else cut))
+        if cut is None:
+            assert outcome == "end"
+        else:
+            assert type(outcome) is harness.WorkerLost and outcome.errno != errno.ECHILD
+            assert re.fullmatch(r"worker process \d+ ended with exit code 5 before its last message", str(outcome))
+        assert_no_children()
+        assert "Traceback" not in stderr[0] and "Exception ignored" not in stderr[0]
+
+    @pytest.mark.parametrize("stop", [KeyboardInterrupt, ValueError], ids=["signal", "error"])
+    def test_a_signal_is_not_reported_as_a_lost_child(self, stop):
+        # As when SIGTERM or Ctrl-C reaches the process group: the solver, the
+        # child reading the reader's stream, dies too, and the block ends by
+        # the signal's exception, not by WorkerLost.
+        parent = os.getpid()
+
+        def solved(items):
+            for item in items:
+                if os.getpid() != parent:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                yield item
+
+        with mock.patch.object(harness, "_cpu_count", lambda: 2):
+            with pytest.raises(stop):
+                with harness.read_ahead(iter(range(5))) as ahead, harness.read_ahead(solved(ahead)) as parts:
+                    assert parts is not ahead  # the solver was forked
+                    time.sleep(0.2)  # past its death
+                    raise stop
+        assert_no_children()
+
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
 class TestRunAhead:
@@ -754,113 +811,6 @@ class TestRunAhead:
         assert [len(item) for item in got] == sizes
         assert all(item == bytes([i % 256]) * len(item) for i, item in enumerate(got))
         assert_no_children()
-
-
-@st.composite
-def write_behind_plans(draw):
-    """n items; a writer fault at item ``at``; the item at which the sender raises, if any."""
-    n = draw(st.integers(0, 12))
-    fault = draw(st.sampled_from(["none", "raise", "exit", "kill"]))
-    at = None if fault == "none" else draw(st.integers(0, n))
-    stop = draw(st.none() | st.integers(0, n - 1)) if n else None
-    return dict(cpus=draw(st.sampled_from([1, 2])), n=n, fault=fault, at=at, stop=stop)
-
-
-@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-class TestWriteBehindProperties:
-    """``write_behind`` writes the same items, and raises the same error, in a child as in process."""
-
-    TIMEOUT_S = 5
-
-    @staticmethod
-    def expected(cpus, n, fault, at, stop):
-        """The items written, whether only a prefix of them is promised, and the outcome."""
-        sent = n if stop is None else stop
-        if at is not None and at < sent and (fault == "raise" or cpus > 1):
-            if fault == "raise":
-                return list(range(at)), False, (f"failed at item {at}",)
-            return list(range(at)), True, "lost"  # the child's buffer dies with it
-        return list(range(sent)), False, "end" if stop is None else (f"sender failed at item {stop}",)
-
-    @settings(max_examples=120, deadline=None)
-    @given(write_behind_plans())
-    def test_writes_faults_and_reaping(self, plan):
-        cpus, fault, at, parent = plan["cpus"], plan["fault"], plan["at"], os.getpid()
-
-        def write(item):
-            if item == at:
-                if fault == "raise":
-                    raise RuntimeError(f"failed at item {item}")
-                if fault == "exit" and os.getpid() != parent:
-                    os._exit(3)
-                if fault == "kill" and os.getpid() != parent:
-                    os.kill(os.getpid(), signal.SIGKILL)
-            out.write(f"{item}\n")
-
-        def too_slow(*args):
-            raise TimeoutError("write_behind did not return")
-
-        outcome = "end"
-        with tempfile.TemporaryFile("w+") as out, captured_stderr() as stderr, \
-                mock.patch.object(harness, "_cpu_count", lambda: cpus):
-            out.write("head\n")  # still buffered: written once, before the items
-            alarm = signal.signal(signal.SIGALRM, too_slow)
-            signal.alarm(self.TIMEOUT_S)
-            try:
-                with harness.write_behind(out, write) as send:
-                    for i in range(plan["n"]):
-                        if i == plan["stop"]:
-                            raise ValueError(f"sender failed at item {i}")
-                        send(i)
-            except harness.WorkerLost:
-                outcome = "lost"
-            except (RuntimeError, ValueError) as exc:
-                outcome = exc.args
-            finally:
-                signal.alarm(0)
-                signal.signal(signal.SIGALRM, alarm)
-            out.flush()
-            out.seek(0)
-            text = out.read()
-        items, prefix_only, expected_outcome = self.expected(**plan)
-        lines = text.splitlines()
-        assert lines[0] == "head" and "head" not in lines[1:]
-        if prefix_only:
-            assert lines[1:] == [str(i) for i in items[:len(lines) - 1]]
-        else:
-            assert lines[1:] == [str(i) for i in items]
-        assert outcome == expected_outcome
-        assert_no_children()
-        assert "Traceback" not in stderr[0] and "Exception ignored" not in stderr[0]
-
-    @pytest.mark.parametrize("stop, raised", [
-        (KeyboardInterrupt, KeyboardInterrupt),
-        (ValueError, harness.WorkerLost),
-    ], ids=["signal", "error"])
-    def test_a_signal_is_not_reported_as_a_lost_child(self, stop, raised):
-        # As when SIGTERM or Ctrl-C reaches the process group: the child dies
-        # too, and the block ends by the signal's exception, not by WorkerLost.
-        parent = os.getpid()
-
-        def write(item):
-            if os.getpid() != parent:
-                os.kill(os.getpid(), signal.SIGKILL)
-
-        with tempfile.TemporaryFile("w") as out, mock.patch.object(harness, "_cpu_count", lambda: 2):
-            with pytest.raises(raised):
-                with harness.write_behind(out, write) as send:
-                    send(0)
-                    raise stop
-        assert_no_children()
-
-    def test_no_descriptor_writes_in_process(self):
-        out, forks = io.StringIO(), []
-        with mock.patch.object(harness, "_cpu_count", lambda: 2), \
-                mock.patch.object(os, "fork", lambda: forks.append(1) or pytest.fail("forked")):
-            with harness.write_behind(out, lambda item: out.write(f"{item}\n")) as send:
-                for i in range(3):
-                    send(i)
-        assert (out.getvalue(), forks) == ("0\n1\n2\n", [])
 
 
 def stream_rows(spec, clf, rng=None):
@@ -1053,3 +1003,25 @@ def test_estimator_names_each_method_and_refuses_any_other(monkeypatch):
     for typo in ("matrix-inverse", "qp", "", "ground_truth"):
         with pytest.raises(ValidationError, match=rf"^unknown estimation method {typo!r}$"):
             estimate(typo, hist)
+
+
+def test_adapt_keeps_skipped_rows_and_failed_estimates_in_place():
+    # A skipped row's error comes out where the reader put it, and a failed
+    # re-estimate just before the part it left the priors in force for.
+    skipped = ParseError("row 4 skipped")
+    blocks = [np.array([[0.9, 0.1], [0.8, 0.2], [0.3, 0.7]]), skipped, np.array([[0.4, 0.6], [0.2, 0.8]])]
+    later = PriorEstimate(np.array([0.25, 0.75]), method="naive")
+    results = iter([PriorAdaptError("first fails"), later])
+
+    def estimate(hist):
+        result = next(results)
+        if isinstance(result, PriorAdaptError):
+            raise result
+        return result
+
+    out = list(harness.adapt(blocks, StreamMonitor(make_catalog(2)), estimate, 2))
+    failure = out[1]
+    assert type(failure) is PriorAdaptError and str(failure) == "first fails"
+    shape = [item if isinstance(item, Exception) else (item[0].tolist(), item[1].method) for item in out]
+    assert shape == [([[0.9, 0.1], [0.8, 0.2]], "uniform"), failure, ([[0.3, 0.7]], "uniform"), skipped,
+                     ([[0.4, 0.6]], "uniform"), ([[0.2, 0.8]], "naive")]
