@@ -374,6 +374,7 @@ def cmd_reweight(args) -> int:
     with contextlib.closing(_score_items(args.scores, args.lenient)) as items, read_ahead(items) as ahead:
         if args.confusion is not None:
             conf = fileio.read_confusion_csv(args.confusion)
+            monitor = StreamMonitor(conf.catalog, window=args.window)
         method = _METHOD_BY_FLAG[args.method] if args.method else None
         catalog = next(ahead, None)
         if catalog is None:
@@ -385,8 +386,8 @@ def cmd_reweight(args) -> int:
                 pass
             return EXIT_OK
         if args.priors is not None:
-            values, tag = fileio.read_priors_json(args.priors, catalog, method)
-            priors = PriorEstimate(values / values.sum(), method=tag)
+            values = fileio.read_priors_json(args.priors, catalog, method)
+            priors = PriorEstimate(values / values.sum())
             source = contextlib.nullcontext(
                 item if isinstance(item, ParseError) else (item, priors) for item in ahead
             )
@@ -397,7 +398,7 @@ def cmd_reweight(args) -> int:
             # records, in a third process where one can run, which reads the
             # scores from here on.  It holds no handle on the output.
             source = read_ahead(adapt(
-                ahead, StreamMonitor(catalog, window=args.window),
+                ahead, monitor,
                 partial(estimator(conf), method or _METHOD_BY_FLAG["qp"]), args.reestimate_every,
             ))
         with source as parts, _open_output(args.output) as fp:
@@ -416,8 +417,6 @@ def cmd_simulate(args) -> int:
     if args.output is None:
         raise ValidationError("simulate requires --output PREFIX for its two files")
     spec, clf = read_scenario_json(args.scenario, seed_override=args.seed)
-    if clf is None:
-        raise ParseError("scenario JSON needs a classifier section to simulate", path=args.scenario)
 
     scores_path = args.output + ".scores.csv"
     truth_path = args.output + ".truth.csv"
@@ -542,8 +541,6 @@ def cmd_evaluate(args) -> int:
     spec = None
     if args.scenario is not None:
         spec, clf = read_scenario_json(args.scenario, seed_override=args.seed)
-        if clf is None:
-            raise ParseError("scenario JSON needs a classifier section to evaluate", path=args.scenario)
     if spec is not None and spec.drift:
         if args.folds is not None:
             raise ValidationError("--folds applies only to cross-validation, not to drift scenarios")

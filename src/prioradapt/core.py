@@ -10,9 +10,10 @@ latter is 1/K for every class, so the ratio is the estimated prior times a
 constant, and the rules take the :class:`PriorEstimate` itself.
 
 This module holds the immutable value types the rest of the package is
-built on, plus the two decision rules.  The adapted rule and the
-re-weighting are written once, as kernels over every row of an (N, K)
-score array (:func:`decide_adapted_batch` and :func:`reweight_batch`);
+built on, each with only the fields some caller reads, plus the two
+decision rules.  The adapted rule and the re-weighting are written once,
+as kernels over every row of an (N, K) score array
+(:func:`decide_adapted_batch` and :func:`reweight_batch`);
 :func:`decide_adapted`, :func:`reweight` and :func:`reweight_normalized`
 are one-row calls of them.
 
@@ -55,10 +56,6 @@ METHODS = (
     Method("quadratic_program", "qp", "Quadratic programming"),
     Method("ground_truth", None, "Ground truth"),
 )
-
-#: Valid ``PriorEstimate`` tags: the method names plus ``uniform_estimate``'s.
-_PRIOR_TAGS = frozenset(m.name for m in METHODS) | {"uniform"}
-
 
 def readonly(a, dtype=np.float64) -> np.ndarray:
     """A read-only copy of ``a`` as ``dtype``: how every value type stores a caller's array.
@@ -136,7 +133,7 @@ class ClassCatalog:
 
 @dataclass(frozen=True)
 class ScoreRecord:
-    """One deployment sample: a softmax score vector, optionally labelled.
+    """One deployment sample: its softmax score vector, which is all the decision rules read.
 
     Scores must already be probabilities summing to 1 (within 1e-6);
     violating records are rejected rather than silently renormalized so
@@ -144,16 +141,9 @@ class ScoreRecord:
     """
 
     scores: np.ndarray
-    true_label: Optional[int] = None
 
     def __post_init__(self):
-        scores = probability_vector(self.scores, "scores", SCORE_SUM_TOL)
-        if self.true_label is not None:
-            lbl = int(self.true_label)
-            if lbl < 0 or lbl >= scores.size:
-                raise ValidationError(f"true_label {lbl} out of range for {scores.size} classes")
-            object.__setattr__(self, "true_label", lbl)
-        object.__setattr__(self, "scores", scores)
+        object.__setattr__(self, "scores", probability_vector(self.scores, "scores", SCORE_SUM_TOL))
 
     @property
     def k(self) -> int:
@@ -267,17 +257,13 @@ class EstimatorDiagnostics:
 
 @dataclass(frozen=True)
 class PriorEstimate:
-    """A point on the K-simplex tagged with the method that produced it."""
+    """A point on the K-simplex and the diagnostics of the solve that produced it."""
 
     values: np.ndarray
-    method: str
     diagnostics: EstimatorDiagnostics = field(default_factory=EstimatorDiagnostics)
 
     def __post_init__(self):
-        values = probability_vector(self.values, "priors", PRIOR_SUM_TOL)
-        if self.method not in _PRIOR_TAGS:
-            raise ValidationError(f"unknown estimation method {self.method!r}")
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", probability_vector(self.values, "priors", PRIOR_SUM_TOL))
 
     @property
     def k(self) -> int:
@@ -286,7 +272,7 @@ class PriorEstimate:
 
 def uniform_estimate(k: int) -> PriorEstimate:
     """The balanced-training prior as an estimate (re-weighting no-op)."""
-    return PriorEstimate(np.full(k, 1.0 / k), method="uniform")
+    return PriorEstimate(np.full(k, 1.0 / k))
 
 
 def decide_baseline(record: ScoreRecord) -> int:
@@ -320,19 +306,15 @@ def reweight_normalized(record: ScoreRecord, priors: PriorEstimate) -> np.ndarra
     return _normalized(reweight(record, priors)[np.newaxis])[0]
 
 
-def decide_adapted(record: ScoreRecord, priors: PriorEstimate, return_fallback: bool = False):
+def decide_adapted(record: ScoreRecord, priors: PriorEstimate) -> int:
     """Prior-aware decision rule: argmax of prior times score, as one row of :func:`decide_adapted_batch`.
 
     Ties break toward the lowest class index.  If no exact product is
     positive (the rule is undefined there) the baseline decision is used
-    instead; pass ``return_fallback=True`` to also receive a flag telling
-    whether that fallback fired.
+    instead.
     """
     products = reweight(record, priors)[np.newaxis]
-    decisions, fell_back = _adapted_decisions(record.scores[np.newaxis], priors, products)
-    if return_fallback:
-        return int(decisions[0]), bool(fell_back[0])
-    return int(decisions[0])
+    return int(_adapted_decisions(record.scores[np.newaxis], priors, products)[0][0])
 
 
 def _products(scores: np.ndarray, priors: PriorEstimate) -> np.ndarray:

@@ -116,7 +116,7 @@ def estimate_naive(hist: Observations) -> PriorEstimate:
     else:
         values = _observation_vector(hist, np.size(hist))
         values = values / values.sum()
-    return PriorEstimate(values, method="naive")
+    return PriorEstimate(values)
 
 
 def estimate_precision_recall(
@@ -163,7 +163,7 @@ def estimate_precision_recall(
         )
     if total <= 0.0:
         raise InsufficientDataError("all corrected frequencies are zero")
-    return PriorEstimate(raw / total, method="precision_recall")
+    return PriorEstimate(raw / total)
 
 
 def estimate_matrix_inverse(
@@ -199,11 +199,7 @@ def estimate_matrix_inverse(
         raise IllConditionedError("clipped solution has no positive mass")
     values = clipped / total
     residual = float(np.linalg.norm(h @ values - c))
-    return PriorEstimate(
-        values,
-        method="matrix_inverse",
-        diagnostics=EstimatorDiagnostics(residual=residual, clipped_mass=clipped_mass),
-    )
+    return PriorEstimate(values, diagnostics=EstimatorDiagnostics(residual=residual, clipped_mass=clipped_mass))
 
 
 def estimate_qp(
@@ -225,7 +221,6 @@ def estimate_qp(
     values, report = solve_simplex_lsq(gram.h, c, gram=gram)
     return PriorEstimate(
         values,
-        method="quadratic_program",
         diagnostics=EstimatorDiagnostics(
             residual=float(np.sqrt(report.residual)),
             iterations=report.iterations,
@@ -237,4 +232,4 @@ def estimate_qp(
 
 def estimate_ground_truth(priors) -> PriorEstimate:
     """Wrap known true priors for the oracle comparison row."""
-    return PriorEstimate(priors, method="ground_truth")
+    return PriorEstimate(priors)

@@ -102,8 +102,8 @@ class TextInput:
 
     Lines split as ``open(path, newline="")`` splits them: at ``\\n``,
     ``\\r\\n`` or a bare ``\\r``, and each line keeps its ending.  Bytes that
-    are not UTF-8 raise :class:`ParseError` naming their line, counted at
-    ``\\n`` bytes, once the lines before it have been handed out.
+    are not UTF-8 raise :class:`ParseError` naming their line, counted by
+    that same rule, once the lines before it have been handed out.
     Iterating yields single lines; :meth:`raw_block` hands out the rest of
     the current block at once as bytes, which :meth:`lines` splits.
     ``line_no`` counts the lines handed out so far.
@@ -164,10 +164,6 @@ class TextInput:
         before = self._raw_lines
         data = self._read(_BLOCK_BYTES)
         self.line_no += self._raw_lines - before
-        if b"\r" in data:
-            # A bare \r ends a line too.  A block ends at \n or at the end of
-            # the input, so no \r\n is cut in two.
-            self.line_no += data.count(b"\r") - data.count(b"\r\n")
         if data and not data.endswith((b"\n", b"\r")):
             self.line_no += 1
         return data
@@ -184,8 +180,8 @@ class TextInput:
         except UnicodeDecodeError as exc:
             # A line break never occurs inside a multi-byte UTF-8 sequence,
             # so the first bad byte lies on the first line that fails alone.
-            good = data.rfind(b"\n", 0, exc.start) + 1
-            line = self._raw_lines - data.count(b"\n", good) + 1
+            good = max(data.rfind(b"\n", 0, exc.start), data.rfind(b"\r", 0, exc.start)) + 1
+            line = self._raw_lines - _line_ends(data[good:]) + 1
             self._error = ParseError("not valid UTF-8", path=self.path, line=line)
             if not good:
                 raise self._error from None
@@ -199,8 +195,7 @@ class TextInput:
         data = self._fp.read(size) if size else self._fp.readline()
         if data and not data.endswith(b"\n"):
             data += self._fp.readline()
-        # numpy counts a frequent byte many times faster than bytes.count.
-        self._raw_lines += int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")))
+        self._raw_lines += _line_ends(data)
         return data
 
     def _fill(self, size: int) -> bool:
@@ -218,6 +213,15 @@ class TextInput:
         else:
             self._lines += lines
         return True
+
+
+def _line_ends(data: bytes) -> int:
+    """Each ``\\n``, ``\\r\\n`` or bare ``\\r`` in ``data``, which ends at ``\\n`` or at the end of the input."""
+    # numpy counts a frequent byte many times faster than bytes.count.
+    ends = int(np.count_nonzero(np.frombuffer(data, dtype=np.uint8) == ord("\n")))
+    if b"\r" in data:
+        ends += data.count(b"\r") - data.count(b"\r\n")
+    return ends
 
 
 #: Bytes per block read from a text input.
@@ -674,14 +678,14 @@ def write_json(doc: dict, fp: IO[str]) -> None:
     fp.write("\n")
 
 
-def read_priors_mapping(path: str, method: Optional[str] = None) -> tuple[dict, str]:
-    """The ``{label: prior}`` mapping a priors JSON holds, and its method tag; no label is checked.
+def read_priors_mapping(path: str, method: Optional[str] = None) -> dict:
+    """The ``{label: prior}`` mapping a priors JSON holds; no label is checked.
 
     Accepts either the document written by the ``estimate`` command or a
     bare ``{label: probability}`` mapping.  With several methods present,
-    ``method`` selects one (required unless only one exists).  A bare
-    mapping holds no methods to pick from, so it refuses ``method``, and it
-    is tagged ``ground_truth`` since it represents externally known priors.
+    ``method`` selects one (required unless only one exists), and a method
+    that is not one of :data:`~prioradapt.core.METHODS` is refused.  A bare
+    mapping holds no methods to pick from, so it refuses ``method``.
     """
     doc = read_json(path)
     if not isinstance(doc, dict):
@@ -689,7 +693,7 @@ def read_priors_mapping(path: str, method: Optional[str] = None) -> tuple[dict, 
     if "methods" not in doc:
         if method is not None:
             raise ParseError(f"priors JSON has no methods to pick {method!r} from", path=path)
-        return doc, "ground_truth"
+        return doc
     if not isinstance(doc["methods"], dict):
         raise ParseError("priors JSON methods must be an object", path=path)
     methods = {
@@ -714,21 +718,20 @@ def read_priors_mapping(path: str, method: Optional[str] = None) -> tuple[dict, 
         raise ParseError(f"unknown estimation method {method!r}", path=path)
     if not isinstance(methods[method], dict):
         raise ParseError(f"priors of method {method!r} must be an object", path=path)
-    return methods[method], method
+    return methods[method]
 
 
 def read_priors_json(
     path: str,
     catalog: ClassCatalog,
     method: Optional[str] = None,
-) -> tuple[np.ndarray, str]:
+) -> np.ndarray:
     """Extract one prior vector, aligned to ``catalog``, from a priors JSON.
 
-    The mapping and its tag are chosen by :func:`read_priors_mapping`.
-    Returns the vector and the tag.  The entries must be nonnegative with
-    positive mass; they need not sum to 1.
+    The mapping is chosen by :func:`read_priors_mapping`.  The entries must
+    be nonnegative with positive mass; they need not sum to 1.
     """
-    mapping, tag = read_priors_mapping(path, method)
+    mapping = read_priors_mapping(path, method)
     values = np.zeros(catalog.k)
     for label, value in mapping.items():
         if label not in catalog.labels:
@@ -747,4 +750,4 @@ def read_priors_json(
         raise ParseError("priors JSON mass is too large to normalize", path=path)
     if not mass > 0.0:
         raise ParseError("priors JSON has no positive mass", path=path)
-    return values, tag
+    return values

@@ -195,8 +195,8 @@ def _priors_from_mapping(
 def read_scenario_json(
     path: str,
     seed_override: Optional[int] = None,
-) -> tuple[ScenarioSpec, Optional[SyntheticClassifier]]:
-    """Parse a scenario file; validation failures name the offending field."""
+) -> tuple[ScenarioSpec, SyntheticClassifier]:
+    """Parse a scenario file, whose classifier section is required; validation failures name the offending field."""
     doc = read_json(path)
     if not isinstance(doc, dict):
         raise ParseError("scenario JSON must be an object", path=path)
@@ -263,10 +263,9 @@ def read_scenario_json(
     except PriorAdaptError as exc:
         raise ParseError(f"scenario: {exc}", path=path) from exc
 
-    classifier = None
-    if "classifier" in doc and doc["classifier"] is not None:
-        classifier = _build_classifier(doc["classifier"], catalog, sharpness, path)
-    return spec, classifier
+    if doc.get("classifier") is None:
+        raise ParseError("scenario.classifier is required", path=path)
+    return spec, _build_classifier(doc["classifier"], catalog, sharpness, path)
 
 
 def _sharpness(value, where: str, path: str) -> float:
@@ -389,7 +388,7 @@ def generate_record(
     k = clf.catalog.k
     if true_class < 0 or true_class >= k:
         raise ValidationError(f"true_class {true_class} out of range for {k} classes")
-    return ScoreRecord(_draw_scores(clf, 1, (true_class,), rng)[0], true_label=true_class)
+    return ScoreRecord(_draw_scores(clf, 1, (true_class,), rng)[0])
 
 
 def estimate_confusion(

@@ -263,16 +263,16 @@ def solve_simplex_lsq(
 ) -> tuple[np.ndarray, SolveReport]:
     """Minimize ``||H v - c||^2`` over the probability simplex, exactly.
 
-    Works on ``G = H^T H`` and ``b = H^T c``; pass ``gram`` (``Gram.of(h)``)
-    to reuse G across solves with the same H, and ``gram.h`` as ``h`` to
-    skip validating H again.  Projected-gradient steps from the projection
+    Works on ``G = H^T H`` and ``b = H^T c``; to reuse G across solves with
+    the same H, pass ``gram`` (``Gram.of(h)``) and ``gram.h`` as ``h``, any
+    other ``h`` being refused.  Projected-gradient steps from the projection
     of c, with the fixed step ``1 / ||G||_inf``, guess the support of the
     optimum: at most 20, fewer once two steps in a row leave the support
     unchanged.  An active-set method then finishes.  It solves the KKT
     system on the guessed support and drops every nonpositive entry until
     the solution is positive (Heinz & Chang's fully constrained least
-    squares).  From there it follows Lawson & Hanson: add the class with
-    the most negative multiplier, re-solve, and step back to the feasible
+    squares).  From there it follows Lawson & Hanson: add the class with the
+    most negative multiplier, re-solve, and step back to the feasible
     segment when an entry turns nonpositive, dropping it; it stops when no
     multiplier is negative beyond rounding.  The result is the optimum to
     rounding error, also for singular H.
@@ -286,10 +286,8 @@ def solve_simplex_lsq(
     if gram is None:
         gram = Gram.of(h)
         h = gram.h
-    elif h is not gram.h:  # gram.h was validated when the Gram was built
-        h = _as_square_matrix(h)
-        if gram.matrix.shape != h.shape:
-            raise ValidationError(f"Gram matrix has shape {gram.matrix.shape}, expected {h.shape}")
+    elif h is not gram.h:
+        raise ValidationError("a Gram matrix must be passed with its own H, gram.h")
     c = _as_vector(c, h.shape[0])
     g = gram.matrix
     b = h.T @ c

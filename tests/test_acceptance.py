@@ -165,14 +165,14 @@ def test_criterion_5_argmax_invariances():
         for _ in range(10_000):
             k = int(rng.integers(2, 15))
             record = ScoreRecord(rng.dirichlet(np.ones(k)))
-            priors = PriorEstimate(np.full(k, 1.0 / k), method="uniform")
+            priors = PriorEstimate(np.full(k, 1.0 / k))
             if decide_adapted(record, priors) != decide_baseline(record):
                 uniform_violations += 1
 
         scaling_violations = 0
         for _ in range(10_000):
             k = int(rng.integers(2, 15))
-            estimate = PriorEstimate(rng.dirichlet(np.ones(k)), method="ground_truth")
+            estimate = PriorEstimate(rng.dirichlet(np.ones(k)))
             c = float(rng.uniform(1e-8, 1e8))
             record = ScoreRecord(rng.dirichlet(np.ones(k)))
             # An independent rule: argmax of the rescaled priors times the scores.

@@ -443,6 +443,7 @@ class TestReweight:
         ({"methods": {"naive": {"priors": {"a": 1.0}}, "matrix_inverse": {"priors": {"a": 1.0}}}},
          None, "holds several methods"),
         ({"methods": {}}, None, "no successful method entries"),
+        ({"methods": {"foo": {"priors": {"a": 1.0}}}}, None, "unknown estimation method 'foo'"),
     ])
     def test_empty_stream_checks_priors_choice(self, tmp_path, capsys, doc, method, message):
         # The same file is refused with the same message for a stream with rows.
@@ -454,6 +455,16 @@ class TestReweight:
             assert code == 2
             err = capsys.readouterr().err
             assert err.startswith(f"error: {priors}: ") and message in err
+            assert not os.path.exists(out)
+
+    def test_empty_stream_checks_the_window(self, tmp_path, capsys):
+        for scores in (self._empty(tmp_path), data("fixture_scores.csv")):
+            code, out = run([
+                "reweight", scores, "--confusion", data("fixture_confusion3.csv"),
+                "--reestimate-every", "2", "--window", "0",
+            ], tmp_path)
+            assert code == 2
+            assert capsys.readouterr() == ("", "error: window length must be >= 1\n")
             assert not os.path.exists(out)
 
     def test_empty_stream_live_needs_cadence(self, tmp_path):
@@ -1525,7 +1536,7 @@ _SCENARIO = {
 
 
 #: ``(patch, message)``: ``_SCENARIO`` updated by ``patch`` (a list replaces it) is
-#: refused with ``error: PATH: message``; ``{command}`` stands for the command run.
+#: refused with ``error: PATH: message``.
 _MALFORMED_SCENARIOS = [
     ([1], "scenario JSON must be an object"),
     ({"transfer_size": True}, "scenario.transfer_size must be an integer"),
@@ -1547,7 +1558,7 @@ _MALFORMED_SCENARIOS = [
     ({"classifier": {"diagonal": [0.7, 0.7]}},
      "scenario.classifier.diagonal must be a number or a list of 3 numbers"),
     ({"classifier": {"diagonal": [0.7, 0.0, 0.7]}}, "scenario.classifier.diagonal entries must lie in (0, 1]"),
-    ({"classifier": None}, "scenario JSON needs a classifier section to {command}"),
+    ({"classifier": None}, "scenario.classifier is required"),
 ]
 
 
@@ -1561,8 +1572,14 @@ def test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, command, pat
         "simulate": ["--output", str(tmp_path / "sim"), "simulate", str(path)],
     }[command]
     assert main(argv) == 2
-    assert capsys.readouterr() == ("", f"error: {path}: {message.format(command=command)}\n")
+    assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
     assert os.listdir(tmp_path) == ["scen.json"]
+
+
+@pytest.mark.parametrize("command", ["evaluate", "simulate"])
+def test_scenario_without_classifier_exits_2_with_one_line(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.delitem(_SCENARIO, "classifier")
+    test_malformed_scenario_exits_2_with_one_line(tmp_path, capsys, command, {}, "scenario.classifier is required")
 
 
 class TestNegativeSeed:

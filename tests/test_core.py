@@ -32,6 +32,7 @@ from prioradapt import (
 from prioradapt.core import (
     PRIOR_SUM_TOL,
     SCORE_SUM_TOL,
+    _adapted_decisions,
     check_probability_rows,
     decide_adapted_batch,
     probability_vector,
@@ -66,9 +67,8 @@ class TestClassCatalog:
 
 class TestScoreRecord:
     def test_valid(self):
-        r = ScoreRecord((0.1, 0.7, 0.2), true_label=2)
+        r = ScoreRecord((0.1, 0.7, 0.2))
         assert r.k == 3
-        assert r.true_label == 2
 
     def test_scores_are_immutable(self):
         r = ScoreRecord((0.5, 0.5))
@@ -86,10 +86,6 @@ class TestScoreRecord:
     def test_rejects_nan(self):
         with pytest.raises(ValidationError):
             ScoreRecord((float("nan"), 1.0))
-
-    def test_rejects_bad_label(self):
-        with pytest.raises(ValidationError):
-            ScoreRecord((0.5, 0.5), true_label=5)
 
     def test_sum_tolerance_is_tight(self):
         # 1e-7 off is fine, 1e-5 off is not: data bugs must surface.
@@ -157,11 +153,7 @@ class TestDecisionHistogram:
 class TestPriorEstimate:
     def test_simplex_enforced(self):
         with pytest.raises(ValidationError):
-            PriorEstimate(np.array([0.5, 0.6]), method="ground_truth")
-
-    def test_unknown_method(self):
-        with pytest.raises(ValidationError):
-            PriorEstimate(np.array([0.5, 0.5]), method="folk")
+            PriorEstimate(np.array([0.5, 0.6]))
 
 
 class TestDecideBaseline:
@@ -176,7 +168,13 @@ class TestDecideBaseline:
 
 
 def _priors(values) -> PriorEstimate:
-    return PriorEstimate(np.asarray(values, dtype=float), method="ground_truth")
+    return PriorEstimate(np.asarray(values, dtype=float))
+
+
+def _fell_back(record: ScoreRecord, priors: PriorEstimate) -> bool:
+    """Whether the adapted rule falls back to the baseline on ``record``, as the batch kernel reports it."""
+    scores = record.scores[np.newaxis]
+    return bool(_adapted_decisions(scores, priors, scores * priors.values)[1][0])
 
 
 # The adapted rule and the re-weighting written row by row, apart from the
@@ -197,16 +195,12 @@ def reference_reweight_normalized(record: ScoreRecord, priors: PriorEstimate) ->
     return products
 
 
-def reference_decide_adapted(record: ScoreRecord, priors: PriorEstimate, return_fallback: bool = False):
+def reference_decide_adapted(record: ScoreRecord, priors: PriorEstimate) -> tuple[int, bool]:
+    """The adapted decision and whether it fell back to the baseline."""
     products = reference_reweight(record, priors)
-    fell_back = not np.any(products > 0.0)
-    if fell_back:
-        decision = decide_baseline(record)
-    else:
-        decision = int(np.argmax(products))
-    if return_fallback:
-        return decision, fell_back
-    return decision
+    if not np.any(products > 0.0):
+        return decide_baseline(record), True
+    return int(np.argmax(products)), False
 
 
 class TestReweight:
@@ -273,17 +267,14 @@ class TestDecideAdapted:
         assert decide_adapted(ScoreRecord((0.9, 0.1)), _priors((0.0, 1.0))) == 1
 
     def test_all_zero_falls_back_with_flag(self):
-        record = ScoreRecord((1.0, 0.0))
-        decision, fell_back = decide_adapted(record, _priors((0.0, 1.0)), return_fallback=True)
-        assert decision == decide_baseline(record) == 0
-        assert fell_back
+        record, priors = ScoreRecord((1.0, 0.0)), _priors((0.0, 1.0))
+        assert decide_adapted(record, priors) == decide_baseline(record) == 0
+        assert _fell_back(record, priors)
 
     def test_no_fallback_flag_normally(self):
-        decision, fell_back = decide_adapted(
-            ScoreRecord((0.4, 0.6)), _priors((0.5, 0.5)), return_fallback=True
-        )
-        assert decision == 1
-        assert not fell_back
+        record, priors = ScoreRecord((0.4, 0.6)), _priors((0.5, 0.5))
+        assert decide_adapted(record, priors) == 1
+        assert not _fell_back(record, priors)
 
     def test_argmax_invariance_under_uniform(self):
         rng = np.random.default_rng(7)
@@ -296,7 +287,7 @@ class TestDecideAdapted:
         rng = np.random.default_rng(8)
         for _ in range(500):
             k = int(rng.integers(2, 12))
-            est = PriorEstimate(rng.dirichlet(np.ones(k)), method="ground_truth")
+            est = PriorEstimate(rng.dirichlet(np.ones(k)))
             c = float(rng.uniform(1e-8, 1e8))
             record = ScoreRecord(rng.dirichlet(np.ones(k)))
             expected = int(np.argmax((c * est.values) * record.scores))
@@ -311,9 +302,9 @@ class TestDecideAdapted:
             values[dead] = 0.0
             values /= values.sum()
             record = ScoreRecord(rng.dirichlet(np.ones(k)))
-            decision, fell_back = decide_adapted(record, _priors(values), return_fallback=True)
-            if not fell_back:
-                assert values[decision] > 0.0
+            priors = _priors(values)
+            if not _fell_back(record, priors):
+                assert values[decide_adapted(record, priors)] > 0.0
 
 
 @st.composite
@@ -334,7 +325,7 @@ class TestDecideAdaptedBatch:
     def test_matches_scalar_rule_row_by_row(self, batch):
         scores, values = batch
         priors = _priors(values)
-        expected = [reference_decide_adapted(ScoreRecord(row), priors) for row in scores]
+        expected = [reference_decide_adapted(ScoreRecord(row), priors)[0] for row in scores]
         assert decide_adapted_batch(scores, priors).tolist() == expected
 
     def test_rejects_wrong_width(self):
@@ -437,25 +428,25 @@ class TestExactReference:
         for raw, norm in zip(products, normalized):
             assert max(exact_normalized_ulps(raw, norm)) <= NORM_ULPS
         for row, want in zip(scores, expected):
-            assert decide_adapted(ScoreRecord(row), priors, return_fallback=True) == want
+            record = ScoreRecord(row)
+            assert (decide_adapted(record, priors), _fell_back(record, priors)) == want
 
     def test_an_underflowed_product_still_decides(self):
         # The exact products are (1e-330, 0, 0): every double product is 0.
         record, priors = ScoreRecord((1e-30, 1.0, 0.0)), _priors((1e-300, 0.0, 1.0))
         assert reweight(record, priors).tolist() == [0.0, 0.0, 0.0]
-        assert decide_adapted(record, priors, return_fallback=True) == (0, False)
+        assert (decide_adapted(record, priors), _fell_back(record, priors)) == (0, False)
 
     def test_subnormal_products_that_round_alike_are_told_apart(self):
         # 0.3 and 0.45 times 2**-1073 both round to 2**-1074.
         record = ScoreRecord((2.0 ** -1073, 2.0 ** -1073, 0.0, 1.0))
         priors = _priors((0.3, 0.45, 0.25, 0.0))
         assert reweight(record, priors).tolist() == [5e-324, 5e-324, 0.0, 0.0]
-        assert decide_adapted(record, priors, return_fallback=True) == (1, False)
+        assert (decide_adapted(record, priors), _fell_back(record, priors)) == (1, False)
 
 
 def test_uniform_estimate():
     est = uniform_estimate(4)
-    assert est.method == "uniform"
     assert np.allclose(est.values, 0.25)
 
 
@@ -513,7 +504,7 @@ class TestArrayIntake:
 
     @pytest.mark.parametrize("build, tol", [
         (ScoreRecord, SCORE_SUM_TOL),
-        (lambda v: PriorEstimate(v, method="naive"), PRIOR_SUM_TOL),
+        (PriorEstimate, PRIOR_SUM_TOL),
         (lambda v: DriftSegment(start=1, priors=v), PRIOR_SUM_TOL),
         (
             lambda v: ScenarioSpec(
@@ -556,7 +547,7 @@ class TestReweightBatch:
         priors = _priors(values)
         records = [ScoreRecord(row) for row in scores]  # every row is a valid score vector
         decisions, products, normalized = reweight_batch(scores, priors)
-        assert decisions.tolist() == [reference_decide_adapted(r, priors) for r in records]
+        assert decisions.tolist() == [reference_decide_adapted(r, priors)[0] for r in records]
         assert products.tobytes() == np.stack([reference_reweight(r, priors) for r in records]).tobytes()
         assert normalized.tobytes() == np.stack(
             [reference_reweight_normalized(r, priors) for r in records]
@@ -588,10 +579,9 @@ class TestScalarNamesAreOneRowCalls:
     @settings(max_examples=300, deadline=None)
     def test_match_the_row_by_row_reference(self, drawn):
         record, priors = drawn
-        got = decide_adapted(record, priors, return_fallback=True)
-        assert got == reference_decide_adapted(record, priors, return_fallback=True)
-        assert [type(v) for v in got] == [int, bool]
-        assert type(decide_adapted(record, priors)) is int
+        got = decide_adapted(record, priors), _fell_back(record, priors)
+        assert got == reference_decide_adapted(record, priors)
+        assert type(got[0]) is int
         assert reweight(record, priors).tobytes() == reference_reweight(record, priors).tobytes()
         normalized = reweight_normalized(record, priors)
         assert normalized.shape == (record.k,)

@@ -58,7 +58,6 @@ class TestEstimateNaive:
     def test_direct_frequency(self):
         est = estimate_naive(DecisionHistogram(np.array([50, 30, 20])))
         assert np.allclose(est.values, [0.5, 0.3, 0.2])
-        assert est.method == "naive"
 
     def test_single_observed_class(self):
         est = estimate_naive(DecisionHistogram(np.array([0, 0, 10])))
@@ -96,7 +95,6 @@ class TestEstimatePrecisionRecall:
         est = estimate_precision_recall(DecisionHistogram(np.array([20, 80])), table)
         # Raw corrected masses are proportional to (0.3, 0.4).
         assert np.allclose(est.values, [3 / 7, 4 / 7], atol=1e-15)
-        assert est.method == "precision_recall"
 
     def test_degenerate_recall(self):
         from prioradapt.estimators import PrecisionRecallTable
@@ -168,7 +166,6 @@ class TestEstimateMatrixInverse:
     def test_identity_mixing(self):
         est = estimate_matrix_inverse(conf_from(np.eye(3)), np.array([0.5, 0.3, 0.2]))
         assert np.allclose(est.values, [0.5, 0.3, 0.2], atol=1e-12)
-        assert est.method == "matrix_inverse"
 
     def test_symmetric_forward_oracle(self):
         conf = conf_from([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]])
@@ -231,7 +228,6 @@ class TestEstimateQp:
     def test_identity_projection(self):
         est = estimate_qp(conf_from(np.eye(3)), np.array([0.2, 0.3, 0.5]))
         assert np.allclose(est.values, [0.2, 0.3, 0.5], atol=1e-12)
-        assert est.method == "quadratic_program"
         assert est.diagnostics.iterations is not None
 
     def test_consistent_forward_oracle(self):
@@ -278,7 +274,6 @@ class TestEstimateGroundTruth:
     def test_passthrough(self):
         est = estimate_ground_truth(np.array([0.2, 0.8]))
         assert np.allclose(est.values, [0.2, 0.8])
-        assert est.method == "ground_truth"
 
     def test_uniform(self):
         est = estimate_ground_truth(np.array([0.25] * 4))

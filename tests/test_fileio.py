@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from prioradapt import ClassCatalog, ConfusionMatrix, ParseError, PriorAdaptError, ScoreRecord, fileio
+from prioradapt import ClassCatalog, ConfusionMatrix, ParseError, PriorAdaptError, ScoreRecord, ValidationError, fileio
 from prioradapt.estimators import estimate_naive
 from prioradapt.core import DecisionHistogram
 from prioradapt.fileio import (
@@ -521,16 +521,17 @@ class TestDecisionStream:
 def reference_lines(path):
     """The lines of ``path`` as ``open(path, newline="")`` splits them.
 
-    Each ``\\n``-ended line is decoded on its own, so a bad byte raises only
-    once the lines before it have been read.
+    The raw bytes are split at ``\\n``, ``\\r\\n`` or a bare ``\\r``, as
+    ``bytes.splitlines`` splits them, and each line is decoded on its own,
+    so a bad byte raises only once the lines before it have been read.
     """
     with open(path, "rb") as fp:
-        for line_no, raw in enumerate(fp, start=1):
-            try:
-                text = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                raise ParseError("not valid UTF-8", path=path, line=line_no) from None
-            yield from io.StringIO(text, newline="").readlines()
+        data = fp.read()
+    for line_no, raw in enumerate(data.splitlines(keepends=True), start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError("not valid UTF-8", path=path, line=line_no) from None
 
 
 def reference_records(path):
@@ -621,15 +622,17 @@ def reference_score_row(row, catalog, has_label, path, line_no):
     expected = catalog.k + (1 if has_label else 0)
     if len(row) != expected:
         raise ParseError(f"expected {expected} columns, got {len(row)}", path=path, line=line_no)
-    true_label = None
+    label = None
     values = row
     try:
         if has_label:
             raw = row[0].strip()
             values = row[1:]
             if raw:
-                true_label = _truth_index(raw, catalog)
-        record = ScoreRecord([float(x) for x in values], true_label=true_label)
+                label = _truth_index(raw, catalog)
+        record = ScoreRecord([float(x) for x in values])
+        if label is not None and not 0 <= label < catalog.k:
+            raise ValidationError(f"true_label {label} out of range for {catalog.k} classes")
     except (ValueError, PriorAdaptError) as exc:
         raise ParseError(str(exc), path=path, line=line_no) from None
     return record.scores
@@ -957,15 +960,13 @@ class TestPriorsJson:
         buf = io.StringIO()
         write_json(doc, buf)
         path = write(tmp_path, "p.json", buf.getvalue())
-        values, tag = read_priors_json(path, catalog)
-        assert tag == "naive"
+        values = read_priors_json(path, catalog)
         assert np.array_equal(values, estimate.values)
 
     def test_bare_mapping(self, tmp_path):
         catalog = make_catalog(2)
         path = write(tmp_path, "p.json", '{"x00": 0.25, "x01": 0.75}')
-        values, tag = read_priors_json(path, catalog)
-        assert tag == "ground_truth"
+        values = read_priors_json(path, catalog)
         assert np.allclose(values, [0.25, 0.75])
 
     def test_bare_mapping_refuses_a_method(self, tmp_path):
@@ -985,8 +986,7 @@ class TestPriorsJson:
         path = write(tmp_path, "p.json", json.dumps(doc))
         with pytest.raises(ParseError, match="--method"):
             read_priors_json(path, catalog)
-        values, tag = read_priors_json(path, catalog, method="quadratic_program")
-        assert tag == "quadratic_program"
+        values = read_priors_json(path, catalog, method="quadratic_program")
         assert np.allclose(values, [0.3, 0.7])
 
     def test_unknown_label(self, tmp_path):
@@ -1023,7 +1023,7 @@ class TestPriorsJson:
     def test_crlf_document(self, tmp_path):
         path = tmp_path / "p.json"
         path.write_bytes(b'\r\n{"x00": 1,\r\n "x01": 3}\r\n')
-        values, _ = read_priors_json(str(path), make_catalog(2))
+        values = read_priors_json(str(path), make_catalog(2))
         assert values.tolist() == [1.0, 3.0]
 
 
@@ -1155,9 +1155,10 @@ class TestScenarioJson:
     def test_no_classifier_section(self, tmp_path):
         doc = scenario_doc()
         del doc["classifier"]
-        path = write(tmp_path, "scen.json", json.dumps(doc))
-        spec, clf = read_scenario_json(path)
-        assert clf is None
+        for doc in (doc, {**doc, "classifier": None}):
+            path = write(tmp_path, "scen.json", json.dumps(doc))
+            with pytest.raises(ParseError, match=r"^.*scen\.json: scenario\.classifier is required$"):
+                read_scenario_json(path)
 
 
 def on_stream(read):
@@ -1173,6 +1174,9 @@ def on_stream(read):
     (read_confusion_csv, b"a,b\n1,0\n\xff,1\n"),
     (on_stream(lambda s: list(read_score_records(s)[1])), b"s_a,s_b\n0.5,0.5\n\xff,0.5\n"),
     (on_stream(lambda s: list(read_decision_stream(s, 2))), b"0\n1\n\xff\n"),
+    (read_confusion_csv, b"a,b\r1,0\r\xff,1\r"),
+    (on_stream(lambda s: list(read_score_records(s)[1])), b"s_a,s_b\r0.5,0.5\r\xff,0.5\r"),
+    (on_stream(lambda s: list(read_decision_stream(s, 2))), b"0\r1\r\n\xff\r"),
     (on_stream(stream_kind), b"\n\n\xff\xfe0\n"),
     (lambda p: read_priors_json(p, make_catalog(2)), b'{"x00": 0.5,\n"x01": 0.5,\n"\xff": 0}'),
     (read_scenario_json, b'{"labels": ["a", "b"],\n"name": 1,\n"\xff": 0}'),

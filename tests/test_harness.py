@@ -73,7 +73,6 @@ class TestGenerateRecord:
                 true_class = int(rng.integers(0, 4))
                 record = generate_record(clf, true_class, rng)
                 assert decide_baseline(record) == true_class
-                assert record.true_label == true_class
 
     def test_scores_sum_to_one(self):
         clf = make_classifier(np.eye(3))
@@ -169,7 +168,6 @@ class TestDrawScores:
         for label in (0, 6, 3, 3):
             record = generate_record(clf, label, ours)
             assert record.scores.tobytes() == reference_draw(clf, label, theirs).tobytes()
-            assert record.true_label == label
         assert ours.bit_generator.state == theirs.bit_generator.state
 
 
@@ -824,14 +822,14 @@ def stream_rows(spec, clf, rng=None):
 
 
 def reference_stream(spec, clf, rng):
-    """The stream drawn a row at a time: ``rng.choice`` picks the label, then ``generate_record``."""
+    """The stream drawn a row at a time as ``(record, label, segment)``: ``rng.choice`` picks the label, then ``generate_record``."""
     segments = [(0, spec.true_priors), *((seg.start, seg.priors) for seg in spec.drift or ())]
     segment = 0
     for index in range(spec.transfer_size + spec.test_size):
         while segment + 1 < len(segments) and index >= segments[segment + 1][0]:
             segment += 1
         label = int(rng.choice(spec.catalog.k, p=segments[segment][1]))
-        yield generate_record(clf, label, rng), segment
+        yield generate_record(clf, label, rng), label, segment
 
 
 class TestSimulateStream:
@@ -881,9 +879,9 @@ class TestSimulateStream:
         spec = uniform_scenario(clf.catalog, active=range(6), transfer_size=2000, test_size=2200, drift=tuple(drift))
         ours, theirs = np.random.default_rng(21), np.random.default_rng(21)
         scores, labels, segments = stream_rows(spec, clf, ours)
-        records, expected_segments = zip(*reference_stream(spec, clf, theirs))
+        records, expected_labels, expected_segments = zip(*reference_stream(spec, clf, theirs))
         assert scores.tobytes() == np.stack([r.scores for r in records]).tobytes()
-        assert labels.tolist() == [r.true_label for r in records]
+        assert labels.tolist() == list(expected_labels)
         assert segments.tolist() == list(expected_segments)
         assert ours.bit_generator.state == theirs.bit_generator.state
         bounds = [0, *starts, 4200]
@@ -995,11 +993,21 @@ def test_estimator_names_each_method_and_refuses_any_other(monkeypatch):
     conf = ConfusionMatrix(make_catalog(3), np.array([[0.8, 0.1, 0.1], [0.1, 0.8, 0.1], [0.1, 0.1, 0.8]]))
     hist = DecisionHistogram(np.array([30, 20, 10]))
     estimate = harness.estimator(conf)
-    for method in (m.name for m in METHODS if m.flag is not None):
-        assert estimate(method, hist).method == method
-    # Resolved through harness at call time, so a patched estimator is the one called.
-    monkeypatch.setattr(harness, "estimate_qp", lambda conf, hist: "patched")
-    assert estimate("quadratic_program", hist) == "patched"
+    # Each estimator is resolved through harness at call time, so a patched
+    # one is the one called.  Sentinels tell the routes apart where values
+    # cannot: naive and precision-recall agree on this symmetric matrix.
+    routes = {
+        "naive": "estimate_naive",
+        "precision_recall": "estimate_precision_recall",
+        "matrix_inverse": "estimate_matrix_inverse",
+        "quadratic_program": "estimate_qp",
+    }
+    assert list(routes) == [m.name for m in METHODS if m.flag is not None]
+    for name in routes.values():
+        monkeypatch.setattr(harness, name, lambda *args, name=name: (name, args))
+    for method, name in routes.items():
+        called, args = estimate(method, hist)
+        assert called == name and any(arg is hist for arg in args)
     for typo in ("matrix-inverse", "qp", "", "ground_truth"):
         with pytest.raises(ValidationError, match=rf"^unknown estimation method {typo!r}$"):
             estimate(typo, hist)
@@ -1010,7 +1018,7 @@ def test_adapt_keeps_skipped_rows_and_failed_estimates_in_place():
     # re-estimate just before the part it left the priors in force for.
     skipped = ParseError("row 4 skipped")
     blocks = [np.array([[0.9, 0.1], [0.8, 0.2], [0.3, 0.7]]), skipped, np.array([[0.4, 0.6], [0.2, 0.8]])]
-    later = PriorEstimate(np.array([0.25, 0.75]), method="naive")
+    later = PriorEstimate(np.array([0.25, 0.75]))
     results = iter([PriorAdaptError("first fails"), later])
 
     def estimate(hist):
@@ -1022,6 +1030,7 @@ def test_adapt_keeps_skipped_rows_and_failed_estimates_in_place():
     out = list(harness.adapt(blocks, StreamMonitor(make_catalog(2)), estimate, 2))
     failure = out[1]
     assert type(failure) is PriorAdaptError and str(failure) == "first fails"
-    shape = [item if isinstance(item, Exception) else (item[0].tolist(), item[1].method) for item in out]
-    assert shape == [([[0.9, 0.1], [0.8, 0.2]], "uniform"), failure, ([[0.3, 0.7]], "uniform"), skipped,
-                     ([[0.4, 0.6]], "uniform"), ([[0.2, 0.8]], "naive")]
+    shape = [item if isinstance(item, Exception) else (item[0].tolist(), item[1].values.tolist()) for item in out]
+    uniform = [0.5, 0.5]
+    assert shape == [([[0.9, 0.1], [0.8, 0.2]], uniform), failure, ([[0.3, 0.7]], uniform), skipped,
+                     ([[0.4, 0.6]], uniform), ([[0.2, 0.8]], [0.25, 0.75])]

@@ -162,7 +162,7 @@ class TestIngestScored:
 
     def test_counts_baseline_even_with_policy(self):
         monitor = StreamMonitor(make_catalog(2))
-        priors = PriorEstimate(np.array([0.0, 1.0]), method="ground_truth")
+        priors = PriorEstimate(np.array([0.0, 1.0]))
         record = ScoreRecord((0.9, 0.1))
         assert decide_adapted(record, priors) == 1
         decision = monitor.ingest_scored(record)

@@ -360,7 +360,8 @@ class TestSolveSimplexLsq:
         h = random_confusion_rows(12, rng).T
         c = random_simplex(12, rng)
         v1, r1 = solve_simplex_lsq(h, c)
-        v2, r2 = solve_simplex_lsq(h, c, gram=Gram.of(h))
+        gram = Gram.of(h)
+        v2, r2 = solve_simplex_lsq(gram.h, c, gram=gram)
         assert np.array_equal(v1, v2)
         assert r1 == r2
 
@@ -410,8 +411,18 @@ class TestSolveSimplexLsq:
             kkt_violation(h, c, np.full(2, 0.5))
 
     def test_gram_of_another_shape(self):
-        with pytest.raises(ValidationError, match=r"Gram matrix has shape \(3, 3\), expected \(2, 2\)"):
+        with pytest.raises(ValidationError, match=r"^a Gram matrix must be passed with its own H, gram\.h$"):
             solve_simplex_lsq(np.eye(2), [0.5, 0.5], gram=Gram.of(np.eye(3)))
+
+    @pytest.mark.parametrize("other", [
+        np.array([[0.9, 0.2], [0.1, 0.8]]),  # same shape, other entries
+        np.eye(2),  # equal to the Gram's H, but not it
+    ])
+    def test_gram_of_another_h(self, other):
+        gram = Gram.of(np.eye(2))
+        with pytest.raises(ValidationError, match=r"^a Gram matrix must be passed with its own H, gram\.h$"):
+            solve_simplex_lsq(other, [0.5, 0.5], gram=gram)
+        assert solve_simplex_lsq(gram.h, [0.5, 0.5], gram=gram)[0].tolist() == [0.5, 0.5]
 
     def test_class_that_cannot_enter_stays_out(self, monkeypatch):
         # Rounding can make a class's multiplier look improving while the
